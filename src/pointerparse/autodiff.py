@@ -31,6 +31,10 @@ class NonScalarLoss(ValueError):
     pass
 
 
+class TapeOrderError(RuntimeError):
+    """A tape exited while it was not the innermost active tape."""
+
+
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_backward")
 
@@ -87,8 +91,10 @@ class Tape:
         return self
 
     def __exit__(self, *exc) -> None:
-        popped = _tape_stack().pop()
-        assert popped is self
+        stack = _tape_stack()
+        if not stack or stack[-1] is not self:
+            raise TapeOrderError("a tape must be the innermost active tape when it exits")
+        stack.pop()
 
     def backward(self, loss: Tensor) -> None:
         if loss.data.size != 1:

@@ -117,15 +117,23 @@ def save_checkpoint(
     return directory
 
 
-def _read_blob(path: Path, index: list[dict], second_half: bool = False) -> dict[str, np.ndarray]:
-    raw = np.fromfile(path, dtype="<f4")
+def _read_blob(path: Path, index: list[dict], copies: int = 1) -> list[dict[str, np.ndarray]]:
+    """The ``copies`` consecutive tensor sets of a blob laid out by ``index``."""
     total = sum(int(np.prod(e["shape"])) for e in index)
-    out = {}
-    base = total if second_half else 0
-    for entry in index:
-        size = int(np.prod(entry["shape"]))
-        start = base + entry["offset"]
-        out[entry["name"]] = raw[start : start + size].reshape(entry["shape"]).copy()
+    expected = 4 * copies * total
+    if path.stat().st_size != expected:
+        raise CheckpointError(
+            f"{path.name} holds {path.stat().st_size} bytes; its manifest index needs {expected}"
+        )
+    raw = np.fromfile(path, dtype="<f4")
+    out = []
+    for base in range(0, copies * total, total):
+        tensors = {}
+        for entry in index:
+            start = base + entry["offset"]
+            size = int(np.prod(entry["shape"]))
+            tensors[entry["name"]] = raw[start : start + size].reshape(entry["shape"]).copy()
+        out.append(tensors)
     return out
 
 
@@ -140,11 +148,10 @@ def load_checkpoint(directory) -> Checkpoint:
             f"checkpoint format {manifest.get('format_version')} != supported {FORMAT_VERSION}"
         )
     index = manifest["params"]
-    params = _read_blob(directory / "params.bin", index)
+    (params,) = _read_blob(directory / "params.bin", index)
     opt_m = opt_v = None
     if manifest.get("has_opt_state"):
-        opt_m = _read_blob(directory / "optstate.bin", index, second_half=False)
-        opt_v = _read_blob(directory / "optstate.bin", index, second_half=True)
+        opt_m, opt_v = _read_blob(directory / "optstate.bin", index, copies=2)
     return Checkpoint(
         step=int(manifest["step"]),
         model_config=ModelConfig.from_json(manifest["model_config"]),
@@ -161,13 +168,11 @@ def load_checkpoint(directory) -> Checkpoint:
     )
 
 
-def prune_checkpoints(root: Path, keep: int, protect: Optional[Path] = None) -> None:
+def prune_checkpoints(root: Path, keep: int) -> None:
     """Delete all but the newest ``keep`` step_* checkpoint directories."""
     steps = sorted(
         (p for p in Path(root).glob("step_*") if p.is_dir()),
         key=lambda p: int(p.name.split("_")[1]),
     )
     for stale in steps[:-keep] if keep > 0 else []:
-        if protect is not None and stale.resolve() == Path(protect).resolve():
-            continue
         shutil.rmtree(stale)

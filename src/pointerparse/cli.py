@@ -73,7 +73,6 @@ _MODEL_KEYS = {
     f.name for f in fields(ModelConfig)
 } - {"vocab_size", "src_vocab_size", "max_src_len"}
 _TRAIN_KEYS = {f.name for f in fields(TrainConfig)}
-_BEAM_KEYS = {f.name for f in fields(BeamConfig)}
 
 
 def _coerce(raw):
@@ -113,20 +112,19 @@ def _section(flat: dict, name: str, allowed: set[str]) -> dict:
 
 
 def build_configs(flat: dict, overrides: dict):
-    """Split a flat config into (model kwargs, TrainConfig, BeamConfig)."""
+    """Split a flat config into (model kwargs, TrainConfig)."""
     for key in flat:
         head = key.partition(".")[0]
-        if head not in ("model", "train", "beam"):
+        if head not in ("model", "train"):
             raise DataError(f"unknown config section in key {key!r}")
     model_kwargs = _section(flat, "model", _MODEL_KEYS)
     train_kwargs = _section(flat, "train", _TRAIN_KEYS)
-    beam_kwargs = _section(flat, "beam", _BEAM_KEYS)
     for key, value in overrides.items():
         if value is None:
             continue
         section, _, field_name = key.partition(".")
-        {"model": model_kwargs, "train": train_kwargs, "beam": beam_kwargs}[section][field_name] = value
-    return model_kwargs, TrainConfig(**train_kwargs), BeamConfig(**beam_kwargs)
+        {"model": model_kwargs, "train": train_kwargs}[section][field_name] = value
+    return model_kwargs, TrainConfig(**train_kwargs)
 
 
 def _print(obj) -> None:
@@ -170,7 +168,7 @@ def cmd_train(args) -> int:
         dev_examples = read_jsonl(corpus_dir / "dev.jsonl")
 
     flat = load_flat_config(args.config)
-    model_kwargs, train_config, _ = build_configs(
+    model_kwargs, train_config = build_configs(
         flat,
         {"train.seed": args.seed, "train.max_steps": args.max_steps},
     )
@@ -215,6 +213,12 @@ def _latest_checkpoint(path: Path) -> Path:
     raise ckpt.CheckpointError(f"no checkpoint found under {path}")
 
 
+def _beam_config(args) -> BeamConfig:
+    if args.beam < 1:
+        raise UsageError(f"--beam must be at least 1, got {args.beam}")
+    return BeamConfig(beam_size=args.beam)
+
+
 def _predict_batch(model, symtab, source_vocab, examples, beam_config):
     """Decode each input; returns rows of (query, sequence, score, truncated)."""
     rows = []
@@ -244,9 +248,9 @@ def _load_prediction_inputs(path, default_style: Optional[str]):
 
 
 def cmd_predict(args) -> int:
+    beam_config = _beam_config(args)
     loaded = ckpt.load_checkpoint(_latest_checkpoint(args.checkpoint))
     model = loaded.build_model()
-    beam_config = BeamConfig(beam_size=args.beam)
     inputs = _load_prediction_inputs(args.input, args.style)
     rows = _predict_batch(
         model, loaded.symtab, loaded.source_vocab, [(q, s) for q, s, _ in inputs], beam_config
@@ -274,10 +278,10 @@ def cmd_predict(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    beam_config = _beam_config(args)
     loaded = ckpt.load_checkpoint(_latest_checkpoint(args.checkpoint))
     model = loaded.build_model()
     examples = read_jsonl(args.input)
-    beam_config = BeamConfig(beam_size=args.beam)
     rows = _predict_batch(
         model,
         loaded.symtab,

@@ -6,6 +6,11 @@ or beyond the query length are banned per example, and argmax ties break
 toward the lowest id so decoding is deterministic.  Generation stops at EOS
 or at ``2n + 16`` emitted symbols, whichever comes first; hitting the cap
 marks the result truncated.
+
+Decoding is incremental: each ``model.step`` feeds one new symbol per row
+to a ``DecoderCache`` built once per batch of queries.  Greedy drops
+finished rows from the cache; beam search reorders its rows by parent
+hypothesis after every step, and all hypotheses share one encoded query.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .autodiff import constant
 from .model import PointerGeneratorModel
 from .vocab import BOS_ID, EOS_ID, PAD_ID
 
@@ -37,7 +41,6 @@ class Hypothesis:
 
     ids: list[int]  # decoder input ids, ids[0] == BOS
     log_prob: float
-    finished: bool = False
     truncated: bool = False
 
     @property
@@ -78,33 +81,32 @@ def greedy_batch(
     src_ids = np.atleast_2d(np.asarray(src_ids))
     src_mask = np.atleast_2d(np.asarray(src_mask, dtype=bool))
     batch = src_ids.shape[0]
-    lengths = src_mask.sum(axis=1).astype(int).tolist()
+    lengths = src_mask.sum(axis=1).astype(int)
     caps = [max_target_len if max_target_len is not None else target_cap(n) for n in lengths]
-    enc = model.encode(src_ids, src_mask)
+    cache = model.start_decoding(model.encode(src_ids, src_mask), src_mask)
     v = model.config.vocab_size
 
-    prefix = np.full((batch, 1), BOS_ID, dtype=np.int64)
     emitted: list[list[int]] = [[] for _ in range(batch)]
     scores = np.zeros(batch, dtype=np.float64)
-    finished = np.zeros(batch, dtype=bool)
     truncated = np.zeros(batch, dtype=bool)
-    while not finished.all() and prefix.shape[1] <= max(caps):
-        dist = model.decode_step(prefix, enc, src_mask)
-        log_probs = _ban(dist.log_probs, v, lengths)
-        chosen = np.argmax(log_probs, axis=1)
-        for b in range(batch):
-            if finished[b]:
-                chosen[b] = EOS_ID  # keep the prefix PAD-free for done rows
+    alive = np.arange(batch if min(caps) > 0 else 0)  # batch row of each cache row
+    tokens = np.full(alive.size, BOS_ID, dtype=np.int64)
+    while alive.size:
+        log_probs = _ban(model.step(cache, tokens).log_probs, v, lengths[alive])
+        tokens = np.argmax(log_probs, axis=1)
+        keep = []
+        for r, b in enumerate(alive):
+            scores[b] += log_probs[r, tokens[r]]
+            if tokens[r] == EOS_ID:
                 continue
-            scores[b] += log_probs[b, chosen[b]]
-            if chosen[b] == EOS_ID:
-                finished[b] = True
+            emitted[b].append(int(tokens[r]))
+            if len(emitted[b]) >= caps[b]:
+                truncated[b] = True
             else:
-                emitted[b].append(int(chosen[b]))
-                if len(emitted[b]) >= caps[b]:
-                    finished[b] = True
-                    truncated[b] = True
-        prefix = np.concatenate([prefix, chosen[:, None]], axis=1)
+                keep.append(r)
+        if len(keep) < alive.size:
+            cache.select(keep)
+            alive, tokens = alive[keep], tokens[keep]
     return [
         DecodeResult(ids=emitted[b], score=float(scores[b]), truncated=bool(truncated[b]))
         for b in range(batch)
@@ -137,31 +139,29 @@ def beam_search(
     src = np.asarray(src_ids)
     n = src.shape[0]
     cap = config.max_target_len if config.max_target_len is not None else target_cap(n)
-    enc = model.encode(src[None, :])
     mask = np.ones((1, n), dtype=bool)
+    cache = model.start_decoding(model.encode(src[None, :], mask), mask)
     v = model.config.vocab_size
     k = config.beam_size
 
     active = [Hypothesis(ids=[BOS_ID], log_prob=0.0)]
     finished: list[Hypothesis] = []
     while active:
-        enc_rows = constant(np.repeat(enc.data, len(active), axis=0))
-        mask_rows = np.repeat(mask, len(active), axis=0)
-        prefix = np.asarray([h.ids for h in active], dtype=np.int64)
-        dist = model.decode_step(prefix, enc_rows, mask_rows)
+        dist = model.step(cache, [h.ids[-1] for h in active])
         log_probs = _ban(dist.log_probs, v, [n] * len(active))
         totals = np.asarray([h.log_prob for h in active])[:, None] + log_probs
         if k >= 2:
             for i, hyp in enumerate(active):
                 closure = float(totals[i, EOS_ID])
                 if closure > -np.inf:
-                    finished.append(Hypothesis(hyp.ids, closure, finished=True))
+                    finished.append(Hypothesis(hyp.ids, closure))
             totals[:, EOS_ID] = -np.inf  # retired above; slots go to exploration
         flat = totals.reshape(-1)
         # Stable sort on the flattened (hypothesis, token) grid: ties resolve
         # to the earlier hypothesis, then the lower token id.
         order = np.argsort(-flat, kind="stable")[:k]
         next_active: list[Hypothesis] = []
+        parents: list[int] = []
         for pos in order:
             hyp_idx, token = divmod(int(pos), totals.shape[1])
             score = float(flat[pos])
@@ -169,26 +169,26 @@ def beam_search(
                 continue
             parent = active[hyp_idx]
             if token == EOS_ID:  # only reachable at beam size 1
-                finished.append(Hypothesis(parent.ids, score, finished=True))
+                finished.append(Hypothesis(parent.ids, score))
                 continue
             child = Hypothesis(parent.ids + [token], score)
             if len(child.emitted) >= cap:
-                child.finished = True
                 child.truncated = True
                 finished.append(child)
             else:
                 next_active.append(child)
+                parents.append(hyp_idx)
         # The pool only ever needs its best beam_size entries; insertion
         # order is kept among ties so earlier closures win.
         finished.sort(key=lambda h: -h.log_prob)
         del finished[max(k, 1) :]
         active = next_active
+        cache.select(parents)
         if len(finished) >= k and active:
             if max(h.log_prob for h in active) <= finished[k - 1].log_prob:
                 break
-    key = (lambda h: -h.log_prob / max(len(h.emitted) + 1, 1)) if config.length_normalize \
-        else (lambda h: -h.log_prob)
-    finished.sort(key=key)
+    if config.length_normalize:  # the pool is already in raw-score order
+        finished.sort(key=lambda h: -h.log_prob / (len(h.emitted) + 1))
     return [
         DecodeResult(ids=h.emitted, score=h.log_prob, truncated=h.truncated)
         for h in finished[:k]

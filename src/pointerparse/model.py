@@ -11,6 +11,11 @@ source position from a dedicated table, never by the word they point at.
 Pre-norm residual blocks and fixed sinusoidal positions on both sides keep
 small-scale training stable.  The encoder width may differ from the decoder
 width; the bilinear matrix absorbs the mismatch.
+
+Training runs the decoder over whole target prefixes under a causal mask
+(``forward_teacher_forced``).  Inference runs it one position at a time on a
+``DecoderCache`` (``start_decoding``, then ``step``), and the teacher-forced
+pass is the reference the cached path is tested against.
 """
 
 from __future__ import annotations
@@ -136,22 +141,31 @@ class MultiHeadAttention:
         self.wv = Linear(store, f"{name}.v", d_kv_in, d_out)
         self.wo = Linear(store, f"{name}.o", d_out, d_out)
 
-    def _split(self, x: Tensor, batch: int, steps: int) -> Tensor:
-        x = ad.reshape(x, (batch, steps, self.n_heads, self.head_dim))
+    def _split(self, x: Tensor) -> Tensor:
+        x = ad.reshape(x, (x.shape[0], x.shape[1], self.n_heads, self.head_dim))
         return ad.transpose(x, (0, 2, 1, 3))
 
     def __call__(self, query_in, kv_in, fill_mask, p, train, rng):
         """fill_mask: bool, broadcastable to [B, heads, Tq, Tk]; True blocks."""
-        batch, tq = query_in.shape[0], query_in.shape[1]
-        tk = kv_in.shape[1]
-        q = self._split(self.wq(query_in), batch, tq)
-        k = self._split(self.wk(kv_in), batch, tk)
-        v = self._split(self.wv(kv_in), batch, tk)
+        return self.attend(self.queries(query_in), *self.keys_values(kv_in), fill_mask, p, train, rng)
+
+    def queries(self, query_in: Tensor) -> Tensor:
+        """Per-head queries [B, heads, Tq, head_dim]."""
+        return self._split(self.wq(query_in))
+
+    def keys_values(self, kv_in: Tensor) -> tuple[Tensor, Tensor]:
+        """Per-head keys and values, each [B, heads, Tk, head_dim]."""
+        return self._split(self.wk(kv_in)), self._split(self.wv(kv_in))
+
+    def attend(self, q, k, v, fill_mask, p=0.0, train=False, rng=None) -> Tensor:
+        """Scaled dot-product attention of per-head queries over per-head keys
+        and values; a key batch of one broadcasts over the query rows."""
         scores = ad.scale(ad.matmul(q, ad.swap_last(k)), 1.0 / math.sqrt(self.head_dim))
         if fill_mask is not None:
             scores = ad.mask_fill(scores, fill_mask)
         attn = ad.dropout(ad.softmax(scores), p, train, rng)
         ctx = ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3))
+        batch, tq = ctx.shape[0], ctx.shape[1]
         return self.wo(ad.reshape(ctx, (batch, tq, self.n_heads * self.head_dim)))
 
 
@@ -193,6 +207,59 @@ class DecoderLayer:
         x = ad.add(x, ad.dropout(self.cross_attn(self.norm2(x), enc, src_fill, p, train, rng), p, train, rng))
         x = ad.add(x, ad.dropout(self.ffn(self.norm3(x), p, train, rng), p, train, rng))
         return x
+
+    def step(self, x, past, cross_kv, src_fill):
+        """Inference for one new position per row, x [R, 1, d_dec].  ``past``
+        is this layer's cached self-attention (k, v) over earlier positions
+        (None at the first); returns the output and the (k, v) grown by one
+        position."""
+        h = self.norm1(x)
+        k, v = self.self_attn.keys_values(h)
+        if past is not None:
+            k = ad.concat([past[0], k], axis=2)
+            v = ad.concat([past[1], v], axis=2)
+        x = ad.add(x, self.self_attn.attend(self.self_attn.queries(h), k, v, None))
+        q = self.cross_attn.queries(self.norm2(x))
+        x = ad.add(x, self.cross_attn.attend(q, *cross_kv, src_fill))
+        x = ad.add(x, self.ffn(self.norm3(x), 0.0, False, None))
+        return x, (k, v)
+
+
+class DecoderCache:
+    """Incremental decoding state for a batch of decoder rows.
+
+    Built once per batch of queries from the encoder states: each decoder
+    layer's cross-attention keys and values, the pointer keys
+    ``ptr_bilinear @ enc^T`` and the source padding masks.  A source batch of
+    one is shared by every row (the hypotheses of one beam) and broadcasts.
+    Each layer's self-attention keys and values grow by one position per
+    ``PointerGeneratorModel.step``; ``select`` reorders or repeats rows.
+    """
+
+    def __init__(self, cross_kv, ptr_keys: Tensor, src_mask: np.ndarray, embed: Tensor):
+        self.cross_kv = cross_kv                         # per layer (k, v) [S, heads, n, hd]
+        self.ptr_keys = ptr_keys                         # [S, d_dec, n]
+        self.src_fill = ~src_mask[:, None, None, :]      # cross-attention padding
+        self.ptr_fill = ~src_mask[:, None, :]            # pointer padding
+        self.embed = embed                               # symbol table then pointer table
+        self.self_kv = [None] * len(cross_kv)            # per layer (k, v) [R, heads, t, hd]
+        self.length = 0                                  # positions fed so far
+
+    def select(self, rows) -> None:
+        """Between steps, keep decoder rows ``rows`` in that order; an index
+        may repeat (a beam parent with several children) or be left out (a
+        finished row)."""
+        rows = np.asarray(rows, dtype=np.int64)
+
+        def take(t: Tensor) -> Tensor:
+            return ad.constant(t.data[rows])
+
+        self.self_kv = [(take(k), take(v)) for k, v in self.self_kv]
+        if self.ptr_keys.shape[0] > 1:
+            self.cross_kv = [(take(k), take(v)) for k, v in self.cross_kv]
+            self.ptr_keys = take(self.ptr_keys)
+            self.src_fill = self.src_fill[rows]
+            self.ptr_fill = self.ptr_fill[rows]
 
 
 class PointerGeneratorModel:
@@ -240,16 +307,22 @@ class PointerGeneratorModel:
             x = layer(x, pad_fill, p, train, rng)
         return self.enc_norm(x)
 
+    def _target_table(self) -> Tensor:
+        """Decoder input embeddings: the symbol table, then the pointer table."""
+        return ad.concat([self.sym_embed, self.ptr_embed], axis=0)
+
+    def _embed_targets(self, table: Tensor, ids: np.ndarray, start: int) -> Tensor:
+        """Scaled embeddings of decoder input ids [B, T] at positions start.."""
+        x = ad.scale(ad.gather(table, ids), math.sqrt(self.config.d_dec))
+        return ad.add(x, ad.constant(self.dec_positions.data[start : start + ids.shape[1]]))
+
     def _decoder_states(self, tgt_ids, enc, src_mask, train, rng):
         cfg = self.config
         batch, steps = tgt_ids.shape
         if steps > cfg.max_tgt_len:
             raise ValueError(f"target length {steps} exceeds max_tgt_len {cfg.max_tgt_len}")
         p = cfg.dropout
-        tables = ad.concat([self.sym_embed, self.ptr_embed], axis=0)
-        x = ad.scale(ad.gather(tables, tgt_ids), math.sqrt(cfg.d_dec))
-        x = ad.add(x, ad.constant(self.dec_positions.data[:steps]))
-        x = ad.dropout(x, p, train, rng)
+        x = ad.dropout(self._embed_targets(self._target_table(), tgt_ids, 0), p, train, rng)
         causal_fill = np.triu(np.ones((steps, steps), dtype=bool), k=1)[None, None]
         src_fill = ~src_mask[:, None, None, :]
         for layer in self.dec_layers:
@@ -271,16 +344,31 @@ class PointerGeneratorModel:
         states = self._decoder_states(tgt_in_ids, enc, np.asarray(src_mask, dtype=bool), train, rng)
         return self.joint_logits(states, enc, np.asarray(src_mask, dtype=bool))
 
-    def decode_step(self, prefix_ids, enc: Tensor, src_mask) -> OutputDistribution:
-        """Next-token distribution given decoder input prefixes [B, t]."""
-        prefix = np.atleast_2d(np.asarray(prefix_ids))
-        if np.any(prefix == PAD_ID):
-            raise PrefixContainsPAD("decoder prefix must not contain PAD")
+    def start_decoding(self, enc: Tensor, src_mask) -> DecoderCache:
+        """A cache for decoding from encoder states [S, n, d_model]."""
         src_mask = np.atleast_2d(np.asarray(src_mask, dtype=bool))
-        states = self._decoder_states(prefix, enc, src_mask, train=False, rng=None)
-        logits = self.joint_logits(states, enc, src_mask)
-        last = logits.data[:, -1, :]
-        v = self.config.vocab_size
+        cross_kv = [layer.cross_attn.keys_values(enc) for layer in self.dec_layers]
+        ptr_keys = ad.matmul(self.ptr_bilinear, ad.swap_last(enc))
+        return DecoderCache(cross_kv, ptr_keys, src_mask, self._target_table())
+
+    def step(self, cache: DecoderCache, tokens) -> OutputDistribution:
+        """Feed one decoder input id per cache row at the next position and
+        return the joint next-token distribution."""
+        cfg = self.config
+        tokens = np.asarray(tokens).reshape(-1, 1)
+        if np.any(tokens == PAD_ID):
+            raise PrefixContainsPAD("decoder prefix must not contain PAD")
+        t = cache.length
+        if t >= cfg.max_tgt_len:
+            raise ValueError(f"target length {t + 1} exceeds max_tgt_len {cfg.max_tgt_len}")
+        x = self._embed_targets(cache.embed, tokens, t)
+        for i, layer in enumerate(self.dec_layers):
+            x, cache.self_kv[i] = layer.step(x, cache.self_kv[i], cache.cross_kv[i], cache.src_fill)
+        cache.length = t + 1
+        states = self.dec_norm(x)
+        pointer = ad.mask_fill(ad.matmul(states, cache.ptr_keys), cache.ptr_fill)
+        last = np.concatenate([self.vocab_out(states).data, pointer.data], axis=-1)[:, 0, :]
+        v = cfg.vocab_size
         shifted = (last - last.max(axis=-1, keepdims=True)).astype(np.float64)
         log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
         return OutputDistribution(
@@ -288,3 +376,13 @@ class PointerGeneratorModel:
             pointer_scores=last[:, v:],
             log_probs=log_probs.astype(np.float32),
         )
+
+    def decode_step(self, prefix_ids, enc: Tensor, src_mask) -> OutputDistribution:
+        """Next-token distribution given decoder input prefixes [B, t]: the
+        prefix goes through a fresh cache one position at a time, so the
+        result is computed exactly as the decoders compute it."""
+        prefix = np.atleast_2d(np.asarray(prefix_ids))
+        cache = self.start_decoding(enc, src_mask)
+        for t in range(prefix.shape[1]):
+            dist = self.step(cache, prefix[:, t])
+        return dist

@@ -6,6 +6,8 @@ from pointerparse.autodiff import (
     NonScalarLoss,
     ShapeMismatch,
     Tape,
+    TapeOrderError,
+    active_tape,
     add,
     concat,
     constant,
@@ -96,6 +98,20 @@ class TestBackwardBasics:
         with Tape() as tape:
             with pytest.raises(NonScalarLoss):
                 tape.backward(add(x, x))
+
+    def test_tapes_exited_out_of_order_raise(self):
+        outer, inner = Tape(), Tape()
+        outer.__enter__()
+        inner.__enter__()
+        try:
+            with pytest.raises(TapeOrderError):
+                outer.__exit__(None, None, None)
+        finally:
+            inner.__exit__(None, None, None)
+            outer.__exit__(None, None, None)
+        assert active_tape() is None
+        with pytest.raises(TapeOrderError):
+            outer.__exit__(None, None, None)
 
     def test_no_recording_without_tape(self):
         x = parameter(rand(2, 2, seed=9))

@@ -54,6 +54,16 @@ def test_version_mismatch_is_hard_error(saved):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("blob", ["params.bin", "optstate.bin"])
+@pytest.mark.parametrize("cut", [2, 4, 1000])
+def test_short_blob_is_error(saved, blob, cut):
+    path, _, _ = saved
+    data = (path / blob).read_bytes()
+    (path / blob).write_bytes(data[:-cut])
+    with pytest.raises(CheckpointError, match=blob):
+        load_checkpoint(path)
+
+
 def test_missing_manifest_is_error(tmp_path):
     with pytest.raises(CheckpointError):
         load_checkpoint(tmp_path)

@@ -1,8 +1,11 @@
 import io
 import json
+import shutil
 
+import numpy as np
 import pytest
 
+from pointerparse.checkpoint import load_checkpoint
 from pointerparse.cli import (
     EXIT_DATA,
     EXIT_OK,
@@ -11,6 +14,8 @@ from pointerparse.cli import (
     load_flat_config,
     main,
 )
+from pointerparse.data import DataError, read_jsonl
+from pointerparse.decoding import greedy
 
 FLAT_EXAMPLE = {
     "query": "play the song don't stop believin by journey",
@@ -91,21 +96,23 @@ class TestConfigMerging:
         config.write_text(json.dumps({"train.max_steps": 100, "train.batch_size": 4}))
         monkeypatch.setenv("POINTERPARSE_TRAIN__MAX_STEPS", "200")
         flat = load_flat_config(str(config))
-        model_kwargs, train_config, beam_config = build_configs(
-            flat, {"train.max_steps": 300}
-        )
+        model_kwargs, train_config = build_configs(flat, {"train.max_steps": 300})
         assert train_config.max_steps == 300  # flag beats env beats file
         assert train_config.batch_size == 4
 
     def test_env_only(self, monkeypatch):
-        monkeypatch.setenv("POINTERPARSE_BEAM__BEAM_SIZE", "7")
+        monkeypatch.setenv("POINTERPARSE_TRAIN__BATCH_SIZE", "7")
         flat = load_flat_config(None)
-        _, _, beam_config = build_configs(flat, {})
-        assert beam_config.beam_size == 7
+        _, train_config = build_configs(flat, {})
+        assert train_config.batch_size == 7
 
     def test_unknown_key_rejected(self):
         with pytest.raises(Exception):
             build_configs({"model.bogus_field": 1}, {})
+
+    def test_beam_config_section_rejected(self):
+        with pytest.raises(DataError):
+            build_configs({"beam.beam_size": 4}, {})
 
 
 @pytest.fixture(scope="module")
@@ -211,3 +218,39 @@ class TestPipeline:
         )
         assert code == EXIT_OK
         assert (pipeline_dir / "ckpt" / "best" / "eval" / "report.json").exists()
+
+    def test_truncated_params_is_data_error(self, pipeline_dir, tmp_path, capsys):
+        broken = tmp_path / "ckpt"
+        shutil.copytree(pipeline_dir / "ckpt" / "best", broken)
+        blob = broken / "params.bin"
+        blob.write_bytes(blob.read_bytes()[: blob.stat().st_size // 2])
+        code = main(["eval", "--checkpoint", str(broken),
+                     "--input", str(pipeline_dir / "corpus" / "dev.jsonl"),
+                     "--report-dir", str(tmp_path / "report")])
+        _, err = capsys.readouterr()
+        assert code == EXIT_DATA
+        assert json.loads(err)["error"] == "CheckpointError"
+
+    def test_beam_one_gives_greedy_predictions(self, pipeline_dir, tmp_path):
+        dev = pipeline_dir / "corpus" / "dev.jsonl"
+        code = main(["eval", "--checkpoint", str(pipeline_dir / "ckpt" / "best"),
+                     "--input", str(dev), "--beam", "1", "--report-dir", str(tmp_path)])
+        assert code == EXIT_OK
+        loaded = load_checkpoint(pipeline_dir / "ckpt" / "best")
+        model = loaded.build_model()
+        details = [json.loads(line) for line in (tmp_path / "details.jsonl").read_text().splitlines()]
+        examples = read_jsonl(dev)
+        assert len(details) == len(examples)
+        for detail, ex in zip(details, examples):
+            src = np.asarray(loaded.source_vocab.encode(ex.query.tokens), dtype=np.int64)
+            best = greedy(model, src)
+            assert detail["prediction"] == loaded.symtab.decode(best.ids).to_string()
+            assert detail["score"] == best.score
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_beam_below_one_is_usage_error(self, pipeline_dir, command, capsys):
+        code = main([command, "--checkpoint", str(pipeline_dir / "ckpt" / "best"),
+                     "--input", str(pipeline_dir / "corpus" / "dev.jsonl"), "--beam", "0"])
+        _, err = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert json.loads(err)["error"] == "UsageError"

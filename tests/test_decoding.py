@@ -170,6 +170,32 @@ class TestBeamSearch:
             assert res.score == pytest.approx(score, abs=1e-9)
             assert res.truncated == truncated
 
+    def test_length_normalize_reranks_the_same_pool(self):
+        def per_symbol(res):
+            return -res.score / (len(res.ids) + 1)
+
+        reranked = 0
+        for seed in range(30):
+            model = random_model(seed)
+            src = random_src(model, seed + 300)
+            raw = beam_search(model, src, BeamConfig(beam_size=4))
+            normalized = beam_search(model, src, BeamConfig(beam_size=4, length_normalize=True))
+            expected = sorted(raw, key=per_symbol)
+            assert [(r.ids, r.score) for r in normalized] == [(r.ids, r.score) for r in expected]
+            reranked += normalized[0].ids != raw[0].ids
+        assert reranked > 0
+
+    def test_no_eos_truncates_every_result_at_the_cap(self):
+        model = random_model(4, max_src_len=8)
+        model.vocab_out.b.data[EOS_ID] = -1e4
+        for n in (1, 8):
+            src = np.arange(2, 2 + n)
+            results = beam_search(model, src, BeamConfig(beam_size=4))
+            assert len(results) == 4
+            for res in results:
+                assert res.truncated
+                assert len(res.ids) == target_cap(n)
+
     def test_result_count_capped_by_beam_size(self):
         model = random_model(8)
         src = random_src(model, 12)

@@ -113,6 +113,40 @@ def test_teacher_forcing_matches_stepwise_decoding(model):
         np.testing.assert_allclose(step_logits, logits[t - 1], atol=1e-5)
 
 
+def _cache_logits(model, cache, tokens):
+    dist = model.step(cache, tokens)
+    return np.concatenate([dist.vocab_scores, dist.pointer_scores], axis=-1)
+
+
+def test_cached_steps_match_teacher_forcing_up_to_the_cap(model):
+    lengths = [3, 10, 6]
+    n = max(lengths)
+    steps = 2 * n + 16
+    src, mask, _ = make_batch(model, lengths, seed=9)
+    rng = np.random.default_rng(9)
+    tgt = rng.integers(3, model.config.vocab_size + min(lengths), (len(lengths), steps))
+    tgt[:, 0] = BOS_ID
+    logits = model.forward_teacher_forced(src, mask, tgt).data
+    cache = model.start_decoding(model.encode(src, mask), mask)
+    for t in range(steps):
+        np.testing.assert_allclose(_cache_logits(model, cache, tgt[:, t]), logits[:, t], atol=1e-5)
+
+
+def test_cache_select_keeps_each_row_on_its_own_prefix(model):
+    src, mask, tgt = make_batch(model, [4, 9, 6], prefix_len=7, seed=10)
+    cache = model.start_decoding(model.encode(src, mask), mask)
+    for t in range(4):
+        model.step(cache, tgt[:, t])
+    rows = np.array([2, 0, 0, 1])  # row 0 is the parent of two rows
+    cache.select(rows)
+    prefixes = tgt[rows]
+    prefixes[:, 4:] = [[5, 6, 7], [3, 4, 5], [8, 9, 3], [11, 10, 9]]
+    logits = model.forward_teacher_forced(src[rows], mask[rows], prefixes).data
+    for t in range(4, prefixes.shape[1]):
+        np.testing.assert_allclose(_cache_logits(model, cache, prefixes[:, t]), logits[:, t],
+                                   atol=1e-5)
+
+
 def test_single_step_target(model):
     src, mask, _ = make_batch(model, [4], seed=5)
     logits = model.forward_teacher_forced(src, mask, np.array([[BOS_ID]]))
