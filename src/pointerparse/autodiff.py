@@ -1,9 +1,14 @@
 """Dense float32 tensors with a reverse-mode gradient tape.
 
-Forward values live in float32; explicit reductions (sums, means, softmax
-normalizers, layer-norm statistics) accumulate in float64 before casting
-back, which keeps finite-difference gradient checks tight without doubling
-memory.
+Forward values live in float32; explicit reductions (sums, softmax
+normalizers, layer-norm statistics, broadcast gradients) accumulate in
+float64 before casting back, which keeps finite-difference gradient checks
+tight without doubling memory.  Products with a 2-D weight are one float32
+GEMM over the flattened leading axes, forward and backward, so a weight's
+gradient accumulates over the batch inside that GEMM.
+
+Attention (``attention``) is one primitive with a closed-form backward, not
+a chain of the ops it is made of.
 
 Recording is explicit: ops append backward closures to the innermost active
 ``Tape`` (a thread-local stack, so independent tapes may run on separate
@@ -106,10 +111,14 @@ class Tape:
 
 
 def _accumulate(t: Tensor, g: Array) -> None:
+    """Add ``g`` into ``t.grad``.  The first gradient a tensor receives is
+    kept, not copied, so a backward closure may pass a given array to one
+    tensor only.  Views of its own upstream gradient are allowed: the tape
+    reads a node's gradient once, when it runs that node's closure."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = g.astype(np.float32, copy=True)
+        t.grad = g.astype(np.float32, copy=False)
     else:
         t.grad += g
 
@@ -151,7 +160,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g: Array) -> None:
         _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(g, b.shape))
+        _accumulate(b, _unbroadcast(g, b.shape).copy())  # a may have kept g itself
 
     return _record(out, (a, b), backward)
 
@@ -180,8 +189,12 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """``a @ b``.  An input of rank 3 or more against a 2-D weight runs as one
+    2-D GEMM over the flattened leading axes; other ranks broadcast."""
     if a.data.shape[-1] != b.data.shape[-2 if b.data.ndim > 1 else 0]:
         raise ShapeMismatch(f"matmul: {a.shape} vs {b.shape}")
+    if a.data.ndim > 2 and b.data.ndim == 2:
+        return _matmul_weight(a, b)
     out = Tensor(a.data @ b.data)
 
     def backward(g: Array) -> None:
@@ -189,6 +202,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         _accumulate(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
 
     return _record(out, (a, b), backward)
+
+
+def _matmul_weight(a: Tensor, w: Tensor) -> Tensor:
+    a2 = a.data.reshape(-1, a.data.shape[-1])
+    out = Tensor((a2 @ w.data).reshape(a.data.shape[:-1] + w.data.shape[1:]))
+
+    def backward(g: Array) -> None:
+        g2 = g.reshape(-1, g.shape[-1])
+        if a.requires_grad:
+            _accumulate(a, (g2 @ w.data.T).reshape(a.data.shape))
+        if w.requires_grad:
+            _accumulate(w, a2.T @ g2)
+
+    return _record(out, (a, w), backward)
 
 
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
@@ -344,15 +371,6 @@ def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _record(out, (a,), backward)
 
 
-def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        count = a.data.size
-    else:
-        count = a.data.shape[axis]
-    summed = reduce_sum(a, axis=axis, keepdims=keepdims)
-    return scale(summed, 1.0 / count)
-
-
 class DropoutRng:
     """Counter-based dropout stream: mask i depends only on (seed, i).
 
@@ -384,3 +402,52 @@ def dropout(a: Tensor, p: float, train: bool, rng: Optional[DropoutRng] = None) 
         _accumulate(a, g * m)
 
     return _record(out, (a,), backward)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, fill_mask, scale: float,
+              p: float = 0.0, train: bool = False, rng: Optional[DropoutRng] = None) -> Tensor:
+    """``dropout(softmax(mask_fill(q @ k^T * scale))) @ v`` as one primitive.
+
+    q is [B, heads, Tq, hd]; k and v are [B, heads, Tk, hd], and a key batch
+    of one broadcasts over the query batch.  ``fill_mask`` (bool,
+    broadcastable to [B, heads, Tq, Tk], or None) blocks the positions where
+    it is true.  The forward values are those of the composed ops, and the
+    dropout mask is drawn at the same point of the stream, with the same
+    shape.
+    """
+    c = np.float32(scale)
+    scores = (q.data @ k.data.swapaxes(-1, -2)) * c
+    blocked = None
+    if fill_mask is not None:
+        blocked = np.asarray(fill_mask, dtype=bool)
+        try:
+            scores = np.where(blocked, np.float32(MASK_FILL_VALUE), scores)
+        except ValueError:
+            raise ShapeMismatch(f"attention: scores {scores.shape} vs mask {blocked.shape}") from None
+    scores -= scores.max(axis=-1, keepdims=True)
+    probs = np.exp(scores, out=scores)
+    probs /= probs.sum(axis=-1, keepdims=True, dtype=np.float64).astype(np.float32)
+    weights, drop = probs, None
+    if train and p > 0.0:
+        if rng is None:
+            raise ValueError("training-mode dropout needs a DropoutRng")
+        keep = 1.0 - p
+        drop = rng.next_mask(probs.shape, keep) / np.float32(keep)
+        weights = probs * drop
+    out = Tensor(weights @ v.data)
+
+    def backward(g: Array) -> None:
+        _accumulate(v, _unbroadcast(weights.swapaxes(-1, -2) @ g, v.shape))
+        gs = g @ v.data.swapaxes(-1, -2)
+        if drop is not None:
+            gs *= drop
+        # Softmax backward: probs * (g - sum(g * probs)).
+        gs -= (gs * probs).sum(axis=-1, keepdims=True, dtype=np.float64).astype(np.float32)
+        gs *= probs
+        if blocked is not None:
+            gs = np.where(blocked, np.float32(0.0), gs)
+        gs *= c
+        _accumulate(q, _unbroadcast(gs @ k.data, q.shape))
+        _accumulate(k, _unbroadcast(gs.swapaxes(-1, -2) @ q.data, k.shape))
+
+    return _record(out, (q, k, v), backward)

@@ -12,11 +12,15 @@ Layout::
 
 Loading a checkpoint restores training bit-identically on a single thread;
 a format-version mismatch is a hard error rather than a best-effort read.
+A save builds the directory under a temporary sibling name and renames it
+into place, so an exception or a killed process partway through a save
+never leaves a partial checkpoint under the final name.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import shutil
 from dataclasses import dataclass
 from pathlib import Path
@@ -87,34 +91,58 @@ def save_checkpoint(
     metrics: Optional[dict] = None,
     best_dev_em: Optional[float] = None,
 ) -> Path:
+    """Write a checkpoint to ``directory``, replacing any checkpoint there.
+
+    The files go to ``.<name>.partial`` beside it, which is then renamed to
+    the final name; the previous checkpoint is moved to ``.<name>.old`` for
+    that rename and deleted after it.  Neither temporary name matches the
+    ``step_*`` pattern that pruning and checkpoint lookup read.
+    """
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    partial = directory.with_name(f".{directory.name}.partial")
+    retired = directory.with_name(f".{directory.name}.old")
+    if partial.exists():
+        shutil.rmtree(partial)  # left by a save that was killed
+    partial.mkdir(parents=True)
+    try:
+        _write_checkpoint(partial, model, symtab, source_vocab, {
+            "format_version": FORMAT_VERSION,
+            "step": step,
+            "model_config": model.config.to_json(),
+            "train_config": train_config,
+            "has_opt_state": opt_m is not None and opt_v is not None,
+            "opt_step": opt_step,
+            "dropout_counter": dropout_counter,
+            "metrics": metrics or {},
+            "best_dev_em": best_dev_em,
+        }, opt_m, opt_v)
+    except BaseException:
+        shutil.rmtree(partial, ignore_errors=True)
+        raise
+    if retired.exists():
+        shutil.rmtree(retired)
+    if directory.exists():
+        os.replace(directory, retired)
+    os.replace(partial, directory)
+    shutil.rmtree(retired, ignore_errors=True)
+    return directory
+
+
+def _write_checkpoint(directory: Path, model, symtab, source_vocab, manifest: dict,
+                      opt_m, opt_v) -> None:
     names = list(model.parameters().keys())
     params = [model.parameters()[n].data for n in names]
     offsets = _write_blob(directory / "params.bin", params)
-    index = [
+    manifest["params"] = [
         {"name": n, "shape": list(p.shape), "offset": off}
         for n, p, off in zip(names, params, offsets)
     ]
-    if opt_m is not None and opt_v is not None:
+    if manifest["has_opt_state"]:
         moments = [opt_m[n] for n in names] + [opt_v[n] for n in names]
         _write_blob(directory / "optstate.bin", moments)
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "step": step,
-        "model_config": model.config.to_json(),
-        "train_config": train_config,
-        "params": index,
-        "has_opt_state": opt_m is not None and opt_v is not None,
-        "opt_step": opt_step,
-        "dropout_counter": dropout_counter,
-        "metrics": metrics or {},
-        "best_dev_em": best_dev_em,
-    }
     (directory / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     symtab.save(directory / "symtab.json")
     source_vocab.save(directory / "source_vocab.json")
-    return directory
 
 
 def _read_blob(path: Path, index: list[dict], copies: int = 1) -> list[dict[str, np.ndarray]]:

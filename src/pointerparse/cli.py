@@ -384,8 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-steps", type=int)
     p.add_argument("--max-src-len", type=int)
     p.add_argument("--resume")
-    p.add_argument("--deterministic", action="store_true",
-                   help="single-threaded reproducible mode (the default behaviour)")
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_train)
 

@@ -160,11 +160,8 @@ class MultiHeadAttention:
     def attend(self, q, k, v, fill_mask, p=0.0, train=False, rng=None) -> Tensor:
         """Scaled dot-product attention of per-head queries over per-head keys
         and values; a key batch of one broadcasts over the query rows."""
-        scores = ad.scale(ad.matmul(q, ad.swap_last(k)), 1.0 / math.sqrt(self.head_dim))
-        if fill_mask is not None:
-            scores = ad.mask_fill(scores, fill_mask)
-        attn = ad.dropout(ad.softmax(scores), p, train, rng)
-        ctx = ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3))
+        ctx = ad.attention(q, k, v, fill_mask, 1.0 / math.sqrt(self.head_dim), p, train, rng)
+        ctx = ad.transpose(ctx, (0, 2, 1, 3))
         batch, tq = ctx.shape[0], ctx.shape[1]
         return self.wo(ad.reshape(ctx, (batch, tq, self.n_heads * self.head_dim)))
 

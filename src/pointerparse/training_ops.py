@@ -7,7 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from .autodiff import Tensor, constant, log_softmax, mul, reduce_sum, scale, add
+from .autodiff import Tensor, _accumulate, _record
 
 
 class GoldOutOfRange(ValueError):
@@ -16,6 +16,11 @@ class GoldOutOfRange(ValueError):
 
 class NonFiniteGradient(RuntimeError):
     pass
+
+
+class LossBelowEntropyFloor(ArithmeticError):
+    """The loss came out below the entropy of the smoothed target, which no
+    distribution can reach; the loss arithmetic is wrong."""
 
 
 def noam_lr(step: int, d_model: int, warmup: int) -> float:
@@ -39,8 +44,11 @@ def label_smoothed_ce(
 
     The smoothing support is each example's full joint outcome set (parse
     symbols plus its in-range pointers) minus PAD; padded target steps are
-    excluded from the mean.  Numerically asserts the cross-entropy lower
-    bound: the loss can never drop below the entropy of the smoothed target.
+    excluded from the mean.  One tape node: the log-softmax and the loss
+    accumulate in float64, and the gradient with respect to the logits is the
+    closed form ``softmax - q`` (q the smoothed target) times each step's
+    weight in the mean.  Checks the cross-entropy lower bound: the loss can
+    never drop below the entropy of the smoothed target.
     """
     gold = np.asarray(gold)
     step_mask = np.asarray(step_mask, dtype=bool)
@@ -48,35 +56,40 @@ def label_smoothed_ce(
     batch, steps, width = logits.shape
     if gold.min() < 0 or gold.max() >= width:
         raise GoldOutOfRange(f"gold ids must be in [0, {width})")
-    if not np.all(support_mask[np.arange(batch)[:, None], gold] | ~step_mask):
+    rows = np.arange(batch)[:, None]
+    if not np.all(support_mask[rows, gold] | ~step_mask):
         raise GoldOutOfRange("a gold id falls outside its example's support")
 
-    logp = log_softmax(logits)
-    onehot = np.zeros((batch, steps, width), dtype=np.float32)
-    np.put_along_axis(onehot, gold[:, :, None], 1.0, axis=2)
-    nll = scale(reduce_sum(mul(logp, constant(onehot)), axis=2), -1.0)  # [B, T]
-
+    shifted = (logits.data - logits.data.max(axis=-1, keepdims=True)).astype(np.float64)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))  # [B, T, W]
     counts = support_mask.sum(axis=1)  # [B]
-    smooth_sum = reduce_sum(mul(logp, constant(support_mask[:, None, :].astype(np.float32))), axis=2)
-    smooth = mul(smooth_sum, constant(np.float32(-1.0) / counts[:, None].astype(np.float32)))
+    support = support_mask.astype(np.float64)
+    nll = -np.take_along_axis(logp, gold[:, :, None], axis=2)[:, :, 0]  # [B, T]
+    smooth = -(logp @ support[:, :, None])[:, :, 0] / counts[:, None]
+    per_step = (1.0 - epsilon) * nll + epsilon * smooth
 
-    per_step = add(scale(nll, 1.0 - epsilon), scale(smooth, epsilon))
-    masked = mul(per_step, constant(step_mask.astype(np.float32)))
     steps_per_example = step_mask.sum(axis=1)
     if per_example:
-        loss = mul(
-            reduce_sum(masked, axis=1),
-            constant(1.0 / np.maximum(steps_per_example, 1).astype(np.float32)),
-        )
+        weight = step_mask / np.maximum(steps_per_example, 1)[:, None]  # [B, T]
+        value = (per_step * weight).sum(axis=1)
     else:
-        total = int(step_mask.sum())
-        loss = scale(reduce_sum(masked), 1.0 / max(total, 1))
+        weight = step_mask / max(int(steps_per_example.sum()), 1)
+        value = (per_step * weight).sum()
+    loss = Tensor(value.astype(np.float32))
+    _check_entropy_floor(loss, counts, steps_per_example, epsilon, per_example)
 
-    _assert_entropy_floor(loss, counts, steps_per_example, epsilon, per_example)
-    return loss
+    def backward(g: np.ndarray) -> None:
+        coef = weight * (g[:, None] if per_example else g)  # [B, T]
+        grad = np.exp(logp)
+        grad *= coef[:, :, None]
+        grad -= (coef * (epsilon / counts[:, None]))[:, :, None] * support[:, None, :]
+        grad[rows, np.arange(steps)[None, :], gold] -= (1.0 - epsilon) * coef
+        _accumulate(logits, grad)
+
+    return _record(loss, (logits,), backward)
 
 
-def _assert_entropy_floor(loss, counts, steps_per_example, epsilon, per_example):
+def _check_entropy_floor(loss, counts, steps_per_example, epsilon, per_example):
     if epsilon <= 0.0:
         return
     k = counts.astype(np.float64)
@@ -88,7 +101,10 @@ def _assert_entropy_floor(loss, counts, steps_per_example, epsilon, per_example)
     else:
         bound = float((floor * steps_per_example).sum() / max(steps_per_example.sum(), 1))
         values = loss.data.reshape(())
-    assert np.all(values >= bound - 1e-4), "loss fell below the smoothed-entropy floor"
+    if not np.all(values >= bound - 1e-4):
+        raise LossBelowEntropyFloor(
+            f"loss {np.min(values):.6g} fell below the smoothed-entropy floor {np.min(bound):.6g}"
+        )
 
 
 @dataclass
@@ -117,29 +133,40 @@ def adam_step(
 ) -> None:
     """Standard Adam with bias correction; optional global-norm clipping.
 
-    Moments are stored float32 but updated in float64 arithmetic.  Non-finite
-    gradients abort the step before any parameter changes.
+    Moments and parameters are updated in place in float32; the global norm
+    accumulates in float64.  A non-finite gradient anywhere aborts the step
+    before any moment or parameter changes.
     """
-    for name, p in params.items():
+    for p in params.values():
         if p.grad is None:
             p.zero_grad()
-        if not np.all(np.isfinite(p.grad)):
-            raise NonFiniteGradient(f"non-finite gradient in {name}")
+    # A float64 sum of squared float32 values cannot overflow, so the norm is
+    # finite exactly when every gradient entry is.
+    norm = global_grad_norm(params)
+    if not np.isfinite(norm):
+        bad = next(name for name, p in params.items() if not np.all(np.isfinite(p.grad)))
+        raise NonFiniteGradient(f"non-finite gradient in {bad}")
     factor = 1.0
-    if clip_norm is not None and clip_norm > 0:
-        norm = global_grad_norm(params)
-        if norm > clip_norm:
-            factor = clip_norm / norm
+    if clip_norm is not None and clip_norm > 0 and norm > clip_norm:
+        factor = clip_norm / norm
     state.step += 1
     bc1 = 1.0 - beta1 ** state.step
     bc2 = 1.0 - beta2 ** state.step
     for name, p in params.items():
-        g = p.grad.astype(np.float64) * factor
         m = state.m.get(name)
+        if m is None:
+            m = state.m[name] = np.zeros_like(p.data)
         v = state.v.get(name)
-        m64 = (beta1 * m.astype(np.float64) if m is not None else 0.0) + (1.0 - beta1) * g
-        v64 = (beta2 * v.astype(np.float64) if v is not None else 0.0) + (1.0 - beta2) * g * g
-        state.m[name] = m64.astype(np.float32)
-        state.v[name] = v64.astype(np.float32)
-        update = lr * (m64 / bc1) / (np.sqrt(v64 / bc2) + eps)
-        p.data = (p.data.astype(np.float64) - update).astype(np.float32)
+        if v is None:
+            v = state.v[name] = np.zeros_like(p.data)
+        # The clip factor folds into the moment coefficients.
+        m *= beta1
+        m += ((1.0 - beta1) * factor) * p.grad
+        v *= beta2
+        v += ((1.0 - beta2) * factor * factor) * np.square(p.grad)
+        denom = v / bc2
+        np.sqrt(denom, out=denom)
+        denom += eps
+        update = m / denom
+        update *= lr / bc1
+        p.data -= update

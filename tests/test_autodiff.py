@@ -9,6 +9,7 @@ from pointerparse.autodiff import (
     TapeOrderError,
     active_tape,
     add,
+    attention,
     concat,
     constant,
     dropout,
@@ -19,12 +20,12 @@ from pointerparse.autodiff import (
     matmul,
     mul,
     parameter,
-    reduce_mean,
     reduce_sum,
     relu,
     reshape,
     scale,
     softmax,
+    swap_last,
     transpose,
 )
 from helpers import check_grad
@@ -134,6 +135,19 @@ class TestGradChecks:
         w = constant(rand(4, 5, seed=14))
         check_grad(lambda: reduce_sum(mul(add(a, b), w)), [a, b])
 
+    def test_add_of_two_intermediates_with_a_later_use(self):
+        # add hands one upstream gradient to both inputs; a later use of the
+        # first input must not leak into the second input's gradient.
+        x = parameter(rand(3, 4, seed=48))
+        w1, w2, w3 = (constant(rand(3, 4, seed=s)) for s in (49, 50, 51))
+
+        def loss():
+            a, b = mul(x, w1), mul(x, w2)
+            later = mul(a, w3)
+            return reduce_sum(add(add(a, b), later))
+
+        check_grad(loss, [x])
+
     def test_mul(self):
         a = parameter(rand(3, 4, seed=15))
         b = parameter(rand(3, 4, seed=16))
@@ -202,11 +216,6 @@ class TestGradChecks:
         w = constant(rand(4, 6, seed=41))
         check_grad(lambda: reduce_sum(mul(softmax(mask_fill(a, mask)), w)), [a])
 
-    def test_reduce_mean_axis(self):
-        a = parameter(rand(3, 5, seed=42))
-        w = constant(rand(3, seed=43))
-        check_grad(lambda: reduce_sum(mul(reduce_mean(a, axis=1), w)), [a])
-
     def test_reduce_sum_keepdims(self):
         a = parameter(rand(2, 4, seed=44))
         w = constant(rand(2, 1, seed=45))
@@ -221,6 +230,96 @@ class TestGradChecks:
             return reduce_sum(mul(dropout(a, 0.4, train=True, rng=rng), w))
 
         check_grad(loss, [a])
+
+
+class TestMatmulAgainstWeight:
+    """Rank >= 3 times a 2-D weight runs as one flattened GEMM."""
+
+    @pytest.mark.parametrize("lead", [(3, 5), (2, 3, 4)])
+    def test_matches_batched_product(self, lead):
+        a = parameter(rand(*lead, 6, seed=60))
+        b = parameter(rand(6, 7, seed=61))
+        g = rand(*lead, 7, seed=62)
+        with Tape() as tape:
+            out = matmul(a, b)
+            tape.backward(reduce_sum(mul(out, constant(g))))
+        a64, b64, g64 = a.data.astype(np.float64), b.data.astype(np.float64), g.astype(np.float64)
+        np.testing.assert_allclose(out.data, a64 @ b64, atol=1e-5)
+        np.testing.assert_allclose(a.grad, g64 @ b64.T, atol=1e-5)
+        batched = a64.swapaxes(-1, -2) @ g64  # one [6, 7] product per leading index
+        np.testing.assert_allclose(b.grad, batched.reshape(-1, 6, 7).sum(axis=0), atol=1e-5)
+
+    def test_rank_four_finite_differences(self):
+        a = parameter(rand(2, 3, 2, 4, seed=63))
+        b = parameter(rand(4, 5, seed=64))
+        w = constant(rand(2, 3, 2, 5, seed=65))
+        check_grad(lambda: reduce_sum(mul(matmul(a, b), w)), [a, b])
+
+
+def _composed_attention(q, k, v, fill_mask, c, p=0.0, train=False, rng=None):
+    scores = scale(matmul(q, swap_last(k)), c)
+    if fill_mask is not None:
+        scores = mask_fill(scores, fill_mask)
+    return matmul(dropout(softmax(scores), p, train, rng), v)
+
+
+def _causal(t):
+    return np.triu(np.ones((t, t), dtype=bool), k=1)[None, None]
+
+
+def _padding(lengths, t):
+    return (np.arange(t)[None, :] >= np.asarray(lengths)[:, None])[:, None, None, :]
+
+
+class TestAttention:
+    """The fused primitive against finite differences and the composed ops."""
+
+    @staticmethod
+    def _qkv(batch, kv_batch, tq, tk, seed):
+        q = parameter(rand(batch, 2, tq, 3, seed=seed))
+        k = parameter(rand(kv_batch, 2, tk, 3, seed=seed + 1))
+        v = parameter(rand(kv_batch, 2, tk, 3, seed=seed + 2))
+        w = constant(rand(batch, 2, tq, 3, seed=seed + 3))
+        return q, k, v, w
+
+    CASES = {
+        "padding": dict(batch=2, kv_batch=2, tq=3, tk=4, mask=_padding([4, 2], 4)),
+        "causal": dict(batch=2, kv_batch=2, tq=4, tk=4, mask=_causal(4)),
+        "dropout": dict(batch=2, kv_batch=2, tq=3, tk=4, mask=_padding([3, 4], 4), p=0.3),
+        "key_batch_of_one": dict(batch=3, kv_batch=1, tq=1, tk=4, mask=np.zeros((1, 1, 1, 4), bool)),
+        "fully_blocked_row": dict(batch=2, kv_batch=2, tq=3, tk=4, mask=_padding([4, 0], 4)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_finite_differences(self, case):
+        cfg = self.CASES[case]
+        q, k, v, w = self._qkv(cfg["batch"], cfg["kv_batch"], cfg["tq"], cfg["tk"], seed=70)
+        p = cfg.get("p", 0.0)
+
+        def loss():
+            rng = DropoutRng(seed=5)  # same counter start: the same mask each call
+            return reduce_sum(mul(attention(q, k, v, cfg["mask"], 0.6, p, p > 0, rng), w))
+
+        check_grad(loss, [q, k, v])
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_composed_ops(self, case):
+        cfg = self.CASES[case]
+        q, k, v, w = self._qkv(cfg["batch"], cfg["kv_batch"], cfg["tq"], cfg["tk"], seed=80)
+        p = cfg.get("p", 0.0)
+        results = []
+        for op in (attention, _composed_attention):
+            for t in (q, k, v):
+                t.zero_grad()
+            rng = DropoutRng(seed=5, counter=2)
+            with Tape() as tape:
+                out = op(q, k, v, cfg["mask"], 0.6, p, p > 0, rng)
+                tape.backward(reduce_sum(mul(out, w)))
+            results.append((out.data, q.grad, k.grad, v.grad, rng.counter))
+        fused, composed = results
+        assert fused[4] == composed[4]  # one mask drawn from the same stream position
+        for a, b in zip(fused[:4], composed[:4]):
+            np.testing.assert_allclose(a, b, atol=1e-6)
 
 
 class TestDropout:

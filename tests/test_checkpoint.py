@@ -12,6 +12,7 @@ from pointerparse.checkpoint import (
 from pointerparse.data import default_grammar, generate_synthetic
 from pointerparse.model import ModelConfig, PointerGeneratorModel
 from pointerparse.training import prepare_corpus
+from pointerparse.vocab import SourceVocab
 
 
 @pytest.fixture()
@@ -26,7 +27,7 @@ def saved(tmp_path):
     )
     model = PointerGeneratorModel(config, seed=5)
     path = save_checkpoint(
-        tmp_path / "ck", model, symtab, src_vocab, {"max_steps": 10}, step=10,
+        tmp_path / "best", model, symtab, src_vocab, {"max_steps": 10}, step=10,
         opt_m={k: np.zeros_like(v.data) for k, v in model.parameters().items()},
         opt_v={k: np.zeros_like(v.data) for k, v in model.parameters().items()},
         opt_step=10, dropout_counter=40,
@@ -77,3 +78,39 @@ def test_prune_keeps_newest(tmp_path):
     prune_checkpoints(tmp_path, keep=2)
     left = sorted(p.name for p in tmp_path.glob("step_*"))
     assert left == ["step_000030", "step_000040"]
+
+
+def test_resave_replaces_checkpoint_and_leaves_no_temporaries(saved):
+    path, model, symtab = saved
+    source_vocab = load_checkpoint(path).source_vocab
+    save_checkpoint(path, model, symtab, source_vocab, {}, step=20)
+    assert load_checkpoint(path).step == 20
+    assert [p.name for p in path.parent.iterdir()] == ["best"]
+
+
+def test_failed_save_keeps_previous_checkpoint(saved, monkeypatch):
+    path, model, symtab = saved
+    source_vocab = load_checkpoint(path).source_vocab
+
+    def fail(self, target):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(SourceVocab, "save", fail)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, model, symtab, source_vocab, {}, step=20)
+    assert load_checkpoint(path).step == 10
+    assert [p.name for p in path.parent.iterdir()] == ["best"]
+
+
+def test_leftover_partial_save_is_ignored_and_replaced(saved, tmp_path):
+    path, model, symtab = saved
+    source_vocab = load_checkpoint(path).source_vocab
+    step_dir = save_checkpoint(tmp_path / "step_000020", model, symtab, source_vocab, {}, step=20)
+    killed = tmp_path / ".step_000030.partial"  # a save killed before its rename
+    killed.mkdir()
+    (killed / "params.bin").write_bytes(b"\0" * 8)
+    prune_checkpoints(tmp_path, keep=1)
+    assert step_dir.exists() and killed.exists()
+    save_checkpoint(tmp_path / "step_000030", model, symtab, source_vocab, {}, step=30)
+    assert load_checkpoint(tmp_path / "step_000030").step == 30
+    assert not killed.exists()

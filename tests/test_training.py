@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from pointerparse.autodiff import constant, parameter
+from pointerparse.autodiff import (
+    MASK_FILL_VALUE, Tape, add, constant, log_softmax, mask_fill, mul, parameter, reduce_sum, scale,
+)
 from pointerparse.data import default_grammar, generate_synthetic
 from pointerparse.linearize import SymKind, linearize
 from pointerparse.model import ModelConfig
@@ -21,7 +23,9 @@ from pointerparse.training import (
     prepare_corpus,
     train_loop,
 )
+from pointerparse.training_ops import LossBelowEntropyFloor, _check_entropy_floor
 from pointerparse.vocab import BOS_ID
+from helpers import check_grad
 
 
 class TestNoamSchedule:
@@ -103,6 +107,82 @@ class TestLabelSmoothedCE:
             assert loss >= entropy - 1e-5
 
 
+def _composed_ce(logits, gold, step_mask, support_mask, epsilon, per_example):
+    """The loss written as a chain of tape ops (dense one-hot and support)."""
+    batch, steps, width = logits.shape
+    logp = log_softmax(logits)
+    onehot = np.zeros((batch, steps, width), dtype=np.float32)
+    np.put_along_axis(onehot, gold[:, :, None], 1.0, axis=2)
+    nll = scale(reduce_sum(mul(logp, constant(onehot)), axis=2), -1.0)
+    counts = support_mask.sum(axis=1)
+    smooth_sum = reduce_sum(mul(logp, constant(support_mask[:, None, :].astype(np.float32))), axis=2)
+    smooth = mul(smooth_sum, constant(-1.0 / counts[:, None].astype(np.float32)))
+    masked = mul(add(scale(nll, 1.0 - epsilon), scale(smooth, epsilon)),
+                 constant(step_mask.astype(np.float32)))
+    if per_example:
+        steps_per_example = np.maximum(step_mask.sum(axis=1), 1).astype(np.float32)
+        return mul(reduce_sum(masked, axis=1), constant(1.0 / steps_per_example))
+    return scale(reduce_sum(masked), 1.0 / max(int(step_mask.sum()), 1))
+
+
+def _ce_case(seed=0):
+    """Three examples, four steps, seven outcomes: padded steps, a pointer
+    column blocked by its source mask and left out of that example's support."""
+    rng = np.random.default_rng(seed)
+    logits = rng.standard_normal((3, 4, 7)).astype(np.float32) * 2
+    support = np.ones((3, 7), dtype=bool)
+    support[:, 0] = False  # PAD
+    support[2, 6] = False  # a pointer past example 2's source
+    gold = rng.integers(1, 6, size=(3, 4))
+    step_mask = np.array([[1, 1, 1, 1], [1, 1, 0, 0], [1, 1, 1, 0]], dtype=bool)
+    gold[~step_mask] = 0
+    return logits, gold, step_mask, support
+
+
+class TestFusedLabelSmoothedCE:
+    @pytest.mark.parametrize("per_example", [False, True])
+    def test_finite_differences(self, per_example):
+        raw, gold, step_mask, support = _ce_case(seed=1)
+        logits = parameter(raw)
+        weights = constant(np.array([0.5, -1.0, 2.0], dtype=np.float32))
+
+        def loss():
+            out = label_smoothed_ce(logits, gold, step_mask, support, 0.1, per_example=per_example)
+            return reduce_sum(mul(out, weights)) if per_example else out
+
+        check_grad(loss, [logits])
+
+    @pytest.mark.parametrize("per_example", [False, True])
+    def test_matches_composed_formula(self, per_example):
+        raw, gold, step_mask, support = _ce_case(seed=2)
+        blocked = np.zeros((3, 1, 7), dtype=bool)
+        blocked[2, 0, 6] = True
+        logits = parameter(raw)
+        weights = constant(np.array([0.5, -1.0, 2.0], dtype=np.float32))
+        results = []
+        for op in (label_smoothed_ce, _composed_ce):
+            logits.zero_grad()
+            with Tape() as tape:
+                masked = mask_fill(logits, blocked, MASK_FILL_VALUE)
+                out = op(masked, gold, step_mask, support, 0.1, per_example)
+                tape.backward(reduce_sum(mul(out, weights)) if per_example else out)
+            results.append((out.data, logits.grad.copy()))
+        (fused, fused_grad), (composed, composed_grad) = results
+        assert fused.shape == composed.shape == ((3,) if per_example else ())
+        np.testing.assert_allclose(fused, composed, atol=1e-6)
+        np.testing.assert_allclose(fused_grad, composed_grad, atol=1e-6)
+
+    @pytest.mark.parametrize("per_example", [False, True])
+    def test_loss_below_entropy_floor_raises(self, per_example):
+        counts = np.array([6, 6])
+        steps = np.array([2, 1])
+        below = constant(np.zeros(2 if per_example else (), dtype=np.float32))
+        with pytest.raises(LossBelowEntropyFloor):
+            _check_entropy_floor(below, counts, steps, 0.1, per_example)
+        at_log_k = constant(np.full(2 if per_example else (), np.log(6), dtype=np.float32))
+        _check_entropy_floor(at_log_k, counts, steps, 0.1, per_example)
+
+
 class TestAdam:
     def test_zero_gradient_leaves_parameters(self):
         p = parameter(np.array([1.0, -2.0], dtype=np.float32))
@@ -143,12 +223,35 @@ class TestAdam:
             adam_step({"p": p}, state, lr=lr, beta1=beta1, beta2=beta2, eps=eps, clip_norm=None)
         assert p.data[0] == pytest.approx(theta, abs=1e-7)
 
+    def test_float32_update_tracks_float64_formula(self):
+        beta1, beta2, eps, lr = 0.9, 0.98, 1e-9, 1e-2
+        rng = np.random.default_rng(4)
+        start = rng.uniform(-1.0, 1.0, size=64)
+        grads = rng.standard_normal((50, 64))
+        theta, m, v = start.copy(), np.zeros(64), np.zeros(64)
+        p = parameter(start.astype(np.float32))
+        state = AdamState()
+        for t, g in enumerate(grads, start=1):
+            g32 = g.astype(np.float32)
+            m = beta1 * m + (1 - beta1) * g32
+            v = beta2 * v + (1 - beta2) * g32.astype(np.float64) ** 2
+            theta -= lr * (m / (1 - beta1 ** t)) / (np.sqrt(v / (1 - beta2 ** t)) + eps)
+            p.grad = g32
+            adam_step({"p": p}, state, lr=lr, beta1=beta1, beta2=beta2, eps=eps, clip_norm=None)
+            assert state.m["p"].dtype == state.v["p"].dtype == p.data.dtype == np.float32
+        np.testing.assert_allclose(p.data, theta, rtol=0, atol=1e-6)
+
     def test_non_finite_gradient_aborts(self):
+        ok = parameter(np.array([1.0], dtype=np.float32))
+        ok.grad = np.array([0.5], dtype=np.float32)
         p = parameter(np.array([1.0], dtype=np.float32))
         p.grad = np.array([np.nan], dtype=np.float32)
-        with pytest.raises(NonFiniteGradient):
-            adam_step({"p": p}, AdamState(), lr=0.1)
+        state = AdamState()
+        with pytest.raises(NonFiniteGradient, match="in p$"):
+            adam_step({"ok": ok, "p": p}, state, lr=0.1)
         np.testing.assert_array_equal(p.data, [1.0])
+        np.testing.assert_array_equal(ok.data, [1.0])
+        assert state.step == 0 and not state.m and not state.v
 
     def test_global_norm_clipping(self):
         p = parameter(np.zeros(4, dtype=np.float32))
