@@ -221,10 +221,9 @@ def _matmul_weight(a: Tensor, w: Tensor) -> Tensor:
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
     out = Tensor(a.data.transpose(axes))
-    inverse = tuple(np.argsort(axes))
 
     def backward(g: Array) -> None:
-        _accumulate(a, g.transpose(inverse))
+        _accumulate(a, g.transpose(np.argsort(axes)))
 
     return _record(out, (a,), backward)
 
@@ -251,10 +250,9 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
 
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
 
     def backward(g: Array) -> None:
+        offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
         moved = np.moveaxis(g, axis, 0)
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
             _accumulate(t, np.moveaxis(moved[lo:hi], 0, axis))
@@ -318,15 +316,15 @@ def log_softmax(a: Tensor) -> Tensor:
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis; statistics accumulate in float64."""
+    d = a.data.shape[-1]
+    # The float64 copy is centred in place; mean and variance are computed
+    # as np.mean and np.var compute them, without their wrappers.
     x = a.data.astype(np.float64)
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat64 = (x - mean) * inv
-    xhat = xhat64.astype(np.float32)
+    x -= x.sum(axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt((x * x).sum(axis=-1, keepdims=True) / d + eps)
+    xhat = (x * inv).astype(np.float32)
     out = Tensor(xhat * gain.data + bias.data)
     inv32 = inv.astype(np.float32)
-    d = a.data.shape[-1]
 
     def backward(g: Array) -> None:
         _accumulate(gain, _unbroadcast(g * xhat, gain.shape))

@@ -4,14 +4,16 @@ Layout::
 
     <dir>/
       manifest.json      format version, step, configs, metrics snapshot,
-                         tensor index (name, shape, offset), RNG bookkeeping
+                         tensor index (name, shape, offset), RNG bookkeeping,
+                         byte length and sha256 of each .bin file
       params.bin         little-endian float32, concatenated in index order
       optstate.bin       Adam first/second moments, same order as params
       symtab.json        target symbol table
       source_vocab.json  encoder word vocabulary
 
 Loading a checkpoint restores training bit-identically on a single thread;
-a format-version mismatch is a hard error rather than a best-effort read.
+a format-version mismatch, or a .bin file whose length or sha256 differs from
+the manifest's record, is a hard error rather than a best-effort read.
 A save builds the directory under a temporary sibling name and renames it
 into place, so an exception or a killed process partway through a save
 never leaves a partial checkpoint under the final name.
@@ -19,6 +21,7 @@ never leaves a partial checkpoint under the final name.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
@@ -31,7 +34,7 @@ import numpy as np
 from .model import ModelConfig, PointerGeneratorModel
 from .vocab import SourceVocab, SymbolTable
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class CheckpointError(RuntimeError):
@@ -65,16 +68,19 @@ class Checkpoint:
         return model
 
 
-def _write_blob(path: Path, arrays: list[np.ndarray]) -> list[int]:
+def _write_blob(path: Path, arrays: list[np.ndarray]) -> tuple[list[int], dict]:
+    """Write the arrays; returns their offsets and the file's integrity record."""
     offsets = []
+    digest = hashlib.sha256()
     with open(path, "wb") as fh:
         pos = 0
         for arr in arrays:
             offsets.append(pos)
             raw = arr.astype("<f4").tobytes()
             fh.write(raw)
+            digest.update(raw)
             pos += arr.size
-    return offsets
+    return offsets, {"bytes": 4 * pos, "sha256": digest.hexdigest()}
 
 
 def save_checkpoint(
@@ -132,28 +138,38 @@ def _write_checkpoint(directory: Path, model, symtab, source_vocab, manifest: di
                       opt_m, opt_v) -> None:
     names = list(model.parameters().keys())
     params = [model.parameters()[n].data for n in names]
-    offsets = _write_blob(directory / "params.bin", params)
+    offsets, record = _write_blob(directory / "params.bin", params)
     manifest["params"] = [
         {"name": n, "shape": list(p.shape), "offset": off}
         for n, p, off in zip(names, params, offsets)
     ]
+    manifest["blobs"] = {"params.bin": record}
     if manifest["has_opt_state"]:
         moments = [opt_m[n] for n in names] + [opt_v[n] for n in names]
-        _write_blob(directory / "optstate.bin", moments)
+        _, manifest["blobs"]["optstate.bin"] = _write_blob(directory / "optstate.bin", moments)
     (directory / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     symtab.save(directory / "symtab.json")
     source_vocab.save(directory / "source_vocab.json")
 
 
-def _read_blob(path: Path, index: list[dict], copies: int = 1) -> list[dict[str, np.ndarray]]:
-    """The ``copies`` consecutive tensor sets of a blob laid out by ``index``."""
+def _read_blob(path: Path, manifest: dict, copies: int = 1) -> list[dict[str, np.ndarray]]:
+    """The ``copies`` consecutive tensor sets of a blob laid out by the
+    manifest's index, after checking the blob against its integrity record."""
+    index = manifest["params"]
+    record = manifest.get("blobs", {}).get(path.name)
+    if record is None:
+        raise CheckpointError(f"manifest has no integrity record for {path.name}")
     total = sum(int(np.prod(e["shape"])) for e in index)
     expected = 4 * copies * total
-    if path.stat().st_size != expected:
+    raw = path.read_bytes()
+    if len(raw) != expected or len(raw) != record["bytes"]:
         raise CheckpointError(
-            f"{path.name} holds {path.stat().st_size} bytes; its manifest index needs {expected}"
+            f"{path.name} holds {len(raw)} bytes; its manifest records {record['bytes']} "
+            f"and its index needs {expected}"
         )
-    raw = np.fromfile(path, dtype="<f4")
+    if hashlib.sha256(raw).hexdigest() != record["sha256"]:
+        raise CheckpointError(f"{path.name} does not match the sha256 its manifest records")
+    raw = np.frombuffer(raw, dtype="<f4")
     out = []
     for base in range(0, copies * total, total):
         tensors = {}
@@ -175,11 +191,10 @@ def load_checkpoint(directory) -> Checkpoint:
         raise CheckpointError(
             f"checkpoint format {manifest.get('format_version')} != supported {FORMAT_VERSION}"
         )
-    index = manifest["params"]
-    (params,) = _read_blob(directory / "params.bin", index)
+    (params,) = _read_blob(directory / "params.bin", manifest)
     opt_m = opt_v = None
     if manifest.get("has_opt_state"):
-        opt_m, opt_v = _read_blob(directory / "optstate.bin", index, copies=2)
+        opt_m, opt_v = _read_blob(directory / "optstate.bin", manifest, copies=2)
     return Checkpoint(
         step=int(manifest["step"]),
         model_config=ModelConfig.from_json(manifest["model_config"]),

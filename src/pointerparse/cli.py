@@ -16,11 +16,10 @@ import argparse
 import json
 import os
 import sys
+import time
 from dataclasses import fields
 from pathlib import Path
 from typing import Optional, Sequence
-
-import numpy as np
 
 from . import checkpoint as ckpt
 from .data import (
@@ -34,7 +33,8 @@ from .data import (
     read_jsonl,
     write_jsonl,
 )
-from .decoding import BeamConfig, beam_search
+# ``beam_search`` is not called here; perfbench's tracer patches it by this name.
+from .decoding import BeamConfig, beam_search, beam_search_batch, pad_sources  # noqa: F401
 from .linearize import (
     LinearizeError,
     Query,
@@ -219,17 +219,21 @@ def _beam_config(args) -> BeamConfig:
     return BeamConfig(beam_size=args.beam)
 
 
-def _predict_batch(model, symtab, source_vocab, examples, beam_config):
-    """Decode each input; returns rows of (query, sequence, score, truncated)."""
-    rows = []
-    for query, style in examples:
-        n = len(query.tokens)
-        if n == 0 or n > model.config.max_src_len:
-            rows.append((query, style, None, float("-inf"), False))
-            continue
-        src = np.asarray(source_vocab.encode(query.tokens), dtype=np.int64)
-        best = beam_search(model, src, beam_config)[0]
-        rows.append((query, style, symtab.decode(best.ids), best.score, best.truncated))
+def _predict_batch(model, symtab, source_vocab, examples, beam_config, chunk_size=64):
+    """Decode each input, up to ``chunk_size`` queries per batch; returns rows
+    of (query, style, sequence, score, truncated), with no sequence for a
+    query that cannot be decoded."""
+    rows = [(query, style, None, float("-inf"), False) for query, style in examples]
+    decodable = [
+        i for i, (query, _) in enumerate(examples)
+        if 0 < len(query.tokens) <= model.config.max_src_len
+    ]
+    for lo in range(0, len(decodable), chunk_size):
+        chunk = decodable[lo : lo + chunk_size]
+        src, mask = pad_sources([source_vocab.encode(examples[i][0].tokens) for i in chunk])
+        for i, results in zip(chunk, beam_search_batch(model, src, mask, beam_config)):
+            best = results[0]
+            rows[i] = (*examples[i], symtab.decode(best.ids), best.score, best.truncated)
     return rows
 
 
@@ -282,6 +286,7 @@ def cmd_eval(args) -> int:
     loaded = ckpt.load_checkpoint(_latest_checkpoint(args.checkpoint))
     model = loaded.build_model()
     examples = read_jsonl(args.input)
+    start = time.perf_counter()
     rows = _predict_batch(
         model,
         loaded.symtab,
@@ -289,22 +294,33 @@ def cmd_eval(args) -> int:
         [(ex.query, ex.style) for ex in examples],
         beam_config,
     )
+    seconds = time.perf_counter() - start
     predictions = [seq if seq is not None else TargetSequence(()) for _, _, seq, _, _ in rows]
     references = [linearize(ex.parse, ex.query) for ex in examples]
     lengths = [len(ex.query.tokens) for ex in examples]
     styles = [ex.style for ex in examples]
     report = evaluate(predictions, references, lengths, styles)
+    emitted = [len(seq.symbols) for _, _, seq, _, _ in rows if seq is not None]
+    headline = dict(report.to_json(), decode={
+        "beam_size": beam_config.beam_size,
+        "truncated": sum(truncated for *_, truncated in rows),
+        "emitted_len_mean": sum(emitted) / len(emitted) if emitted else 0.0,
+    })
 
     report_dir = Path(args.report_dir) if args.report_dir else _latest_checkpoint(args.checkpoint) / "eval"
     report_dir.mkdir(parents=True, exist_ok=True)
-    (report_dir / "report.json").write_text(json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n")
+    (report_dir / "report.json").write_text(json.dumps(headline, sort_keys=True, indent=2) + "\n")
+    # Times vary from run to run, so they stay out of the reproducible report.
+    timing = {"decode": {"seconds": seconds, "queries_per_s": len(rows) / seconds}}
+    (report_dir / "timing.json").write_text(json.dumps(timing, sort_keys=True, indent=2) + "\n")
     with open(report_dir / "details.jsonl", "w", encoding="utf-8") as fh:
-        for record, (_, _, seq, score, _) in zip(report.records, rows):
+        for record, (_, _, seq, score, truncated) in zip(report.records, rows):
             detail = record.to_json()
             detail["prediction"] = seq.to_string() if seq is not None else None
             detail["score"] = score if score != float("-inf") else None
+            detail["truncated"] = truncated
             fh.write(json.dumps(detail, sort_keys=True) + "\n")
-    _print(report.to_json())
+    _print(headline)
     return EXIT_OK
 
 

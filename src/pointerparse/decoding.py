@@ -1,16 +1,18 @@
-"""Greedy and beam-search inference over the joint vocab+pointer distribution.
+"""Batched beam search over the joint vocab+pointer distribution.
 
-Both decoders work on symbol-table ids: ids below ``vocab_size`` are parse
-symbols, the rest are pointers.  PAD and BOS are banned outright, pointers at
-or beyond the query length are banned per example, and argmax ties break
-toward the lowest id so decoding is deterministic.  Generation stops at EOS
-or at ``2n + 16`` emitted symbols, whichever comes first; hitting the cap
-marks the result truncated.
+One decoder, ``beam_search_batch``, serves every caller: a beam of one is
+greedy decoding, and ``beam_search`` and ``greedy`` are batches of one query.
+It works on symbol-table ids: ids below ``vocab_size`` are parse symbols, the
+rest are pointers.  PAD and BOS are banned outright, pointers at or beyond a
+query's length are banned per query, and ties break toward the earlier
+hypothesis, then the lower id, so decoding is deterministic.  Generation
+stops at EOS or at ``2n + 16`` emitted symbols, whichever comes first;
+hitting the cap marks the result truncated.
 
-Decoding is incremental: each ``model.step`` feeds one new symbol per row
-to a ``DecoderCache`` built once per batch of queries.  Greedy drops
-finished rows from the cache; beam search reorders its rows by parent
-hypothesis after every step, and all hypotheses share one encoded query.
+Decoding is incremental: each ``model.step`` feeds one new symbol for every
+live hypothesis of every query in the batch to one ``DecoderCache``.  The
+hypotheses of a query sit in consecutive cache rows; after each step the rows
+are reordered by parent hypothesis, and a query that stops gives its rows up.
 """
 
 from __future__ import annotations
@@ -36,39 +38,138 @@ class BeamConfig:
 
 
 @dataclass
-class Hypothesis:
-    """Partial or finished decode: BOS-rooted id sequence plus its score."""
-
-    ids: list[int]  # decoder input ids, ids[0] == BOS
-    log_prob: float
-    truncated: bool = False
-
-    @property
-    def emitted(self) -> list[int]:
-        """Output ids without BOS (EOS is never appended to ids)."""
-        return self.ids[1:]
-
-
-@dataclass
 class DecodeResult:
-    ids: list[int]
+    ids: list[int]  # emitted ids, without BOS and EOS
     score: float
     truncated: bool = False
 
 
-def target_cap(n: int) -> int:
+def target_cap(n):
     # A tree parse emits at most one open+close pair per node plus n
     # pointers, so 2n + 16 bounds any sane output.
     return 2 * n + 16
 
 
-def _ban(log_probs: np.ndarray, vocab_size: int, lengths: Sequence[int]) -> np.ndarray:
-    out = log_probs.astype(np.float64, copy=True)
-    out[:, PAD_ID] = -np.inf
-    out[:, BOS_ID] = -np.inf
-    for b, n in enumerate(lengths):
-        out[b, vocab_size + n :] = -np.inf
-    return out
+def pad_sources(sources: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Right-pad source id sequences into a [B, n] batch and its mask."""
+    src = np.zeros((len(sources), max(len(s) for s in sources)), dtype=np.int64)
+    mask = np.zeros(src.shape, dtype=bool)
+    for b, ids in enumerate(sources):
+        src[b, : len(ids)] = ids
+        mask[b, : len(ids)] = True
+    return src, mask
+
+
+def beam_search_batch(
+    model: PointerGeneratorModel,
+    src_ids: np.ndarray,
+    src_mask: np.ndarray,
+    config: Optional[BeamConfig] = None,
+) -> list[list[DecodeResult]]:
+    """Beam search over summed log-probabilities for every query of a padded
+    batch; per query up to beam_size results, best first.
+
+    Each query is searched as if it were alone, up to float32 rounding that
+    depends on the batch shape; a batch of one is bit-exact.  A beam of one
+    follows the argmax path and stops at EOS, which makes it greedy decoding
+    by definition.  Wider beams complete liberally: at every step each live
+    hypothesis deposits its EOS-closed continuation into its query's finished
+    pool while the top ``beam_size`` non-EOS continuations stay live, so
+    stopping never competes with exploring for beam slots (and the pool
+    always dominates the greedy stopping point it would have taken).
+    Candidates are ranked by a stable sort on the query's (hypothesis, token)
+    grid, and the pool keeps its best ``beam_size`` entries, earlier ones
+    first among ties.  Hypotheses that reach the length cap retire with a
+    truncation flag.  A query stops when it has no live hypothesis or none
+    can improve on its ``beam_size`` best finished scores (scores only
+    decrease); ``length_normalize`` then reranks its pool by score per
+    symbol.
+    """
+    config = config or BeamConfig()
+    k = config.beam_size
+    src_ids = np.atleast_2d(np.asarray(src_ids))
+    src_mask = np.atleast_2d(np.asarray(src_mask, dtype=bool))
+    lengths = src_mask.sum(axis=1)
+    caps = target_cap(lengths) if config.max_target_len is None else np.full_like(
+        lengths, config.max_target_len)
+    v = model.config.vocab_size
+    width = v + src_ids.shape[1]
+    ban = np.where(np.arange(width) < v + lengths[:, None], 0.0, -np.inf)
+    ban[:, [PAD_ID, BOS_ID]] = -np.inf
+    cache = model.start_decoding(model.encode(src_ids, src_mask), src_mask)
+
+    pools: list[list[DecodeResult]] = [[] for _ in lengths]
+    floor = np.full(len(lengths), -np.inf)  # a full pool's k-th best score
+    live = np.arange(len(lengths))  # queries still searching, in row order
+    # Each live query has h consecutive rows; one with fewer live hypotheses
+    # fills the rest with dead rows scored -inf, which never rank.
+    h = 1
+    scores = np.zeros(len(lengths))
+    tokens = np.full(len(lengths), BOS_ID)
+    emitted = np.zeros((len(lengths), 0), dtype=np.int64)
+    while live.size:
+        row_query = np.repeat(live, h)
+        totals = model.step(cache, tokens).log_probs.astype(np.float64)
+        totals += ban[row_query]
+        totals += scores[:, None]
+        touched = set()
+        if k >= 2:
+            # A closure that cannot enter its query's full pool would be
+            # trimmed by the pool's sort, so it is dropped here.
+            closures = totals[:, EOS_ID].copy()
+            for r in np.flatnonzero(closures > floor[row_query]).tolist():
+                touched.add(row_query[r])
+                pools[row_query[r]].append(DecodeResult(emitted[r].tolist(), float(closures[r])))
+            totals[:, EOS_ID] = -np.inf  # retired above; slots go to exploration
+        grid = totals.reshape(live.size, h * width)
+        if k == 1:
+            order = grid.argmax(axis=1)[:, None]
+        else:
+            order = np.argsort(-grid, axis=1, kind="stable")[:, :k]
+        top = grid[np.arange(live.size)[:, None], order]
+        parent = h * np.arange(live.size)[:, None] + order // width
+        token = order % width
+        ranked = top > -np.inf
+        done = ranked & ((token == EOS_ID) | (emitted.shape[1] + 1 >= caps[live])[:, None])
+        for i, j in zip(*np.nonzero(done)):
+            ids = emitted[parent[i, j]].tolist()
+            truncated = bool(token[i, j] != EOS_ID)  # EOS ranks only at beam size 1
+            if truncated:
+                ids.append(int(token[i, j]))
+            touched.add(live[i])
+            pools[live[i]].append(DecodeResult(ids, float(top[i, j]), truncated))
+        for q in touched:
+            pools[q].sort(key=lambda res: -res.score)
+            del pools[q][k:]
+            if len(pools[q]) == k:
+                floor[q] = pools[q][-1].score
+        # A query's survivors are a prefix of its ranked candidates: only
+        # the cap or the early stop retire a live candidate, and either
+        # retires all of the query's candidates.
+        survive = ranked & ~done
+        best = np.where(survive, top, -np.inf).max(axis=1)
+        survive &= (best > floor[live])[:, None]
+        counts = survive.sum(axis=1)
+        h = int(counts.max())
+        keep = counts > 0
+        live, survive = live[keep], survive[keep, :h]
+        rows = parent[keep, :h].ravel()
+        scores = np.where(survive, top[keep, :h], -np.inf).ravel()
+        tokens = np.where(survive, token[keep, :h], EOS_ID).ravel()
+        emitted = np.concatenate([emitted[rows], tokens[:, None]], axis=1)
+        if rows.size != len(totals) or np.any(rows != np.arange(rows.size)):
+            cache.select(rows)
+    if config.length_normalize:  # each pool is already in raw-score order
+        for pool in pools:
+            pool.sort(key=lambda res: -res.score / (len(res.ids) + 1))
+    return pools
+
+
+def beam_search(
+    model: PointerGeneratorModel, src_ids: Sequence[int], config: Optional[BeamConfig] = None
+) -> list[DecodeResult]:
+    """``beam_search_batch`` on one query."""
+    return beam_search_batch(model, *pad_sources([src_ids]), config)[0]
 
 
 def greedy_batch(
@@ -77,119 +178,10 @@ def greedy_batch(
     src_mask: np.ndarray,
     max_target_len: Optional[int] = None,
 ) -> list[DecodeResult]:
-    """Argmax decoding for a whole batch at once."""
-    src_ids = np.atleast_2d(np.asarray(src_ids))
-    src_mask = np.atleast_2d(np.asarray(src_mask, dtype=bool))
-    batch = src_ids.shape[0]
-    lengths = src_mask.sum(axis=1).astype(int)
-    caps = [max_target_len if max_target_len is not None else target_cap(n) for n in lengths]
-    cache = model.start_decoding(model.encode(src_ids, src_mask), src_mask)
-    v = model.config.vocab_size
-
-    emitted: list[list[int]] = [[] for _ in range(batch)]
-    scores = np.zeros(batch, dtype=np.float64)
-    truncated = np.zeros(batch, dtype=bool)
-    alive = np.arange(batch if min(caps) > 0 else 0)  # batch row of each cache row
-    tokens = np.full(alive.size, BOS_ID, dtype=np.int64)
-    while alive.size:
-        log_probs = _ban(model.step(cache, tokens).log_probs, v, lengths[alive])
-        tokens = np.argmax(log_probs, axis=1)
-        keep = []
-        for r, b in enumerate(alive):
-            scores[b] += log_probs[r, tokens[r]]
-            if tokens[r] == EOS_ID:
-                continue
-            emitted[b].append(int(tokens[r]))
-            if len(emitted[b]) >= caps[b]:
-                truncated[b] = True
-            else:
-                keep.append(r)
-        if len(keep) < alive.size:
-            cache.select(keep)
-            alive, tokens = alive[keep], tokens[keep]
-    return [
-        DecodeResult(ids=emitted[b], score=float(scores[b]), truncated=bool(truncated[b]))
-        for b in range(batch)
-    ]
+    """Argmax decoding for a whole batch at once: a beam of one."""
+    config = BeamConfig(beam_size=1, max_target_len=max_target_len)
+    return [pool[0] for pool in beam_search_batch(model, src_ids, src_mask, config)]
 
 
 def greedy(model: PointerGeneratorModel, src_ids: Sequence[int]) -> DecodeResult:
-    src = np.asarray(src_ids)[None, :]
-    return greedy_batch(model, src, np.ones_like(src, dtype=bool))[0]
-
-
-def beam_search(
-    model: PointerGeneratorModel, src_ids: Sequence[int], config: Optional[BeamConfig] = None
-) -> list[DecodeResult]:
-    """Beam search over summed log-probabilities; up to beam_size results,
-    best first.
-
-    A beam of one follows the argmax path and stops at EOS, which makes it
-    greedy decoding by definition.  Wider beams complete liberally: at every
-    step each active hypothesis deposits its EOS-closed continuation into
-    the finished pool while the top ``beam_size`` non-EOS continuations stay
-    active, so stopping never competes with exploring for beam slots (and
-    the pool always dominates the greedy stopping point it would have
-    taken).  Hypotheses that reach the length cap retire with a truncation
-    flag.  Search ends when the beam empties or no active partial score can
-    improve on the ``beam_size`` best finished scores (scores only
-    decrease).
-    """
-    config = config or BeamConfig()
-    src = np.asarray(src_ids)
-    n = src.shape[0]
-    cap = config.max_target_len if config.max_target_len is not None else target_cap(n)
-    mask = np.ones((1, n), dtype=bool)
-    cache = model.start_decoding(model.encode(src[None, :], mask), mask)
-    v = model.config.vocab_size
-    k = config.beam_size
-
-    active = [Hypothesis(ids=[BOS_ID], log_prob=0.0)]
-    finished: list[Hypothesis] = []
-    while active:
-        dist = model.step(cache, [h.ids[-1] for h in active])
-        log_probs = _ban(dist.log_probs, v, [n] * len(active))
-        totals = np.asarray([h.log_prob for h in active])[:, None] + log_probs
-        if k >= 2:
-            for i, hyp in enumerate(active):
-                closure = float(totals[i, EOS_ID])
-                if closure > -np.inf:
-                    finished.append(Hypothesis(hyp.ids, closure))
-            totals[:, EOS_ID] = -np.inf  # retired above; slots go to exploration
-        flat = totals.reshape(-1)
-        # Stable sort on the flattened (hypothesis, token) grid: ties resolve
-        # to the earlier hypothesis, then the lower token id.
-        order = np.argsort(-flat, kind="stable")[:k]
-        next_active: list[Hypothesis] = []
-        parents: list[int] = []
-        for pos in order:
-            hyp_idx, token = divmod(int(pos), totals.shape[1])
-            score = float(flat[pos])
-            if score == -np.inf:
-                continue
-            parent = active[hyp_idx]
-            if token == EOS_ID:  # only reachable at beam size 1
-                finished.append(Hypothesis(parent.ids, score))
-                continue
-            child = Hypothesis(parent.ids + [token], score)
-            if len(child.emitted) >= cap:
-                child.truncated = True
-                finished.append(child)
-            else:
-                next_active.append(child)
-                parents.append(hyp_idx)
-        # The pool only ever needs its best beam_size entries; insertion
-        # order is kept among ties so earlier closures win.
-        finished.sort(key=lambda h: -h.log_prob)
-        del finished[max(k, 1) :]
-        active = next_active
-        cache.select(parents)
-        if len(finished) >= k and active:
-            if max(h.log_prob for h in active) <= finished[k - 1].log_prob:
-                break
-    if config.length_normalize:  # the pool is already in raw-score order
-        finished.sort(key=lambda h: -h.log_prob / (len(h.emitted) + 1))
-    return [
-        DecodeResult(ids=h.emitted, score=h.log_prob, truncated=h.truncated)
-        for h in finished[:k]
-    ]
+    return beam_search(model, src_ids, BeamConfig(beam_size=1))[0]

@@ -241,6 +241,7 @@ class DecoderCache:
         self.embed = embed                               # symbol table then pointer table
         self.self_kv = [None] * len(cross_kv)            # per layer (k, v) [R, heads, t, hd]
         self.length = 0                                  # positions fed so far
+        self.sources = np.arange(src_mask.shape[0])      # source row of each decoder row
 
     def select(self, rows) -> None:
         """Between steps, keep decoder rows ``rows`` in that order; an index
@@ -252,7 +253,10 @@ class DecoderCache:
             return ad.constant(t.data[rows])
 
         self.self_kv = [(take(k), take(v)) for k, v in self.self_kv]
-        if self.ptr_keys.shape[0] > 1:
+        sources, self.sources = self.sources, self.sources[rows]
+        # Rows of one source hold the same source-side state, so it is only
+        # copied when some row changes source.
+        if self.ptr_keys.shape[0] > 1 and not np.array_equal(sources, self.sources):
             self.cross_kv = [(take(k), take(v)) for k, v in self.cross_kv]
             self.ptr_keys = take(self.ptr_keys)
             self.src_fill = self.src_fill[rows]

@@ -19,7 +19,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from .autodiff import DropoutRng, Tape
 from .data import CorpusExample
-from .decoding import greedy_batch
+from .decoding import greedy_batch, pad_sources
 from .linearize import TargetSequence, linearize
 from .model import ModelConfig, PointerGeneratorModel
 from .training_ops import (
@@ -191,18 +191,9 @@ def exact_match_rate(
     usable = [ex for ex in examples if len(ex.query.tokens) <= model.config.max_src_len]
     for lo in range(0, len(usable), chunk_size):
         chunk = usable[lo : lo + chunk_size]
-        golds = [linearize(ex.parse, ex.query) for ex in chunk]
-        n = max(len(ex.query.tokens) for ex in chunk)
-        src = np.zeros((len(chunk), n), dtype=np.int64)
-        mask = np.zeros((len(chunk), n), dtype=bool)
-        for b, ex in enumerate(chunk):
-            ids = source_vocab.encode(ex.query.tokens)
-            src[b, : len(ids)] = ids
-            mask[b, : len(ids)] = True
-        results = greedy_batch(model, src, mask)
-        for res, gold in zip(results, golds):
-            if symtab.decode(res.ids).symbols == gold.symbols:
-                hits += 1
+        src, mask = pad_sources([source_vocab.encode(ex.query.tokens) for ex in chunk])
+        for res, ex in zip(greedy_batch(model, src, mask), chunk):
+            hits += symtab.decode(res.ids).symbols == linearize(ex.parse, ex.query).symbols
     return hits / len(examples)
 
 

@@ -346,3 +346,27 @@ class TestDropout:
         out = dropout(a, 0.25, train=True, rng=DropoutRng(seed=1))
         kept = out.data[out.data > 0]
         np.testing.assert_allclose(kept, np.full_like(kept, 1.0 / 0.75))
+
+
+@pytest.mark.parametrize("shape", [(4, 1, 128), (64, 1, 128), (32, 21, 128), (3, 7, 16)])
+def test_layer_norm_statistics_match_np_mean_and_var(shape):
+    """Output and input gradient are bit-equal to the np.mean / np.var form
+    of the statistics, at decode-step and training shapes; the gradient
+    carries ``inv``."""
+    a = parameter(rand(*shape, seed=70, scale=3.0) + 0.5)
+    gain = parameter(rand(shape[-1], seed=71) * 0.2 + 1.0)
+    bias = parameter(rand(shape[-1], seed=72) * 0.2)
+    g = rand(*shape, seed=73)
+    with Tape() as tape:
+        out = layer_norm(a, gain, bias)
+        tape.backward(reduce_sum(mul(out, constant(g))))
+
+    x = a.data.astype(np.float64)
+    inv = 1.0 / np.sqrt(np.var(x, axis=-1, keepdims=True) + 1e-5)
+    xhat = ((x - np.mean(x, axis=-1, keepdims=True)) * inv).astype(np.float32)
+    np.testing.assert_array_equal(out.data, xhat * gain.data + bias.data)
+    gx = g * gain.data
+    s1 = gx.sum(axis=-1, keepdims=True, dtype=np.float64).astype(np.float32)
+    s2 = (gx * xhat).sum(axis=-1, keepdims=True, dtype=np.float64).astype(np.float32)
+    expected = inv.astype(np.float32) * (gx - (s1 + xhat * s2) / shape[-1])
+    np.testing.assert_array_equal(a.grad, expected)

@@ -65,6 +65,16 @@ def test_short_blob_is_error(saved, blob, cut):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("blob", ["params.bin", "optstate.bin"])
+def test_flipped_byte_is_error(saved, blob):
+    path, _, _ = saved
+    raw = bytearray((path / blob).read_bytes())
+    raw[len(raw) // 2] ^= 0x01  # same size
+    (path / blob).write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match=f"{blob}.*sha256"):
+        load_checkpoint(path)
+
+
 def test_missing_manifest_is_error(tmp_path):
     with pytest.raises(CheckpointError):
         load_checkpoint(tmp_path)

@@ -5,7 +5,7 @@ import shutil
 import numpy as np
 import pytest
 
-from pointerparse.checkpoint import load_checkpoint
+from pointerparse.checkpoint import load_checkpoint, save_checkpoint
 from pointerparse.cli import (
     EXIT_DATA,
     EXIT_OK,
@@ -15,7 +15,8 @@ from pointerparse.cli import (
     main,
 )
 from pointerparse.data import DataError, read_jsonl
-from pointerparse.decoding import greedy
+from pointerparse.decoding import greedy, greedy_batch, pad_sources, target_cap
+from pointerparse.vocab import EOS_ID
 
 FLAT_EXAMPLE = {
     "query": "play the song don't stop believin by journey",
@@ -165,7 +166,11 @@ class TestPipeline:
         ckpt = pipeline_dir / "ckpt"
         found = list(ckpt.glob("step_*")) + [ckpt / "best"]
         manifest = json.loads((found[0] / "manifest.json").read_text())
-        assert manifest["format_version"] == 1
+        assert manifest["format_version"] == 2
+        assert set(manifest["blobs"]) == {"params.bin", "optstate.bin"}
+        for name, record in manifest["blobs"].items():
+            assert record["bytes"] == (found[0] / name).stat().st_size
+            assert len(record["sha256"]) == 64
         assert "model_config" in manifest and "train_config" in manifest
         assert (found[0] / "symtab.json").exists()
         assert (found[0] / "source_vocab.json").exists()
@@ -188,9 +193,35 @@ class TestPipeline:
         assert headline["em_accuracy"] >= 0.9  # tiny model memorizes the corpus
         report = json.loads((report_dir / "report.json").read_text())
         assert report == headline
-        details = (report_dir / "details.jsonl").read_text().strip().splitlines()
+        details = [json.loads(l) for l in (report_dir / "details.jsonl").read_text().splitlines()]
         assert len(details) == 96
-        assert {"exact", "well_formed", "prediction"} <= set(json.loads(details[0]))
+        assert {"exact", "well_formed", "prediction", "truncated"} <= set(details[0])
+        assert all(isinstance(d["truncated"], bool) for d in details)
+        decode = report["decode"]
+        assert decode["beam_size"] == 4
+        assert decode["truncated"] == sum(d["truncated"] for d in details)
+        emitted = [len(d["prediction"].split()) for d in details]
+        assert decode["emitted_len_mean"] == pytest.approx(sum(emitted) / len(emitted))
+        timing = json.loads((report_dir / "timing.json").read_text())["decode"]
+        assert timing["seconds"] > 0
+        assert timing["queries_per_s"] == pytest.approx(96 / timing["seconds"])
+
+    def test_eval_reports_truncations(self, pipeline_dir, tmp_path, capsys):
+        loaded = load_checkpoint(pipeline_dir / "ckpt" / "best")
+        model = loaded.build_model()
+        model.vocab_out.b.data[EOS_ID] = -1e4  # never stops: every output hits the cap
+        save_checkpoint(tmp_path / "no_eos", model, loaded.symtab, loaded.source_vocab, {}, step=0)
+        dev = pipeline_dir / "corpus" / "dev.jsonl"
+        code = main(["eval", "--checkpoint", str(tmp_path / "no_eos"), "--input", str(dev),
+                     "--beam", "2", "--report-dir", str(tmp_path / "report")])
+        out, _ = capsys.readouterr()
+        assert code == EXIT_OK
+        decode = json.loads(out)["decode"]
+        details = [json.loads(l) for l in (tmp_path / "report" / "details.jsonl").read_text().splitlines()]
+        caps = [target_cap(len(ex.query.tokens)) for ex in read_jsonl(dev)]
+        assert all(d["truncated"] for d in details)
+        assert decode["truncated"] == len(details) == len(caps)
+        assert decode["emitted_len_mean"] == pytest.approx(sum(caps) / len(caps))
 
     def test_predict_jsonl_schema(self, pipeline_dir, capsys):
         out_file = pipeline_dir / "preds.jsonl"
@@ -232,6 +263,10 @@ class TestPipeline:
         assert json.loads(err)["error"] == "CheckpointError"
 
     def test_beam_one_gives_greedy_predictions(self, pipeline_dir, tmp_path):
+        """``eval`` decodes in padded chunks of 64 queries: ``--beam 1`` is
+        bit-equal to ``greedy_batch`` on the same chunk.  Against one query
+        at a time the ids are equal and the score is within 1e-4, because
+        padding and batch shape change float32 rounding."""
         dev = pipeline_dir / "corpus" / "dev.jsonl"
         code = main(["eval", "--checkpoint", str(pipeline_dir / "ckpt" / "best"),
                      "--input", str(dev), "--beam", "1", "--report-dir", str(tmp_path)])
@@ -241,11 +276,30 @@ class TestPipeline:
         details = [json.loads(line) for line in (tmp_path / "details.jsonl").read_text().splitlines()]
         examples = read_jsonl(dev)
         assert len(details) == len(examples)
-        for detail, ex in zip(details, examples):
-            src = np.asarray(loaded.source_vocab.encode(ex.query.tokens), dtype=np.int64)
-            best = greedy(model, src)
-            assert detail["prediction"] == loaded.symtab.decode(best.ids).to_string()
-            assert detail["score"] == best.score
+        sources = [loaded.source_vocab.encode(ex.query.tokens) for ex in examples]
+        chunked = []
+        for lo in range(0, len(sources), 64):
+            chunked += greedy_batch(model, *pad_sources(sources[lo : lo + 64]))
+        for detail, src, batched in zip(details, sources, chunked):
+            assert detail["prediction"] == loaded.symtab.decode(batched.ids).to_string()
+            assert detail["score"] == batched.score
+            alone = greedy(model, np.asarray(src, dtype=np.int64))
+            assert batched.ids == alone.ids
+            assert batched.score == pytest.approx(alone.score, abs=1e-4)
+
+    def test_flipped_params_byte_is_data_error(self, pipeline_dir, tmp_path, capsys):
+        broken = tmp_path / "ckpt"
+        shutil.copytree(pipeline_dir / "ckpt" / "best", broken)
+        blob = broken / "params.bin"
+        raw = bytearray(blob.read_bytes())
+        raw[len(raw) // 3] ^= 0x01  # same size, still a valid float32
+        blob.write_bytes(bytes(raw))
+        code = main(["eval", "--checkpoint", str(broken),
+                     "--input", str(pipeline_dir / "corpus" / "dev.jsonl"),
+                     "--report-dir", str(tmp_path / "report")])
+        _, err = capsys.readouterr()
+        assert code == EXIT_DATA
+        assert json.loads(err)["error"] == "CheckpointError"
 
     @pytest.mark.parametrize("command", ["eval", "predict"])
     def test_beam_below_one_is_usage_error(self, pipeline_dir, command, capsys):

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from pointerparse.decoding import BeamConfig, beam_search, greedy, greedy_batch, target_cap
+from pointerparse.decoding import (
+    BeamConfig,
+    beam_search,
+    beam_search_batch,
+    greedy,
+    greedy_batch,
+    pad_sources,
+    target_cap,
+)
 from pointerparse.model import ModelConfig, PointerGeneratorModel
 from pointerparse.vocab import BOS_ID, EOS_ID, PAD_ID
 
@@ -207,6 +215,76 @@ class TestBeamSearch:
     def test_beam_size_validation(self):
         with pytest.raises(ValueError):
             BeamConfig(beam_size=0)
+
+
+def mixed_batch(model, seed, count=6):
+    """Random queries of mixed lengths, the longest first, then the rest
+    shortest first, with their padded batch."""
+    srcs = [random_src(model, seed * 100 + s) for s in range(count)]
+    srcs.sort(key=len)
+    srcs = srcs[-1:] + srcs[:-1]
+    return srcs, *pad_sources(srcs)
+
+
+class TestBatchedBeamSearch:
+    @pytest.mark.parametrize("beam_size", [1, 2, 4])
+    @pytest.mark.parametrize("length_normalize", [False, True])
+    def test_each_query_matches_its_own_search(self, beam_size, length_normalize):
+        config = BeamConfig(beam_size=beam_size, length_normalize=length_normalize)
+        for seed in range(8):
+            # With 4 symbols, short queries have fewer candidates than wide
+            # beams, so queries of one batch keep different numbers of rows.
+            model = random_model(seed, vocab_size=4 if seed % 2 else 9, max_src_len=8)
+            srcs, src_ids, mask = mixed_batch(model, seed)
+            assert len({len(s) for s in srcs}) > 1
+            for src, batched in zip(srcs, beam_search_batch(model, src_ids, mask, config)):
+                single = beam_search(model, src, config)
+                assert [(r.ids, r.truncated) for r in batched] == [(r.ids, r.truncated) for r in single]
+                for b, s in zip(batched, single):
+                    assert b.score == pytest.approx(s.score, abs=1e-4)
+
+    def test_greedy_batch_is_beam_one_bit_for_bit(self):
+        for seed in range(8):
+            model = random_model(seed, max_src_len=8)
+            _, src_ids, mask = mixed_batch(model, seed + 50)
+            beams = beam_search_batch(model, src_ids, mask, BeamConfig(beam_size=1))
+            assert greedy_batch(model, src_ids, mask) == [pool[0] for pool in beams]
+
+    @pytest.mark.parametrize("beam_size", [1, 4])
+    def test_no_eos_truncates_each_query_at_its_own_cap(self, beam_size):
+        model = random_model(4, max_src_len=8)
+        model.vocab_out.b.data[EOS_ID] = -1e4
+        srcs = [np.arange(2, 2 + n) for n in (8, 1, 5, 3)]
+        pools = beam_search_batch(model, *pad_sources(srcs), BeamConfig(beam_size=beam_size))
+        for src, pool in zip(srcs, pools):
+            assert len(pool) == beam_size
+            for res in pool:
+                assert res.truncated
+                assert len(res.ids) == target_cap(len(src))
+
+    @pytest.mark.parametrize("beam_size", [1, 4])
+    def test_query_stopping_at_first_step_leaves_others_unchanged(self, beam_size):
+        config = BeamConfig(beam_size=beam_size)
+        for seed in range(60):
+            model = random_model(seed, max_src_len=8)
+            model.vocab_out.b.data[EOS_ID] += 2.0
+            srcs = [random_src(model, seed * 10 + s) for s in range(5)]
+            first = [greedy(model, src).ids == [] for src in srcs]
+            if not any(first) or all(first):
+                continue
+            stop = first.index(True)
+            together = beam_search_batch(model, *pad_sources(srcs), config)
+            others = srcs[:stop] + srcs[stop + 1 :]
+            apart = beam_search_batch(model, *pad_sources(others), config)
+            assert together[stop][0].ids == []
+            for src, with_stop, without in zip(others, together[:stop] + together[stop + 1 :], apart):
+                single = beam_search(model, src, config)
+                for pool in (with_stop, without):
+                    assert [(r.ids, r.truncated) for r in pool] == [(r.ids, r.truncated) for r in single]
+                    for b, s in zip(pool, single):
+                        assert b.score == pytest.approx(s.score, abs=1e-4)
+            return
+        pytest.fail("no batch with a query that stops at the first step")
 
 
 class TestOverfitGreedy:
