@@ -34,7 +34,7 @@ from .data import (
     write_jsonl,
 )
 # ``beam_search`` is not called here; perfbench's tracer patches it by this name.
-from .decoding import BeamConfig, beam_search, beam_search_batch, pad_sources  # noqa: F401
+from .decoding import BeamConfig, beam_search, beam_search_batch, decode_sources  # noqa: F401
 from .linearize import (
     LinearizeError,
     Query,
@@ -219,35 +219,41 @@ def _beam_config(args) -> BeamConfig:
     return BeamConfig(beam_size=args.beam)
 
 
-def _predict_batch(model, symtab, source_vocab, examples, beam_config, chunk_size=64):
-    """Decode each input, up to ``chunk_size`` queries per batch; returns rows
-    of (query, style, sequence, score, truncated), with no sequence for a
-    query that cannot be decoded."""
+def _predict_batch(model, symtab, source_vocab, examples, beam_config):
+    """Decode each input, in padded batches of queries; returns rows of
+    (query, style, sequence, score, truncated), with no sequence for a query
+    that cannot be decoded."""
     rows = [(query, style, None, float("-inf"), False) for query, style in examples]
     decodable = [
         i for i, (query, _) in enumerate(examples)
         if 0 < len(query.tokens) <= model.config.max_src_len
     ]
-    for lo in range(0, len(decodable), chunk_size):
-        chunk = decodable[lo : lo + chunk_size]
-        src, mask = pad_sources([source_vocab.encode(examples[i][0].tokens) for i in chunk])
-        for i, results in zip(chunk, beam_search_batch(model, src, mask, beam_config)):
-            best = results[0]
-            rows[i] = (*examples[i], symtab.decode(best.ids), best.score, best.truncated)
+    pools = decode_sources([source_vocab.encode(examples[i][0].tokens) for i in decodable],
+                           lambda src, mask: beam_search_batch(model, src, mask, beam_config))
+    for i, results in zip(decodable, pools):
+        best = results[0]
+        rows[i] = (*examples[i], symtab.decode(best.ids), best.score, best.truncated)
     return rows
+
+
+def _json_lines(path):
+    """The JSON object on each non-empty line of a file, or of stdin."""
+    source = open(path, encoding="utf-8") if path else sys.stdin
+    try:
+        for line in source:
+            if line.strip():
+                yield json.loads(line)
+    finally:
+        if path:
+            source.close()
 
 
 def _load_prediction_inputs(path, default_style: Optional[str]):
     items = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            style_name = obj.get("style", default_style)
-            style = Style(style_name) if style_name else None
-            items.append((Query.from_text(obj["query"]), style, obj))
+    for obj in _json_lines(path):
+        style_name = obj.get("style", default_style)
+        style = Style(style_name) if style_name else None
+        items.append((Query.from_text(obj["query"]), style, obj))
     return items
 
 
@@ -325,41 +331,23 @@ def cmd_eval(args) -> int:
 
 
 def cmd_linearize(args) -> int:
-    source = open(args.input, encoding="utf-8") if args.input else sys.stdin
-    try:
-        for line in source:
-            line = line.strip()
-            if not line:
-                continue
-            example = example_from_json(json.loads(line))
-            seq = linearize(example.parse, example.query)
-            sys.stdout.write(seq.to_string() + "\n")
-    finally:
-        if args.input:
-            source.close()
+    for obj in _json_lines(args.input):
+        example = example_from_json(obj)
+        sys.stdout.write(linearize(example.parse, example.query).to_string() + "\n")
     return EXIT_OK
 
 
 def cmd_validate(args) -> int:
-    source = open(args.input, encoding="utf-8") if args.input else sys.stdin
-    try:
-        for line in source:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            seq = TargetSequence.from_string(obj["target"])
-            report = validate(seq, int(obj["n"]), Style(obj["style"]))
-            _print(
-                {
-                    "well_formed": report.ok,
-                    "violations": [v.value for v in report.violations],
-                    "detail": report.detail,
-                }
-            )
-    finally:
-        if args.input:
-            source.close()
+    for obj in _json_lines(args.input):
+        seq = TargetSequence.from_string(obj["target"])
+        report = validate(seq, int(obj["n"]), Style(obj["style"]))
+        _print(
+            {
+                "well_formed": report.ok,
+                "violations": [v.value for v in report.violations],
+                "detail": report.detail,
+            }
+        )
     return EXIT_OK
 
 

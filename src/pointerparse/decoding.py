@@ -13,12 +13,13 @@ Decoding is incremental: each ``model.step`` feeds one new symbol for every
 live hypothesis of every query in the batch to one ``DecoderCache``.  The
 hypotheses of a query sit in consecutive cache rows; after each step the rows
 are reordered by parent hypothesis, and a query that stops gives its rows up.
+Corpus callers decode padded chunks of 64 queries with ``decode_sources``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -35,6 +36,8 @@ class BeamConfig:
     def __post_init__(self):
         if self.beam_size < 1:
             raise ValueError("beam_size must be at least 1")
+        if self.max_target_len is not None and self.max_target_len < 1:
+            raise ValueError("max_target_len must be at least 1")
 
 
 @dataclass
@@ -58,6 +61,18 @@ def pad_sources(sources: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarra
         src[b, : len(ids)] = ids
         mask[b, : len(ids)] = True
     return src, mask
+
+
+DECODE_CHUNK = 64  # queries per padded batch in decode_sources
+
+
+def decode_sources(sources: Sequence[Sequence[int]], decode: Callable) -> list:
+    """Results of ``decode(src_ids, src_mask)`` on each padded chunk of
+    ``DECODE_CHUNK`` sources, one per source, in input order."""
+    results: list = []
+    for lo in range(0, len(sources), DECODE_CHUNK):
+        results += decode(*pad_sources(sources[lo : lo + DECODE_CHUNK]))
+    return results
 
 
 def beam_search_batch(

@@ -19,7 +19,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from .autodiff import DropoutRng, Tape
 from .data import CorpusExample
-from .decoding import greedy_batch, pad_sources
+from .decoding import decode_sources, greedy_batch
 from .linearize import TargetSequence, linearize
 from .model import ModelConfig, PointerGeneratorModel
 from .training_ops import (
@@ -181,19 +181,16 @@ def exact_match_rate(
     examples: Sequence[CorpusExample],
     symtab: SymbolTable,
     source_vocab: SourceVocab,
-    chunk_size: int = 64,
 ) -> float:
     """Greedy-decoding exact match over a corpus (used for dev tracking)."""
     if not examples:
         return 0.0
-    hits = 0
     # Sources longer than the pointer table cannot be decoded; they score 0.
     usable = [ex for ex in examples if len(ex.query.tokens) <= model.config.max_src_len]
-    for lo in range(0, len(usable), chunk_size):
-        chunk = usable[lo : lo + chunk_size]
-        src, mask = pad_sources([source_vocab.encode(ex.query.tokens) for ex in chunk])
-        for res, ex in zip(greedy_batch(model, src, mask), chunk):
-            hits += symtab.decode(res.ids).symbols == linearize(ex.parse, ex.query).symbols
+    results = decode_sources([source_vocab.encode(ex.query.tokens) for ex in usable],
+                             lambda src, mask: greedy_batch(model, src, mask))
+    hits = sum(symtab.decode(res.ids).symbols == linearize(ex.parse, ex.query).symbols
+               for res, ex in zip(results, usable))
     return hits / len(examples)
 
 

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from pointerparse.decoding import (
+    DECODE_CHUNK,
     BeamConfig,
+    DecodeResult,
     beam_search,
     beam_search_batch,
+    decode_sources,
     greedy,
     greedy_batch,
     pad_sources,
@@ -216,6 +219,11 @@ class TestBeamSearch:
         with pytest.raises(ValueError):
             BeamConfig(beam_size=0)
 
+    @pytest.mark.parametrize("max_target_len", [0, -1])
+    def test_max_target_len_validation(self, max_target_len):
+        with pytest.raises(ValueError, match="max_target_len"):
+            BeamConfig(beam_size=2, max_target_len=max_target_len)
+
 
 def mixed_batch(model, seed, count=6):
     """Random queries of mixed lengths, the longest first, then the rest
@@ -224,6 +232,35 @@ def mixed_batch(model, seed, count=6):
     srcs.sort(key=len)
     srcs = srcs[-1:] + srcs[:-1]
     return srcs, *pad_sources(srcs)
+
+
+def reference_greedy(model, src_ids, src_mask):
+    """Argmax decoding written out step by step, independent of the beam
+    search: each step runs every row's whole prefix through
+    ``model.decode_step`` (a fresh cache, no row reordering), bans PAD, BOS
+    and pointers past the row's length, and takes the first maximum.  Rows
+    that have stopped are fed EOS, so the batch keeps its shape."""
+    enc = model.encode(src_ids, src_mask)
+    lengths = src_mask.sum(axis=1)
+    prefix = np.full((len(src_ids), 1), BOS_ID)
+    scores = [0.0] * len(src_ids)
+    results = [None] * len(src_ids)
+    while None in results:
+        log_probs = model.decode_step(prefix, enc, src_mask).log_probs.astype(np.float64)
+        tokens = np.full(len(src_ids), EOS_ID)
+        for b in (b for b, res in enumerate(results) if res is None):
+            row = log_probs[b]
+            row[[PAD_ID, BOS_ID]] = -np.inf
+            row[model.config.vocab_size + lengths[b] :] = -np.inf
+            tokens[b] = row.argmax()
+            scores[b] += row[tokens[b]]
+            ids = prefix[b, 1:].tolist()
+            if tokens[b] == EOS_ID:
+                results[b] = DecodeResult(ids, float(scores[b]))
+            elif len(ids) + 1 == target_cap(lengths[b]):
+                results[b] = DecodeResult(ids + [int(tokens[b])], float(scores[b]), True)
+        prefix = np.concatenate([prefix, tokens[:, None]], axis=1)
+    return results
 
 
 class TestBatchedBeamSearch:
@@ -243,12 +280,31 @@ class TestBatchedBeamSearch:
                 for b, s in zip(batched, single):
                     assert b.score == pytest.approx(s.score, abs=1e-4)
 
-    def test_greedy_batch_is_beam_one_bit_for_bit(self):
-        for seed in range(8):
-            model = random_model(seed, max_src_len=8)
-            _, src_ids, mask = mixed_batch(model, seed + 50)
-            beams = beam_search_batch(model, src_ids, mask, BeamConfig(beam_size=1))
-            assert greedy_batch(model, src_ids, mask) == [pool[0] for pool in beams]
+    def test_greedy_and_greedy_batch_match_an_argmax_reference(self):
+        truncated = 0
+        for seed in range(6):
+            model = random_model(seed, vocab_size=4 if seed % 2 else 9, max_src_len=8)
+            if seed % 3 == 0:
+                model.vocab_out.b.data[EOS_ID] -= 3.0  # long outputs, some capped
+            srcs, src_ids, mask = mixed_batch(model, seed + 50)
+            expected = reference_greedy(model, src_ids, mask)
+            assert greedy_batch(model, src_ids, mask) == expected  # ids, score, flag
+            for src in srcs:
+                assert greedy(model, src) == reference_greedy(model, *pad_sources([src]))[0]
+            truncated += sum(res.truncated for res in expected)
+        assert 0 < truncated < 6 * 6
+
+    def test_decode_sources_pads_chunks_in_order(self):
+        sources = [[2 + i % 5] * (1 + i % 7) for i in range(2 * DECODE_CHUNK + 3)]
+        shapes = []
+
+        def decode(src_ids, src_mask):
+            shapes.append(src_ids.shape)
+            assert (src_ids[~src_mask] == 0).all()
+            return [row[row_mask].tolist() for row, row_mask in zip(src_ids, src_mask)]
+
+        assert decode_sources(sources, decode) == sources
+        assert shapes == [(DECODE_CHUNK, 7), (DECODE_CHUNK, 7), (3, 5)]
 
     @pytest.mark.parametrize("beam_size", [1, 4])
     def test_no_eos_truncates_each_query_at_its_own_cap(self, beam_size):
