@@ -301,10 +301,15 @@ def softmax(a: Tensor) -> Tensor:
     return _record(out, (a,), backward)
 
 
+def log_softmax_f64(x: Array) -> Array:
+    """Log-softmax of a plain array over its last axis, in float64; not a
+    tape op.  The max is subtracted in the input's dtype."""
+    shifted = (x - x.max(axis=-1, keepdims=True)).astype(np.float64)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
 def log_softmax(a: Tensor) -> Tensor:
-    shifted = (a.data - a.data.max(axis=-1, keepdims=True)).astype(np.float64)
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    out = Tensor((shifted - lse).astype(np.float32))
+    out = Tensor(log_softmax_f64(a.data).astype(np.float32))
     probs = np.exp(out.data)
 
     def backward(g: Array) -> None:

@@ -41,6 +41,13 @@ class CheckpointError(RuntimeError):
     pass
 
 
+# Every save writes these; a load without one cannot resume bit-identically.
+_MANIFEST_KEYS = frozenset({
+    "step", "model_config", "train_config", "has_opt_state", "opt_step",
+    "dropout_counter", "metrics", "best_dev_em", "params",
+})
+
+
 @dataclass
 class Checkpoint:
     step: int
@@ -191,31 +198,53 @@ def load_checkpoint(directory) -> Checkpoint:
         raise CheckpointError(
             f"checkpoint format {manifest.get('format_version')} != supported {FORMAT_VERSION}"
         )
+    missing = sorted(_MANIFEST_KEYS - manifest.keys())
+    if missing:
+        raise CheckpointError(f"manifest.json in {directory} lacks {', '.join(missing)}")
     (params,) = _read_blob(directory / "params.bin", manifest)
     opt_m = opt_v = None
-    if manifest.get("has_opt_state"):
+    if manifest["has_opt_state"]:
         opt_m, opt_v = _read_blob(directory / "optstate.bin", manifest, copies=2)
     return Checkpoint(
         step=int(manifest["step"]),
         model_config=ModelConfig.from_json(manifest["model_config"]),
-        train_config=manifest.get("train_config", {}),
+        train_config=manifest["train_config"],
         symtab=SymbolTable.load(directory / "symtab.json"),
         source_vocab=SourceVocab.load(directory / "source_vocab.json"),
         params=params,
         opt_m=opt_m,
         opt_v=opt_v,
-        opt_step=int(manifest.get("opt_step", 0)),
-        dropout_counter=int(manifest.get("dropout_counter", 0)),
-        metrics=manifest.get("metrics", {}),
-        best_dev_em=manifest.get("best_dev_em"),
+        opt_step=int(manifest["opt_step"]),
+        dropout_counter=int(manifest["dropout_counter"]),
+        metrics=manifest["metrics"],
+        best_dev_em=manifest["best_dev_em"],
     )
+
+
+def _step_dirs(root) -> list[Path]:
+    """The ``step_*`` checkpoint directories under ``root``, oldest first."""
+    return sorted(
+        (p for p in Path(root).glob("step_*") if p.is_dir()),
+        key=lambda p: int(p.name.split("_")[1]),
+    )
+
+
+def latest_checkpoint(path) -> Path:
+    """``path`` itself if it holds a checkpoint, else its ``best``
+    checkpoint, else its newest ``step_*`` checkpoint."""
+    path = Path(path)
+    if (path / "manifest.json").exists():
+        return path
+    best = path / "best"
+    if (best / "manifest.json").exists():
+        return best
+    steps = _step_dirs(path)
+    if steps:
+        return steps[-1]
+    raise CheckpointError(f"no checkpoint found under {path}")
 
 
 def prune_checkpoints(root: Path, keep: int) -> None:
     """Delete all but the newest ``keep`` step_* checkpoint directories."""
-    steps = sorted(
-        (p for p in Path(root).glob("step_*") if p.is_dir()),
-        key=lambda p: int(p.name.split("_")[1]),
-    )
-    for stale in steps[:-keep] if keep > 0 else []:
+    for stale in _step_dirs(root)[:-keep] if keep > 0 else []:
         shutil.rmtree(stale)

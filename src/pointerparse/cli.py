@@ -18,6 +18,7 @@ import os
 import sys
 import time
 from dataclasses import fields
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -30,6 +31,7 @@ from .data import (
     generate_synthetic,
     import_bio,
     import_top,
+    json_lines,
     read_jsonl,
     write_jsonl,
 )
@@ -200,84 +202,52 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _latest_checkpoint(path: Path) -> Path:
-    path = Path(path)
-    if (path / "manifest.json").exists():
-        return path
-    best = path / "best"
-    if (best / "manifest.json").exists():
-        return best
-    steps = sorted(path.glob("step_*"), key=lambda p: int(p.name.split("_")[1]))
-    if steps:
-        return steps[-1]
-    raise ckpt.CheckpointError(f"no checkpoint found under {path}")
-
-
 def _beam_config(args) -> BeamConfig:
     if args.beam < 1:
         raise UsageError(f"--beam must be at least 1, got {args.beam}")
     return BeamConfig(beam_size=args.beam)
 
 
-def _predict_batch(model, symtab, source_vocab, examples, beam_config):
-    """Decode each input, in padded batches of queries; returns rows of
-    (query, style, sequence, score, truncated), with no sequence for a query
-    that cannot be decoded."""
-    rows = [(query, style, None, float("-inf"), False) for query, style in examples]
-    decodable = [
-        i for i, (query, _) in enumerate(examples)
-        if 0 < len(query.tokens) <= model.config.max_src_len
-    ]
-    pools = decode_sources([source_vocab.encode(examples[i][0].tokens) for i in decodable],
-                           lambda src, mask: beam_search_batch(model, src, mask, beam_config))
-    for i, results in zip(decodable, pools):
-        best = results[0]
-        rows[i] = (*examples[i], symtab.decode(best.ids), best.score, best.truncated)
-    return rows
-
-
-def _json_lines(path):
-    """The JSON object on each non-empty line of a file, or of stdin."""
-    source = open(path, encoding="utf-8") if path else sys.stdin
-    try:
-        for line in source:
-            if line.strip():
-                yield json.loads(line)
-    finally:
-        if path:
-            source.close()
+def _predict_batch(model, loaded, queries, beam_config) -> list:
+    """The best beam result for each query, with its symbols, as a
+    ``(sequence, DecodeResult)`` pair; ``None`` for a query that cannot be
+    decoded."""
+    pools = decode_sources(model,
+                           [loaded.source_vocab.encode(q.tokens) for q in queries],
+                           partial(beam_search_batch, config=beam_config))
+    return [None if pool is None else (loaded.symtab.decode(pool[0].ids), pool[0])
+            for pool in pools]
 
 
 def _load_prediction_inputs(path, default_style: Optional[str]):
     items = []
-    for obj in _json_lines(path):
+    for obj in json_lines(path):
         style_name = obj.get("style", default_style)
         style = Style(style_name) if style_name else None
-        items.append((Query.from_text(obj["query"]), style, obj))
+        items.append((Query.from_text(obj["query"]), style))
     return items
 
 
 def cmd_predict(args) -> int:
     beam_config = _beam_config(args)
-    loaded = ckpt.load_checkpoint(_latest_checkpoint(args.checkpoint))
+    loaded = ckpt.load_checkpoint(ckpt.latest_checkpoint(args.checkpoint))
     model = loaded.build_model()
     inputs = _load_prediction_inputs(args.input, args.style)
-    rows = _predict_batch(
-        model, loaded.symtab, loaded.source_vocab, [(q, s) for q, s, _ in inputs], beam_config
-    )
+    best = _predict_batch(model, loaded, [query for query, _ in inputs], beam_config)
     sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
-        for query, style, seq, score, _ in rows:
-            if seq is None:
+        for (query, style), parse in zip(inputs, best):
+            if parse is None:
                 record = {"query": query.raw, "prediction": None, "score": None, "well_formed": False}
             else:
+                seq, result = parse
                 well_formed = (
                     validate(seq, len(query.tokens), style).ok if style is not None else None
                 )
                 record = {
                     "query": query.raw,
                     "prediction": seq.to_string(),
-                    "score": score,
+                    "score": result.score,
                     "well_formed": well_formed,
                 }
             sink.write(json.dumps(record, sort_keys=True) + "\n")
@@ -289,56 +259,51 @@ def cmd_predict(args) -> int:
 
 def cmd_eval(args) -> int:
     beam_config = _beam_config(args)
-    loaded = ckpt.load_checkpoint(_latest_checkpoint(args.checkpoint))
+    loaded = ckpt.load_checkpoint(ckpt.latest_checkpoint(args.checkpoint))
     model = loaded.build_model()
     examples = read_jsonl(args.input)
     start = time.perf_counter()
-    rows = _predict_batch(
-        model,
-        loaded.symtab,
-        loaded.source_vocab,
-        [(ex.query, ex.style) for ex in examples],
-        beam_config,
-    )
+    best = _predict_batch(model, loaded, [ex.query for ex in examples], beam_config)
     seconds = time.perf_counter() - start
-    predictions = [seq if seq is not None else TargetSequence(()) for _, _, seq, _, _ in rows]
+    decoded = [parse for parse in best if parse is not None]
+    predictions = [TargetSequence(()) if parse is None else parse[0] for parse in best]
     references = [linearize(ex.parse, ex.query) for ex in examples]
     lengths = [len(ex.query.tokens) for ex in examples]
     styles = [ex.style for ex in examples]
     report = evaluate(predictions, references, lengths, styles)
-    emitted = [len(seq.symbols) for _, _, seq, _, _ in rows if seq is not None]
+    emitted = [len(seq.symbols) for seq, _ in decoded]
     headline = dict(report.to_json(), decode={
         "beam_size": beam_config.beam_size,
-        "truncated": sum(truncated for *_, truncated in rows),
+        "truncated": sum(result.truncated for _, result in decoded),
         "emitted_len_mean": sum(emitted) / len(emitted) if emitted else 0.0,
     })
 
-    report_dir = Path(args.report_dir) if args.report_dir else _latest_checkpoint(args.checkpoint) / "eval"
+    report_dir = Path(args.report_dir) if args.report_dir else ckpt.latest_checkpoint(args.checkpoint) / "eval"
     report_dir.mkdir(parents=True, exist_ok=True)
     (report_dir / "report.json").write_text(json.dumps(headline, sort_keys=True, indent=2) + "\n")
     # Times vary from run to run, so they stay out of the reproducible report.
-    timing = {"decode": {"seconds": seconds, "queries_per_s": len(rows) / seconds}}
+    timing = {"decode": {"seconds": seconds, "queries_per_s": len(best) / seconds}}
     (report_dir / "timing.json").write_text(json.dumps(timing, sort_keys=True, indent=2) + "\n")
     with open(report_dir / "details.jsonl", "w", encoding="utf-8") as fh:
-        for record, (_, _, seq, score, truncated) in zip(report.records, rows):
+        for record, parse in zip(report.records, best):
             detail = record.to_json()
-            detail["prediction"] = seq.to_string() if seq is not None else None
-            detail["score"] = score if score != float("-inf") else None
-            detail["truncated"] = truncated
+            detail["prediction"] = None if parse is None else parse[0].to_string()
+            detail["score"] = None if parse is None else parse[1].score
+            detail["truncated"] = parse is not None and parse[1].truncated
             fh.write(json.dumps(detail, sort_keys=True) + "\n")
     _print(headline)
     return EXIT_OK
 
 
 def cmd_linearize(args) -> int:
-    for obj in _json_lines(args.input):
+    for obj in json_lines(args.input):
         example = example_from_json(obj)
         sys.stdout.write(linearize(example.parse, example.query).to_string() + "\n")
     return EXIT_OK
 
 
 def cmd_validate(args) -> int:
-    for obj in _json_lines(args.input):
+    for obj in json_lines(args.input):
         seq = TargetSequence.from_string(obj["target"])
         report = validate(seq, int(obj["n"]), Style(obj["style"]))
         _print(

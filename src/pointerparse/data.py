@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -111,14 +112,20 @@ def write_jsonl(path, examples: Iterable[CorpusExample]) -> None:
             fh.write(dumps_canonical(example_to_json(ex)) + "\n")
 
 
+def json_lines(path) -> Iterator[dict]:
+    """The JSON object on each non-blank line of a file, or of stdin."""
+    source = open(path, encoding="utf-8") if path else sys.stdin
+    try:
+        for line in source:
+            if line.strip():
+                yield json.loads(line)
+    finally:
+        if path:
+            source.close()
+
+
 def read_jsonl(path) -> list[CorpusExample]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(example_from_json(json.loads(line)))
-    return out
+    return [example_from_json(obj) for obj in json_lines(path)]
 
 
 def corpus_stats(examples: Sequence[CorpusExample]) -> dict:
@@ -314,7 +321,6 @@ class SyntheticGrammar:
     tree_templates: tuple[str, ...]
     spanset_templates: tuple[tuple[str, tuple[tuple[str, tuple[str, ...]], ...]], ...]
     style_weights: tuple[float, float, float] = (0.45, 0.35, 0.20)
-    depth_limit: int = 3
 
     def styles_available(self) -> list[Style]:
         out = []
@@ -442,33 +448,10 @@ def _render_flat(grammar, rng) -> CorpusExample:
 
 def _render_tree(grammar, rng) -> CorpusExample:
     template = grammar.tree_templates[rng.integers(len(grammar.tree_templates))]
-    tokens: list[str] = []
-    stack: list[tuple[str, Kind, list[int], list[ParseNode]]] = []
-    root: Optional[ParseNode] = None
-    for piece in template.replace("]", " ] ").split():
-        if piece.startswith("["):
-            label = piece[1:]
-            kind = Kind.INTENT if label.startswith("IN:") else Kind.SLOT
-            stack.append((label, kind, [], []))
-        elif piece == "]":
-            label, kind, direct, children = stack.pop()
-            node = ParseNode(label, kind, tuple(direct), tuple(children))
-            if stack:
-                stack[-1][3].append(node)
-            else:
-                root = node
-        else:
-            m = _PLACEHOLDER.match(piece)
-            if m:
-                lex = m.group(2) or m.group(1)
-                filler = grammar.lexicons[lex][rng.integers(len(grammar.lexicons[lex]))]
-                words = filler.split()
-            else:
-                words = [piece]
-            start = len(tokens)
-            tokens.extend(words)
-            stack[-1][2].extend(range(start, start + len(words)))
-    return CorpusExample(Query.from_text(" ".join(tokens)), SemanticParse(root, Style.TREE))
+    pieces, _ = _fill(template.replace("]", " ] "), rng, grammar.lexicons)
+    query = Query.from_text(" ".join(p for p in pieces if not p.startswith("[") and p != "]"))
+    root = parse_bracketed(" ".join(pieces), query)
+    return CorpusExample(query, SemanticParse(root, Style.TREE))
 
 
 def _render_spanset(grammar, rng) -> CorpusExample:
@@ -492,12 +475,9 @@ _RENDERERS = {
 }
 
 
-def sample_examples(grammar: SyntheticGrammar, count: int, seed: int) -> list[CorpusExample]:
-    """Render ``count`` examples with surface repetition allowed.
-
-    Used for property testing at volumes beyond the grammar's unique-surface
-    capacity; corpus generation should use generate_synthetic instead.
-    """
+def _renderer(grammar: SyntheticGrammar):
+    """A function of an rng that renders one example of a style drawn by
+    the grammar's style weights."""
     styles = grammar.styles_available()
     if not styles:
         raise DataError("grammar has no templates")
@@ -507,11 +487,18 @@ def sample_examples(grammar: SyntheticGrammar, count: int, seed: int) -> list[Co
         dtype=np.float64,
     )
     weights /= weights.sum()
+    return lambda rng: _RENDERERS[styles[rng.choice(len(styles), p=weights)]](grammar, rng)
+
+
+def sample_examples(grammar: SyntheticGrammar, count: int, seed: int) -> list[CorpusExample]:
+    """Render ``count`` examples with surface repetition allowed.
+
+    Used for property testing at volumes beyond the grammar's unique-surface
+    capacity; corpus generation should use generate_synthetic instead.
+    """
+    render = _renderer(grammar)
     rng = np.random.default_rng(seed)
-    return [
-        _RENDERERS[styles[rng.choice(len(styles), p=weights)]](grammar, rng)
-        for _ in range(count)
-    ]
+    return [render(rng) for _ in range(count)]
 
 
 def generate_synthetic(
@@ -520,19 +507,12 @@ def generate_synthetic(
     """Deterministic corpus of ``count`` surface-unique examples, split 8/1/1.
 
     Raises LexiconTooSmall when the grammar cannot produce enough distinct
-    surface strings for the requested count.
+    surface strings for the requested count, and DataError when a template
+    renders a parse that does not survive a linearize round trip.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    styles = grammar.styles_available()
-    if not styles:
-        raise DataError("grammar has no templates")
-    weights = np.array(
-        [w for s, w in zip((Style.FLAT, Style.TREE, Style.SPANSET), grammar.style_weights)
-         if s in styles],
-        dtype=np.float64,
-    )
-    weights /= weights.sum()
+    render = _renderer(grammar)
     rng = np.random.default_rng(seed)
     unique: dict[str, CorpusExample] = {}
     stagnant = 0
@@ -541,16 +521,14 @@ def generate_synthetic(
             raise LexiconTooSmall(
                 f"only {len(unique)} distinct surface strings reachable; {count} requested"
             )
-        style = styles[rng.choice(len(styles), p=weights)]
-        example = _RENDERERS[style](grammar, rng)
+        example = render(rng)
         surface = example.query.raw
         if surface in unique:
             stagnant += 1
             continue
-        n = len(example.query.tokens)
-        example.parse.validate(n)
         seq = linearize(example.parse, example.query)
-        assert delinearize(seq, example.query, example.style) == example.parse
+        if delinearize(seq, example.query, example.style) != example.parse:
+            raise DataError(f"parse of {surface!r} does not survive a linearize round trip")
         unique[surface] = example
         stagnant = 0
     items = list(unique.values())

@@ -13,7 +13,8 @@ Decoding is incremental: each ``model.step`` feeds one new symbol for every
 live hypothesis of every query in the batch to one ``DecoderCache``.  The
 hypotheses of a query sit in consecutive cache rows; after each step the rows
 are reordered by parent hypothesis, and a query that stops gives its rows up.
-Corpus callers decode padded chunks of 64 queries with ``decode_sources``.
+Corpus callers decode padded chunks of 64 queries with ``decode_sources``,
+which alone decides which sources can be decoded.
 """
 
 from __future__ import annotations
@@ -66,12 +67,20 @@ def pad_sources(sources: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarra
 DECODE_CHUNK = 64  # queries per padded batch in decode_sources
 
 
-def decode_sources(sources: Sequence[Sequence[int]], decode: Callable) -> list:
-    """Results of ``decode(src_ids, src_mask)`` on each padded chunk of
-    ``DECODE_CHUNK`` sources, one per source, in input order."""
-    results: list = []
-    for lo in range(0, len(sources), DECODE_CHUNK):
-        results += decode(*pad_sources(sources[lo : lo + DECODE_CHUNK]))
+def decode_sources(model: PointerGeneratorModel, sources: Sequence[Sequence[int]],
+                   decode: Callable) -> list:
+    """Results of ``decode(model, src_ids, src_mask)`` on padded chunks of
+    ``DECODE_CHUNK`` decodable sources, one per source, in input order.
+
+    A source is decodable when it has at least one token and at most the
+    model's ``max_src_len``; each other source gets ``None`` in its place.
+    """
+    results: list = [None] * len(sources)
+    usable = [i for i, ids in enumerate(sources) if 0 < len(ids) <= model.config.max_src_len]
+    for lo in range(0, len(usable), DECODE_CHUNK):
+        chunk = usable[lo : lo + DECODE_CHUNK]
+        for i, result in zip(chunk, decode(model, *pad_sources([sources[i] for i in chunk]))):
+            results[i] = result
     return results
 
 

@@ -440,6 +440,30 @@ def _want_pointer_in_range(symbol: TargetSymbol, n: int) -> int:
     return i
 
 
+def _read_span(syms, pos: int, n: int, contiguous: bool) -> tuple[str, list[int], int]:
+    """Read the ``label( @ptr ... )label`` group at ``pos``: its label, its
+    pointer indices in emission order, and the position after its close.
+    With ``contiguous`` each pointer must follow its predecessor by one."""
+    head = syms[pos]
+    if head.sym is not SymKind.SLOT_OPEN or _is_tree_label(head.label):
+        raise Malformed(Violation.UNEXPECTED_SYMBOL, f"expected a label( bracket, got {head.surface()!r}")
+    pos += 1
+    indices: list[int] = []
+    while pos < len(syms) and syms[pos].sym is SymKind.POINTER:
+        i = _want_pointer_in_range(syms[pos], n)
+        if contiguous and indices and i != indices[-1] + 1:
+            raise Malformed(Violation.NON_CONTIGUOUS_SPAN, f"{head.label} pointers not consecutive")
+        indices.append(i)
+        pos += 1
+    if not indices:
+        raise Malformed(Violation.EMPTY_SPAN, f"{head.label} has no pointers")
+    if pos >= len(syms) or syms[pos].sym is not SymKind.SLOT_CLOSE:
+        raise Malformed(Violation.UNBALANCED_BRACKET, f"{head.label} never closed")
+    if syms[pos].label != head.label:
+        raise Malformed(Violation.MISMATCHED_CLOSE_LABEL, f"{head.label} closed by {syms[pos].surface()!r}")
+    return head.label, indices, pos + 1
+
+
 def _read_flat(target: TargetSequence, n: int) -> ParseNode:
     syms = target.symbols
     if not syms or syms[0].sym is not SymKind.INTENT_TAG:
@@ -448,33 +472,11 @@ def _read_flat(target: TargetSequence, n: int) -> ParseNode:
     prev_end = -1
     pos = 1
     while pos < len(syms):
-        head = syms[pos]
-        if head.sym is not SymKind.SLOT_OPEN:
-            raise Malformed(Violation.UNEXPECTED_SYMBOL, f"expected slot open, got {head.surface()!r}")
-        if _is_tree_label(head.label):
-            raise Malformed(Violation.UNEXPECTED_SYMBOL, f"tree-style bracket {head.surface()!r} in flat target")
-        pos += 1
-        indices: list[int] = []
-        while pos < len(syms) and syms[pos].sym is SymKind.POINTER:
-            i = _want_pointer_in_range(syms[pos], n)
-            if indices and i != indices[-1] + 1:
-                raise Malformed(Violation.NON_CONTIGUOUS_SPAN, f"slot {head.label} pointers not consecutive")
-            indices.append(i)
-            pos += 1
-        if not indices:
-            raise Malformed(Violation.EMPTY_SPAN, f"slot {head.label} has no pointers")
-        if pos >= len(syms) or syms[pos].sym is not SymKind.SLOT_CLOSE:
-            raise Malformed(Violation.UNBALANCED_BRACKET, f"slot {head.label} never closed")
-        if syms[pos].label != head.label:
-            raise Malformed(
-                Violation.MISMATCHED_CLOSE_LABEL,
-                f"{head.label} closed by {syms[pos].surface()!r}",
-            )
-        pos += 1
+        label, indices, pos = _read_span(syms, pos, n, contiguous=True)
         if indices[0] <= prev_end:
             raise Malformed(Violation.OUT_OF_ORDER, "slots overlap or are out of source order")
         prev_end = indices[-1]
-        slots.append(ParseNode(head.label, Kind.SLOT, tuple(indices)))
+        slots.append(ParseNode(label, Kind.SLOT, tuple(indices)))
     return ParseNode(syms[0].label, Kind.INTENT, (), tuple(slots))
 
 
@@ -548,25 +550,8 @@ def _read_spanset(target: TargetSequence, n: int) -> ParseNode:
     anns: list[ParseNode] = []
     pos = 0
     while pos < len(syms):
-        head = syms[pos]
-        if head.sym is not SymKind.SLOT_OPEN or _is_tree_label(head.label):
-            raise Malformed(Violation.UNEXPECTED_SYMBOL, f"expected annotation open, got {head.surface()!r}")
-        pos += 1
-        indices: set[int] = set()
-        while pos < len(syms) and syms[pos].sym is SymKind.POINTER:
-            indices.add(_want_pointer_in_range(syms[pos], n))
-            pos += 1
-        if not indices:
-            raise Malformed(Violation.EMPTY_SPAN, f"annotation {head.label} has no pointers")
-        if pos >= len(syms) or syms[pos].sym is not SymKind.SLOT_CLOSE:
-            raise Malformed(Violation.UNBALANCED_BRACKET, f"annotation {head.label} never closed")
-        if syms[pos].label != head.label:
-            raise Malformed(
-                Violation.MISMATCHED_CLOSE_LABEL,
-                f"{head.label} closed by {syms[pos].surface()!r}",
-            )
-        pos += 1
-        anns.append(ParseNode(head.label, Kind.SLOT, tuple(indices)))
+        label, indices, pos = _read_span(syms, pos, n, contiguous=False)
+        anns.append(ParseNode(label, Kind.SLOT, tuple(indices)))
     return ParseNode("", Kind.GROUP, (), tuple(anns))
 
 

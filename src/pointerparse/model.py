@@ -35,6 +35,10 @@ class SourceTooLong(ValueError):
     pass
 
 
+class EmptySource(ValueError):
+    pass
+
+
 class PrefixContainsPAD(ValueError):
     pass
 
@@ -295,6 +299,8 @@ class PointerGeneratorModel:
         """Source ids [B, n] to encoder states [B, n, d_model]."""
         src_ids = np.atleast_2d(np.asarray(src_ids))
         n = src_ids.shape[1]
+        if n == 0:
+            raise EmptySource("a source needs at least one token")
         if n > self.config.max_src_len:
             raise SourceTooLong(f"{n} tokens exceeds max_src_len {self.config.max_src_len}")
         if src_mask is None:
@@ -370,12 +376,10 @@ class PointerGeneratorModel:
         pointer = ad.mask_fill(ad.matmul(states, cache.ptr_keys), cache.ptr_fill)
         last = np.concatenate([self.vocab_out(states).data, pointer.data], axis=-1)[:, 0, :]
         v = cfg.vocab_size
-        shifted = (last - last.max(axis=-1, keepdims=True)).astype(np.float64)
-        log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
         return OutputDistribution(
             vocab_scores=last[:, :v],
             pointer_scores=last[:, v:],
-            log_probs=log_probs.astype(np.float32),
+            log_probs=ad.log_softmax_f64(last).astype(np.float32),
         )
 
     def decode_step(self, prefix_ids, enc: Tensor, src_mask) -> OutputDistribution:

@@ -19,7 +19,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from .autodiff import DropoutRng, Tape
 from .data import CorpusExample
-from .decoding import decode_sources, greedy_batch
+from .decoding import decode_sources, greedy_batch, pad_sources
 from .linearize import TargetSequence, linearize
 from .model import ModelConfig, PointerGeneratorModel
 from .training_ops import (
@@ -62,14 +62,9 @@ __all__ = [
 class TrainConfig:
     epsilon_ls: float = 0.1
     warmup_steps: int = 600
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.98
-    adam_eps: float = 1e-9
     batch_size: int = 32
     max_steps: int = 4000
     seed: int = 0
-    grad_clip_norm: float = 1.0
-    lr_scale: float = 1.0
     log_every: int = 50
     eval_every: int = 250
     checkpoint_every: int = 1000
@@ -84,10 +79,6 @@ class TrainConfig:
 
     def to_json(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "TrainConfig":
-        return cls(**obj)
 
 
 @dataclass
@@ -134,18 +125,15 @@ class Batch:
 
 def make_batch(examples: Sequence[EncodedExample], vocab_size: int) -> Batch:
     batch = len(examples)
-    n = max(len(ex.src_ids) for ex in examples)
+    src, mask = pad_sources([ex.src_ids for ex in examples])
+    n = src.shape[1]
     t = max(len(ex.tgt_ids) for ex in examples) + 1  # room for EOS / BOS shift
-    src = np.zeros((batch, n), dtype=np.int64)
-    mask = np.zeros((batch, n), dtype=bool)
     tgt_in = np.full((batch, t), PAD_ID, dtype=np.int64)
     gold = np.full((batch, t), PAD_ID, dtype=np.int64)
     support = np.zeros((batch, vocab_size + n), dtype=bool)
     for b, ex in enumerate(examples):
         k = len(ex.src_ids)
         m = len(ex.tgt_ids)
-        src[b, :k] = ex.src_ids
-        mask[b, :k] = True
         tgt_in[b, 0] = BOS_ID
         tgt_in[b, 1 : m + 1] = ex.tgt_ids
         gold[b, :m] = ex.tgt_ids
@@ -185,12 +173,12 @@ def exact_match_rate(
     """Greedy-decoding exact match over a corpus (used for dev tracking)."""
     if not examples:
         return 0.0
-    # Sources longer than the pointer table cannot be decoded; they score 0.
-    usable = [ex for ex in examples if len(ex.query.tokens) <= model.config.max_src_len]
-    results = decode_sources([source_vocab.encode(ex.query.tokens) for ex in usable],
-                             lambda src, mask: greedy_batch(model, src, mask))
-    hits = sum(symtab.decode(res.ids).symbols == linearize(ex.parse, ex.query).symbols
-               for res, ex in zip(results, usable))
+    # A source that cannot be decoded has no result and scores 0.
+    results = decode_sources(model, [source_vocab.encode(ex.query.tokens) for ex in examples],
+                             greedy_batch)
+    hits = sum(res is not None
+               and symtab.decode(res.ids).symbols == linearize(ex.parse, ex.query).symbols
+               for res, ex in zip(results, examples))
     return hits / len(examples)
 
 
@@ -296,17 +284,9 @@ def train_loop(
                 logits, batch.gold, batch.step_mask, batch.support_mask, cfg.epsilon_ls
             )
             tape.backward(loss)
-        lr = noam_lr(step, model_config.d_model, cfg.warmup_steps) * cfg.lr_scale
+        lr = noam_lr(step, model_config.d_model, cfg.warmup_steps)
         try:
-            adam_step(
-                model.parameters(),
-                adam,
-                lr,
-                beta1=cfg.adam_beta1,
-                beta2=cfg.adam_beta2,
-                eps=cfg.adam_eps,
-                clip_norm=cfg.grad_clip_norm,
-            )
+            adam_step(model.parameters(), adam, lr)
         except NonFiniteGradient:
             emit({"step": step, "error": "non_finite_gradient"})
             raise

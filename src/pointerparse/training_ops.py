@@ -7,7 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from .autodiff import Tensor, _accumulate, _record
+from .autodiff import Tensor, _accumulate, _record, log_softmax_f64
 
 
 class GoldOutOfRange(ValueError):
@@ -60,8 +60,7 @@ def label_smoothed_ce(
     if not np.all(support_mask[rows, gold] | ~step_mask):
         raise GoldOutOfRange("a gold id falls outside its example's support")
 
-    shifted = (logits.data - logits.data.max(axis=-1, keepdims=True)).astype(np.float64)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))  # [B, T, W]
+    logp = log_softmax_f64(logits.data)  # [B, T, W]
     counts = support_mask.sum(axis=1)  # [B]
     support = support_mask.astype(np.float64)
     nll = -np.take_along_axis(logp, gold[:, :, None], axis=2)[:, :, 0]  # [B, T]

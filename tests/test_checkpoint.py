@@ -5,6 +5,7 @@ import pytest
 
 from pointerparse.checkpoint import (
     CheckpointError,
+    latest_checkpoint,
     load_checkpoint,
     prune_checkpoints,
     save_checkpoint,
@@ -78,6 +79,33 @@ def test_flipped_byte_is_error(saved, blob):
 def test_missing_manifest_is_error(tmp_path):
     with pytest.raises(CheckpointError):
         load_checkpoint(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "key", ["dropout_counter", "opt_step", "has_opt_state", "metrics", "train_config"]
+)
+def test_manifest_missing_a_key_is_error(saved, key):
+    """Without a default to fall back on, a manifest that lost its dropout
+    counter cannot resume at counter 0 and silently diverge."""
+    path, _, _ = saved
+    manifest = json.loads((path / "manifest.json").read_text())
+    del manifest[key]
+    (path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(CheckpointError, match=key):
+        load_checkpoint(path)
+
+
+def test_latest_checkpoint_order(tmp_path):
+    for step in (9, 10, 100):
+        (tmp_path / f"step_{step}").mkdir()
+    (tmp_path / "step_1000").write_text("")  # a file, not a checkpoint directory
+    assert latest_checkpoint(tmp_path) == tmp_path / "step_100"
+    (tmp_path / "best").mkdir()
+    (tmp_path / "best" / "manifest.json").write_text("{}")
+    assert latest_checkpoint(tmp_path) == tmp_path / "best"
+    assert latest_checkpoint(tmp_path / "best") == tmp_path / "best"
+    with pytest.raises(CheckpointError):
+        latest_checkpoint(tmp_path / "step_9")
 
 
 def test_prune_keeps_newest(tmp_path):

@@ -14,8 +14,10 @@ from pointerparse.cli import (
     load_flat_config,
     main,
 )
-from pointerparse.data import DataError, read_jsonl
+from pointerparse.data import CorpusExample, DataError, read_jsonl, write_jsonl
 from pointerparse.decoding import greedy, greedy_batch, pad_sources, target_cap
+from pointerparse.linearize import Kind, ParseNode, Query, SemanticParse, Style
+from pointerparse.training import exact_match_rate
 from pointerparse.vocab import EOS_ID
 
 FLAT_EXAMPLE = {
@@ -107,9 +109,18 @@ class TestConfigMerging:
         _, train_config = build_configs(flat, {})
         assert train_config.batch_size == 7
 
-    def test_unknown_key_rejected(self):
-        with pytest.raises(Exception):
-            build_configs({"model.bogus_field": 1}, {})
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        for key in ("model.bogus_field", "train.adam_beta1"):
+            with pytest.raises(DataError):
+                build_configs({key: 1}, {})
+        (tmp_path / "train.jsonl").write_text(json.dumps(FLAT_EXAMPLE) + "\n")
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"train.adam_beta1": 0.9}))
+        code = main(["train", "--corpus", str(tmp_path), "--checkpoint", str(tmp_path / "ckpt"),
+                     "--config", str(config)])
+        _, err = capsys.readouterr()
+        assert code == EXIT_DATA
+        assert json.loads(err)["error"] == "DataError"
 
     def test_beam_config_section_rejected(self):
         with pytest.raises(DataError):
@@ -286,6 +297,27 @@ class TestPipeline:
             alone = greedy(model, np.asarray(src, dtype=np.int64))
             assert batched.ids == alone.ids
             assert batched.score == pytest.approx(alone.score, abs=1e-4)
+
+    def test_empty_query_is_a_miss_in_eval_as_in_dev_tracking(self, pipeline_dir, tmp_path):
+        """``eval --beam 1`` and ``exact_match_rate`` decode the same chunks,
+        skip the same empty queries and score them as misses."""
+        examples = read_jsonl(pipeline_dir / "corpus" / "train.jsonl")[:63]
+        empty = CorpusExample(Query.from_text(""),
+                              SemanticParse(ParseNode("x", Kind.INTENT), Style.FLAT))
+        mixed = examples[:7] + [empty] + examples[7:] + [empty]
+        write_jsonl(tmp_path / "mixed.jsonl", mixed)
+        code = main(["eval", "--checkpoint", str(pipeline_dir / "ckpt" / "best"),
+                     "--input", str(tmp_path / "mixed.jsonl"), "--beam", "1",
+                     "--report-dir", str(tmp_path / "report")])
+        assert code == EXIT_OK
+        report = json.loads((tmp_path / "report" / "report.json").read_text())
+        details = (tmp_path / "report" / "details.jsonl").read_text().splitlines()
+        skipped = json.loads(details[7])
+        assert (skipped["prediction"], skipped["score"], skipped["exact"]) == (None, None, False)
+        loaded = load_checkpoint(pipeline_dir / "ckpt" / "best")
+        em = exact_match_rate(loaded.build_model(), mixed, loaded.symtab, loaded.source_vocab)
+        assert report["em_accuracy"] == em < 1.0
+        assert em > 0.5
 
     def test_flipped_params_byte_is_data_error(self, pipeline_dir, tmp_path, capsys):
         broken = tmp_path / "ckpt"

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from pointerparse.decoding import (
     pad_sources,
     target_cap,
 )
-from pointerparse.model import ModelConfig, PointerGeneratorModel
+from pointerparse.model import EmptySource, ModelConfig, PointerGeneratorModel
 from pointerparse.vocab import BOS_ID, EOS_ID, PAD_ID
 
 
@@ -295,16 +297,32 @@ class TestBatchedBeamSearch:
         assert 0 < truncated < 6 * 6
 
     def test_decode_sources_pads_chunks_in_order(self):
+        """Empty and too-long sources are not decoded and get None in their
+        places; the others are decoded in padded chunks, in input order."""
+        model = SimpleNamespace(config=SimpleNamespace(max_src_len=7))
         sources = [[2 + i % 5] * (1 + i % 7) for i in range(2 * DECODE_CHUNK + 3)]
+        sources[5:5] = [[]]
+        sources[70:70] = [[3] * 8, []]
+        sources.append([4] * 9)
         shapes = []
 
-        def decode(src_ids, src_mask):
+        def decode(decode_model, src_ids, src_mask):
+            assert decode_model is model
             shapes.append(src_ids.shape)
             assert (src_ids[~src_mask] == 0).all()
             return [row[row_mask].tolist() for row, row_mask in zip(src_ids, src_mask)]
 
-        assert decode_sources(sources, decode) == sources
+        expected = [ids if 0 < len(ids) <= 7 else None for ids in sources]
+        assert expected.count(None) == 4
+        assert decode_sources(model, sources, decode) == expected
         assert shapes == [(DECODE_CHUNK, 7), (DECODE_CHUNK, 7), (3, 5)]
+
+    def test_empty_source_is_a_typed_error(self):
+        model = random_model(0)
+        with pytest.raises(EmptySource):
+            beam_search(model, [], BeamConfig(beam_size=4))
+        with pytest.raises(EmptySource):
+            greedy(model, [])
 
     @pytest.mark.parametrize("beam_size", [1, 4])
     def test_no_eos_truncates_each_query_at_its_own_cap(self, beam_size):

@@ -6,9 +6,9 @@ import pytest
 from pointerparse.autodiff import (
     MASK_FILL_VALUE, Tape, add, constant, log_softmax, mask_fill, mul, parameter, reduce_sum, scale,
 )
-from pointerparse.data import default_grammar, generate_synthetic
-from pointerparse.linearize import SymKind, linearize
-from pointerparse.model import ModelConfig
+from pointerparse.data import CorpusExample, default_grammar, generate_synthetic
+from pointerparse.linearize import Kind, ParseNode, Query, SemanticParse, Style, SymKind, linearize
+from pointerparse.model import ModelConfig, PointerGeneratorModel
 from pointerparse.training import (
     AdamState,
     GoldOutOfRange,
@@ -392,3 +392,27 @@ class TestOverfitModelBehaviour:
             assert int(np.argmax(dist.log_probs[0])) == ids[t + 1]
             checked += 1
         assert checked >= 10
+
+
+def _empty_query_example():
+    """An intent with no slots over an empty query: a valid flat parse that
+    no model can decode, since it has no source token to encode."""
+    return CorpusExample(Query.from_text(""), SemanticParse(ParseNode("x", Kind.INTENT), Style.FLAT))
+
+
+class TestExactMatchRate:
+    def test_only_empty_queries_score_zero(self):
+        splits = generate_synthetic(default_grammar(), 20, seed=3)
+        symtab, src_vocab = prepare_corpus(splits["train"])
+        model = PointerGeneratorModel(_tiny_model_config(symtab, src_vocab, d=16), seed=0)
+        assert exact_match_rate(model, [_empty_query_example()], symtab, src_vocab) == 0.0
+        assert exact_match_rate(model, [_empty_query_example()] * 3, symtab, src_vocab) == 0.0
+
+    def test_empty_query_is_a_miss_in_a_mixed_dev_set(self, overfit_bundle):
+        """One empty query in the first chunk of 64 and one after it, where
+        it would make a chunk of its own if it were decoded."""
+        result, examples = overfit_bundle
+        empty = _empty_query_example()
+        mixed = examples[:10] + [empty] + examples[10:63] + [empty]
+        em = exact_match_rate(result.model, mixed, result.symtab, result.source_vocab)
+        assert em == 63 / 65
