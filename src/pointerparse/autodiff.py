@@ -5,7 +5,8 @@ normalizers, layer-norm statistics, broadcast gradients) accumulate in
 float64 before casting back, which keeps finite-difference gradient checks
 tight without doubling memory.  Products with a 2-D weight are one float32
 GEMM over the flattened leading axes, forward and backward, so a weight's
-gradient accumulates over the batch inside that GEMM.
+gradient accumulates over the batch inside that GEMM; a bias rides in the
+same tape node.
 
 Attention (``attention``) is one primitive with a closed-form backward, not
 a chain of the ops it is made of.
@@ -20,6 +21,7 @@ all-zero gradient buffers.
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Callable, Optional, Sequence
 
@@ -188,13 +190,17 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _record(out, (a,), backward)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """``a @ b``.  An input of rank 3 or more against a 2-D weight runs as one
-    2-D GEMM over the flattened leading axes; other ranks broadcast."""
+def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """``a @ b``, plus ``bias`` when one is given.  An input of rank 2 or
+    more against a 2-D weight runs as one 2-D GEMM over the flattened leading
+    axes, with the bias added in place to its output; other ranks broadcast
+    and take no bias."""
     if a.data.shape[-1] != b.data.shape[-2 if b.data.ndim > 1 else 0]:
         raise ShapeMismatch(f"matmul: {a.shape} vs {b.shape}")
-    if a.data.ndim > 2 and b.data.ndim == 2:
-        return _matmul_weight(a, b)
+    if a.data.ndim >= 2 and b.data.ndim == 2:
+        return _matmul_weight(a, b, bias)
+    if bias is not None:
+        raise ShapeMismatch(f"matmul: no bias for {a.shape} @ {b.shape}")
     out = Tensor(a.data @ b.data)
 
     def backward(g: Array) -> None:
@@ -204,9 +210,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), backward)
 
 
-def _matmul_weight(a: Tensor, w: Tensor) -> Tensor:
+def _matmul_weight(a: Tensor, w: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     a2 = a.data.reshape(-1, a.data.shape[-1])
-    out = Tensor((a2 @ w.data).reshape(a.data.shape[:-1] + w.data.shape[1:]))
+    out2 = a2 @ w.data
+    if bias is not None:
+        out2 += bias.data
+    out = Tensor(out2.reshape(a.data.shape[:-1] + w.data.shape[1:]))
 
     def backward(g: Array) -> None:
         g2 = g.reshape(-1, g.shape[-1])
@@ -214,8 +223,10 @@ def _matmul_weight(a: Tensor, w: Tensor) -> Tensor:
             _accumulate(a, (g2 @ w.data.T).reshape(a.data.shape))
         if w.requires_grad:
             _accumulate(w, a2.T @ g2)
+        if bias is not None and bias.requires_grad:
+            _accumulate(bias, g2.sum(axis=0, dtype=np.float64))
 
-    return _record(out, (a, w), backward)
+    return _record(out, (a, w) if bias is None else (a, w, bias), backward)
 
 
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
@@ -377,9 +388,14 @@ def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 class DropoutRng:
     """Counter-based dropout stream: mask i depends only on (seed, i).
 
-    Each call advances the counter, so with a fixed batch order the masks of a
-    whole run are reproducible, and a checkpoint only needs to store the
-    counter.
+    Mask i reads 16-bit words from Philox4x64 with key ``seed``, four to each
+    64-bit draw (Salmon et al. 2011, "Parallel random numbers: as easy as 1,
+    2, 3"); element j is kept when word j is below ``round(keep_prob *
+    65536)``, so the keep probability is quantised to 1/65536.  The second
+    64-bit word of the Philox counter holds i and the first counts the
+    blocks within the mask, so no two masks share a draw.  Each call
+    advances the counter, so with a fixed batch order the masks of a whole
+    run are reproducible, and a checkpoint only needs to store the counter.
     """
 
     def __init__(self, seed: int, counter: int = 0):
@@ -387,9 +403,13 @@ class DropoutRng:
         self.counter = int(counter)
 
     def next_mask(self, shape: tuple[int, ...], keep_prob: float) -> Array:
-        rng = np.random.Generator(np.random.Philox(key=self.seed, counter=self.counter))
+        """A bool mask of ``shape``, true where an element is kept."""
+        n = math.prod(shape)
+        philox = np.random.Philox(key=self.seed, counter=self.counter << 64)
+        bits = philox.random_raw(-(-n // 4))
         self.counter += 1
-        return (rng.random(shape) < keep_prob).astype(np.float32)
+        words = bits.view("<u2")[:n]
+        return (words < round(keep_prob * 65536)).reshape(shape)
 
 
 def dropout(a: Tensor, p: float, train: bool, rng: Optional[DropoutRng] = None) -> Tensor:
@@ -398,11 +418,12 @@ def dropout(a: Tensor, p: float, train: bool, rng: Optional[DropoutRng] = None) 
     if rng is None:
         raise ValueError("training-mode dropout needs a DropoutRng")
     keep = 1.0 - p
-    m = rng.next_mask(a.data.shape, keep) / np.float32(keep)
-    out = Tensor(a.data * m)
+    mask = rng.next_mask(a.data.shape, keep)
+    inv_keep = np.float32(1.0 / keep)
+    out = Tensor((a.data * inv_keep) * mask)
 
     def backward(g: Array) -> None:
-        _accumulate(a, g * m)
+        _accumulate(a, (g * inv_keep) * mask)
 
     return _record(out, (a,), backward)
 
@@ -435,14 +456,16 @@ def attention(q: Tensor, k: Tensor, v: Tensor, fill_mask, scale: float,
         if rng is None:
             raise ValueError("training-mode dropout needs a DropoutRng")
         keep = 1.0 - p
-        drop = rng.next_mask(probs.shape, keep) / np.float32(keep)
-        weights = probs * drop
+        drop = rng.next_mask(probs.shape, keep)
+        inv_keep = np.float32(1.0 / keep)
+        weights = (probs * inv_keep) * drop
     out = Tensor(weights @ v.data)
 
     def backward(g: Array) -> None:
         _accumulate(v, _unbroadcast(weights.swapaxes(-1, -2) @ g, v.shape))
         gs = g @ v.data.swapaxes(-1, -2)
         if drop is not None:
+            gs *= inv_keep
             gs *= drop
         # Softmax backward: probs * (g - sum(g * probs)).
         gs -= (gs * probs).sum(axis=-1, keepdims=True, dtype=np.float64).astype(np.float32)

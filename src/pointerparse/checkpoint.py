@@ -16,7 +16,12 @@ a format-version mismatch, or a .bin file whose length or sha256 differs from
 the manifest's record, is a hard error rather than a best-effort read.
 A save builds the directory under a temporary sibling name and renames it
 into place, so an exception or a killed process partway through a save
-never leaves a partial checkpoint under the final name.
+never leaves a partial checkpoint under the final name.  A save killed
+between its two renames leaves the previous checkpoint as ``.<name>.old``
+and nothing under ``<name>``; loading and lookup read that copy then.
+
+Format 3 changed the dropout mask stream, so a format-2 checkpoint is
+refused: training resumed from it could not continue bit-identically.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import numpy as np
 from .model import ModelConfig, PointerGeneratorModel
 from .vocab import SourceVocab, SymbolTable
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 class CheckpointError(RuntimeError):
@@ -113,7 +118,7 @@ def save_checkpoint(
     """
     directory = Path(directory)
     partial = directory.with_name(f".{directory.name}.partial")
-    retired = directory.with_name(f".{directory.name}.old")
+    retired = _retired(directory)
     if partial.exists():
         shutil.rmtree(partial)  # left by a save that was killed
     partial.mkdir(parents=True)
@@ -132,9 +137,12 @@ def save_checkpoint(
     except BaseException:
         shutil.rmtree(partial, ignore_errors=True)
         raise
-    if retired.exists():
-        shutil.rmtree(retired)
+    # A ``.old`` copy beside a missing directory is the only checkpoint a
+    # save killed between the renames left; it goes only once the new one
+    # is in place.
     if directory.exists():
+        if retired.exists():
+            shutil.rmtree(retired)
         os.replace(directory, retired)
     os.replace(partial, directory)
     shutil.rmtree(retired, ignore_errors=True)
@@ -188,8 +196,21 @@ def _read_blob(path: Path, manifest: dict, copies: int = 1) -> list[dict[str, np
     return out
 
 
+def _retired(directory: Path) -> Path:
+    return directory.with_name(f".{directory.name}.old")
+
+
+def _recovered(directory: Path) -> Path:
+    """``directory``, or when it is missing, the ``.<name>.old`` copy that a
+    save killed between its two renames left in its place."""
+    retired = _retired(directory)
+    if not directory.exists() and (retired / "manifest.json").exists():
+        return retired
+    return directory
+
+
 def load_checkpoint(directory) -> Checkpoint:
-    directory = Path(directory)
+    directory = _recovered(Path(directory))
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
         raise CheckpointError(f"no manifest.json in {directory}")
@@ -231,13 +252,12 @@ def _step_dirs(root) -> list[Path]:
 
 def latest_checkpoint(path) -> Path:
     """``path`` itself if it holds a checkpoint, else its ``best``
-    checkpoint, else its newest ``step_*`` checkpoint."""
+    checkpoint, else its newest ``step_*`` checkpoint.  A missing ``path``
+    or ``best`` is read from its ``.old`` copy when one is left."""
     path = Path(path)
-    if (path / "manifest.json").exists():
-        return path
-    best = path / "best"
-    if (best / "manifest.json").exists():
-        return best
+    for candidate in (_recovered(path), _recovered(path / "best")):
+        if (candidate / "manifest.json").exists():
+            return candidate
     steps = _step_dirs(path)
     if steps:
         return steps[-1]

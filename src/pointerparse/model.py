@@ -123,8 +123,7 @@ class Linear:
         self.b = store.fill(f"{name}.b", (d_out,), 0.0) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = ad.matmul(x, self.w)
-        return ad.add(out, self.b) if self.b is not None else out
+        return ad.matmul(x, self.w, self.b)
 
 
 class LayerNorm:

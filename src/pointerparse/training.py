@@ -208,7 +208,10 @@ def train_loop(
 
     Writes ``step_NNNNNN`` checkpoints plus a ``best`` copy selected by dev
     exact match, and appends one JSON object per log interval to
-    ``metrics.jsonl`` in the checkpoint directory.
+    ``metrics.jsonl`` in the checkpoint directory: ``step``, ``loss``,
+    ``lr``, ``dev_em`` (null between dev evaluations), and that step's
+    global gradient norm before clipping (``grad_norm``) and clip factor
+    (``clip_factor``, 1.0 when unclipped).
     """
     cfg = train_config
     encoded = encode_corpus(train_examples, symtab, source_vocab)
@@ -286,7 +289,7 @@ def train_loop(
             tape.backward(loss)
         lr = noam_lr(step, model_config.d_model, cfg.warmup_steps)
         try:
-            adam_step(model.parameters(), adam, lr)
+            grad_norm, clip_factor = adam_step(model.parameters(), adam, lr)
         except NonFiniteGradient:
             emit({"step": step, "error": "non_finite_gradient"})
             raise
@@ -301,7 +304,8 @@ def train_loop(
             if cfg.early_stop_dev_em is not None and dev_em >= cfg.early_stop_dev_em:
                 stop = True
         if step % cfg.log_every == 0 or dev_em is not None or step == cfg.max_steps or stop:
-            emit({"step": step, "loss": loss.item(), "lr": lr, "dev_em": dev_em})
+            emit({"step": step, "loss": loss.item(), "lr": lr, "dev_em": dev_em,
+                  "grad_norm": grad_norm, "clip_factor": clip_factor})
         if checkpoint_dir is not None and (
             step % cfg.checkpoint_every == 0 or step == cfg.max_steps or stop
         ):

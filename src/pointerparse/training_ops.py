@@ -129,12 +129,13 @@ def adam_step(
     beta2: float = 0.98,
     eps: float = 1e-9,
     clip_norm: Optional[float] = 1.0,
-) -> None:
+) -> tuple[float, float]:
     """Standard Adam with bias correction; optional global-norm clipping.
 
     Moments and parameters are updated in place in float32; the global norm
     accumulates in float64.  A non-finite gradient anywhere aborts the step
-    before any moment or parameter changes.
+    before any moment or parameter changes.  Returns the global gradient
+    norm before clipping and the factor clipping scaled the gradients by.
     """
     for p in params.values():
         if p.grad is None:
@@ -169,3 +170,4 @@ def adam_step(
         update = m / denom
         update *= lr / bc1
         p.data -= update
+    return norm, factor

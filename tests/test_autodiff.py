@@ -341,6 +341,31 @@ class TestDropout:
         m2 = r.next_mask((8, 8), 0.5)
         assert not np.array_equal(m1, m2)
 
+    def test_golden_mask(self):
+        """Pins the mask stream: a change to it must also bump the
+        checkpoint format, or resumed runs would silently drift."""
+        mask = DropoutRng(seed=17, counter=0).next_mask((4, 8), 0.9)
+        assert mask.dtype == bool
+        np.testing.assert_array_equal(mask.astype(int), [
+            [1, 1, 1, 1, 1, 1, 0, 1],
+            [1, 1, 0, 1, 1, 0, 1, 1],
+            [1, 1, 1, 1, 1, 1, 1, 1],
+            [1, 1, 1, 1, 1, 1, 1, 1],
+        ])
+
+    def test_consecutive_masks_share_no_draws(self):
+        """Mask i + 1 is not mask i shifted by a few Philox blocks, as it
+        would be if i were the counter the blocks within a mask advance."""
+        mask = lambda c: DropoutRng(seed=17, counter=c).next_mask((4096,), 0.5)
+        m0, m1 = mask(0), mask(1)
+        for shift in range(0, 257, 4):
+            assert not np.array_equal(m0[shift:], m1[:4096 - shift])
+            assert not np.array_equal(m1[shift:], m0[:4096 - shift])
+
+    def test_keep_rate_is_quantised_to_sixteen_bits(self):
+        mask = DropoutRng(seed=3).next_mask((1000, 1000), 0.9)
+        assert abs(mask.mean() - 58982 / 65536) < 1e-3
+
     def test_inverted_scaling(self):
         a = constant(np.ones((2000,), dtype=np.float32))
         out = dropout(a, 0.25, train=True, rng=DropoutRng(seed=1))

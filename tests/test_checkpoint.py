@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -152,3 +153,46 @@ def test_leftover_partial_save_is_ignored_and_replaced(saved, tmp_path):
     save_checkpoint(tmp_path / "step_000030", model, symtab, source_vocab, {}, step=30)
     assert load_checkpoint(tmp_path / "step_000030").step == 30
     assert not killed.exists()
+
+
+def test_save_killed_between_renames_loads_the_previous_checkpoint(saved, monkeypatch):
+    """A kill after the old checkpoint moved to ``.best.old`` and before the
+    new one moved into place leaves only the ``.old`` copy; loading and
+    lookup read it, and the next save replaces it."""
+    path, model, symtab = saved
+    source_vocab = load_checkpoint(path).source_vocab
+    rename = os.replace
+    calls = []
+
+    class Killed(BaseException):
+        pass
+
+    def killed_on_rename(n):
+        def replace(src, dst):
+            calls.append(dst)
+            if len(calls) == n:
+                raise Killed
+            rename(src, dst)
+        return replace
+
+    monkeypatch.setattr(os, "replace", killed_on_rename(2))
+    with pytest.raises(Killed):
+        save_checkpoint(path, model, symtab, source_vocab, {}, step=20)
+    assert not path.exists()
+    assert sorted(p.name for p in path.parent.iterdir()) == [".best.old", ".best.partial"]
+    assert load_checkpoint(path).step == 10
+    assert latest_checkpoint(path.parent) == path.parent / ".best.old"
+    assert load_checkpoint(latest_checkpoint(path)).step == 10
+
+    # With nothing to retire, the next save renames once; the .old copy
+    # stays until that rename is done.
+    calls.clear()
+    monkeypatch.setattr(os, "replace", killed_on_rename(1))
+    with pytest.raises(Killed):
+        save_checkpoint(path, model, symtab, source_vocab, {}, step=20)
+    assert load_checkpoint(path).step == 10
+
+    monkeypatch.setattr(os, "replace", rename)
+    save_checkpoint(path, model, symtab, source_vocab, {}, step=30)
+    assert load_checkpoint(path).step == 30
+    assert [p.name for p in path.parent.iterdir()] == ["best"]

@@ -177,7 +177,7 @@ class TestPipeline:
         ckpt = pipeline_dir / "ckpt"
         found = list(ckpt.glob("step_*")) + [ckpt / "best"]
         manifest = json.loads((found[0] / "manifest.json").read_text())
-        assert manifest["format_version"] == 2
+        assert manifest["format_version"] == 3
         assert set(manifest["blobs"]) == {"params.bin", "optstate.bin"}
         for name, record in manifest["blobs"].items():
             assert record["bytes"] == (found[0] / name).stat().st_size
@@ -185,6 +185,25 @@ class TestPipeline:
         assert "model_config" in manifest and "train_config" in manifest
         assert (found[0] / "symtab.json").exists()
         assert (found[0] / "source_vocab.json").exists()
+
+    def test_resume_from_format_2_checkpoint_exits_2(self, pipeline_dir, tmp_path, capsys):
+        """Format 3 changed the dropout mask stream, so a format-2 checkpoint
+        cannot resume bit-identically and is refused."""
+        old = tmp_path / "format2"
+        shutil.copytree(pipeline_dir / "ckpt" / "best", old)
+        manifest = json.loads((old / "manifest.json").read_text())
+        manifest["format_version"] = 2
+        (old / "manifest.json").write_text(json.dumps(manifest))
+        code = main(["train", "--corpus", str(pipeline_dir / "corpus"),
+                     "--checkpoint", str(tmp_path / "resumed"),
+                     "--config", str(pipeline_dir / "config.json"),
+                     "--resume", str(old), "--quiet"])
+        _, err = capsys.readouterr()
+        assert code == EXIT_DATA
+        failure = json.loads(err)
+        assert failure["error"] == "CheckpointError"
+        assert "format 2" in failure["message"]
+        assert not list((tmp_path / "resumed").glob("step_*"))
 
     def test_eval_writes_report(self, pipeline_dir, capsys):
         report_dir = pipeline_dir / "report"

@@ -1,13 +1,19 @@
 import numpy as np
 import pytest
 
+from pointerparse import autodiff as ad
+from pointerparse.data import default_grammar, generate_synthetic
 from pointerparse.model import (
+    Linear,
     ModelConfig,
+    ParamStore,
     PointerGeneratorModel,
     PrefixContainsPAD,
     SourceTooLong,
     sinusoidal_positions,
 )
+from pointerparse.training import make_batch as make_train_batch, encode_corpus, prepare_corpus
+from pointerparse.training_ops import label_smoothed_ce
 from pointerparse.vocab import BOS_ID, PAD_ID
 
 
@@ -210,3 +216,40 @@ def test_parameters_deterministic_across_seeds():
     b = PointerGeneratorModel(tiny_config(), seed=11)
     for name, p in a.parameters().items():
         np.testing.assert_array_equal(p.data, b.parameters()[name].data)
+
+
+@pytest.mark.parametrize("lead", [(5,), (3, 4), (2, 3, 4)])
+def test_linear_equals_matmul_then_add_bit_for_bit(lead):
+    """The bias folded into the GEMM gives the output and the x, w and b
+    gradients of the composed ``add(matmul(x, w), b)``, bit for bit."""
+    rng = np.random.default_rng(90)
+    layer = Linear(ParamStore(seed=91), "lin", 6, 7)
+    layer.b.data = rng.standard_normal(7).astype(np.float32)
+    x = ad.parameter(rng.standard_normal(lead + (6,)).astype(np.float32))
+    g = ad.constant(rng.standard_normal(lead + (7,)).astype(np.float32))
+    results = []
+    for forward in (layer, lambda t: ad.add(ad.matmul(t, layer.w), layer.b)):
+        for t in (x, layer.w, layer.b):
+            t.zero_grad()
+        with ad.Tape() as tape:
+            out = forward(x)
+            tape.backward(ad.reduce_sum(ad.mul(out, g)))
+        results.append((out.data, x.grad, layer.w.grad, layer.b.grad))
+    for fused, composed in zip(*results):
+        np.testing.assert_array_equal(fused, composed)
+
+
+def test_acceptance_training_step_records_142_tape_nodes():
+    """One node per op of an acceptance-config step (2+2 layers, dropout on):
+    each of the 33 biased Linears is one node, not a matmul and an add."""
+    examples = generate_synthetic(default_grammar(), 40, seed=17)["train"]
+    symtab, src_vocab = prepare_corpus(examples)
+    config = ModelConfig(vocab_size=symtab.vocab_size, src_vocab_size=src_vocab.size,
+                         max_src_len=symtab.max_src_len)
+    model = PointerGeneratorModel(config, seed=17)
+    batch = make_train_batch(encode_corpus(examples[:8], symtab, src_vocab), symtab.vocab_size)
+    with ad.Tape() as tape:
+        logits = model.forward_teacher_forced(batch.src_ids, batch.src_mask, batch.tgt_in,
+                                              train=True, rng=ad.DropoutRng(seed=17))
+        label_smoothed_ce(logits, batch.gold, batch.step_mask, batch.support_mask, 0.1)
+    assert len(tape.nodes) == 142

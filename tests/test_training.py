@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -257,9 +258,16 @@ class TestAdam:
         p = parameter(np.zeros(4, dtype=np.float32))
         p.grad = np.full(4, 10.0, dtype=np.float32)
         state = AdamState()
-        adam_step({"p": p}, state, lr=1.0, clip_norm=1.0)
+        norm, factor = adam_step({"p": p}, state, lr=1.0, clip_norm=1.0)
         # First moment built from the clipped gradient: norm 1 over 4 entries.
         np.testing.assert_allclose(state.m["p"], 0.1 * 10.0 / 20.0, atol=1e-6)
+        assert (norm, factor) == (20.0, 1.0 / 20.0)
+
+    def test_unclipped_step_reports_factor_one(self):
+        p = parameter(np.zeros(2, dtype=np.float32))
+        p.grad = np.array([0.3, 0.4], dtype=np.float32)
+        norm, factor = adam_step({"p": p}, AdamState(), lr=1.0, clip_norm=1.0)
+        assert norm == pytest.approx(0.5) and factor == 1.0
 
 
 def _tiny_model_config(symtab, src_vocab, d=48):
@@ -310,6 +318,23 @@ class TestTrainLoop:
             )
             ems[bs] = exact_match_rate(result.model, train, symtab, src_vocab)
         assert ems[1] == ems[2] == 1.0
+
+    def test_metrics_records_carry_grad_norm_and_clip_factor(self, tmp_path):
+        splits = generate_synthetic(default_grammar(), 48, seed=5)
+        train = splits["train"]
+        symtab, src_vocab = prepare_corpus(train)
+        config = TrainConfig(batch_size=8, max_steps=6, warmup_steps=10, eval_every=3,
+                             log_every=2, seed=9)
+        train_loop(train, train[:4], _tiny_model_config(symtab, src_vocab, d=32), config,
+                   symtab, src_vocab, checkpoint_dir=tmp_path)
+        records = [json.loads(line) for line in (tmp_path / "metrics.jsonl").read_text().splitlines()]
+        assert [r["step"] for r in records] == [2, 3, 4, 6]
+        for r in records:
+            assert set(r) == {"step", "loss", "lr", "dev_em", "grad_norm", "clip_factor"}
+            assert r["grad_norm"] > 0
+            assert r["clip_factor"] == (1.0 if r["grad_norm"] <= 1.0 else 1.0 / r["grad_norm"])
+        manifest = json.loads((tmp_path / "step_000006" / "manifest.json").read_text())
+        assert manifest["metrics"] == records[-1]
 
     def test_resume_is_bit_identical(self, tmp_path):
         splits = generate_synthetic(default_grammar(), 48, seed=5)
