@@ -27,10 +27,12 @@ from .data import (
     DataError,
     corpus_stats,
     default_grammar,
+    enum_from_json,
     example_from_json,
     generate_synthetic,
     import_bio,
     import_top,
+    json_field,
     json_lines,
     read_jsonl,
     write_jsonl,
@@ -223,8 +225,8 @@ def _load_prediction_inputs(path, default_style: Optional[str]):
     items = []
     for obj in json_lines(path):
         style_name = obj.get("style", default_style)
-        style = Style(style_name) if style_name else None
-        items.append((Query.from_text(obj["query"]), style))
+        style = enum_from_json(Style, style_name) if style_name else None
+        items.append((Query.from_text(json_field(obj, "query", str)), style))
     return items
 
 
@@ -304,8 +306,8 @@ def cmd_linearize(args) -> int:
 
 def cmd_validate(args) -> int:
     for obj in json_lines(args.input):
-        seq = TargetSequence.from_string(obj["target"])
-        report = validate(seq, int(obj["n"]), Style(obj["style"]))
+        seq = TargetSequence.from_string(json_field(obj, "target", str))
+        report = validate(seq, json_field(obj, "n", int), enum_from_json(Style, obj["style"]))
         _print(
             {
                 "well_formed": report.ok,

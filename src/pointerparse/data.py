@@ -19,6 +19,7 @@ import re
 import sys
 import unicodedata
 from dataclasses import dataclass
+from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -30,7 +31,6 @@ from .linearize import (
     Query,
     SemanticParse,
     Style,
-    delinearize,
     linearize,
 )
 
@@ -78,12 +78,37 @@ def node_to_json(node: ParseNode) -> dict:
     }
 
 
+def enum_from_json(enum: type[Enum], value):
+    """``enum(value)``, or DataError naming the values ``enum`` allows."""
+    try:
+        return enum(value)
+    except ValueError:
+        allowed = ", ".join(member.value for member in enum)
+        raise DataError(f"unknown {enum.__name__.lower()} {value!r}; expected one of {allowed}") from None
+
+
+def json_field(obj: dict, key: str, kind: type):
+    """``obj[key]``, or DataError unless it is a ``kind`` (a bool is no int)."""
+    value = obj[key]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise DataError(f"{key!r} must be a JSON {kind.__name__}, got {value!r}")
+    return value
+
+
 def node_from_json(obj: dict) -> ParseNode:
+    if not isinstance(obj, dict):
+        raise DataError(f"a parse node must be a JSON object, got {obj!r}")
+    indices = obj.get("indices", [])
+    if not isinstance(indices, list) or not all(type(i) is int for i in indices):
+        raise DataError(f"'indices' must be a list of integers, got {indices!r}")
+    children = obj.get("children", [])
+    if not isinstance(children, list):
+        raise DataError(f"'children' must be a list, got {children!r}")
     return ParseNode(
-        label=obj["label"],
-        kind=Kind(obj["kind"]),
-        token_indices=tuple(obj.get("indices", ())),
-        children=tuple(node_from_json(c) for c in obj.get("children", ())),
+        label=json_field(obj, "label", str),
+        kind=enum_from_json(Kind, obj["kind"]),
+        token_indices=tuple(indices),
+        children=tuple(node_from_json(c) for c in children),
     )
 
 
@@ -97,8 +122,8 @@ def example_to_json(example: CorpusExample) -> dict:
 
 def example_from_json(obj: dict) -> CorpusExample:
     return CorpusExample(
-        query=Query.from_text(obj["query"]),
-        parse=SemanticParse(node_from_json(obj["parse"]), Style(obj["style"])),
+        query=Query.from_text(json_field(obj, "query", str)),
+        parse=SemanticParse(node_from_json(obj["parse"]), enum_from_json(Style, obj["style"])),
     )
 
 
@@ -118,7 +143,10 @@ def json_lines(path) -> Iterator[dict]:
     try:
         for line in source:
             if line.strip():
-                yield json.loads(line)
+                obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise DataError(f"each line must hold a JSON object, got {line.strip()!r}")
+                yield obj
     finally:
         if path:
             source.close()
@@ -203,7 +231,7 @@ def import_bio(tokens_path, tags_path, labels_path, policy: str = "reject") -> l
                 raise IllegalTagTransition(f"line {row}: unknown tag {tag!r}")
         close_span()
         parse = SemanticParse(ParseNode(intent.strip(), Kind.INTENT, (), tuple(slots)), Style.FLAT)
-        parse.validate(len(query.tokens))
+        linearize(parse, query)
         examples.append(CorpusExample(query, parse))
     return examples
 
@@ -293,7 +321,7 @@ def import_top(tsv_path, utterance_col: int = 0, parse_col: int = 1) -> list[Cor
             query = Query.from_text(cols[utterance_col])
             root = parse_bracketed(cols[parse_col], query, row)
             parse = SemanticParse(root, Style.TREE)
-            parse.validate(len(query.tokens))
+            linearize(parse, query)
             examples.append(CorpusExample(query, parse))
     return examples
 
@@ -507,8 +535,8 @@ def generate_synthetic(
     """Deterministic corpus of ``count`` surface-unique examples, split 8/1/1.
 
     Raises LexiconTooSmall when the grammar cannot produce enough distinct
-    surface strings for the requested count, and DataError when a template
-    renders a parse that does not survive a linearize round trip.
+    surface strings for the requested count, and StyleViolation when a
+    template renders a parse its style does not allow.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -526,9 +554,7 @@ def generate_synthetic(
         if surface in unique:
             stagnant += 1
             continue
-        seq = linearize(example.parse, example.query)
-        if delinearize(seq, example.query, example.style) != example.parse:
-            raise DataError(f"parse of {surface!r} does not survive a linearize round trip")
+        linearize(example.parse, example.query)
         unique[surface] = example
         stagnant = 0
     items = list(unique.values())

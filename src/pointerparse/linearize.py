@@ -13,7 +13,8 @@ styles are supported:
 Close brackets are label-specific in every style (``)SongName``,
 ``SL:DESTINATION]``), which lets the validator catch mismatched closes.
 
-``linearize`` and ``delinearize`` are exact inverses on well-formed input;
+``linearize`` and ``delinearize`` are exact inverses on well-formed input, and
+a parse is well-formed exactly when its linearization reads back to it;
 ``validate`` reports, without raising, whether an arbitrary symbol sequence
 (e.g. raw model output) is well-formed for a style.
 """
@@ -49,6 +50,10 @@ class IndexOutOfRange(LinearizeError):
 
 class StyleViolation(LinearizeError):
     pass
+
+
+class BadSymbol(LinearizeError, ValueError):
+    """A surface string that spells no target symbol."""
 
 
 class Violation(str, Enum):
@@ -144,95 +149,6 @@ class SemanticParse:
     root: ParseNode
     style: Style
 
-    def validate(self, n: int) -> None:
-        """Raise IndexOutOfRange or StyleViolation if invalid for length n."""
-        for node in self.root.walk():
-            for i in node.token_indices:
-                if not 0 <= i < n:
-                    raise IndexOutOfRange(f"token index {i} outside source of length {n}")
-        if self.style is Style.FLAT:
-            _validate_flat(self.root)
-        elif self.style is Style.TREE:
-            _validate_tree(self.root)
-        else:
-            _validate_spanset(self.root)
-
-
-def _validate_flat(root: ParseNode) -> None:
-    if root.kind is not Kind.INTENT:
-        raise StyleViolation("flat root must be an intent")
-    _check_label(root.label)
-    if _is_tree_label(root.label):
-        raise StyleViolation("flat labels must not carry IN:/SL: prefixes")
-    if root.token_indices:
-        raise StyleViolation("flat intent carries no direct token indices")
-    prev_end = -1
-    for slot in root.children:
-        if slot.kind is not Kind.SLOT or slot.children:
-            raise StyleViolation("flat slots are childless slot nodes")
-        _check_label(slot.label)
-        if _is_tree_label(slot.label):
-            raise StyleViolation("flat labels must not carry IN:/SL: prefixes")
-        idx = slot.token_indices
-        if not idx:
-            raise StyleViolation(f"slot {slot.label} covers no tokens")
-        if idx[-1] - idx[0] + 1 != len(idx):
-            raise StyleViolation(f"slot {slot.label} span is not contiguous")
-        if idx[0] <= prev_end:
-            raise StyleViolation("flat slots must be disjoint and in source order")
-        prev_end = idx[-1]
-
-
-def _validate_tree(node: ParseNode, parent_kind: Optional[Kind] = None) -> None:
-    if parent_kind is None and node.kind is not Kind.INTENT:
-        raise StyleViolation("tree root must be an intent")
-    if node.kind not in (Kind.INTENT, Kind.SLOT):
-        raise StyleViolation("tree nodes must be intents or slots")
-    if parent_kind is not None and node.kind is parent_kind:
-        raise StyleViolation("tree intents and slots must alternate")
-    _check_label(node.label)
-    prefix = "IN:" if node.kind is Kind.INTENT else "SL:"
-    if not node.label.startswith(prefix):
-        raise StyleViolation(f"tree {node.kind.value} label {node.label!r} must start with {prefix}")
-
-    cov = node.coverage()
-    if not cov:
-        raise StyleViolation(f"node {node.label} covers no tokens")
-    # Disjointness by counting: the union is smaller than the parts iff
-    # direct indices or sibling subtrees share a token.
-    parts = len(node.token_indices) + sum(len(c.coverage()) for c in node.children)
-    if parts != len(cov):
-        raise StyleViolation(f"overlapping spans under {node.label}")
-    if max(cov) - min(cov) + 1 != len(cov):
-        raise StyleViolation(f"coverage of {node.label} is not contiguous")
-    starts = []
-    for child in node.children:
-        if not child.coverage():
-            raise StyleViolation(f"node {child.label} covers no tokens")
-        starts.append(min(child.coverage()))
-    if starts != sorted(starts):
-        raise StyleViolation(f"children of {node.label} not in source order")
-    for child in node.children:
-        _validate_tree(child, node.kind)
-
-
-def _validate_spanset(root: ParseNode) -> None:
-    if root.kind is not Kind.GROUP or root.label or root.token_indices:
-        raise StyleViolation("spanset root must be an empty group container")
-    prev_key = None
-    for ann in root.children:
-        if ann.kind is not Kind.SLOT or ann.children:
-            raise StyleViolation("spanset annotations are childless slot nodes")
-        _check_label(ann.label)
-        if _is_tree_label(ann.label):
-            raise StyleViolation("spanset labels must not carry IN:/SL: prefixes")
-        if not ann.token_indices:
-            raise StyleViolation(f"annotation {ann.label} covers no tokens")
-        key = (ann.token_indices[0], ann.label, ann.token_indices)
-        if prev_key is not None and key < prev_key:
-            raise StyleViolation("annotations must be sorted by (first index, label)")
-        prev_key = key
-
 
 class SymKind(Enum):
     INTENT_TAG = "intent_tag"
@@ -318,27 +234,27 @@ def parse_symbol(text: str) -> TargetSymbol:
         try:
             return pointer(int(text[5:]))
         except ValueError:
-            raise ValueError(f"bad pointer symbol {text!r}") from None
+            raise BadSymbol(f"bad pointer symbol {text!r}") from None
     if text.startswith("["):
         label = text[1:]
         if not label:
-            raise ValueError("empty bracket symbol")
+            raise BadSymbol("empty bracket symbol")
         return intent_open(label) if label.startswith("IN:") else slot_open(label)
     if text.endswith("]"):
         label = text[:-1]
         if not label:
-            raise ValueError("empty bracket symbol")
+            raise BadSymbol("empty bracket symbol")
         return intent_close(label) if label.startswith("IN:") else slot_close(label)
     if text.endswith("("):
         if len(text) == 1:
-            raise ValueError("empty bracket symbol")
+            raise BadSymbol("empty bracket symbol")
         return slot_open(text[:-1])
     if text.startswith(")"):
         if len(text) == 1:
-            raise ValueError("empty bracket symbol")
+            raise BadSymbol("empty bracket symbol")
         return slot_close(text[1:])
     if not text:
-        raise ValueError("empty symbol")
+        raise BadSymbol("empty symbol")
     return intent_tag(text)
 
 
@@ -378,25 +294,56 @@ def linearize(parse: SemanticParse, query: Union[Query, int]) -> TargetSequence:
     pre-order traversal with direct pointers and subtrees interleaved in
     source order.  Span sets emit one bracketed group per annotation, sorted
     by (first index, label).
+
+    A parse is valid exactly when its linearization reads back to it:
+    ``delinearize(linearize(p, n), n, p.style) == p``.  The sequence readers
+    own each style's structural rules (non-empty, contiguous, disjoint and
+    ordered spans, bracket kinds and their alternation), so only what a
+    sequence cannot show is checked on the parse itself, in this order:
+    every index lies in ``range(n)`` (else IndexOutOfRange), every label is
+    legal, tree labels carry their kind's ``IN:`` / ``SL:`` prefix while flat
+    and span-set labels carry neither, and span-set annotations are sorted by
+    (first index, label, indices).  Every defect raises StyleViolation.
     """
     n = len(query.tokens) if isinstance(query, Query) else int(query)
-    parse.validate(n)
-    root = parse.root
+    root, style = parse.root, parse.style
+    nodes = list(root.walk())
+    for node in nodes:
+        for i in node.token_indices:
+            if not 0 <= i < n:
+                raise IndexOutOfRange(f"token index {i} outside source of length {n}")
+    for node in nodes:
+        if style is Style.SPANSET and node is root:
+            continue
+        _check_label(node.label)
+        if style is Style.TREE:
+            prefix = "IN:" if node.kind is Kind.INTENT else "SL:"
+            if not node.label.startswith(prefix):
+                raise StyleViolation(f"tree {node.kind.value} label {node.label!r} must start with {prefix}")
+        elif _is_tree_label(node.label):
+            raise StyleViolation(f"{style.value} label {node.label!r} must not carry an IN:/SL: prefix")
     out: list[TargetSymbol] = []
-    if parse.style is Style.FLAT:
-        out.append(intent_tag(root.label))
-        for slot in root.children:
-            out.append(slot_open(slot.label))
-            out.extend(pointer(i) for i in slot.token_indices)
-            out.append(slot_close(slot.label))
-    elif parse.style is Style.TREE:
+    if style is Style.TREE:
         _emit_tree(root, out)
     else:
-        for ann in root.children:
-            out.append(slot_open(ann.label))
-            out.extend(pointer(i) for i in ann.token_indices)
-            out.append(slot_close(ann.label))
-    return TargetSequence(tuple(out))
+        if style is Style.FLAT:
+            out.append(intent_tag(root.label))
+        else:
+            keys = [(ann.token_indices[:1], ann.label, ann.token_indices) for ann in root.children]
+            if keys != sorted(keys):
+                raise StyleViolation("annotations must be sorted by (first index, label)")
+        for span in root.children:
+            out.append(slot_open(span.label))
+            out.extend(pointer(i) for i in span.token_indices)
+            out.append(slot_close(span.label))
+    seq = TargetSequence(tuple(out))
+    try:
+        read_back = delinearize(seq, n, style)
+    except Malformed as exc:
+        raise StyleViolation(str(exc)) from exc
+    if read_back != parse:
+        raise StyleViolation(f"{style.value} parse does not read back from its linearization")
+    return seq
 
 
 def _emit_tree(node: ParseNode, out: list[TargetSymbol]) -> None:
@@ -404,7 +351,8 @@ def _emit_tree(node: ParseNode, out: list[TargetSymbol]) -> None:
     closer = intent_close if node.kind is Kind.INTENT else slot_close
     out.append(opener(node.label))
     items: list[tuple[int, Optional[ParseNode]]] = [(i, None) for i in node.token_indices]
-    items += [(min(child.coverage()), child) for child in node.children]
+    # An empty child sorts first; the reader reports it as EMPTY_SPAN.
+    items += [(min(child.coverage(), default=-1), child) for child in node.children]
     for pos, child in sorted(items, key=lambda kv: kv[0]):
         if child is None:
             out.append(pointer(pos))

@@ -117,7 +117,8 @@ def global_grad_norm(params: dict[str, Tensor]) -> float:
     total = 0.0
     for p in params.values():
         if p.grad is not None:
-            total += float(np.sum(p.grad.astype(np.float64) ** 2))
+            sq = p.grad.astype(np.float64)
+            total += float(np.sum(np.square(sq, out=sq)))
     return float(np.sqrt(total))
 
 

@@ -93,6 +93,67 @@ class TestUsageAndErrors:
         assert code == EXIT_USAGE
 
 
+def _with_slot(**changes):
+    """FLAT_EXAMPLE with its first slot's fields replaced."""
+    slot = dict(FLAT_EXAMPLE["parse"]["children"][0], **changes)
+    return dict(FLAT_EXAMPLE, parse=dict(FLAT_EXAMPLE["parse"], children=[slot]))
+
+
+# Malformed records of each JSON-lines input, as raw lines.
+CORPUS_DEFECTS = {
+    "unknown style": json.dumps(dict(FLAT_EXAMPLE, style="bogus")),
+    "non-integer index": json.dumps(_with_slot(indices=["q"])),
+    "boolean index": json.dumps(_with_slot(indices=[True])),
+    "unknown kind": json.dumps(_with_slot(kind="bogus")),
+    "non-string label": json.dumps(_with_slot(label=5)),
+    "non-string query": json.dumps(dict(FLAT_EXAMPLE, query=5)),
+    "not an object": "[1, 2]",
+}
+VALIDATE_DEFECTS = {
+    "unknown style": json.dumps({"target": FLAT_TARGET, "n": 8, "style": "bogus"}),
+    "bad pointer": json.dumps({"target": "@ptr_x", "n": 3, "style": "tree"}),
+    "non-string target": json.dumps({"target": 5, "n": 3, "style": "tree"}),
+    "string n": json.dumps({"target": FLAT_TARGET, "n": "eight", "style": "flat"}),
+    "fractional n": json.dumps({"target": FLAT_TARGET, "n": 8.5, "style": "flat"}),
+    "not an object": "[1, 2]",
+}
+PREDICT_DEFECTS = {
+    "unknown style": json.dumps({"query": "play hey jude", "style": "bogus"}),
+    "non-string query": json.dumps({"query": 5}),
+    "not an object": "[1, 2]",
+}
+MALFORMED_RECORDS = (
+    [("linearize", case, line) for case, line in CORPUS_DEFECTS.items()]
+    + [("train", case, line) for case, line in CORPUS_DEFECTS.items()]
+    + [("eval", case, line) for case, line in CORPUS_DEFECTS.items()]
+    + [("validate", case, line) for case, line in VALIDATE_DEFECTS.items()]
+    + [("predict", case, line) for case, line in PREDICT_DEFECTS.items()]
+)
+
+
+@pytest.mark.parametrize(
+    "command,line", [(command, line) for command, _, line in MALFORMED_RECORDS],
+    ids=[f"{command}-{case}" for command, case, _ in MALFORMED_RECORDS],
+)
+def test_malformed_record_is_data_error(command, line, tmp_path, request, capsys):
+    """Every JSON-lines command exits 2 with one JSON error line on stderr."""
+    (tmp_path / "train.jsonl").write_text(line + "\n")
+    argv = {
+        "linearize": ["linearize", "--input", str(tmp_path / "train.jsonl")],
+        "validate": ["validate", "--input", str(tmp_path / "train.jsonl")],
+        "train": ["train", "--corpus", str(tmp_path), "--checkpoint", str(tmp_path / "ckpt")],
+    }.get(command)
+    if argv is None:
+        checkpoint = request.getfixturevalue("pipeline_dir") / "ckpt" / "best"
+        argv = [command, "--checkpoint", str(checkpoint), "--input", str(tmp_path / "train.jsonl")]
+    code = main(argv)
+    _, err = capsys.readouterr()
+    assert code == EXIT_DATA
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert set(json.loads(lines[0])) == {"error", "message"}
+
+
 class TestConfigMerging:
     def test_file_env_flag_precedence(self, tmp_path, monkeypatch):
         config = tmp_path / "c.json"

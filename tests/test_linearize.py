@@ -156,6 +156,110 @@ class TestLinearizeErrors:
             linearize(parse, 3)
 
 
+I, S, G = Kind.INTENT, Kind.SLOT, Kind.GROUP
+
+
+def _flat(*slots, label="X", kind=I, direct=()):
+    return SemanticParse(ParseNode(label, kind, direct, slots), Style.FLAT)
+
+
+def _tree(root):
+    return SemanticParse(root, Style.TREE)
+
+
+def _spans(*anns, label="", kind=G, direct=()):
+    return SemanticParse(ParseNode(label, kind, direct, anns), Style.SPANSET)
+
+
+# One case per rule a parse must keep to linearize; every parse is over a
+# four-token source and breaks exactly that rule.
+RULE_CASES = {
+    "flat root is a slot": _flat(ParseNode("s", S, (0,)), kind=S),
+    "flat root is a group": _flat(ParseNode("s", S, (0,)), kind=G),
+    "flat root has a tree prefix": _flat(ParseNode("s", S, (0,)), label="IN:X"),
+    "flat root has direct indices": _flat(ParseNode("s", S, (1,)), direct=(0,)),
+    "flat slot has children": _flat(ParseNode("s", S, (0,), (ParseNode("t", S, (1,)),))),
+    "flat slot is an intent": _flat(ParseNode("s", I, (0,))),
+    "flat slot is a group": _flat(ParseNode("s", G, (0,))),
+    "flat slot has a tree prefix": _flat(ParseNode("SL:s", S, (0,))),
+    "flat slot is empty": _flat(ParseNode("s", S, ())),
+    "flat slot has a gap": _flat(ParseNode("s", S, (0, 2))),
+    "flat slots overlap": _flat(ParseNode("s", S, (0, 1)), ParseNode("t", S, (1, 2))),
+    "flat slots out of order": _flat(ParseNode("s", S, (2,)), ParseNode("t", S, (0,))),
+    "tree root is a slot": _tree(ParseNode("SL:X", S, (0,))),
+    "tree root is a group": _tree(ParseNode("SL:X", G, (0,))),
+    "tree has a group node": _tree(ParseNode("IN:X", I, (0,), (ParseNode("SL:G", G, (1,)),))),
+    "tree intent under an intent": _tree(ParseNode("IN:X", I, (0,), (ParseNode("IN:Y", I, (1,)),))),
+    "tree slot under a slot": _tree(ParseNode("IN:X", I, (0,), (
+        ParseNode("SL:A", S, (1,), (ParseNode("SL:B", S, (2,)),)),))),
+    "tree intent lacks IN:": _tree(ParseNode("X", I, (0,))),
+    "tree intent has SL:": _tree(ParseNode("SL:X", I, (0,))),
+    "tree slot lacks SL:": _tree(ParseNode("IN:X", I, (0,), (ParseNode("A", S, (1,)),))),
+    "tree slot has IN:": _tree(ParseNode("IN:X", I, (0,), (ParseNode("IN:A", S, (1,)),))),
+    "tree root is empty": _tree(ParseNode("IN:X", I)),
+    "tree child is empty": _tree(ParseNode("IN:X", I, (0,), (ParseNode("SL:A", S),))),
+    "tree child covers a direct index": _tree(ParseNode("IN:X", I, (0, 1), (ParseNode("SL:A", S, (1,)),))),
+    "tree siblings overlap": _tree(ParseNode("IN:X", I, (), (
+        ParseNode("SL:A", S, (0, 1)), ParseNode("SL:B", S, (1, 2))))),
+    "tree coverage has a gap": _tree(ParseNode("IN:X", I, (0, 2))),
+    "tree child coverage has a gap": _tree(ParseNode("IN:X", I, (0,), (
+        ParseNode("SL:A", S, (), (ParseNode("IN:Y", I, (1, 3)),)), ParseNode("SL:B", S, (2,))))),
+    "tree children out of order": _tree(ParseNode("IN:X", I, (0,), (
+        ParseNode("SL:B", S, (2,)), ParseNode("SL:A", S, (1,))))),
+    "spanset root is an intent": _spans(ParseNode("A", S, (0,)), kind=I),
+    "spanset root has a label": _spans(ParseNode("A", S, (0,)), label="R"),
+    "spanset root has indices": _spans(ParseNode("A", S, (1,)), direct=(0,)),
+    "spanset annotation has children": _spans(ParseNode("A", S, (0,), (ParseNode("B", S, (1,)),))),
+    "spanset annotation is an intent": _spans(ParseNode("A", I, (0,))),
+    "spanset annotation has a tree prefix": _spans(ParseNode("SL:A", S, (0,))),
+    "spanset annotation is empty": _spans(ParseNode("A", S, ())),
+    "spanset annotations out of index order": _spans(ParseNode("A", S, (2,)), ParseNode("B", S, (0,))),
+    "spanset annotations out of label order": _spans(ParseNode("B", S, (0,)), ParseNode("A", S, (0, 1))),
+    "spanset annotations out of index-tuple order": _spans(
+        ParseNode("A", S, (0, 2)), ParseNode("A", S, (0, 1))),
+}
+for _bad in ("", "@x", "a b", "x("):
+    RULE_CASES[f"flat intent label {_bad!r}"] = _flat(ParseNode("s", S, (0,)), label=_bad)
+    RULE_CASES[f"flat slot label {_bad!r}"] = _flat(ParseNode(_bad, S, (0,)))
+    RULE_CASES[f"spanset label {_bad!r}"] = _spans(ParseNode(_bad, S, (0,)))
+    RULE_CASES[f"tree slot label {_bad!r}"] = _tree(ParseNode("IN:X", I, (0,), (
+        ParseNode(_bad if _bad in ("", "@x") else "SL:" + _bad, S, (1,)),)))
+
+
+def _with_index(node: ParseNode, i: int) -> ParseNode:
+    """``node`` with ``i`` added to the last node of its pre-order walk."""
+    if node.children:
+        return ParseNode(node.label, node.kind, node.token_indices,
+                         node.children[:-1] + (_with_index(node.children[-1], i),))
+    return ParseNode(node.label, node.kind, node.token_indices + (i,))
+
+
+class TestStyleRules:
+    @pytest.mark.parametrize("case", sorted(RULE_CASES))
+    def test_rule_is_enforced(self, case):
+        with pytest.raises(StyleViolation):
+            linearize(RULE_CASES[case], 4)
+
+    @pytest.mark.parametrize("case", sorted(RULE_CASES))
+    def test_out_of_range_index_wins(self, case):
+        parse = RULE_CASES[case]
+        with pytest.raises(IndexOutOfRange):
+            linearize(SemanticParse(_with_index(parse.root, 4), parse.style), 4)
+
+    def test_valid_neighbours_are_accepted(self):
+        # The parses the rule cases were broken from, so each case fails for
+        # its own rule rather than for a defect the table shares.
+        assert linearize(_flat(ParseNode("s", S, (0, 1)), ParseNode("t", S, (3,))), 4).to_string() == (
+            "X s( @ptr_0 @ptr_1 )s t( @ptr_3 )t")
+        tree = ParseNode("IN:X", I, (0,), (
+            ParseNode("SL:A", S, (), (ParseNode("IN:Y", I, (1, 2)),)), ParseNode("SL:B", S, (3,))))
+        assert linearize(_tree(tree), 4).to_string() == (
+            "[IN:X @ptr_0 [SL:A [IN:Y @ptr_1 @ptr_2 IN:Y] SL:A] [SL:B @ptr_3 SL:B] IN:X]")
+        assert linearize(_spans(ParseNode("A", S, (0, 1)), ParseNode("A", S, (0, 2)),
+                                ParseNode("B", S, (0,))), 4).to_string() == (
+            "A( @ptr_0 @ptr_1 )A A( @ptr_0 @ptr_2 )A B( @ptr_0 )B")
+
+
 class TestDelinearize:
     def test_tree_listing_recovers_tree(self):
         seq = TargetSequence.from_string(TREE_TARGET)
