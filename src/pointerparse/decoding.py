@@ -181,8 +181,7 @@ def beam_search_batch(
         scores = np.where(survive, top[keep, :h], -np.inf).ravel()
         tokens = np.where(survive, token[keep, :h], EOS_ID).ravel()
         emitted = np.concatenate([emitted[rows], tokens[:, None]], axis=1)
-        if rows.size != len(totals) or np.any(rows != np.arange(rows.size)):
-            cache.select(rows)
+        cache.select(rows)
     if config.length_normalize:  # each pool is already in raw-score order
         for pool in pools:
             pool.sort(key=lambda res: -res.score / (len(res.ids) + 1))

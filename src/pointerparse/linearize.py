@@ -90,6 +90,10 @@ def _check_label(label: str) -> None:
         raise StyleViolation("empty label")
     if label.startswith("@") or any(c in _FORBIDDEN_LABEL_CHARS for c in label):
         raise StyleViolation(f"illegal characters in label {label!r}")
+    # A flat intent tag is written as its bare label, which would read back
+    # as framing.
+    if label in _SPECIAL_SURFACE.values():
+        raise StyleViolation(f"label {label!r} spells a framing symbol")
 
 
 def _is_tree_label(label: str) -> bool:
@@ -301,9 +305,11 @@ def linearize(parse: SemanticParse, query: Union[Query, int]) -> TargetSequence:
     ordered spans, bracket kinds and their alternation), so only what a
     sequence cannot show is checked on the parse itself, in this order:
     every index lies in ``range(n)`` (else IndexOutOfRange), every label is
-    legal, tree labels carry their kind's ``IN:`` / ``SL:`` prefix while flat
-    and span-set labels carry neither, and span-set annotations are sorted by
-    (first index, label, indices).  Every defect raises StyleViolation.
+    legal (non-empty, no bracket, whitespace or leading ``@``, and not the
+    surface of BOS, EOS or PAD), tree labels carry their kind's ``IN:`` /
+    ``SL:`` prefix while flat and span-set labels carry neither, and span-set
+    annotations are sorted by (first index, label, indices).  Every defect
+    raises StyleViolation.
     """
     n = len(query.tokens) if isinstance(query, Query) else int(query)
     root, style = parse.root, parse.style

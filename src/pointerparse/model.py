@@ -14,8 +14,10 @@ width; the bilinear matrix absorbs the mismatch.
 
 Training runs the decoder over whole target prefixes under a causal mask
 (``forward_teacher_forced``).  Inference runs it one position at a time on a
-``DecoderCache`` (``start_decoding``, then ``step``), and the teacher-forced
-pass is the reference the cached path is tested against.
+``DecoderCache`` (``start_decoding``, then ``step``): each step projects the
+new position's query, key and value with one product against ``[Wq|Wk|Wv]``
+and writes the key and value in place into buffers the cache preallocates.
+The teacher-forced pass is the reference the cached path is tested against.
 """
 
 from __future__ import annotations
@@ -41,6 +43,10 @@ class EmptySource(ValueError):
 
 class PrefixContainsPAD(ValueError):
     pass
+
+
+class RowCountMismatch(ValueError):
+    """A decoder step fed a token count other than the cache's row count."""
 
 
 @dataclass
@@ -160,6 +166,13 @@ class MultiHeadAttention:
         """Per-head keys and values, each [B, heads, Tk, head_dim]."""
         return self._split(self.wk(kv_in)), self._split(self.wv(kv_in))
 
+    def fused_qkv(self) -> tuple[Tensor, Tensor]:
+        """Copies of the weight ``[Wq|Wk|Wv]`` and its bias, which project
+        one input to queries, keys and values in one product."""
+        parts = (self.wq, self.wk, self.wv)
+        return (ad.constant(np.concatenate([p.w.data for p in parts], axis=1)),
+                ad.constant(np.concatenate([p.b.data for p in parts])))
+
     def attend(self, q, k, v, fill_mask, p=0.0, train=False, rng=None) -> Tensor:
         """Scaled dot-product attention of per-head queries over per-head keys
         and values; a key batch of one broadcasts over the query rows."""
@@ -208,21 +221,25 @@ class DecoderLayer:
         x = ad.add(x, ad.dropout(self.ffn(self.norm3(x), p, train, rng), p, train, rng))
         return x
 
-    def step(self, x, past, cross_kv, src_fill):
-        """Inference for one new position per row, x [R, 1, d_dec].  ``past``
-        is this layer's cached self-attention (k, v) over earlier positions
-        (None at the first); returns the output and the (k, v) grown by one
-        position."""
+    def step(self, x, qkv, k_buf, v_buf, t, cross_kv, src_fill):
+        """Inference for one new position ``t`` per row, x [R, 1, d_dec].
+        ``qkv`` is ``self_attn.fused_qkv()``.  ``k_buf`` and ``v_buf`` are
+        this layer's self-attention buffers [R, capacity, heads, head_dim]
+        holding positions ``:t``; the step writes position ``t`` into them
+        and returns the output."""
+        attn = self.self_attn
         h = self.norm1(x)
-        k, v = self.self_attn.keys_values(h)
-        if past is not None:
-            k = ad.concat([past[0], k], axis=2)
-            v = ad.concat([past[1], v], axis=2)
-        x = ad.add(x, self.self_attn.attend(self.self_attn.queries(h), k, v, None))
+        proj = ad.matmul(h, *qkv).data.reshape(x.shape[0], 3, attn.n_heads, attn.head_dim)
+        k_buf[:, t] = proj[:, 1]
+        v_buf[:, t] = proj[:, 2]
+        q = ad.constant(proj[:, 0, :, None, :])  # [R, heads, 1, head_dim]
+        k = ad.constant(k_buf[:, : t + 1].swapaxes(1, 2))
+        v = ad.constant(v_buf[:, : t + 1].swapaxes(1, 2))
+        x = ad.add(x, attn.attend(q, k, v, None))
         q = self.cross_attn.queries(self.norm2(x))
         x = ad.add(x, self.cross_attn.attend(q, *cross_kv, src_fill))
         x = ad.add(x, self.ffn(self.norm3(x), 0.0, False, None))
-        return x, (k, v)
+        return x
 
 
 class DecoderCache:
@@ -232,38 +249,84 @@ class DecoderCache:
     layer's cross-attention keys and values, the pointer keys
     ``ptr_bilinear @ enc^T`` and the source padding masks.  A source batch of
     one is shared by every row (the hypotheses of one beam) and broadcasts.
-    Each layer's self-attention keys and values grow by one position per
-    ``PointerGeneratorModel.step``; ``select`` reorders or repeats rows.
+    It also holds each layer's ``[Wq|Wk|Wv]``, concatenated here rather than
+    on the model because training updates the weights in place.
+
+    Each layer's self-attention keys and values live in one K and one V
+    buffer [rows, capacity, heads, head_dim] that ``PointerGeneratorModel.step``
+    writes one position into.  The capacity starts at 16 positions and
+    doubles as needed, up to ``max_tgt_len``; the rows grow only when
+    ``select`` asks for more than were ever allocated.  ``select`` reorders
+    or repeats rows in place, moving only the rows whose parent is another
+    row.
     """
 
-    def __init__(self, cross_kv, ptr_keys: Tensor, src_mask: np.ndarray, embed: Tensor):
+    INITIAL_CAPACITY = 16
+
+    def __init__(self, cross_kv, ptr_keys: Tensor, src_mask: np.ndarray, embed: Tensor,
+                 qkv: list[tuple[Tensor, Tensor]], n_heads: int, head_dim: int, max_len: int):
         self.cross_kv = cross_kv                         # per layer (k, v) [S, heads, n, hd]
         self.ptr_keys = ptr_keys                         # [S, d_dec, n]
         self.src_fill = ~src_mask[:, None, None, :]      # cross-attention padding
         self.ptr_fill = ~src_mask[:, None, :]            # pointer padding
         self.embed = embed                               # symbol table then pointer table
-        self.self_kv = [None] * len(cross_kv)            # per layer (k, v) [R, heads, t, hd]
+        self.qkv = qkv                                   # per layer [Wq|Wk|Wv] and bias
+        self.max_len = max_len
+        self.rows = src_mask.shape[0]                    # live decoder rows
         self.length = 0                                  # positions fed so far
-        self.sources = np.arange(src_mask.shape[0])      # source row of each decoder row
+        self.sources = np.arange(self.rows)              # source row of each decoder row
+        shape = (self.rows, min(self.INITIAL_CAPACITY, max_len), n_heads, head_dim)
+        self.self_kv = [(np.empty(shape, np.float32), np.empty(shape, np.float32)) for _ in qkv]
+
+    def _resize(self, rows: int, capacity: int) -> None:
+        """Move every K/V buffer to a new [rows, capacity, ...] one, keeping
+        the positions written so far."""
+        def resized(buf: np.ndarray) -> np.ndarray:
+            out = np.empty((rows, capacity) + buf.shape[2:], np.float32)
+            out[: self.rows, : self.length] = buf[: self.rows, : self.length]
+            return out
+
+        self.self_kv = [(resized(k), resized(v)) for k, v in self.self_kv]
+
+    def layer_kv(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Layer ``i``'s K and V buffers over the live rows, with room for
+        position ``length``."""
+        allocated, capacity = self.self_kv[0][0].shape[:2]
+        if self.length == capacity:
+            self._resize(allocated, min(2 * capacity, self.max_len))
+        k, v = self.self_kv[i]
+        return k[: self.rows], v[: self.rows]
 
     def select(self, rows) -> None:
         """Between steps, keep decoder rows ``rows`` in that order; an index
         may repeat (a beam parent with several children) or be left out (a
         finished row)."""
         rows = np.asarray(rows, dtype=np.int64)
-
-        def take(t: Tensor) -> Tensor:
-            return ad.constant(t.data[rows])
-
-        self.self_kv = [(take(k), take(v)) for k, v in self.self_kv]
+        allocated, capacity = self.self_kv[0][0].shape[:2]
+        if rows.size > allocated:
+            self._resize(rows.size, capacity)
+        moved = np.flatnonzero(rows != np.arange(rows.size))
+        if moved.size:
+            parents, t = rows[moved], self.length
+            for k, v in self.self_kv:
+                k[moved, :t] = k[parents, :t]
+                v[moved, :t] = v[parents, :t]
+        self.rows = rows.size
         sources, self.sources = self.sources, self.sources[rows]
+        if self.ptr_keys.shape[0] == 1 or np.array_equal(sources, self.sources):
+            return
         # Rows of one source hold the same source-side state, so it is only
-        # copied when some row changes source.
-        if self.ptr_keys.shape[0] > 1 and not np.array_equal(sources, self.sources):
-            self.cross_kv = [(take(k), take(v)) for k, v in self.cross_kv]
-            self.ptr_keys = take(self.ptr_keys)
-            self.src_fill = self.src_fill[rows]
-            self.ptr_fill = self.ptr_fill[rows]
+        # copied when some row changes source; dropping rows from the end
+        # keeps a view.
+        keep = slice(rows.size) if np.array_equal(sources[: rows.size], self.sources) else rows
+
+        def take(state: Tensor) -> Tensor:
+            return ad.constant(state.data[keep])
+
+        self.cross_kv = [(take(k), take(v)) for k, v in self.cross_kv]
+        self.ptr_keys = take(self.ptr_keys)
+        self.src_fill = self.src_fill[keep]
+        self.ptr_fill = self.ptr_fill[keep]
 
 
 class PointerGeneratorModel:
@@ -355,7 +418,13 @@ class PointerGeneratorModel:
         src_mask = np.atleast_2d(np.asarray(src_mask, dtype=bool))
         cross_kv = [layer.cross_attn.keys_values(enc) for layer in self.dec_layers]
         ptr_keys = ad.matmul(self.ptr_bilinear, ad.swap_last(enc))
-        return DecoderCache(cross_kv, ptr_keys, src_mask, self._target_table())
+        qkv = [layer.self_attn.fused_qkv() for layer in self.dec_layers]
+        # The training-time table is an ``ad.concat`` node; decoding needs
+        # only its values.
+        embed = ad.constant(np.concatenate([self.sym_embed.data, self.ptr_embed.data]))
+        heads = self.config.n_dec_heads
+        return DecoderCache(cross_kv, ptr_keys, src_mask, embed, qkv,
+                            heads, self.config.d_dec // heads, self.config.max_tgt_len)
 
     def step(self, cache: DecoderCache, tokens) -> OutputDistribution:
         """Feed one decoder input id per cache row at the next position and
@@ -364,12 +433,14 @@ class PointerGeneratorModel:
         tokens = np.asarray(tokens).reshape(-1, 1)
         if np.any(tokens == PAD_ID):
             raise PrefixContainsPAD("decoder prefix must not contain PAD")
+        if tokens.shape[0] != cache.rows:
+            raise RowCountMismatch(f"{tokens.shape[0]} tokens for a cache of {cache.rows} rows")
         t = cache.length
         if t >= cfg.max_tgt_len:
             raise ValueError(f"target length {t + 1} exceeds max_tgt_len {cfg.max_tgt_len}")
         x = self._embed_targets(cache.embed, tokens, t)
         for i, layer in enumerate(self.dec_layers):
-            x, cache.self_kv[i] = layer.step(x, cache.self_kv[i], cache.cross_kv[i], cache.src_fill)
+            x = layer.step(x, cache.qkv[i], *cache.layer_kv(i), t, cache.cross_kv[i], cache.src_fill)
         cache.length = t + 1
         states = self.dec_norm(x)
         pointer = ad.mask_fill(ad.matmul(states, cache.ptr_keys), cache.ptr_fill)

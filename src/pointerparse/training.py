@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from typing import Optional, Sequence
@@ -193,6 +194,10 @@ class TrainResult:
     checkpoint_dir: Optional[Path] = None
 
 
+# Fields of a metrics record that read the clock, so differ between twin runs.
+TIMING_FIELDS = ("wall_s", "examples_per_s", "tgt_tokens_per_s")
+
+
 def train_loop(
     train_examples: Sequence[CorpusExample],
     dev_examples: Optional[Sequence[CorpusExample]],
@@ -211,7 +216,11 @@ def train_loop(
     ``metrics.jsonl`` in the checkpoint directory: ``step``, ``loss``,
     ``lr``, ``dev_em`` (null between dev evaluations), and that step's
     global gradient norm before clipping (``grad_norm``) and clip factor
-    (``clip_factor``, 1.0 when unclipped).
+    (``clip_factor``, 1.0 when unclipped).  Each record also carries
+    ``TIMING_FIELDS``: seconds since this call started (``wall_s``), and
+    training examples and target tokens per second over the interval since
+    the previous record, dev evaluation and checkpoint saves included.  They
+    are kept out of checkpoint manifests, which twin runs write identically.
     """
     cfg = train_config
     encoded = encode_corpus(train_examples, symtab, source_vocab)
@@ -239,6 +248,8 @@ def train_loop(
         log_path = checkpoint_dir / "metrics.jsonl"
 
     history: list[dict] = []
+    started = logged_at = time.perf_counter()
+    examples = tgt_tokens = 0  # since the previous record
 
     def emit(record: dict) -> None:
         history.append(record)
@@ -261,7 +272,7 @@ def train_loop(
             opt_v=adam.v,
             opt_step=adam.step,
             dropout_counter=dropout_rng.counter,
-            metrics=history[-1] if history else {},
+            metrics={k: v for k, v in history[-1].items() if k not in TIMING_FIELDS} if history else {},
             best_dev_em=best_dev_em,
         )
         return target
@@ -277,6 +288,8 @@ def train_loop(
             plan = epoch_plan(len(encoded), cfg.batch_size, cfg.seed, epoch, lengths)
             plan_epoch = epoch
         batch = make_batch([encoded[i] for i in plan[offset]], symtab.vocab_size)
+        examples += len(plan[offset])
+        tgt_tokens += int(batch.step_mask.sum())
 
         model.zero_grad()
         with Tape() as tape:
@@ -304,8 +317,12 @@ def train_loop(
             if cfg.early_stop_dev_em is not None and dev_em >= cfg.early_stop_dev_em:
                 stop = True
         if step % cfg.log_every == 0 or dev_em is not None or step == cfg.max_steps or stop:
+            now = time.perf_counter()
+            elapsed = now - logged_at
             emit({"step": step, "loss": loss.item(), "lr": lr, "dev_em": dev_em,
-                  "grad_norm": grad_norm, "clip_factor": clip_factor})
+                  "grad_norm": grad_norm, "clip_factor": clip_factor, "wall_s": now - started,
+                  "examples_per_s": examples / elapsed, "tgt_tokens_per_s": tgt_tokens / elapsed})
+            logged_at, examples, tgt_tokens = now, 0, 0
         if checkpoint_dir is not None and (
             step % cfg.checkpoint_every == 0 or step == cfg.max_steps or stop
         ):

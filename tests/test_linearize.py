@@ -224,6 +224,10 @@ for _bad in ("", "@x", "a b", "x("):
     RULE_CASES[f"spanset label {_bad!r}"] = _spans(ParseNode(_bad, S, (0,)))
     RULE_CASES[f"tree slot label {_bad!r}"] = _tree(ParseNode("IN:X", I, (0,), (
         ParseNode(_bad if _bad in ("", "@x") else "SL:" + _bad, S, (1,)),)))
+# A flat intent tag is written as its bare label, so a framing surface would
+# read back as framing.
+for _framing in ("<bos>", "<eos>", "<pad>"):
+    RULE_CASES[f"flat intent label {_framing!r}"] = _flat(ParseNode("s", S, (0,)), label=_framing)
 
 
 def _with_index(node: ParseNode, i: int) -> ParseNode:
@@ -234,7 +238,30 @@ def _with_index(node: ParseNode, i: int) -> ParseNode:
     return ParseNode(node.label, node.kind, node.token_indices + (i,))
 
 
+def _framing_label_parses(style: Style, surface: str) -> list[SemanticParse]:
+    """Parses of ``style`` over a four-token source with ``surface`` as the
+    label of each node in turn."""
+    return {
+        Style.FLAT: [_flat(ParseNode("s", S, (0,)), label=surface), _flat(ParseNode(surface, S, (0,)))],
+        Style.TREE: [_tree(ParseNode(surface, I, (0,))),
+                     _tree(ParseNode("IN:X", I, (0,), (ParseNode(surface, S, (1,)),)))],
+        Style.SPANSET: [_spans(ParseNode(surface, S, (0,)))],
+    }[style]
+
+
 class TestStyleRules:
+    @pytest.mark.parametrize("surface", ["<bos>", "<eos>", "<pad>"])
+    @pytest.mark.parametrize("style", list(Style))
+    def test_framing_surface_labels_raise_or_read_back(self, style, surface):
+        for parse in _framing_label_parses(style, surface):
+            try:
+                text = linearize(parse, 4).to_string()
+            except StyleViolation:
+                continue
+            seq = TargetSequence.from_string(text)
+            assert validate(seq, 4, style).ok, text
+            assert delinearize(seq, 4, style) == parse
+
     @pytest.mark.parametrize("case", sorted(RULE_CASES))
     def test_rule_is_enforced(self, case):
         with pytest.raises(StyleViolation):

@@ -3,12 +3,14 @@ import pytest
 
 from pointerparse import autodiff as ad
 from pointerparse.data import default_grammar, generate_synthetic
+from pointerparse.decoding import BeamConfig, beam_search
 from pointerparse.model import (
     Linear,
     ModelConfig,
     ParamStore,
     PointerGeneratorModel,
     PrefixContainsPAD,
+    RowCountMismatch,
     SourceTooLong,
     sinusoidal_positions,
 )
@@ -151,6 +153,82 @@ def test_cache_select_keeps_each_row_on_its_own_prefix(model):
     for t in range(4, prefixes.shape[1]):
         np.testing.assert_allclose(_cache_logits(model, cache, prefixes[:, t]), logits[:, t],
                                    atol=1e-5)
+
+
+def _random_targets(model, lengths, steps, seed):
+    rng = np.random.default_rng(seed)
+    tgt = rng.integers(3, model.config.vocab_size + min(lengths), (len(lengths), steps))
+    tgt[:, 0] = BOS_ID
+    return tgt
+
+
+def test_two_caches_of_one_model_do_not_share_buffers(model):
+    batches = []
+    for lengths, seed in (([5, 2, 6], 11), ([7, 3, 8], 12)):
+        src, mask, _ = make_batch(model, lengths, seed=seed)
+        tgt = _random_targets(model, lengths, 20, seed)
+        logits = model.forward_teacher_forced(src, mask, tgt).data
+        batches.append((model.start_decoding(model.encode(src, mask), mask), tgt, logits))
+    for t in range(20):  # past the first capacity of 16 positions
+        for cache, tgt, logits in batches:
+            np.testing.assert_allclose(_cache_logits(model, cache, tgt[:, t]), logits[:, t],
+                                       atol=1e-5)
+
+
+def test_select_after_the_capacity_doubled_twice(model):
+    lengths = [4, 9, 6]
+    src, mask, _ = make_batch(model, lengths, seed=13)
+    steps = model.config.max_tgt_len
+    tgt = _random_targets(model, lengths, steps, seed=13)
+    cache = model.start_decoding(model.encode(src, mask), mask)
+    capacities = set()
+    for t in range(34):
+        model.step(cache, tgt[:, t])
+        capacities.add(cache.self_kv[0][0].shape[1])
+    assert len(capacities) == 3  # 16, then 32, then max_tgt_len
+    rows = np.array([2, 2, 0])  # row 2 is the parent of two rows, row 1 is dropped
+    cache.select(rows)
+    prefixes = tgt[rows]
+    prefixes[:, 34:] = _random_targets(model, lengths, steps - 34, seed=14)
+    logits = model.forward_teacher_forced(src[rows], mask[rows], prefixes).data
+    for t in range(34, steps):
+        np.testing.assert_allclose(_cache_logits(model, cache, prefixes[:, t]), logits[:, t],
+                                   atol=1e-5)
+
+
+def test_step_past_max_tgt_len_raises(model):
+    src, mask, _ = make_batch(model, [3, 5], seed=15)
+    cap = model.config.max_tgt_len
+    cache = model.start_decoding(model.encode(src, mask), mask)
+    for _ in range(cap):
+        model.step(cache, [BOS_ID, BOS_ID])
+    with pytest.raises(ValueError, match=f"target length {cap + 1} exceeds max_tgt_len {cap}"):
+        model.step(cache, [BOS_ID, BOS_ID])
+
+
+@pytest.mark.parametrize("fed", [0, 3])
+@pytest.mark.parametrize("count", [1, 2, 4])
+def test_token_count_must_match_the_cache_rows(model, fed, count):
+    lengths = [4, 9, 6]
+    src, mask, _ = make_batch(model, lengths, seed=16)
+    tgt = _random_targets(model, lengths, fed + 1, seed=16)
+    logits = model.forward_teacher_forced(src, mask, tgt).data
+    cache = model.start_decoding(model.encode(src, mask), mask)
+    for t in range(fed):
+        model.step(cache, tgt[:, t])
+    with pytest.raises(RowCountMismatch, match=f"{count} tokens for a cache of 3 rows"):
+        model.step(cache, tgt[:count, fed] if count <= 3 else np.resize(tgt[:, fed], count))
+    # The refused step wrote nothing: the cache goes on as if it never ran.
+    assert cache.length == fed
+    np.testing.assert_allclose(_cache_logits(model, cache, tgt[:, fed]), logits[:, fed], atol=1e-5)
+
+
+def test_decoding_concatenates_no_tensors(model, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("ad.concat called while decoding")
+
+    monkeypatch.setattr(ad, "concat", refuse)
+    assert len(beam_search(model, [3, 4, 5, 6], BeamConfig(3))) == 3
 
 
 def test_single_step_target(model):

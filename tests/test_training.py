@@ -11,6 +11,7 @@ from pointerparse.data import CorpusExample, default_grammar, generate_synthetic
 from pointerparse.linearize import Kind, ParseNode, Query, SemanticParse, Style, SymKind, linearize
 from pointerparse.model import ModelConfig, PointerGeneratorModel
 from pointerparse.training import (
+    TIMING_FIELDS,
     AdamState,
     GoldOutOfRange,
     NonFiniteGradient,
@@ -329,12 +330,27 @@ class TestTrainLoop:
                    symtab, src_vocab, checkpoint_dir=tmp_path)
         records = [json.loads(line) for line in (tmp_path / "metrics.jsonl").read_text().splitlines()]
         assert [r["step"] for r in records] == [2, 3, 4, 6]
+        assert len(train) == 40
+        target_lengths = [len(ex.tgt_ids) + 1 for ex in encode_corpus(train, symtab, src_vocab)]
+        previous = {"step": 0, "wall_s": 0.0}
         for r in records:
-            assert set(r) == {"step", "loss", "lr", "dev_em", "grad_norm", "clip_factor"}
+            assert set(r) == {"step", "loss", "lr", "dev_em", "grad_norm", "clip_factor",
+                              *TIMING_FIELDS}
             assert r["grad_norm"] > 0
             assert r["clip_factor"] == (1.0 if r["grad_norm"] <= 1.0 else 1.0 / r["grad_norm"])
+            # The rates cover the steps since the previous record; 40 training
+            # examples make every batch 8 long.
+            interval = r["wall_s"] - previous["wall_s"]
+            examples = 8 * (r["step"] - previous["step"])
+            assert interval > 0
+            assert r["examples_per_s"] * interval == pytest.approx(examples)
+            tokens = r["tgt_tokens_per_s"] * interval
+            assert examples * min(target_lengths) - 1e-6 <= tokens <= examples * max(target_lengths) + 1e-6
+            previous = r
+        # The manifest keeps the record without its clock readings, so twin
+        # runs write identical manifests.
         manifest = json.loads((tmp_path / "step_000006" / "manifest.json").read_text())
-        assert manifest["metrics"] == records[-1]
+        assert manifest["metrics"] == {k: v for k, v in records[-1].items() if k not in TIMING_FIELDS}
 
     def test_resume_is_bit_identical(self, tmp_path):
         splits = generate_synthetic(default_grammar(), 48, seed=5)
