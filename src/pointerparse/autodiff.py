@@ -11,12 +11,19 @@ same tape node.
 Attention (``attention``) is one primitive with a closed-form backward, not
 a chain of the ops it is made of.
 
+The forward arithmetic of the weight product, the embedding lookup, layer
+norm, attention (scale, mask and softmax) and log-softmax lives in
+plain-array kernels (``weight_product``, ``take_rows``,
+``layer_norm_forward``, ``attention_probs``, ``log_softmax_f64``) that the
+tape ops call.  The cached decoder step calls the same kernels on plain
+arrays, so it builds no ``Tensor`` and gets the same values as the ops.
+
 Recording is explicit: ops append backward closures to the innermost active
 ``Tape`` (a thread-local stack, so independent tapes may run on separate
 threads).  With no tape active, ops are pure forward computations, which is
-what inference uses.  ``Tape.backward`` walks the recorded nodes in reverse
-order exactly once; parameters not reachable from the loss keep their
-all-zero gradient buffers.
+what the encoder uses at inference.  ``Tape.backward`` walks the recorded
+nodes in reverse order exactly once; parameters not reachable from the loss
+keep their all-zero gradient buffers.
 """
 
 from __future__ import annotations
@@ -210,19 +217,25 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     return _record(out, (a, b), backward)
 
 
-def _matmul_weight(a: Tensor, w: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    a2 = a.data.reshape(-1, a.data.shape[-1])
-    out2 = a2 @ w.data
+def weight_product(a: Array, w: Array, bias: Optional[Array] = None) -> Array:
+    """``a @ w + bias`` of plain arrays against a 2-D weight: one 2-D GEMM
+    over the flattened leading axes, the bias added in place; not a tape
+    op."""
+    out = a.reshape(-1, a.shape[-1]) @ w
     if bias is not None:
-        out2 += bias.data
-    out = Tensor(out2.reshape(a.data.shape[:-1] + w.data.shape[1:]))
+        out += bias
+    return out.reshape(a.shape[:-1] + w.shape[1:])
+
+
+def _matmul_weight(a: Tensor, w: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    out = Tensor(weight_product(a.data, w.data, None if bias is None else bias.data))
 
     def backward(g: Array) -> None:
         g2 = g.reshape(-1, g.shape[-1])
         if a.requires_grad:
             _accumulate(a, (g2 @ w.data.T).reshape(a.data.shape))
         if w.requires_grad:
-            _accumulate(w, a2.T @ g2)
+            _accumulate(w, a.data.reshape(-1, a.data.shape[-1]).T @ g2)
         if bias is not None and bias.requires_grad:
             _accumulate(bias, g2.sum(axis=0, dtype=np.float64))
 
@@ -271,12 +284,19 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     return _record(out, tuple(tensors), backward)
 
 
+def take_rows(table: Array, ids) -> Array:
+    """Rows of a plain array selected by an integer array, each id checked
+    against the table's rows; not a tape op."""
+    idx = np.asarray(ids)
+    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
+        raise ShapeMismatch(f"gather: ids outside table of {table.shape[0]} rows")
+    return table[idx]
+
+
 def gather(table: Tensor, ids) -> Tensor:
     """Embedding lookup: rows of ``table`` selected by an integer array."""
     idx = np.asarray(ids)
-    if idx.size and (idx.min() < 0 or idx.max() >= table.data.shape[0]):
-        raise ShapeMismatch(f"gather: ids outside table of {table.data.shape[0]} rows")
-    out = Tensor(table.data[idx])
+    out = Tensor(take_rows(table.data, idx))
 
     def backward(g: Array) -> None:
         if not table.requires_grad:
@@ -330,16 +350,26 @@ def log_softmax(a: Tensor) -> Tensor:
     return _record(out, (a,), backward)
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis; statistics accumulate in float64."""
-    d = a.data.shape[-1]
+def layer_norm_forward(a: Array, gain: Array, bias: Array,
+                       eps: float = 1e-5) -> tuple[Array, Array, Array]:
+    """Layer norm of a plain array over its last axis, with statistics in
+    float64; not a tape op.  Returns the output, the normalized input
+    ``xhat`` and the inverse standard deviation (float64)."""
+    d = a.shape[-1]
     # The float64 copy is centred in place; mean and variance are computed
     # as np.mean and np.var compute them, without their wrappers.
-    x = a.data.astype(np.float64)
+    x = a.astype(np.float64)
     x -= x.sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt((x * x).sum(axis=-1, keepdims=True) / d + eps)
     xhat = (x * inv).astype(np.float32)
-    out = Tensor(xhat * gain.data + bias.data)
+    return xhat * gain + bias, xhat, inv
+
+
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """Normalize the last axis; statistics accumulate in float64."""
+    d = a.data.shape[-1]
+    y, xhat, inv = layer_norm_forward(a.data, gain.data, bias.data, eps)
+    out = Tensor(y)
     inv32 = inv.astype(np.float32)
 
     def backward(g: Array) -> None:
@@ -428,6 +458,22 @@ def dropout(a: Tensor, p: float, train: bool, rng: Optional[DropoutRng] = None) 
     return _record(out, (a,), backward)
 
 
+def attention_probs(q: Array, k: Array, blocked: Optional[Array], scale: float) -> Array:
+    """``softmax(mask_fill(q @ k^T * scale))`` of plain arrays over the last
+    axis; not a tape op.  ``blocked`` (bool, broadcastable to the scores, or
+    None) marks the positions that get no weight."""
+    scores = (q @ k.swapaxes(-1, -2)) * np.float32(scale)
+    if blocked is not None:
+        try:
+            scores = np.where(blocked, np.float32(MASK_FILL_VALUE), scores)
+        except ValueError:
+            raise ShapeMismatch(f"attention: scores {scores.shape} vs mask {blocked.shape}") from None
+    scores -= scores.max(axis=-1, keepdims=True)
+    probs = np.exp(scores, out=scores)
+    probs /= probs.sum(axis=-1, keepdims=True, dtype=np.float64).astype(np.float32)
+    return probs
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, fill_mask, scale: float,
               p: float = 0.0, train: bool = False, rng: Optional[DropoutRng] = None) -> Tensor:
     """``dropout(softmax(mask_fill(q @ k^T * scale))) @ v`` as one primitive.
@@ -440,17 +486,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, fill_mask, scale: float,
     shape.
     """
     c = np.float32(scale)
-    scores = (q.data @ k.data.swapaxes(-1, -2)) * c
-    blocked = None
-    if fill_mask is not None:
-        blocked = np.asarray(fill_mask, dtype=bool)
-        try:
-            scores = np.where(blocked, np.float32(MASK_FILL_VALUE), scores)
-        except ValueError:
-            raise ShapeMismatch(f"attention: scores {scores.shape} vs mask {blocked.shape}") from None
-    scores -= scores.max(axis=-1, keepdims=True)
-    probs = np.exp(scores, out=scores)
-    probs /= probs.sum(axis=-1, keepdims=True, dtype=np.float64).astype(np.float32)
+    blocked = None if fill_mask is None else np.asarray(fill_mask, dtype=bool)
+    probs = attention_probs(q.data, k.data, blocked, scale)
     weights, drop = probs, None
     if train and p > 0.0:
         if rng is None:

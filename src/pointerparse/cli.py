@@ -274,10 +274,13 @@ def cmd_eval(args) -> int:
     styles = [ex.style for ex in examples]
     report = evaluate(predictions, references, lengths, styles)
     emitted = [len(seq.symbols) for seq, _ in decoded]
+    gold = [len(ref.strip_framing().symbols)
+            for ref, parse in zip(references, best) if parse is not None]
     headline = dict(report.to_json(), decode={
         "beam_size": beam_config.beam_size,
         "truncated": sum(result.truncated for _, result in decoded),
         "emitted_len_mean": sum(emitted) / len(emitted) if emitted else 0.0,
+        "gold_len_mean": sum(gold) / len(gold) if gold else 0.0,
     })
 
     report_dir = Path(args.report_dir) if args.report_dir else ckpt.latest_checkpoint(args.checkpoint) / "eval"

@@ -3,7 +3,9 @@
 Exact match compares linearized symbol sequences after stripping BOS/EOS/PAD
 framing; for deterministic linearization this equals tree equality.  Intent
 accuracy only applies to styles with an intent root, so a corpus of span-set
-annotations reports it as None (not applicable) rather than zero.
+annotations reports it as None (not applicable) rather than zero.  A report
+also breaks exact match and well-formedness down by style and counts each
+kind of well-formedness violation.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
-from .linearize import Style, SymKind, TargetSequence, validate
+from .linearize import Style, SymKind, TargetSequence, Violation, validate
 
 
 class LengthMismatch(ValueError):
@@ -49,6 +51,7 @@ def first_divergence(pred: TargetSequence, gold: TargetSequence) -> Optional[int
 @dataclass
 class ExampleRecord:
     index: int
+    style: Style
     exact: bool
     well_formed: bool
     intent_match: Optional[bool]  # None for styles without an intent root
@@ -58,6 +61,7 @@ class ExampleRecord:
     def to_json(self) -> dict:
         return {
             "index": self.index,
+            "style": self.style.value,
             "exact": self.exact,
             "well_formed": self.well_formed,
             "intent_match": self.intent_match,
@@ -74,11 +78,29 @@ class EvalReport:
     records: list[ExampleRecord]
 
     def to_json(self) -> dict:
+        """The headline figures, the same per style (for the styles present),
+        and how often each violation kind occurred over all examples."""
+        by_style: dict[str, list[ExampleRecord]] = {}
+        for r in self.records:
+            by_style.setdefault(r.style.value, []).append(r)
+        violations = dict.fromkeys((v.value for v in Violation), 0)
+        for r in self.records:
+            for kind in r.violations:
+                violations[kind] += 1
         return {
             "em_accuracy": self.em_accuracy,
             "intent_accuracy": self.intent_accuracy,
             "well_formed_rate": self.well_formed_rate,
             "examples": len(self.records),
+            "by_style": {
+                style: {
+                    "examples": len(rs),
+                    "em_accuracy": sum(r.exact for r in rs) / len(rs),
+                    "well_formed_rate": sum(r.well_formed for r in rs) / len(rs),
+                }
+                for style, rs in by_style.items()
+            },
+            "violations": violations,
         }
 
 
@@ -123,6 +145,7 @@ def evaluate(
         records.append(
             ExampleRecord(
                 index=i,
+                style=style,
                 exact=is_exact,
                 well_formed=report.ok,
                 intent_match=intent_match,

@@ -17,7 +17,11 @@ Training runs the decoder over whole target prefixes under a causal mask
 ``DecoderCache`` (``start_decoding``, then ``step``): each step projects the
 new position's query, key and value with one product against ``[Wq|Wk|Wv]``
 and writes the key and value in place into buffers the cache preallocates.
-The teacher-forced pass is the reference the cached path is tested against.
+The step runs off the tape: the cache holds plain float32 arrays, and the
+step calls the kernels the tape ops call (``ad.weight_product``,
+``ad.layer_norm_forward``, ``ad.attention_probs``) on them, so it builds no
+``Tensor``.  The encoder runs on the tape ops at inference too.  The
+teacher-forced pass is the reference the cached path is tested against.
 """
 
 from __future__ import annotations
@@ -131,6 +135,10 @@ class Linear:
     def __call__(self, x: Tensor) -> Tensor:
         return ad.matmul(x, self.w, self.b)
 
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The same product on a plain array, off the tape."""
+        return ad.weight_product(x, self.w.data, None if self.b is None else self.b.data)
+
 
 class LayerNorm:
     def __init__(self, store: ParamStore, name: str, dim: int):
@@ -139,6 +147,10 @@ class LayerNorm:
 
     def __call__(self, x: Tensor) -> Tensor:
         return ad.layer_norm(x, self.gain, self.bias)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The same normalization on a plain array, off the tape."""
+        return ad.layer_norm_forward(x, self.gain.data, self.bias.data)[0]
 
 
 class MultiHeadAttention:
@@ -156,22 +168,19 @@ class MultiHeadAttention:
 
     def __call__(self, query_in, kv_in, fill_mask, p, train, rng):
         """fill_mask: bool, broadcastable to [B, heads, Tq, Tk]; True blocks."""
-        return self.attend(self.queries(query_in), *self.keys_values(kv_in), fill_mask, p, train, rng)
-
-    def queries(self, query_in: Tensor) -> Tensor:
-        """Per-head queries [B, heads, Tq, head_dim]."""
-        return self._split(self.wq(query_in))
+        q = self._split(self.wq(query_in))
+        return self.attend(q, *self.keys_values(kv_in), fill_mask, p, train, rng)
 
     def keys_values(self, kv_in: Tensor) -> tuple[Tensor, Tensor]:
         """Per-head keys and values, each [B, heads, Tk, head_dim]."""
         return self._split(self.wk(kv_in)), self._split(self.wv(kv_in))
 
-    def fused_qkv(self) -> tuple[Tensor, Tensor]:
+    def fused_qkv(self) -> tuple[np.ndarray, np.ndarray]:
         """Copies of the weight ``[Wq|Wk|Wv]`` and its bias, which project
         one input to queries, keys and values in one product."""
         parts = (self.wq, self.wk, self.wv)
-        return (ad.constant(np.concatenate([p.w.data for p in parts], axis=1)),
-                ad.constant(np.concatenate([p.b.data for p in parts])))
+        return (np.concatenate([p.w.data for p in parts], axis=1),
+                np.concatenate([p.b.data for p in parts]))
 
     def attend(self, q, k, v, fill_mask, p=0.0, train=False, rng=None) -> Tensor:
         """Scaled dot-product attention of per-head queries over per-head keys
@@ -181,6 +190,13 @@ class MultiHeadAttention:
         batch, tq = ctx.shape[0], ctx.shape[1]
         return self.wo(ad.reshape(ctx, (batch, tq, self.n_heads * self.head_dim)))
 
+    def attend_array(self, q, k, v, blocked) -> np.ndarray:
+        """``attend`` without dropout on plain arrays, off the tape."""
+        probs = ad.attention_probs(q, k, blocked, 1.0 / math.sqrt(self.head_dim))
+        ctx = (probs @ v).transpose(0, 2, 1, 3)
+        batch, tq = ctx.shape[0], ctx.shape[1]
+        return self.wo.apply(ctx.reshape(batch, tq, self.n_heads * self.head_dim))
+
 
 class FeedForward:
     def __init__(self, store, name, dim, hidden):
@@ -189,6 +205,10 @@ class FeedForward:
 
     def __call__(self, x, p, train, rng):
         return self.outer(ad.dropout(ad.relu(self.inner(x)), p, train, rng))
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The block without dropout on a plain array, off the tape."""
+        return self.outer.apply(np.maximum(self.inner.apply(x), 0))
 
 
 class EncoderLayer:
@@ -222,61 +242,71 @@ class DecoderLayer:
         return x
 
     def step(self, x, qkv, k_buf, v_buf, t, cross_kv, src_fill):
-        """Inference for one new position ``t`` per row, x [R, 1, d_dec].
-        ``qkv`` is ``self_attn.fused_qkv()``.  ``k_buf`` and ``v_buf`` are
-        this layer's self-attention buffers [R, capacity, heads, head_dim]
-        holding positions ``:t``; the step writes position ``t`` into them
-        and returns the output."""
-        attn = self.self_attn
-        h = self.norm1(x)
-        proj = ad.matmul(h, *qkv).data.reshape(x.shape[0], 3, attn.n_heads, attn.head_dim)
+        """Inference for one new position ``t`` per row on plain float32
+        arrays, x [R, 1, d_dec].  ``qkv`` is ``self_attn.fused_qkv()``.
+        ``k_buf`` and ``v_buf`` are this layer's self-attention buffers
+        [R, capacity, heads, head_dim] holding positions ``:t``; the step
+        writes position ``t`` into them and returns the output."""
+        attn, cross = self.self_attn, self.cross_attn
+        rows = x.shape[0]
+        proj = ad.weight_product(self.norm1.apply(x), *qkv)
+        proj = proj.reshape(rows, 3, attn.n_heads, attn.head_dim)
         k_buf[:, t] = proj[:, 1]
         v_buf[:, t] = proj[:, 2]
-        q = ad.constant(proj[:, 0, :, None, :])  # [R, heads, 1, head_dim]
-        k = ad.constant(k_buf[:, : t + 1].swapaxes(1, 2))
-        v = ad.constant(v_buf[:, : t + 1].swapaxes(1, 2))
-        x = ad.add(x, attn.attend(q, k, v, None))
-        q = self.cross_attn.queries(self.norm2(x))
-        x = ad.add(x, self.cross_attn.attend(q, *cross_kv, src_fill))
-        x = ad.add(x, self.ffn(self.norm3(x), 0.0, False, None))
-        return x
+        q = proj[:, 0, :, None, :]  # [R, heads, 1, head_dim]
+        k = k_buf[:, : t + 1].swapaxes(1, 2)
+        v = v_buf[:, : t + 1].swapaxes(1, 2)
+        x = x + attn.attend_array(q, k, v, None)
+        q = cross.wq.apply(self.norm2.apply(x)).reshape(rows, 1, cross.n_heads, cross.head_dim)
+        x = x + cross.attend_array(q.transpose(0, 2, 1, 3), *cross_kv, src_fill)
+        return x + self.ffn.apply(self.norm3.apply(x))
 
 
 class DecoderCache:
-    """Incremental decoding state for a batch of decoder rows.
+    """Incremental decoding state for a batch of decoder rows, all of it
+    plain float32 arrays.
 
     Built once per batch of queries from the encoder states: each decoder
     layer's cross-attention keys and values, the pointer keys
-    ``ptr_bilinear @ enc^T`` and the source padding masks.  A source batch of
-    one is shared by every row (the hypotheses of one beam) and broadcasts.
-    It also holds each layer's ``[Wq|Wk|Wv]``, concatenated here rather than
-    on the model because training updates the weights in place.
+    ``ptr_bilinear @ enc^T`` and the source padding, one row per source.  A
+    source batch of one is shared by every row (the hypotheses of one beam)
+    and broadcasts.  It also holds the decoder input table and each layer's
+    ``[Wq|Wk|Wv]`` with its bias, concatenated here rather than on the model
+    because training updates the weights in place.
 
     Each layer's self-attention keys and values live in one K and one V
     buffer [rows, capacity, heads, head_dim] that ``PointerGeneratorModel.step``
     writes one position into.  The capacity starts at 16 positions and
     doubles as needed, up to ``max_tgt_len``; the rows grow only when
     ``select`` asks for more than were ever allocated.  ``select`` reorders
-    or repeats rows in place, moving only the rows whose parent is another
-    row.
+    or repeats rows in place, moving only the K/V rows whose parent is
+    another row and only the source-side rows whose source changed.
     """
 
     INITIAL_CAPACITY = 16
 
-    def __init__(self, cross_kv, ptr_keys: Tensor, src_mask: np.ndarray, embed: Tensor,
-                 qkv: list[tuple[Tensor, Tensor]], n_heads: int, head_dim: int, max_len: int):
-        self.cross_kv = cross_kv                         # per layer (k, v) [S, heads, n, hd]
-        self.ptr_keys = ptr_keys                         # [S, d_dec, n]
-        self.src_fill = ~src_mask[:, None, None, :]      # cross-attention padding
-        self.ptr_fill = ~src_mask[:, None, :]            # pointer padding
+    def __init__(self, cross_kv, ptr_keys: np.ndarray, src_mask: np.ndarray, embed: np.ndarray,
+                 qkv: list[tuple[np.ndarray, np.ndarray]], n_heads: int, head_dim: int, max_len: int):
         self.embed = embed                               # symbol table then pointer table
         self.qkv = qkv                                   # per layer [Wq|Wk|Wv] and bias
         self.max_len = max_len
         self.rows = src_mask.shape[0]                    # live decoder rows
         self.length = 0                                  # positions fed so far
         self.sources = np.arange(self.rows)              # source row of each decoder row
+        # Source-side buffers, row r holding the state of source sources[r]:
+        # per layer the cross-attention K and V [S, heads, n, hd], then the
+        # pointer keys [S, d_dec, n] and the padding [S, n].
+        self._source = [a for kv in cross_kv for a in kv] + [ptr_keys, ~src_mask]
+        self._view_source(self.rows)
         shape = (self.rows, min(self.INITIAL_CAPACITY, max_len), n_heads, head_dim)
         self.self_kv = [(np.empty(shape, np.float32), np.empty(shape, np.float32)) for _ in qkv]
+
+    def _view_source(self, rows: int) -> None:
+        """Point the step's source-side views at the first ``rows`` rows."""
+        *kv, self.ptr_keys, pad = (buf[:rows] for buf in self._source)
+        self.cross_kv = list(zip(kv[::2], kv[1::2]))     # per layer (k, v)
+        self.src_fill = pad[:, None, None, :]            # cross-attention padding
+        self.ptr_fill = pad[:, None, :]                  # pointer padding
 
     def _resize(self, rows: int, capacity: int) -> None:
         """Move every K/V buffer to a new [rows, capacity, ...] one, keeping
@@ -313,20 +343,30 @@ class DecoderCache:
                 v[moved, :t] = v[parents, :t]
         self.rows = rows.size
         sources, self.sources = self.sources, self.sources[rows]
-        if self.ptr_keys.shape[0] == 1 or np.array_equal(sources, self.sources):
-            return
-        # Rows of one source hold the same source-side state, so it is only
-        # copied when some row changes source; dropping rows from the end
-        # keeps a view.
-        keep = slice(rows.size) if np.array_equal(sources[: rows.size], self.sources) else rows
+        if self.ptr_keys.shape[0] == 1:
+            return  # one source row broadcasts over every decoder row
+        # Rows of one source hold the same source-side state, so a row's
+        # state moves only when its source changes; dropping rows from the
+        # end moves nothing and keeps a view.
+        live = min(rows.size, sources.size)
+        changed = np.flatnonzero(self.sources[:live] != sources[:live])
+        if rows.size > live:  # rows past the old count hold no live state
+            changed = np.concatenate([changed, np.arange(live, rows.size)])
+            if rows.size > self._source[0].shape[0]:
+                self._source = [_grown(buf, rows.size, live) for buf in self._source]
+        if changed.size:
+            parents = rows[changed]
+            for buf in self._source:
+                buf[changed] = buf[parents]
+        self._view_source(rows.size)
 
-        def take(state: Tensor) -> Tensor:
-            return ad.constant(state.data[keep])
 
-        self.cross_kv = [(take(k), take(v)) for k, v in self.cross_kv]
-        self.ptr_keys = take(self.ptr_keys)
-        self.src_fill = self.src_fill[keep]
-        self.ptr_fill = self.ptr_fill[keep]
+def _grown(buf: np.ndarray, rows: int, keep: int) -> np.ndarray:
+    """A copy of ``buf`` with ``rows`` rows, of which the first ``keep`` are
+    ``buf``'s."""
+    out = np.empty((rows,) + buf.shape[1:], buf.dtype)
+    out[:keep] = buf[:keep]
+    return out
 
 
 class PointerGeneratorModel:
@@ -376,14 +416,12 @@ class PointerGeneratorModel:
             x = layer(x, pad_fill, p, train, rng)
         return self.enc_norm(x)
 
-    def _target_table(self) -> Tensor:
-        """Decoder input embeddings: the symbol table, then the pointer table."""
-        return ad.concat([self.sym_embed, self.ptr_embed], axis=0)
-
-    def _embed_targets(self, table: Tensor, ids: np.ndarray, start: int) -> Tensor:
-        """Scaled embeddings of decoder input ids [B, T] at positions start.."""
+    def _embed_targets(self, ids: np.ndarray) -> Tensor:
+        """Scaled embeddings of decoder input ids [B, T], from the symbol
+        table then the pointer table, plus their positions."""
+        table = ad.concat([self.sym_embed, self.ptr_embed], axis=0)
         x = ad.scale(ad.gather(table, ids), math.sqrt(self.config.d_dec))
-        return ad.add(x, ad.constant(self.dec_positions.data[start : start + ids.shape[1]]))
+        return ad.add(x, ad.constant(self.dec_positions.data[: ids.shape[1]]))
 
     def _decoder_states(self, tgt_ids, enc, src_mask, train, rng):
         cfg = self.config
@@ -391,7 +429,7 @@ class PointerGeneratorModel:
         if steps > cfg.max_tgt_len:
             raise ValueError(f"target length {steps} exceeds max_tgt_len {cfg.max_tgt_len}")
         p = cfg.dropout
-        x = ad.dropout(self._embed_targets(self._target_table(), tgt_ids, 0), p, train, rng)
+        x = ad.dropout(self._embed_targets(tgt_ids), p, train, rng)
         causal_fill = np.triu(np.ones((steps, steps), dtype=bool), k=1)[None, None]
         src_fill = ~src_mask[:, None, None, :]
         for layer in self.dec_layers:
@@ -416,19 +454,22 @@ class PointerGeneratorModel:
     def start_decoding(self, enc: Tensor, src_mask) -> DecoderCache:
         """A cache for decoding from encoder states [S, n, d_model]."""
         src_mask = np.atleast_2d(np.asarray(src_mask, dtype=bool))
-        cross_kv = [layer.cross_attn.keys_values(enc) for layer in self.dec_layers]
-        ptr_keys = ad.matmul(self.ptr_bilinear, ad.swap_last(enc))
+        cross_kv = [tuple(t.data for t in layer.cross_attn.keys_values(enc))
+                    for layer in self.dec_layers]
+        ptr_keys = ad.matmul(self.ptr_bilinear, ad.swap_last(enc)).data
         qkv = [layer.self_attn.fused_qkv() for layer in self.dec_layers]
         # The training-time table is an ``ad.concat`` node; decoding needs
         # only its values.
-        embed = ad.constant(np.concatenate([self.sym_embed.data, self.ptr_embed.data]))
+        embed = np.concatenate([self.sym_embed.data, self.ptr_embed.data])
         heads = self.config.n_dec_heads
         return DecoderCache(cross_kv, ptr_keys, src_mask, embed, qkv,
                             heads, self.config.d_dec // heads, self.config.max_tgt_len)
 
     def step(self, cache: DecoderCache, tokens) -> OutputDistribution:
         """Feed one decoder input id per cache row at the next position and
-        return the joint next-token distribution."""
+        return the joint next-token distribution.  The step runs on plain
+        float32 arrays through the kernels the tape ops use, so it builds no
+        ``Tensor`` and computes what the ops would."""
         cfg = self.config
         tokens = np.asarray(tokens).reshape(-1, 1)
         if np.any(tokens == PAD_ID):
@@ -438,13 +479,14 @@ class PointerGeneratorModel:
         t = cache.length
         if t >= cfg.max_tgt_len:
             raise ValueError(f"target length {t + 1} exceeds max_tgt_len {cfg.max_tgt_len}")
-        x = self._embed_targets(cache.embed, tokens, t)
+        x = ad.take_rows(cache.embed, tokens) * np.float32(math.sqrt(cfg.d_dec))
+        x = x + self.dec_positions.data[t : t + 1]
         for i, layer in enumerate(self.dec_layers):
             x = layer.step(x, cache.qkv[i], *cache.layer_kv(i), t, cache.cross_kv[i], cache.src_fill)
         cache.length = t + 1
-        states = self.dec_norm(x)
-        pointer = ad.mask_fill(ad.matmul(states, cache.ptr_keys), cache.ptr_fill)
-        last = np.concatenate([self.vocab_out(states).data, pointer.data], axis=-1)[:, 0, :]
+        states = self.dec_norm.apply(x)
+        pointer = np.where(cache.ptr_fill, np.float32(ad.MASK_FILL_VALUE), states @ cache.ptr_keys)
+        last = np.concatenate([self.vocab_out.apply(states), pointer], axis=-1)[:, 0, :]
         v = cfg.vocab_size
         return OutputDistribution(
             vocab_scores=last[:, :v],
@@ -457,6 +499,8 @@ class PointerGeneratorModel:
         prefix goes through a fresh cache one position at a time, so the
         result is computed exactly as the decoders compute it."""
         prefix = np.atleast_2d(np.asarray(prefix_ids))
+        if prefix.shape[1] == 0:
+            raise ValueError("decode_step needs a non-empty decoder prefix, at least BOS")
         cache = self.start_decoding(enc, src_mask)
         for t in range(prefix.shape[1]):
             dist = self.step(cache, prefix[:, t])

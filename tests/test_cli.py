@@ -1,6 +1,7 @@
 import io
 import json
 import shutil
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from pointerparse.cli import (
 )
 from pointerparse.data import CorpusExample, DataError, read_jsonl, write_jsonl
 from pointerparse.decoding import greedy, greedy_batch, pad_sources, target_cap
-from pointerparse.linearize import Kind, ParseNode, Query, SemanticParse, Style
+from pointerparse.linearize import Kind, ParseNode, Query, SemanticParse, Style, linearize
 from pointerparse.training import exact_match_rate
 from pointerparse.vocab import EOS_ID
 
@@ -293,6 +294,19 @@ class TestPipeline:
         assert decode["truncated"] == sum(d["truncated"] for d in details)
         emitted = [len(d["prediction"].split()) for d in details]
         assert decode["emitted_len_mean"] == pytest.approx(sum(emitted) / len(emitted))
+        examples = read_jsonl(pipeline_dir / "corpus" / "train.jsonl")
+        gold = [len(linearize(ex.parse, ex.query).strip_framing()) for ex in examples]
+        assert decode["gold_len_mean"] == pytest.approx(sum(gold) / len(gold))
+        for style, figures in report["by_style"].items():
+            rows = [d for d in details if d["style"] == style]
+            assert figures == {
+                "examples": len(rows),
+                "em_accuracy": pytest.approx(sum(d["exact"] for d in rows) / len(rows)),
+                "well_formed_rate": pytest.approx(sum(d["well_formed"] for d in rows) / len(rows)),
+            }
+        assert sum(f["examples"] for f in report["by_style"].values()) == len(details)
+        kinds = Counter(kind for d in details for kind in d["violations"])
+        assert {k: n for k, n in report["violations"].items() if n} == dict(kinds)
         timing = json.loads((report_dir / "timing.json").read_text())["decode"]
         assert timing["seconds"] > 0
         assert timing["queries_per_s"] == pytest.approx(96 / timing["seconds"])

@@ -8,6 +8,7 @@ from pointerparse.linearize import (
     PAD,
     Style,
     TargetSequence,
+    Violation,
     linearize,
 )
 from pointerparse.metrics import (
@@ -120,6 +121,21 @@ class TestEvaluate:
         seqs = [linearize(random_parse(rng, Style.SPANSET, 6), 6) for _ in range(5)]
         report = evaluate(seqs, seqs, [6] * 5, Style.SPANSET)
         assert report.intent_accuracy is None
+
+    def test_report_breaks_down_by_style_and_counts_violation_kinds(self):
+        unclosed = TargetSequence(TREE.symbols[:-1])
+        shifted = TargetSequence.from_string(FLAT.to_string().replace("@ptr_7", "@ptr_5"))
+        report = evaluate([FLAT, unclosed, TREE, FLAT], [FLAT, TREE, TREE, shifted],
+                          [8, 6, 6, 6], [Style.FLAT, Style.TREE, Style.TREE, Style.FLAT])
+        summary = report.to_json()
+        assert summary["by_style"] == {
+            "flat": {"examples": 2, "em_accuracy": 0.5, "well_formed_rate": 0.5},
+            "tree": {"examples": 2, "em_accuracy": 0.5, "well_formed_rate": 0.5},
+        }
+        assert set(summary["violations"]) == {v.value for v in Violation}
+        assert {k: n for k, n in summary["violations"].items() if n} == {
+            "unbalanced_bracket": 1, "pointer_out_of_range": 1}
+        assert [r.style for r in report.records] == [Style.FLAT, Style.TREE, Style.TREE, Style.FLAT]
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):

@@ -3,7 +3,6 @@ import pytest
 
 from pointerparse import autodiff as ad
 from pointerparse.data import default_grammar, generate_synthetic
-from pointerparse.decoding import BeamConfig, beam_search
 from pointerparse.model import (
     Linear,
     ModelConfig,
@@ -223,12 +222,73 @@ def test_token_count_must_match_the_cache_rows(model, fed, count):
     np.testing.assert_allclose(_cache_logits(model, cache, tgt[:, fed]), logits[:, fed], atol=1e-5)
 
 
-def test_decoding_concatenates_no_tensors(model, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("ad.concat called while decoding")
+def test_a_decode_step_builds_no_tensor_and_reads_no_tape(model, monkeypatch):
+    """The cached step and ``select`` run on plain arrays: once the cache is
+    built, decoding builds no ``Tensor`` (so no ``ad.concat`` either) and
+    never looks up the tape stack."""
+    lengths = [4, 9, 6]
+    src, mask, _ = make_batch(model, lengths, seed=17)
+    tgt = _random_targets(model, lengths, 20, seed=17)
+    cache = model.start_decoding(model.encode(src, mask), mask)
+    built = []
+    init = ad.Tensor.__init__
 
-    monkeypatch.setattr(ad, "concat", refuse)
-    assert len(beam_search(model, [3, 4, 5, 6], BeamConfig(3))) == 3
+    def counted(self, *args, **kwargs):
+        built.append(np.shape(args[0]) if args else None)
+        init(self, *args, **kwargs)
+
+    def refuse():
+        raise AssertionError("the tape stack was read while decoding")
+
+    monkeypatch.setattr(ad.Tensor, "__init__", counted)
+    monkeypatch.setattr(ad, "_tape_stack", refuse)
+    for t in range(20):  # past the first capacity of 16 positions
+        model.step(cache, tgt[cache.sources, t])
+        if t == 2:
+            cache.select([2, 0, 0, 1])  # more rows, and rows change source
+        elif t == 9:
+            cache.select([1, 3])
+    assert built == []
+
+
+def test_select_moves_source_state_in_place(model):
+    """A row that changes source gets its source-side state copied into the
+    buffers the cache already has, and dropping rows keeps views of them."""
+    lengths = [4, 9, 6]
+    src, mask, _ = make_batch(model, lengths, seed=18)
+    tgt = _random_targets(model, lengths, 10, seed=18)
+    cache = model.start_decoding(model.encode(src, mask), mask)
+
+    def source_state():
+        return [a for kv in cache.cross_kv for a in kv] + [cache.ptr_keys, cache.src_fill,
+                                                            cache.ptr_fill]
+
+    for t in range(3):
+        model.step(cache, tgt[:, t])
+    before = source_state()
+    rows = np.array([0, 0, 2])  # row 1 moves from source 1 to source 0
+    for kept in (rows, [0, 1]):  # then row 2 is dropped
+        cache.select(kept)
+        assert all(np.shares_memory(a, b) for a, b in zip(before, source_state()))
+        np.testing.assert_array_equal(cache.ptr_keys[1], cache.ptr_keys[0])
+    rows = rows[:2]
+    prefixes = tgt[rows]
+    logits = model.forward_teacher_forced(src[rows], mask[rows], prefixes).data
+    for t in range(3, prefixes.shape[1]):
+        np.testing.assert_allclose(_cache_logits(model, cache, prefixes[:, t]), logits[:, t],
+                                   atol=1e-5)
+
+
+def test_empty_prefix_is_refused_before_a_cache_is_built(model, monkeypatch):
+    src, mask, _ = make_batch(model, [4], seed=19)
+    enc = model.encode(src, mask)
+
+    def refuse(*args):
+        raise AssertionError("a cache was built for an empty prefix")
+
+    monkeypatch.setattr(model, "start_decoding", refuse)
+    with pytest.raises(ValueError, match="non-empty decoder prefix"):
+        model.decode_step(np.zeros((1, 0), dtype=np.int64), enc, mask)
 
 
 def test_single_step_target(model):
