@@ -221,10 +221,13 @@ def weight_product(a: Array, w: Array, bias: Optional[Array] = None) -> Array:
     """``a @ w + bias`` of plain arrays against a 2-D weight: one 2-D GEMM
     over the flattened leading axes, the bias added in place; not a tape
     op."""
-    out = a.reshape(-1, a.shape[-1]) @ w
+    if a.ndim != 2:
+        out = weight_product(a.reshape(-1, a.shape[-1]), w, bias)
+        return out.reshape(a.shape[:-1] + w.shape[1:])
+    out = a @ w
     if bias is not None:
         out += bias
-    return out.reshape(a.shape[:-1] + w.shape[1:])
+    return out
 
 
 def _matmul_weight(a: Tensor, w: Tensor, bias: Optional[Tensor] = None) -> Tensor:
@@ -288,7 +291,8 @@ def take_rows(table: Array, ids) -> Array:
     """Rows of a plain array selected by an integer array, each id checked
     against the table's rows; not a tape op."""
     idx = np.asarray(ids)
-    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
+    if idx.size and (np.minimum.reduce(idx, axis=None) < 0
+                     or np.maximum.reduce(idx, axis=None) >= table.shape[0]):
         raise ShapeMismatch(f"gather: ids outside table of {table.shape[0]} rows")
     return table[idx]
 
@@ -335,8 +339,8 @@ def softmax(a: Tensor) -> Tensor:
 def log_softmax_f64(x: Array) -> Array:
     """Log-softmax of a plain array over its last axis, in float64; not a
     tape op.  The max is subtracted in the input's dtype."""
-    shifted = (x - x.max(axis=-1, keepdims=True)).astype(np.float64)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted = (x - np.maximum.reduce(x, axis=-1, keepdims=True)).astype(np.float64)
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
 
 
 def log_softmax(a: Tensor) -> Tensor:
@@ -426,7 +430,11 @@ class DropoutRng:
     blocks within the mask, so no two masks share a draw.  Each call
     advances the counter, so with a fixed batch order the masks of a whole
     run are reproducible, and a checkpoint only needs to store the counter.
+    ``STREAM_VERSION`` names this stream; a change to how masks are drawn
+    bumps it, and checkpoint manifests record it.
     """
+
+    STREAM_VERSION = 2  # 1 was float64 uniforms with the mask index as the counter
 
     def __init__(self, seed: int, counter: int = 0):
         self.seed = int(seed)
@@ -462,15 +470,18 @@ def attention_probs(q: Array, k: Array, blocked: Optional[Array], scale: float) 
     """``softmax(mask_fill(q @ k^T * scale))`` of plain arrays over the last
     axis; not a tape op.  ``blocked`` (bool, broadcastable to the scores, or
     None) marks the positions that get no weight."""
-    scores = (q @ k.swapaxes(-1, -2)) * np.float32(scale)
+    scores = q @ k.swapaxes(-1, -2)
+    scores *= np.float32(scale)
     if blocked is not None:
         try:
             scores = np.where(blocked, np.float32(MASK_FILL_VALUE), scores)
         except ValueError:
             raise ShapeMismatch(f"attention: scores {scores.shape} vs mask {blocked.shape}") from None
-    scores -= scores.max(axis=-1, keepdims=True)
+    # The reductions are called as ufuncs: ``ndarray.max``/``sum`` compute
+    # the same through a Python wrapper.
+    scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
     probs = np.exp(scores, out=scores)
-    probs /= probs.sum(axis=-1, keepdims=True, dtype=np.float64).astype(np.float32)
+    probs /= np.add.reduce(probs, axis=-1, keepdims=True, dtype=np.float64).astype(np.float32)
     return probs
 
 

@@ -22,6 +22,12 @@ and nothing under ``<name>``; loading and lookup read that copy then.
 
 Format 3 changed the dropout mask stream, so a format-2 checkpoint is
 refused: training resumed from it could not continue bit-identically.
+
+The manifest's ``provenance`` records what else the arithmetic of a run
+depends on (``provenance()``): the BLAS and OpenMP thread variables, numpy's
+version and the dropout mask-stream version.  Resuming under a different
+record still works, but need not be bit-identical; ``train_loop`` logs a
+warning then.  Manifests written before the record existed have none.
 """
 
 from __future__ import annotations
@@ -36,10 +42,24 @@ from typing import Optional
 
 import numpy as np
 
+from .autodiff import DropoutRng
 from .model import ModelConfig, PointerGeneratorModel
 from .vocab import SourceVocab, SymbolTable
 
 FORMAT_VERSION = 3
+
+# The environment variables that set the BLAS and OpenMP thread counts.
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
+
+
+def provenance() -> dict:
+    """This process's thread variables (None when unset), numpy version and
+    dropout mask-stream version."""
+    return {
+        "threads": {var: os.environ.get(var) for var in THREAD_VARS},
+        "numpy": np.__version__,
+        "mask_stream": DropoutRng.STREAM_VERSION,
+    }
 
 
 class CheckpointError(RuntimeError):
@@ -67,6 +87,7 @@ class Checkpoint:
     dropout_counter: int
     metrics: dict
     best_dev_em: Optional[float]
+    provenance: Optional[dict] = None  # None for manifests older than the record
 
     def build_model(self) -> PointerGeneratorModel:
         model = PointerGeneratorModel(self.model_config, seed=0)
@@ -133,6 +154,7 @@ def save_checkpoint(
             "dropout_counter": dropout_counter,
             "metrics": metrics or {},
             "best_dev_em": best_dev_em,
+            "provenance": provenance(),
         }, opt_m, opt_v)
     except BaseException:
         shutil.rmtree(partial, ignore_errors=True)
@@ -239,6 +261,7 @@ def load_checkpoint(directory) -> Checkpoint:
         dropout_counter=int(manifest["dropout_counter"]),
         metrics=manifest["metrics"],
         best_dev_em=manifest["best_dev_em"],
+        provenance=manifest.get("provenance"),
     )
 
 

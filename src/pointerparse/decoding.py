@@ -10,9 +10,12 @@ stops at EOS or at ``2n + 16`` emitted symbols, whichever comes first;
 hitting the cap marks the result truncated.
 
 Decoding is incremental: each ``model.step`` feeds one new symbol for every
-live hypothesis of every query in the batch to one ``DecoderCache``.  The
-hypotheses of a query sit in consecutive cache rows; after each step the rows
-are reordered by parent hypothesis, and a query that stops gives its rows up.
+live hypothesis of every query in the batch to one ``DecoderCache``.  Its
+rows are laid out ``[Q, h]``: every live query has h consecutive rows, and
+its source-side state is held once, not per row.  After each step
+``cache.select(rows, h)`` reorders the rows by parent hypothesis, and a
+query that stops gives its rows up; only then does the source-side state of
+the queries after it move down.
 Corpus callers decode padded chunks of 64 queries with ``decode_sources``,
 which alone decides which sources can be decoded.
 """
@@ -110,6 +113,9 @@ def beam_search_batch(
     symbol.
     """
     config = config or BeamConfig()
+    if config.max_target_len is not None and config.max_target_len > model.config.max_tgt_len:
+        raise ValueError(f"max_target_len {config.max_target_len} exceeds the model's "
+                         f"max_tgt_len {model.config.max_tgt_len}")
     k = config.beam_size
     src_ids = np.atleast_2d(np.asarray(src_ids))
     src_mask = np.atleast_2d(np.asarray(src_mask, dtype=bool))
@@ -132,27 +138,29 @@ def beam_search_batch(
     tokens = np.full(len(lengths), BOS_ID)
     emitted = np.zeros((len(lengths), 0), dtype=np.int64)
     while live.size:
-        row_query = np.repeat(live, h)
-        totals = model.step(cache, tokens).log_probs.astype(np.float64)
-        totals += ban[row_query]
-        totals += scores[:, None]
+        # [Q, h, width]: each live query's h rows
+        totals = model.step(cache, tokens).log_probs.astype(np.float64).reshape(live.size, h, width)
+        totals += ban[live, None]
+        totals += scores.reshape(live.size, h, 1)
         touched = set()
         if k >= 2:
             # A closure that cannot enter its query's full pool would be
             # trimmed by the pool's sort, so it is dropped here.
-            closures = totals[:, EOS_ID].copy()
-            for r in np.flatnonzero(closures > floor[row_query]).tolist():
-                touched.add(row_query[r])
-                pools[row_query[r]].append(DecodeResult(emitted[r].tolist(), float(closures[r])))
-            totals[:, EOS_ID] = -np.inf  # retired above; slots go to exploration
+            closures = totals[:, :, EOS_ID]
+            for i, j in zip(*np.nonzero(closures > floor[live, None])):
+                touched.add(live[i])
+                closure = DecodeResult(emitted[i * h + j].tolist(), float(closures[i, j]))
+                pools[live[i]].append(closure)
+            totals[:, :, EOS_ID] = -np.inf  # retired above; slots go to exploration
         grid = totals.reshape(live.size, h * width)
         if k == 1:
             order = grid.argmax(axis=1)[:, None]
         else:
             order = np.argsort(-grid, axis=1, kind="stable")[:, :k]
-        top = grid[np.arange(live.size)[:, None], order]
-        parent = h * np.arange(live.size)[:, None] + order // width
-        token = order % width
+        query = np.arange(live.size)[:, None]
+        top = grid[query, order]
+        parent, token = np.divmod(order, width)
+        parent += h * query
         ranked = top > -np.inf
         done = ranked & ((token == EOS_ID) | (emitted.shape[1] + 1 >= caps[live])[:, None])
         for i, j in zip(*np.nonzero(done)):
@@ -169,19 +177,23 @@ def beam_search_batch(
                 floor[q] = pools[q][-1].score
         # A query's survivors are a prefix of its ranked candidates: only
         # the cap or the early stop retire a live candidate, and either
-        # retires all of the query's candidates.
+        # retires all of the query's candidates.  So its best survivor is
+        # its first candidate, and it goes on when that one survives and
+        # beats its pool.
         survive = ranked & ~done
-        best = np.where(survive, top, -np.inf).max(axis=1)
-        survive &= (best > floor[live])[:, None]
-        counts = survive.sum(axis=1)
-        h = int(counts.max())
+        survive &= (survive[:, 0] & (top[:, 0] > floor[live]))[:, None]
+        counts = np.add.reduce(survive, axis=1)
+        h = int(np.maximum.reduce(counts))
+        survive, parent, top, token = survive[:, :h], parent[:, :h], top[:, :h], token[:, :h]
         keep = counts > 0
-        live, survive = live[keep], survive[keep, :h]
-        rows = parent[keep, :h].ravel()
-        scores = np.where(survive, top[keep, :h], -np.inf).ravel()
-        tokens = np.where(survive, token[keep, :h], EOS_ID).ravel()
+        if not np.logical_and.reduce(keep):
+            live, survive, parent, top, token = (a[keep] for a in (live, survive, parent, top, token))
+        rows = parent.ravel()
+        scores = np.where(survive, top, -np.inf).ravel()
+        tokens = np.where(survive, token, EOS_ID).ravel()
         emitted = np.concatenate([emitted[rows], tokens[:, None]], axis=1)
-        cache.select(rows)
+        if live.size:
+            cache.select(rows, h)
     if config.length_normalize:  # each pool is already in raw-score order
         for pool in pools:
             pool.sort(key=lambda res: -res.score / (len(res.ids) + 1))

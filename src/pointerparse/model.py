@@ -14,14 +14,18 @@ width; the bilinear matrix absorbs the mismatch.
 
 Training runs the decoder over whole target prefixes under a causal mask
 (``forward_teacher_forced``).  Inference runs it one position at a time on a
-``DecoderCache`` (``start_decoding``, then ``step``): each step projects the
-new position's query, key and value with one product against ``[Wq|Wk|Wv]``
-and writes the key and value in place into buffers the cache preallocates.
-The step runs off the tape: the cache holds plain float32 arrays, and the
-step calls the kernels the tape ops call (``ad.weight_product``,
-``ad.layer_norm_forward``, ``ad.attention_probs``) on them, so it builds no
-``Tensor``.  The encoder runs on the tape ops at inference too.  The
-teacher-forced pass is the reference the cached path is tested against.
+``DecoderCache`` (``start_decoding``, then ``step``) whose rows are laid out
+``[Q, h]``: Q queries with h consecutive rows (beam hypotheses) each.  Each
+step projects the new position's query, key and value with one product
+against ``[Wq|Wk|Wv]`` and writes the key and value in place into a buffer
+the cache preallocates.  Source-side state (cross-attention keys and
+values, pointer keys, padding) is held once per query, and a query's h rows
+attend to and point at that one copy.  The step runs off the tape: the cache
+holds plain float32 arrays, and the step calls the kernels the tape ops call
+(``ad.weight_product``, ``ad.layer_norm_forward``, ``ad.attention_probs``) on
+them, so it builds no ``Tensor``.  The encoder runs on the tape ops at
+inference too.  The teacher-forced pass is the reference the cached path is
+tested against.
 """
 
 from __future__ import annotations
@@ -191,11 +195,12 @@ class MultiHeadAttention:
         return self.wo(ad.reshape(ctx, (batch, tq, self.n_heads * self.head_dim)))
 
     def attend_array(self, q, k, v, blocked) -> np.ndarray:
-        """``attend`` without dropout on plain arrays, off the tape."""
+        """``attend`` without dropout for one query position per row, on
+        plain arrays, off the tape: per-head queries [..., heads, 1,
+        head_dim], against keys and values that broadcast to [..., heads,
+        Tk, head_dim], give output rows [R, d_out]."""
         probs = ad.attention_probs(q, k, blocked, 1.0 / math.sqrt(self.head_dim))
-        ctx = (probs @ v).transpose(0, 2, 1, 3)
-        batch, tq = ctx.shape[0], ctx.shape[1]
-        return self.wo.apply(ctx.reshape(batch, tq, self.n_heads * self.head_dim))
+        return self.wo.apply((probs @ v).reshape(-1, self.n_heads * self.head_dim))
 
 
 class FeedForward:
@@ -241,132 +246,135 @@ class DecoderLayer:
         x = ad.add(x, ad.dropout(self.ffn(self.norm3(x), p, train, rng), p, train, rng))
         return x
 
-    def step(self, x, qkv, k_buf, v_buf, t, cross_kv, src_fill):
+    def step(self, x, qkv, kv, t, cross_kv, src_fill):
         """Inference for one new position ``t`` per row on plain float32
-        arrays, x [R, 1, d_dec].  ``qkv`` is ``self_attn.fused_qkv()``.
-        ``k_buf`` and ``v_buf`` are this layer's self-attention buffers
-        [R, capacity, heads, head_dim] holding positions ``:t``; the step
-        writes position ``t`` into them and returns the output."""
+        arrays, x [R, d_dec], where the R = Q·h rows are h consecutive rows
+        for each of Q queries.  ``qkv`` is ``self_attn.fused_qkv()``.
+        ``kv`` is this layer's self-attention buffer [R, capacity, 2, heads,
+        head_dim], keys then values, holding positions ``:t``; the step
+        writes position ``t`` into it and returns the output.  ``cross_kv``
+        [Q, 2, heads, n, head_dim] holds each query's cross-attention keys
+        and values once, and ``src_fill`` [Q, 1, 1, 1, n] (or None) its
+        padding: the h rows of a query attend to that one copy."""
         attn, cross = self.self_attn, self.cross_attn
-        rows = x.shape[0]
+        rows, queries = x.shape[0], cross_kv.shape[0]
         proj = ad.weight_product(self.norm1.apply(x), *qkv)
         proj = proj.reshape(rows, 3, attn.n_heads, attn.head_dim)
-        k_buf[:, t] = proj[:, 1]
-        v_buf[:, t] = proj[:, 2]
+        kv[:, t] = proj[:, 1:]
         q = proj[:, 0, :, None, :]  # [R, heads, 1, head_dim]
-        k = k_buf[:, : t + 1].swapaxes(1, 2)
-        v = v_buf[:, : t + 1].swapaxes(1, 2)
+        k, v = kv[:, : t + 1].transpose(2, 0, 3, 1, 4)  # each [R, heads, t + 1, head_dim]
         x = x + attn.attend_array(q, k, v, None)
-        q = cross.wq.apply(self.norm2.apply(x)).reshape(rows, 1, cross.n_heads, cross.head_dim)
-        x = x + cross.attend_array(q.transpose(0, 2, 1, 3), *cross_kv, src_fill)
+        q = cross.wq.apply(self.norm2.apply(x))
+        q = q.reshape(queries, rows // queries, cross.n_heads, 1, cross.head_dim)
+        x = x + cross.attend_array(q, cross_kv[:, None, 0], cross_kv[:, None, 1], src_fill)
         return x + self.ffn.apply(self.norm3.apply(x))
 
 
 class DecoderCache:
-    """Incremental decoding state for a batch of decoder rows, all of it
-    plain float32 arrays.
+    """Incremental decoding state, all of it plain float32 arrays, for Q
+    live queries with h decoder rows each: a query's rows (its beam
+    hypotheses) are consecutive, so row r belongs to query r // h.
 
-    Built once per batch of queries from the encoder states: each decoder
-    layer's cross-attention keys and values, the pointer keys
-    ``ptr_bilinear @ enc^T`` and the source padding, one row per source.  A
-    source batch of one is shared by every row (the hypotheses of one beam)
-    and broadcasts.  It also holds the decoder input table and each layer's
-    ``[Wq|Wk|Wv]`` with its bias, concatenated here rather than on the model
-    because training updates the weights in place.
+    Built once per batch of queries from the encoder states.  Source-side
+    state is held once per live query: each decoder layer's cross-attention
+    keys and values [Q, 2, heads, n, head_dim], the pointer keys
+    ``ptr_bilinear @ enc^T`` [Q, d_dec, n] and the source padding [Q, n].
+    It also holds the decoder input table, pre-scaled by sqrt(d_dec), and
+    each layer's ``[Wq|Wk|Wv]`` with its bias, concatenated here rather
+    than on the model because training updates the weights in place.
 
-    Each layer's self-attention keys and values live in one K and one V
-    buffer [rows, capacity, heads, head_dim] that ``PointerGeneratorModel.step``
+    Each layer's self-attention keys and values share one buffer [rows,
+    capacity, 2, heads, head_dim] that ``PointerGeneratorModel.step``
     writes one position into.  The capacity starts at 16 positions and
     doubles as needed, up to ``max_tgt_len``; the rows grow only when
-    ``select`` asks for more than were ever allocated.  ``select`` reorders
-    or repeats rows in place, moving only the K/V rows whose parent is
-    another row and only the source-side rows whose source changed.
+    ``select`` asks for more than were ever allocated.
     """
 
     INITIAL_CAPACITY = 16
 
     def __init__(self, cross_kv, ptr_keys: np.ndarray, src_mask: np.ndarray, embed: np.ndarray,
                  qkv: list[tuple[np.ndarray, np.ndarray]], n_heads: int, head_dim: int, max_len: int):
-        self.embed = embed                               # symbol table then pointer table
+        self.embed = embed                               # scaled symbol then pointer table
         self.qkv = qkv                                   # per layer [Wq|Wk|Wv] and bias
         self.max_len = max_len
-        self.rows = src_mask.shape[0]                    # live decoder rows
+        self.queries = src_mask.shape[0]                 # live queries
+        self.h = 1                                       # rows per query
         self.length = 0                                  # positions fed so far
-        self.sources = np.arange(self.rows)              # source row of each decoder row
-        # Source-side buffers, row r holding the state of source sources[r]:
-        # per layer the cross-attention K and V [S, heads, n, hd], then the
-        # pointer keys [S, d_dec, n] and the padding [S, n].
-        self._source = [a for kv in cross_kv for a in kv] + [ptr_keys, ~src_mask]
-        self._view_source(self.rows)
-        shape = (self.rows, min(self.INITIAL_CAPACITY, max_len), n_heads, head_dim)
-        self.self_kv = [(np.empty(shape, np.float32), np.empty(shape, np.float32)) for _ in qkv]
+        self.cross_kv = cross_kv                         # per layer [Q, 2, heads, n, hd]
+        self.ptr_keys = ptr_keys                         # [Q, d_dec, n]
+        self.pad = ~src_mask                             # [Q, n]
+        self.padded = bool(self.pad.any())               # else the masks are skipped
+        shape = (self.queries, min(self.INITIAL_CAPACITY, max_len), 2, n_heads, head_dim)
+        self.self_kv = [np.empty(shape, np.float32) for _ in qkv]
 
-    def _view_source(self, rows: int) -> None:
-        """Point the step's source-side views at the first ``rows`` rows."""
-        *kv, self.ptr_keys, pad = (buf[:rows] for buf in self._source)
-        self.cross_kv = list(zip(kv[::2], kv[1::2]))     # per layer (k, v)
-        self.src_fill = pad[:, None, None, :]            # cross-attention padding
-        self.ptr_fill = pad[:, None, :]                  # pointer padding
+    @property
+    def rows(self) -> int:
+        """Live decoder rows, Q·h."""
+        return self.queries * self.h
 
     def _resize(self, rows: int, capacity: int) -> None:
-        """Move every K/V buffer to a new [rows, capacity, ...] one, keeping
-        the positions written so far."""
+        """Move every K/V buffer to a new [rows, capacity, ...] one,
+        keeping the positions written so far."""
         def resized(buf: np.ndarray) -> np.ndarray:
             out = np.empty((rows, capacity) + buf.shape[2:], np.float32)
             out[: self.rows, : self.length] = buf[: self.rows, : self.length]
             return out
 
-        self.self_kv = [(resized(k), resized(v)) for k, v in self.self_kv]
+        self.self_kv = [resized(kv) for kv in self.self_kv]
 
-    def layer_kv(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Layer ``i``'s K and V buffers over the live rows, with room for
+    def layer_kv(self, i: int) -> np.ndarray:
+        """Layer ``i``'s K/V buffer over the live rows, with room for
         position ``length``."""
-        allocated, capacity = self.self_kv[0][0].shape[:2]
+        capacity = self.self_kv[0].shape[1]
         if self.length == capacity:
-            self._resize(allocated, min(2 * capacity, self.max_len))
-        k, v = self.self_kv[i]
-        return k[: self.rows], v[: self.rows]
+            self._resize(self.self_kv[0].shape[0], min(2 * capacity, self.max_len))
+        return self.self_kv[i][: self.rows]
 
-    def select(self, rows) -> None:
-        """Between steps, keep decoder rows ``rows`` in that order; an index
-        may repeat (a beam parent with several children) or be left out (a
-        finished row)."""
+    def select(self, rows, h: int) -> None:
+        """Between steps, keep decoder rows ``rows`` in that order, as h
+        rows per query; an index may repeat (a beam parent with several
+        children) or be left out (a finished row).  Each group of h
+        consecutive new rows must come from one query, which then moves
+        with its source-side state.
+
+        Self-attention K/V moves only for the rows whose parent is another
+        row.  Source-side state moves only when the query order changes,
+        which the beam search does only when a query that is not the last
+        one leaves: growing h, dropping queries from the end and a single
+        query move none of it.  Every check runs before any write."""
         rows = np.asarray(rows, dtype=np.int64)
-        allocated, capacity = self.self_kv[0][0].shape[:2]
+        if h < 1 or rows.ndim != 1 or rows.size == 0 or rows.size % h:
+            raise ValueError(f"{rows.size} rows do not form groups of {h}")
+        groups = (rows // self.h).reshape(-1, h)  # each new row's old query
+        queries = groups[:, 0]
+        # The checks call ufunc reductions: a select runs once per decoder
+        # step, and the ndarray method wrappers cost as much as the checks.
+        if h > 1 and np.logical_or.reduce(groups != queries[:, None], axis=None):
+            raise ValueError("a group of rows comes from more than one query")
+        if np.minimum.reduce(queries) < 0 or np.maximum.reduce(queries) >= self.queries:
+            raise ValueError(f"rows outside the cache's {self.rows} rows")
+        allocated, capacity = self.self_kv[0].shape[:2]
         if rows.size > allocated:
             self._resize(rows.size, capacity)
-        moved = np.flatnonzero(rows != np.arange(rows.size))
+        (moved,) = (rows != np.arange(rows.size)).nonzero()
         if moved.size:
             parents, t = rows[moved], self.length
-            for k, v in self.self_kv:
-                k[moved, :t] = k[parents, :t]
-                v[moved, :t] = v[parents, :t]
-        self.rows = rows.size
-        sources, self.sources = self.sources, self.sources[rows]
-        if self.ptr_keys.shape[0] == 1:
-            return  # one source row broadcasts over every decoder row
-        # Rows of one source hold the same source-side state, so a row's
-        # state moves only when its source changes; dropping rows from the
-        # end moves nothing and keeps a view.
-        live = min(rows.size, sources.size)
-        changed = np.flatnonzero(self.sources[:live] != sources[:live])
-        if rows.size > live:  # rows past the old count hold no live state
-            changed = np.concatenate([changed, np.arange(live, rows.size)])
-            if rows.size > self._source[0].shape[0]:
-                self._source = [_grown(buf, rows.size, live) for buf in self._source]
-        if changed.size:
-            parents = rows[changed]
-            for buf in self._source:
-                buf[changed] = buf[parents]
-        self._view_source(rows.size)
-
-
-def _grown(buf: np.ndarray, rows: int, keep: int) -> np.ndarray:
-    """A copy of ``buf`` with ``rows`` rows, of which the first ``keep`` are
-    ``buf``'s."""
-    out = np.empty((rows,) + buf.shape[1:], buf.dtype)
-    out[:keep] = buf[:keep]
-    return out
+            for kv in self.self_kv:
+                kv[moved, :t] = kv[parents, :t]
+        self.h = h
+        if queries.size == self.queries == 1:
+            return  # the one query stays where it is
+        (moved,) = (queries != np.arange(queries.size)).nonzero()
+        if moved.size or queries.size < self.queries:
+            state = self.cross_kv + [self.ptr_keys, self.pad]
+            if queries.size > self.queries:  # a query repeats: more than ever held
+                state = [a[queries] for a in state]
+            else:
+                for a in state:
+                    a[moved] = a[queries[moved]]
+                state = [a[: queries.size] for a in state]
+            *self.cross_kv, self.ptr_keys, self.pad = state
+        self.queries = queries.size
 
 
 class PointerGeneratorModel:
@@ -452,15 +460,17 @@ class PointerGeneratorModel:
         return self.joint_logits(states, enc, np.asarray(src_mask, dtype=bool))
 
     def start_decoding(self, enc: Tensor, src_mask) -> DecoderCache:
-        """A cache for decoding from encoder states [S, n, d_model]."""
+        """A cache for decoding from encoder states [Q, n, d_model], one row
+        per query."""
         src_mask = np.atleast_2d(np.asarray(src_mask, dtype=bool))
-        cross_kv = [tuple(t.data for t in layer.cross_attn.keys_values(enc))
+        cross_kv = [np.stack([t.data for t in layer.cross_attn.keys_values(enc)], axis=1)
                     for layer in self.dec_layers]
         ptr_keys = ad.matmul(self.ptr_bilinear, ad.swap_last(enc)).data
         qkv = [layer.self_attn.fused_qkv() for layer in self.dec_layers]
         # The training-time table is an ``ad.concat`` node; decoding needs
-        # only its values.
+        # only its values, scaled once here rather than at every step.
         embed = np.concatenate([self.sym_embed.data, self.ptr_embed.data])
+        embed *= np.float32(math.sqrt(self.config.d_dec))
         heads = self.config.n_dec_heads
         return DecoderCache(cross_kv, ptr_keys, src_mask, embed, qkv,
                             heads, self.config.d_dec // heads, self.config.max_tgt_len)
@@ -469,24 +479,31 @@ class PointerGeneratorModel:
         """Feed one decoder input id per cache row at the next position and
         return the joint next-token distribution.  The step runs on plain
         float32 arrays through the kernels the tape ops use, so it builds no
-        ``Tensor`` and computes what the ops would."""
+        ``Tensor`` and computes what the ops would.  Rows stay [R, d]; the h
+        rows of a query read its one copy of the source-side state, each
+        with its own product, so a row's scores do not depend on how many
+        rows its query has."""
         cfg = self.config
-        tokens = np.asarray(tokens).reshape(-1, 1)
-        if np.any(tokens == PAD_ID):
+        tokens = np.asarray(tokens).reshape(-1)
+        if np.logical_or.reduce(tokens == PAD_ID):
             raise PrefixContainsPAD("decoder prefix must not contain PAD")
         if tokens.shape[0] != cache.rows:
             raise RowCountMismatch(f"{tokens.shape[0]} tokens for a cache of {cache.rows} rows")
         t = cache.length
         if t >= cfg.max_tgt_len:
             raise ValueError(f"target length {t + 1} exceeds max_tgt_len {cfg.max_tgt_len}")
-        x = ad.take_rows(cache.embed, tokens) * np.float32(math.sqrt(cfg.d_dec))
-        x = x + self.dec_positions.data[t : t + 1]
+        x = ad.take_rows(cache.embed, tokens) + self.dec_positions.data[t]
+        src_fill = cache.pad[:, None, None, None, :] if cache.padded else None
         for i, layer in enumerate(self.dec_layers):
-            x = layer.step(x, cache.qkv[i], *cache.layer_kv(i), t, cache.cross_kv[i], cache.src_fill)
+            x = layer.step(x, cache.qkv[i], cache.layer_kv(i), t, cache.cross_kv[i], src_fill)
         cache.length = t + 1
         states = self.dec_norm.apply(x)
-        pointer = np.where(cache.ptr_fill, np.float32(ad.MASK_FILL_VALUE), states @ cache.ptr_keys)
-        last = np.concatenate([self.vocab_out.apply(states), pointer], axis=-1)[:, 0, :]
+        # [Q, h, 1, d] @ [Q, 1, d, n]: each row against its query's one copy
+        pointer = states.reshape(cache.queries, cache.h, 1, -1) @ cache.ptr_keys[:, None]
+        if cache.padded:
+            pointer = np.where(src_fill[:, :, 0], np.float32(ad.MASK_FILL_VALUE), pointer)
+        last = np.concatenate([self.vocab_out.apply(states), pointer.reshape(cache.rows, -1)],
+                              axis=-1)
         v = cfg.vocab_size
         return OutputDistribution(
             vocab_scores=last[:, :v],

@@ -221,6 +221,9 @@ def train_loop(
     training examples and target tokens per second over the interval since
     the previous record, dev evaluation and checkpoint saves included.  They
     are kept out of checkpoint manifests, which twin runs write identically.
+    A resumed run whose checkpoint records another ``checkpoint.provenance``
+    (thread variables, numpy, mask stream) first logs one ``warning`` record
+    with both, and carries on.
     """
     cfg = train_config
     encoded = encode_corpus(train_examples, symtab, source_vocab)
@@ -231,6 +234,7 @@ def train_loop(
     adam = AdamState()
     dropout_rng = DropoutRng(seed=cfg.seed)
     best_dev_em: Optional[float] = None
+    warning = None
     if resume_from is not None:
         loaded = ckpt.load_checkpoint(resume_from)
         model = loaded.build_model()
@@ -238,6 +242,11 @@ def train_loop(
         dropout_rng = DropoutRng(seed=cfg.seed, counter=loaded.dropout_counter)
         start_step = loaded.step
         best_dev_em = loaded.best_dev_em
+        current = ckpt.provenance()
+        if loaded.provenance is not None and loaded.provenance != current:
+            warning = {"step": start_step,
+                       "warning": "checkpoint provenance differs from this run's",
+                       "checkpoint": loaded.provenance, "current": current}
     else:
         model = PointerGeneratorModel(model_config, seed=cfg.seed)
 
@@ -251,13 +260,19 @@ def train_loop(
     started = logged_at = time.perf_counter()
     examples = tgt_tokens = 0  # since the previous record
 
-    def emit(record: dict) -> None:
-        history.append(record)
+    def log(record: dict) -> None:
         if log_path is not None:
             with open(log_path, "a", encoding="utf-8") as fh:
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
         if not quiet:
             print(json.dumps(record, sort_keys=True))
+
+    def emit(record: dict) -> None:
+        history.append(record)
+        log(record)
+
+    if warning is not None:
+        log(warning)  # not a metrics record: kept out of history and manifests
 
     def save(step: int, tag: Optional[str] = None) -> Path:
         target = checkpoint_dir / (tag or f"step_{step:06d}")

@@ -209,6 +209,26 @@ class TestBeamSearch:
                 assert res.truncated
                 assert len(res.ids) == target_cap(n)
 
+    @pytest.mark.parametrize("beam_size", [1, 3])
+    def test_a_cap_of_max_tgt_len_decodes_and_truncates(self, beam_size):
+        model = random_model(4)
+        model.vocab_out.b.data[EOS_ID] = -1e4
+        cap = model.config.max_tgt_len  # 30 for max_src_len 6
+        for res in beam_search(model, [3, 4], BeamConfig(beam_size, max_target_len=cap)):
+            assert res.truncated
+            assert len(res.ids) == cap
+
+    def test_a_cap_past_max_tgt_len_is_refused_before_any_step(self, monkeypatch):
+        model = random_model(4)
+
+        def refuse(*args):
+            raise AssertionError("the search ran although its cap is out of reach")
+
+        monkeypatch.setattr(model, "encode", refuse)
+        monkeypatch.setattr(model, "step", refuse)
+        with pytest.raises(ValueError, match="max_target_len 31 exceeds the model's max_tgt_len 30"):
+            beam_search(model, [3, 4], BeamConfig(2, max_target_len=31))
+
     def test_result_count_capped_by_beam_size(self):
         model = random_model(8)
         src = random_src(model, 12)

@@ -139,19 +139,25 @@ def test_cached_steps_match_teacher_forcing_up_to_the_cap(model):
         np.testing.assert_allclose(_cache_logits(model, cache, tgt[:, t]), logits[:, t], atol=1e-5)
 
 
+def _check_against_teacher_forcing(model, cache, src, mask, prefixes, start):
+    """Feed ``prefixes[:, start:]`` to ``cache``, whose row r decodes source
+    r of ``src``, checking every step against teacher forcing."""
+    logits = model.forward_teacher_forced(src, mask, prefixes).data
+    for t in range(start, prefixes.shape[1]):
+        np.testing.assert_allclose(_cache_logits(model, cache, prefixes[:, t]), logits[:, t],
+                                   atol=1e-5)
+
+
 def test_cache_select_keeps_each_row_on_its_own_prefix(model):
     src, mask, tgt = make_batch(model, [4, 9, 6], prefix_len=7, seed=10)
     cache = model.start_decoding(model.encode(src, mask), mask)
     for t in range(4):
         model.step(cache, tgt[:, t])
-    rows = np.array([2, 0, 0, 1])  # row 0 is the parent of two rows
-    cache.select(rows)
+    rows = np.array([2, 0, 0, 1])  # row 0 is the parent of two rows, each its own query
+    cache.select(rows, 1)
     prefixes = tgt[rows]
     prefixes[:, 4:] = [[5, 6, 7], [3, 4, 5], [8, 9, 3], [11, 10, 9]]
-    logits = model.forward_teacher_forced(src[rows], mask[rows], prefixes).data
-    for t in range(4, prefixes.shape[1]):
-        np.testing.assert_allclose(_cache_logits(model, cache, prefixes[:, t]), logits[:, t],
-                                   atol=1e-5)
+    _check_against_teacher_forcing(model, cache, src[rows], mask[rows], prefixes, 4)
 
 
 def _random_targets(model, lengths, steps, seed):
@@ -183,16 +189,117 @@ def test_select_after_the_capacity_doubled_twice(model):
     capacities = set()
     for t in range(34):
         model.step(cache, tgt[:, t])
-        capacities.add(cache.self_kv[0][0].shape[1])
+        capacities.add(cache.self_kv[0].shape[1])
     assert len(capacities) == 3  # 16, then 32, then max_tgt_len
     rows = np.array([2, 2, 0])  # row 2 is the parent of two rows, row 1 is dropped
-    cache.select(rows)
+    cache.select(rows, 1)
     prefixes = tgt[rows]
     prefixes[:, 34:] = _random_targets(model, lengths, steps - 34, seed=14)
-    logits = model.forward_teacher_forced(src[rows], mask[rows], prefixes).data
-    for t in range(34, steps):
-        np.testing.assert_allclose(_cache_logits(model, cache, prefixes[:, t]), logits[:, t],
-                                   atol=1e-5)
+    _check_against_teacher_forcing(model, cache, src[rows], mask[rows], prefixes, 34)
+
+
+def _grouped_cache(model, lengths, steps, seed, h=2):
+    """A cache over one query per length, stepped through BOS and then
+    widened to ``h`` rows per query, with every row's random prefix and the
+    sources and masks repeated per row."""
+    src, mask, _ = make_batch(model, lengths, seed=seed)
+    prefixes = _random_targets(model, lengths * h, steps, seed=seed)
+    cache = model.start_decoding(model.encode(src, mask), mask)
+    model.step(cache, prefixes[::h, 0])
+    cache.select(np.repeat(np.arange(len(lengths)), h), h)
+    return cache, np.repeat(src, h, axis=0), np.repeat(mask, h, axis=0), prefixes
+
+
+def _source_state(cache):
+    return cache.cross_kv + [cache.ptr_keys, cache.pad]
+
+
+def test_grouped_rows_match_teacher_forcing_past_two_capacity_doublings(model):
+    """Three queries of two rows each: after reorders inside the groups,
+    every row still decodes its own prefix against its own source, as the
+    capacity grows from 16 to 32 to ``max_tgt_len`` positions."""
+    steps = model.config.max_tgt_len
+    cache, src, mask, prefixes = _grouped_cache(model, [4, 9, 6], steps, seed=20)
+    bounds = [1, 12, 36, steps]
+    reorders = [None, [1, 0, 3, 3, 5, 4], [0, 0, 2, 3, 5, 5]]
+    for seg, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        if reorders[seg] is not None:
+            rows = np.array(reorders[seg])
+            cache.select(rows, 2)
+            prefixes = prefixes[rows]
+            prefixes[:, lo:] = _random_targets(model, [4] * 6, steps - lo, seed=21 + seg)
+        logits = model.forward_teacher_forced(src, mask, prefixes).data
+        for t in range(lo, hi):
+            np.testing.assert_allclose(_cache_logits(model, cache, prefixes[:, t]), logits[:, t],
+                                       atol=1e-5)
+    assert (cache.queries, cache.h, cache.self_kv[0].shape[1]) == (3, 2, steps)
+
+
+def test_select_moves_source_state_in_place(model):
+    """Widening every query to h rows (beam step 1) and dropping the last
+    query keep the source-side state where it is: nothing is copied."""
+    lengths = [4, 9, 6]
+    src, mask, _ = make_batch(model, lengths, seed=18)
+    prefixes = _random_targets(model, lengths * 2, 10, seed=18)
+    cache = model.start_decoding(model.encode(src, mask), mask)
+    held = _source_state(cache)
+    before = [a.copy() for a in held]
+    model.step(cache, prefixes[::2, 0])
+    for rows, h, queries in (([0, 0, 1, 1, 2, 2], 2, 3), ([1, 0, 2, 3], 2, 2)):
+        cache.select(rows, h)  # beam step 1, then the last query leaves
+        assert (cache.queries, cache.h) == (queries, h)
+        for a, b, original in zip(_source_state(cache), held, before):
+            assert np.shares_memory(a, b)
+            np.testing.assert_array_equal(a, original[:queries])
+        if queries == 3:
+            for t in range(1, 3):
+                model.step(cache, prefixes[:, t])
+    rows = [1, 0, 2, 3]  # rows swapped inside query 0
+    _check_against_teacher_forcing(model, cache, np.repeat(src, 2, axis=0)[:4],
+                                   np.repeat(mask, 2, axis=0)[:4], prefixes[rows], 3)
+
+
+def test_a_middle_query_leaving_compacts_the_source_state(model):
+    """When a query that is not the last one leaves, the later queries'
+    state moves down inside the arrays the cache holds, and every remaining
+    row still matches teacher forcing."""
+    lengths = [4, 9, 6, 7]
+    cache, src, mask, prefixes = _grouped_cache(model, lengths, 24, seed=22)
+    before = [a.copy() for a in _source_state(cache)]
+    held = _source_state(cache)
+    for t in range(1, 5):
+        model.step(cache, prefixes[:, t])
+    rows = np.array([0, 1, 5, 4, 6, 7])  # query 1 leaves
+    cache.select(rows, 2)
+    assert (cache.queries, cache.h) == (3, 2)
+    for a, b, original in zip(_source_state(cache), held, before):
+        assert np.shares_memory(a, b)
+        np.testing.assert_array_equal(a, original[[0, 2, 3]])
+    _check_against_teacher_forcing(model, cache, src[rows], mask[rows], prefixes[rows], 5)
+
+
+def test_a_bad_layout_raises_before_any_write(model):
+    """A group of rows from two queries, rows that do not form whole groups,
+    an unknown row, and a token count other than Q·h are each refused with
+    the cache untouched, which then goes on as if they never happened."""
+    lengths = [4, 9, 6]
+    cache, src, mask, prefixes = _grouped_cache(model, lengths, 12, seed=23)
+    for t in range(1, 4):
+        model.step(cache, prefixes[:, t])
+
+    def snapshot():
+        arrays = cache.self_kv + _source_state(cache)
+        return [a.tobytes() for a in arrays], (cache.queries, cache.h, cache.length)
+
+    kept = snapshot()
+    for rows, h in (([0, 2, 2, 3], 2), ([0, 1, 2], 2), ([0, 1, 6, 7], 2), ([0, 1, 2, 3], 0)):
+        with pytest.raises(ValueError):
+            cache.select(rows, h)
+        assert snapshot() == kept
+    with pytest.raises(RowCountMismatch, match="3 tokens for a cache of 6 rows"):
+        model.step(cache, prefixes[:3, 4])
+    assert snapshot() == kept
+    _check_against_teacher_forcing(model, cache, src, mask, prefixes, 4)
 
 
 def test_step_past_max_tgt_len_raises(model):
@@ -242,41 +349,18 @@ def test_a_decode_step_builds_no_tensor_and_reads_no_tape(model, monkeypatch):
 
     monkeypatch.setattr(ad.Tensor, "__init__", counted)
     monkeypatch.setattr(ad, "_tape_stack", refuse)
+    row_query = np.arange(3)
+    layouts = {2: ([0, 0, 1, 1, 2, 2], 2),  # every query widens to two rows
+               6: ([1, 0, 5, 4], 2),  # query 1 leaves: the source state compacts
+               9: ([0, 0, 2, 2, 2, 3], 2),  # a query repeats: more queries than held
+               12: ([4], 1)}
     for t in range(20):  # past the first capacity of 16 positions
-        model.step(cache, tgt[cache.sources, t])
-        if t == 2:
-            cache.select([2, 0, 0, 1])  # more rows, and rows change source
-        elif t == 9:
-            cache.select([1, 3])
+        model.step(cache, tgt[row_query, t])
+        if t in layouts:
+            rows, h = layouts[t]
+            cache.select(rows, h)
+            row_query = row_query[rows]
     assert built == []
-
-
-def test_select_moves_source_state_in_place(model):
-    """A row that changes source gets its source-side state copied into the
-    buffers the cache already has, and dropping rows keeps views of them."""
-    lengths = [4, 9, 6]
-    src, mask, _ = make_batch(model, lengths, seed=18)
-    tgt = _random_targets(model, lengths, 10, seed=18)
-    cache = model.start_decoding(model.encode(src, mask), mask)
-
-    def source_state():
-        return [a for kv in cache.cross_kv for a in kv] + [cache.ptr_keys, cache.src_fill,
-                                                            cache.ptr_fill]
-
-    for t in range(3):
-        model.step(cache, tgt[:, t])
-    before = source_state()
-    rows = np.array([0, 0, 2])  # row 1 moves from source 1 to source 0
-    for kept in (rows, [0, 1]):  # then row 2 is dropped
-        cache.select(kept)
-        assert all(np.shares_memory(a, b) for a, b in zip(before, source_state()))
-        np.testing.assert_array_equal(cache.ptr_keys[1], cache.ptr_keys[0])
-    rows = rows[:2]
-    prefixes = tgt[rows]
-    logits = model.forward_teacher_forced(src[rows], mask[rows], prefixes).data
-    for t in range(3, prefixes.shape[1]):
-        np.testing.assert_allclose(_cache_logits(model, cache, prefixes[:, t]), logits[:, t],
-                                   atol=1e-5)
 
 
 def test_empty_prefix_is_refused_before_a_cache_is_built(model, monkeypatch):

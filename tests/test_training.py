@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from pointerparse import checkpoint as ckpt
 from pointerparse.autodiff import (
     MASK_FILL_VALUE, Tape, add, constant, log_softmax, mask_fill, mul, parameter, reduce_sum, scale,
 )
@@ -376,6 +377,51 @@ class TestTrainLoop:
             (tmp_path / "full" / "step_000016" / "params.bin").read_bytes()
             == (tmp_path / "resumed" / "step_000016" / "params.bin").read_bytes()
         )
+
+    @pytest.mark.parametrize("recorded", ["other_threads", "absent"])
+    def test_resume_under_another_provenance_warns_and_carries_on(self, tmp_path, monkeypatch,
+                                                                  recorded):
+        """A checkpoint made with another thread count resumes with one
+        ``warning`` line in ``metrics.jsonl``; a manifest older than the
+        record resumes silently.  Either way the losses are unchanged."""
+        splits = generate_synthetic(default_grammar(), 48, seed=5)
+        train = splits["train"]
+        symtab, src_vocab = prepare_corpus(train)
+        mc = _tiny_model_config(symtab, src_vocab, d=32)
+
+        def run(max_steps, ckpt_dir, resume=None):
+            config = TrainConfig(batch_size=8, max_steps=max_steps, warmup_steps=10,
+                                 eval_every=10_000, log_every=1, checkpoint_every=4, seed=9)
+            return train_loop(train, None, mc, config, symtab, src_vocab,
+                              checkpoint_dir=ckpt_dir, resume_from=resume)
+
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        full = run(6, tmp_path / "full")
+        run(4, tmp_path / "half")
+        run(4, tmp_path / "twin")
+        manifest_path = tmp_path / "half" / "step_000004" / "manifest.json"
+        assert (manifest_path.read_text()
+                == (tmp_path / "twin" / "step_000004" / "manifest.json").read_text())
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["provenance"] == ckpt.provenance()
+        assert manifest["provenance"]["threads"]["OPENBLAS_NUM_THREADS"] == "1"
+        if recorded == "absent":
+            del manifest["provenance"]
+        manifest_path.write_text(json.dumps(manifest))
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        resumed = run(6, tmp_path / "resumed", resume=manifest_path.parent)
+        assert [h["loss"] for h in resumed.history] == [h["loss"] for h in full.history[4:]]
+        lines = [json.loads(line)
+                 for line in (tmp_path / "resumed" / "metrics.jsonl").read_text().splitlines()]
+        warnings = [line for line in lines if "warning" in line]
+        assert [line["step"] for line in lines if "loss" in line] == [5, 6]
+        if recorded == "absent":
+            assert warnings == []
+        else:
+            assert warnings == [lines[0]]
+            assert lines[0]["step"] == 4
+            assert lines[0]["checkpoint"]["threads"]["OPENBLAS_NUM_THREADS"] == "1"
+            assert lines[0]["current"] == ckpt.provenance()
 
 
 class TestBatchInvariance:
