@@ -354,8 +354,10 @@ def log_softmax(a: Tensor) -> Tensor:
     return _record(out, (a,), backward)
 
 
-def layer_norm_forward(a: Array, gain: Array, bias: Array,
-                       eps: float = 1e-5) -> tuple[Array, Array, Array]:
+LAYER_NORM_EPS = 1e-5  # added to the variance
+
+
+def layer_norm_forward(a: Array, gain: Array, bias: Array) -> tuple[Array, Array, Array]:
     """Layer norm of a plain array over its last axis, with statistics in
     float64; not a tape op.  Returns the output, the normalized input
     ``xhat`` and the inverse standard deviation (float64)."""
@@ -364,15 +366,15 @@ def layer_norm_forward(a: Array, gain: Array, bias: Array,
     # as np.mean and np.var compute them, without their wrappers.
     x = a.astype(np.float64)
     x -= x.sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt((x * x).sum(axis=-1, keepdims=True) / d + eps)
+    inv = 1.0 / np.sqrt((x * x).sum(axis=-1, keepdims=True) / d + LAYER_NORM_EPS)
     xhat = (x * inv).astype(np.float32)
     return xhat * gain + bias, xhat, inv
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis; statistics accumulate in float64."""
     d = a.data.shape[-1]
-    y, xhat, inv = layer_norm_forward(a.data, gain.data, bias.data, eps)
+    y, xhat, inv = layer_norm_forward(a.data, gain.data, bias.data)
     out = Tensor(y)
     inv32 = inv.astype(np.float32)
 
@@ -390,11 +392,11 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 MASK_FILL_VALUE = -1e9  # finite sentinel; IEEE -inf would NaN the softmax backward
 
 
-def mask_fill(a: Tensor, mask, value: float = MASK_FILL_VALUE) -> Tensor:
-    """Fill positions where ``mask`` is true with ``value`` (no gradient there)."""
+def mask_fill(a: Tensor, mask) -> Tensor:
+    """Fill positions where ``mask`` is true with MASK_FILL_VALUE (no gradient there)."""
     m = np.asarray(mask, dtype=bool)
     try:
-        out = Tensor(np.where(m, np.float32(value), a.data))
+        out = Tensor(np.where(m, np.float32(MASK_FILL_VALUE), a.data))
     except ValueError:
         raise ShapeMismatch(f"mask_fill: {a.shape} vs mask {m.shape}") from None
     keep = ~m

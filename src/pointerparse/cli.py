@@ -48,7 +48,7 @@ from .linearize import (
     validate,
 )
 from .metrics import LengthMismatch, evaluate
-from .model import ModelConfig
+from .model import ConfigValueError, ModelConfig
 from .training import TrainConfig, prepare_corpus, train_loop
 from .vocab import EmptyCorpus, UnknownSymbol
 
@@ -71,6 +71,7 @@ _DATA_ERRORS = (
     NotADirectoryError,
     json.JSONDecodeError,
     KeyError,
+    ConfigValueError,
 )
 
 _MODEL_KEYS = {
@@ -115,6 +116,14 @@ def _section(flat: dict, name: str, allowed: set[str]) -> dict:
     return out
 
 
+def _config(section: str, cls, kwargs: dict):
+    """``cls(**kwargs)``; a bad value is a data error naming its dotted key."""
+    try:
+        return cls(**kwargs)
+    except ConfigValueError as exc:
+        raise DataError(f"{section}.{exc}") from None
+
+
 def build_configs(flat: dict, overrides: dict):
     """Split a flat config into (model kwargs, TrainConfig)."""
     for key in flat:
@@ -128,7 +137,7 @@ def build_configs(flat: dict, overrides: dict):
             continue
         section, _, field_name = key.partition(".")
         {"model": model_kwargs, "train": train_kwargs}[section][field_name] = value
-    return model_kwargs, TrainConfig(**train_kwargs)
+    return model_kwargs, _config("train", TrainConfig, train_kwargs)
 
 
 def _print(obj) -> None:
@@ -157,6 +166,8 @@ def cmd_import(args) -> int:
     else:
         if not args.tsv:
             raise UsageError("--format top needs --tsv")
+        if min(args.utterance_col, args.parse_col) < 0:
+            raise UsageError("--utterance-col and --parse-col must not be negative")
         examples = import_top(args.tsv, utterance_col=args.utterance_col, parse_col=args.parse_col)
     write_jsonl(args.out, examples)
     _print(corpus_stats(examples))
@@ -177,12 +188,12 @@ def cmd_train(args) -> int:
         {"train.seed": args.seed, "train.max_steps": args.max_steps},
     )
     symtab, source_vocab = prepare_corpus(train_examples, max_src_len=args.max_src_len)
-    model_config = ModelConfig(
+    model_config = _config("model", ModelConfig, dict(
         vocab_size=symtab.vocab_size,
         src_vocab_size=source_vocab.size,
         max_src_len=symtab.max_src_len,
         **model_kwargs,
-    )
+    ))
     result = train_loop(
         train_examples,
         dev_examples,

@@ -333,6 +333,11 @@ def import_top(tsv_path, utterance_col: int = 0, parse_col: int = 1) -> list[Cor
 _PLACEHOLDER = re.compile(r"^\{([A-Za-z_][\w]*)(?::([\w]+))?\}$")
 
 
+# Relative frequency of the flat, tree and span-set styles in a synthetic
+# corpus, renormalized over the styles a grammar has templates for.
+STYLE_WEIGHTS = (0.45, 0.35, 0.20)
+
+
 @dataclass(frozen=True)
 class SyntheticGrammar:
     """Templated utterance grammar with per-slot filler lexicons.
@@ -348,7 +353,6 @@ class SyntheticGrammar:
     flat_templates: tuple[tuple[str, str], ...]
     tree_templates: tuple[str, ...]
     spanset_templates: tuple[tuple[str, tuple[tuple[str, tuple[str, ...]], ...]], ...]
-    style_weights: tuple[float, float, float] = (0.45, 0.35, 0.20)
 
     def styles_available(self) -> list[Style]:
         out = []
@@ -505,13 +509,12 @@ _RENDERERS = {
 
 def _renderer(grammar: SyntheticGrammar):
     """A function of an rng that renders one example of a style drawn by
-    the grammar's style weights."""
+    ``STYLE_WEIGHTS`` from the styles the grammar has."""
     styles = grammar.styles_available()
     if not styles:
         raise DataError("grammar has no templates")
     weights = np.array(
-        [w for s, w in zip((Style.FLAT, Style.TREE, Style.SPANSET), grammar.style_weights)
-         if s in styles],
+        [w for s, w in zip((Style.FLAT, Style.TREE, Style.SPANSET), STYLE_WEIGHTS) if s in styles],
         dtype=np.float64,
     )
     weights /= weights.sum()

@@ -27,7 +27,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .model import PointerGeneratorModel
+from .model import PointerGeneratorModel, target_cap
 from .vocab import BOS_ID, EOS_ID, PAD_ID
 
 
@@ -35,7 +35,6 @@ from .vocab import BOS_ID, EOS_ID, PAD_ID
 class BeamConfig:
     beam_size: int = 4
     max_target_len: Optional[int] = None  # default: 2n + 16 per query
-    length_normalize: bool = False
 
     def __post_init__(self):
         if self.beam_size < 1:
@@ -49,12 +48,6 @@ class DecodeResult:
     ids: list[int]  # emitted ids, without BOS and EOS
     score: float
     truncated: bool = False
-
-
-def target_cap(n):
-    # A tree parse emits at most one open+close pair per node plus n
-    # pointers, so 2n + 16 bounds any sane output.
-    return 2 * n + 16
 
 
 def pad_sources(sources: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -109,8 +102,7 @@ def beam_search_batch(
     first among ties.  Hypotheses that reach the length cap retire with a
     truncation flag.  A query stops when it has no live hypothesis or none
     can improve on its ``beam_size`` best finished scores (scores only
-    decrease); ``length_normalize`` then reranks its pool by score per
-    symbol.
+    decrease).
     """
     config = config or BeamConfig()
     if config.max_target_len is not None and config.max_target_len > model.config.max_tgt_len:
@@ -194,9 +186,6 @@ def beam_search_batch(
         emitted = np.concatenate([emitted[rows], tokens[:, None]], axis=1)
         if live.size:
             cache.select(rows, h)
-    if config.length_normalize:  # each pool is already in raw-score order
-        for pool in pools:
-            pool.sort(key=lambda res: -res.score / (len(res.ids) + 1))
     return pools
 
 
@@ -207,15 +196,10 @@ def beam_search(
     return beam_search_batch(model, *pad_sources([src_ids]), config)[0]
 
 
-def greedy_batch(
-    model: PointerGeneratorModel,
-    src_ids: np.ndarray,
-    src_mask: np.ndarray,
-    max_target_len: Optional[int] = None,
-) -> list[DecodeResult]:
+def greedy_batch(model: PointerGeneratorModel, src_ids: np.ndarray,
+                 src_mask: np.ndarray) -> list[DecodeResult]:
     """Argmax decoding for a whole batch at once: a beam of one."""
-    config = BeamConfig(beam_size=1, max_target_len=max_target_len)
-    return [pool[0] for pool in beam_search_batch(model, src_ids, src_mask, config)]
+    return [pool[0] for pool in beam_search_batch(model, src_ids, src_mask, BeamConfig(1))]
 
 
 def greedy(model: PointerGeneratorModel, src_ids: Sequence[int]) -> DecodeResult:

@@ -11,7 +11,7 @@ kind of well-formedness violation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .linearize import Style, SymKind, TargetSequence, Violation, validate
 
@@ -108,12 +108,12 @@ def evaluate(
     predictions: Sequence[TargetSequence],
     references: Sequence[TargetSequence],
     lengths: Sequence[int],
-    styles: Union[Style, Sequence[Style]],
+    styles: Sequence[Style],
 ) -> EvalReport:
     """Score aligned prediction/reference lists.
 
     ``lengths`` are the source lengths (pointer range for well-formedness);
-    ``styles`` is one style for the whole corpus or one per example.
+    ``styles`` has one style per example.
     References are assumed well-formed, which makes em <= well_formed_rate.
     """
     if len(predictions) != len(references) or len(predictions) != len(lengths):
@@ -121,9 +121,7 @@ def evaluate(
             f"{len(predictions)} predictions, {len(references)} references, "
             f"{len(lengths)} lengths"
         )
-    if isinstance(styles, Style):
-        styles = [styles] * len(predictions)
-    elif len(styles) != len(predictions):
+    if len(styles) != len(predictions):
         raise LengthMismatch(f"{len(styles)} styles for {len(predictions)} predictions")
 
     records = []

@@ -31,6 +31,7 @@ tested against.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, asdict
 from typing import Optional
 
@@ -57,6 +58,35 @@ class RowCountMismatch(ValueError):
     """A decoder step fed a token count other than the cache's row count."""
 
 
+class ConfigValueError(ValueError):
+    """A config field holds a value of the wrong type or out of range; the
+    message starts with the field's name."""
+
+
+def require_int(config, name: str, low: int) -> None:
+    """Field ``name`` of ``config`` must be an integer (not a bool) >= low."""
+    value = getattr(config, name)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ConfigValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def require_fraction(config, name: str, upto_one: bool = False) -> None:
+    """Field ``name`` of ``config`` must be a number (not a bool) in [0, 1),
+    or in [0, 1] when ``upto_one``."""
+    value = getattr(config, name)
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (0.0 <= value < 1.0 or upto_one and value == 1.0)):
+        raise ConfigValueError(f"{name} must be a number in [0, 1{']' if upto_one else ')'}, "
+                               f"got {value!r}")
+
+
+def target_cap(n):
+    """The most symbols decoding emits for a source of n tokens: a tree
+    parse emits at most one open+close pair per node plus n pointers, so
+    2n + 16 bounds any sane output."""
+    return 2 * n + 16
+
+
 @dataclass
 class ModelConfig:
     vocab_size: int
@@ -73,15 +103,21 @@ class ModelConfig:
     dropout: float = 0.1
 
     def __post_init__(self):
+        for name in ("vocab_size", "src_vocab_size", "max_src_len", "d_model", "n_enc_layers",
+                     "n_enc_heads", "enc_ffn", "d_dec", "n_dec_layers", "n_dec_heads", "dec_ffn"):
+            require_int(self, name, 1)
+        require_fraction(self, "dropout")
         if self.d_model % self.n_enc_heads:
-            raise ValueError(f"d_model {self.d_model} not divisible by {self.n_enc_heads} heads")
+            raise ConfigValueError(f"n_enc_heads {self.n_enc_heads} does not divide "
+                                   f"d_model {self.d_model}")
         if self.d_dec % self.n_dec_heads:
-            raise ValueError(f"d_dec {self.d_dec} not divisible by {self.n_dec_heads} heads")
+            raise ConfigValueError(f"n_dec_heads {self.n_dec_heads} does not divide "
+                                   f"d_dec {self.d_dec}")
 
     @property
     def max_tgt_len(self) -> int:
-        # Decoding caps at 2n + 16 symbols; +2 leaves room for BOS/EOS framing.
-        return 2 * self.max_src_len + 18
+        # Decoding caps at target_cap symbols; +2 leaves room for BOS/EOS framing.
+        return target_cap(self.max_src_len) + 2
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -132,16 +168,16 @@ class ParamStore:
 
 
 class Linear:
-    def __init__(self, store: ParamStore, name: str, d_in: int, d_out: int, bias: bool = True):
+    def __init__(self, store: ParamStore, name: str, d_in: int, d_out: int):
         self.w = store.uniform(f"{name}.w", (d_in, d_out), fan_in=d_in)
-        self.b = store.fill(f"{name}.b", (d_out,), 0.0) if bias else None
+        self.b = store.fill(f"{name}.b", (d_out,), 0.0)
 
     def __call__(self, x: Tensor) -> Tensor:
         return ad.matmul(x, self.w, self.b)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """The same product on a plain array, off the tape."""
-        return ad.weight_product(x, self.w.data, None if self.b is None else self.b.data)
+        return ad.weight_product(x, self.w.data, self.b.data)
 
 
 class LayerNorm:
@@ -332,16 +368,16 @@ class DecoderCache:
 
     def select(self, rows, h: int) -> None:
         """Between steps, keep decoder rows ``rows`` in that order, as h
-        rows per query; an index may repeat (a beam parent with several
-        children) or be left out (a finished row).  Each group of h
-        consecutive new rows must come from one query, which then moves
-        with its source-side state.
+        rows per query.  Each group of h consecutive new rows must come
+        from one query, and the queries keep their order: a later group
+        comes from a later query, and the queries left out (finished ones)
+        give their rows up.  Within its group a row may repeat (a beam
+        parent with several children) or be left out.
 
         Self-attention K/V moves only for the rows whose parent is another
-        row.  Source-side state moves only when the query order changes,
-        which the beam search does only when a query that is not the last
-        one leaves: growing h, dropping queries from the end and a single
-        query move none of it.  Every check runs before any write."""
+        row.  Source-side state moves only for the queries after one that
+        left: growing h and dropping queries from the end move none of it.
+        Every check runs before any write."""
         rows = np.asarray(rows, dtype=np.int64)
         if h < 1 or rows.ndim != 1 or rows.size == 0 or rows.size % h:
             raise ValueError(f"{rows.size} rows do not form groups of {h}")
@@ -351,7 +387,9 @@ class DecoderCache:
         # step, and the ndarray method wrappers cost as much as the checks.
         if h > 1 and np.logical_or.reduce(groups != queries[:, None], axis=None):
             raise ValueError("a group of rows comes from more than one query")
-        if np.minimum.reduce(queries) < 0 or np.maximum.reduce(queries) >= self.queries:
+        if np.logical_or.reduce(queries[1:] <= queries[:-1]):
+            raise ValueError("the queries of the groups repeat or change order")
+        if queries[0] < 0 or queries[-1] >= self.queries:
             raise ValueError(f"rows outside the cache's {self.rows} rows")
         allocated, capacity = self.self_kv[0].shape[:2]
         if rows.size > allocated:
@@ -362,18 +400,12 @@ class DecoderCache:
             for kv in self.self_kv:
                 kv[moved, :t] = kv[parents, :t]
         self.h = h
-        if queries.size == self.queries == 1:
-            return  # the one query stays where it is
-        (moved,) = (queries != np.arange(queries.size)).nonzero()
-        if moved.size or queries.size < self.queries:
+        if queries.size < self.queries:
             state = self.cross_kv + [self.ptr_keys, self.pad]
-            if queries.size > self.queries:  # a query repeats: more than ever held
-                state = [a[queries] for a in state]
-            else:
-                for a in state:
-                    a[moved] = a[queries[moved]]
-                state = [a[: queries.size] for a in state]
-            *self.cross_kv, self.ptr_keys, self.pad = state
+            (moved,) = (queries != np.arange(queries.size)).nonzero()
+            for a in state:
+                a[moved] = a[queries[moved]]
+            *self.cross_kv, self.ptr_keys, self.pad = (a[: queries.size] for a in state)
         self.queries = queries.size
 
 

@@ -22,7 +22,8 @@ from .autodiff import DropoutRng, Tape
 from .data import CorpusExample
 from .decoding import decode_sources, greedy_batch, pad_sources
 from .linearize import TargetSequence, linearize
-from .model import ModelConfig, PointerGeneratorModel
+from .metrics import exact_match
+from .model import ModelConfig, PointerGeneratorModel, require_fraction, require_int
 from .training_ops import (
     AdamState,
     GoldOutOfRange,
@@ -73,10 +74,14 @@ class TrainConfig:
     early_stop_dev_em: Optional[float] = None
 
     def __post_init__(self):
-        if not 0.0 <= self.epsilon_ls < 1.0:
-            raise ValueError("epsilon_ls must be in [0, 1)")
-        if self.warmup_steps < 1:
-            raise ValueError("warmup_steps must be at least 1")
+        require_fraction(self, "epsilon_ls")
+        for name in ("warmup_steps", "batch_size", "max_steps", "log_every", "eval_every",
+                     "checkpoint_every"):
+            require_int(self, name, 1)
+        require_int(self, "seed", 0)
+        require_int(self, "keep_checkpoints", 0)  # 0 prunes nothing
+        if self.early_stop_dev_em is not None:
+            require_fraction(self, "early_stop_dev_em", upto_one=True)
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -153,7 +158,7 @@ def epoch_plan(
     inside windows so batches waste little padding."""
     rng = np.random.default_rng((seed, epoch))
     perm = rng.permutation(n_examples)
-    window = max(batch_size * 8, batch_size)
+    window = 8 * batch_size
     bucketed: list[int] = []
     for w in range(0, n_examples, window):
         chunk = perm[w : w + window]
@@ -178,7 +183,7 @@ def exact_match_rate(
     results = decode_sources(model, [source_vocab.encode(ex.query.tokens) for ex in examples],
                              greedy_batch)
     hits = sum(res is not None
-               and symtab.decode(res.ids).symbols == linearize(ex.parse, ex.query).symbols
+               and exact_match(symtab.decode(res.ids), linearize(ex.parse, ex.query))
                for res, ex in zip(results, examples))
     return hits / len(examples)
 

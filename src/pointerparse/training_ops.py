@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -37,7 +36,6 @@ def label_smoothed_ce(
     step_mask: np.ndarray,
     support_mask: np.ndarray,
     epsilon: float,
-    per_example: bool = False,
 ) -> Tensor:
     """Mean over real target steps of
     ``(1-eps) * (-log p_gold) + eps * mean_{k in support}(-log p_k)``.
@@ -68,17 +66,12 @@ def label_smoothed_ce(
     per_step = (1.0 - epsilon) * nll + epsilon * smooth
 
     steps_per_example = step_mask.sum(axis=1)
-    if per_example:
-        weight = step_mask / np.maximum(steps_per_example, 1)[:, None]  # [B, T]
-        value = (per_step * weight).sum(axis=1)
-    else:
-        weight = step_mask / max(int(steps_per_example.sum()), 1)
-        value = (per_step * weight).sum()
-    loss = Tensor(value.astype(np.float32))
-    _check_entropy_floor(loss, counts, steps_per_example, epsilon, per_example)
+    weight = step_mask / max(int(steps_per_example.sum()), 1)  # [B, T]
+    loss = Tensor((per_step * weight).sum().astype(np.float32))
+    _check_entropy_floor(loss, counts, steps_per_example, epsilon)
 
     def backward(g: np.ndarray) -> None:
-        coef = weight * (g[:, None] if per_example else g)  # [B, T]
+        coef = weight * g  # [B, T]
         grad = np.exp(logp)
         grad *= coef[:, :, None]
         grad -= (coef * (epsilon / counts[:, None]))[:, :, None] * support[:, None, :]
@@ -88,21 +81,16 @@ def label_smoothed_ce(
     return _record(loss, (logits,), backward)
 
 
-def _check_entropy_floor(loss, counts, steps_per_example, epsilon, per_example):
+def _check_entropy_floor(loss, counts, steps_per_example, epsilon):
     if epsilon <= 0.0:
         return
     k = counts.astype(np.float64)
     q_gold = (1.0 - epsilon) + epsilon / k
     floor = -(q_gold * np.log(q_gold) + (k - 1.0) * (epsilon / k) * np.log(epsilon / k))
-    if per_example:
-        bound = floor
-        values = loss.data
-    else:
-        bound = float((floor * steps_per_example).sum() / max(steps_per_example.sum(), 1))
-        values = loss.data.reshape(())
-    if not np.all(values >= bound - 1e-4):
+    bound = float((floor * steps_per_example).sum() / max(steps_per_example.sum(), 1))
+    if not loss.item() >= bound - 1e-4:
         raise LossBelowEntropyFloor(
-            f"loss {np.min(values):.6g} fell below the smoothed-entropy floor {np.min(bound):.6g}"
+            f"loss {loss.item():.6g} fell below the smoothed-entropy floor {bound:.6g}"
         )
 
 
@@ -122,16 +110,16 @@ def global_grad_norm(params: dict[str, Tensor]) -> float:
     return float(np.sqrt(total))
 
 
-def adam_step(
-    params: dict[str, Tensor],
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.98,
-    eps: float = 1e-9,
-    clip_norm: Optional[float] = 1.0,
-) -> tuple[float, float]:
-    """Standard Adam with bias correction; optional global-norm clipping.
+# Adam's settings, fixed for every run.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.98
+ADAM_EPS = 1e-9
+CLIP_NORM = 1.0  # the global gradient norm is clipped to this
+
+
+def adam_step(params: dict[str, Tensor], state: AdamState, lr: float) -> tuple[float, float]:
+    """Standard Adam with bias correction and global-norm clipping at
+    ``CLIP_NORM``.
 
     Moments and parameters are updated in place in float32; the global norm
     accumulates in float64.  A non-finite gradient anywhere aborts the step
@@ -147,12 +135,10 @@ def adam_step(
     if not np.isfinite(norm):
         bad = next(name for name, p in params.items() if not np.all(np.isfinite(p.grad)))
         raise NonFiniteGradient(f"non-finite gradient in {bad}")
-    factor = 1.0
-    if clip_norm is not None and clip_norm > 0 and norm > clip_norm:
-        factor = clip_norm / norm
+    factor = CLIP_NORM / norm if norm > CLIP_NORM else 1.0
     state.step += 1
-    bc1 = 1.0 - beta1 ** state.step
-    bc2 = 1.0 - beta2 ** state.step
+    bc1 = 1.0 - ADAM_BETA1 ** state.step
+    bc2 = 1.0 - ADAM_BETA2 ** state.step
     for name, p in params.items():
         m = state.m.get(name)
         if m is None:
@@ -161,13 +147,13 @@ def adam_step(
         if v is None:
             v = state.v[name] = np.zeros_like(p.data)
         # The clip factor folds into the moment coefficients.
-        m *= beta1
-        m += ((1.0 - beta1) * factor) * p.grad
-        v *= beta2
-        v += ((1.0 - beta2) * factor * factor) * np.square(p.grad)
+        m *= ADAM_BETA1
+        m += ((1.0 - ADAM_BETA1) * factor) * p.grad
+        v *= ADAM_BETA2
+        v += ((1.0 - ADAM_BETA2) * factor * factor) * np.square(p.grad)
         denom = v / bc2
         np.sqrt(denom, out=denom)
-        denom += eps
+        denom += ADAM_EPS
         update = m / denom
         update *= lr / bc1
         p.data -= update

@@ -134,3 +134,12 @@ def random_parse(rng: random.Random, style: Style, n: int) -> SemanticParse:
     if style is Style.TREE:
         return random_tree(rng, n)
     return random_spanset(rng, n)
+
+
+# Flat-config keys for a model small enough that a training step takes
+# milliseconds.
+TINY_CONFIG = {
+    "model.d_model": 8, "model.d_dec": 8, "model.enc_ffn": 8, "model.dec_ffn": 8,
+    "model.n_enc_heads": 2, "model.n_dec_heads": 2, "model.n_enc_layers": 1,
+    "model.n_dec_layers": 1, "train.warmup_steps": 1,
+}

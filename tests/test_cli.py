@@ -21,6 +21,8 @@ from pointerparse.linearize import Kind, ParseNode, Query, SemanticParse, Style,
 from pointerparse.training import exact_match_rate
 from pointerparse.vocab import EOS_ID
 
+from helpers import TINY_CONFIG
+
 FLAT_EXAMPLE = {
     "query": "play the song don't stop believin by journey",
     "style": "flat",
@@ -92,6 +94,20 @@ class TestUsageAndErrors:
     def test_bio_format_requires_triple(self, capsys):
         code = main(["import", "--format", "bio", "--out", "/tmp/x.jsonl"])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("value", ["-5", "-1"])
+    @pytest.mark.parametrize("flag", ["--utterance-col", "--parse-col"])
+    def test_negative_column_is_usage_error(self, flag, value, tmp_path, capsys):
+        """A negative column index is refused before the file is read: -1
+        would otherwise pick the last column, and -5 one that is not there."""
+        tsv = tmp_path / "t.tsv"
+        tsv.write_text("play hey jude\t[IN:PLAY_MUSIC play [SL:SONG hey jude ] ]\n")
+        out = tmp_path / "c.jsonl"
+        code = main(["import", "--format", "top", "--tsv", str(tsv), flag, value, "--out", str(out)])
+        _, err = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert json.loads(err)["error"] == "UsageError"
+        assert not out.exists()
 
 
 def _with_slot(**changes):
@@ -187,6 +203,31 @@ class TestConfigMerging:
     def test_beam_config_section_rejected(self):
         with pytest.raises(DataError):
             build_configs({"beam.beam_size": 4}, {})
+
+    @pytest.mark.parametrize("key,value", [
+        ("train.batch_size", 0),
+        ("train.log_every", 0),
+        ("train.batch_size", "big"),
+        ("model.n_enc_heads", 0),
+        ("train.epsilon_ls", 2),
+        ("model.dropout", 1.5),
+        ("train.max_steps", -3),
+    ])
+    def test_out_of_range_value_is_data_error_naming_its_key(self, key, value, tmp_path, capsys):
+        (tmp_path / "train.jsonl").write_text(json.dumps(FLAT_EXAMPLE) + "\n")
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({**TINY_CONFIG, "train.max_steps": 2, key: value}))
+        ckpt = tmp_path / "ckpt"
+        code = main(["train", "--corpus", str(tmp_path), "--checkpoint", str(ckpt),
+                     "--config", str(config), "--quiet"])
+        _, err = capsys.readouterr()
+        assert code == EXIT_DATA
+        lines = err.splitlines()
+        assert len(lines) == 1
+        failure = json.loads(lines[0])
+        assert failure["error"] == "DataError"
+        assert failure["message"].startswith(f"{key} ")
+        assert not ckpt.exists()
 
 
 @pytest.fixture(scope="module")

@@ -244,7 +244,6 @@ class TestSyntheticGrammar:
             flat_templates=(("only_intent", "do {thing:x}"),),
             tree_templates=(),
             spanset_templates=(),
-            style_weights=(1.0, 0.0, 0.0),
         )
         assert len(generate_synthetic(grammar, 2, 1)["train"]) == 2
         with pytest.raises(LexiconTooSmall):

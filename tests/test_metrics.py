@@ -85,7 +85,7 @@ class TestEvaluate:
 
     def test_all_malformed(self):
         broken = TargetSequence.from_string("SongName( @ptr_0")
-        report = evaluate([broken, broken], [FLAT, FLAT], [8, 8], Style.FLAT)
+        report = evaluate([broken, broken], [FLAT, FLAT], [8, 8], [Style.FLAT] * 2)
         assert report.em_accuracy == 0.0
         assert report.well_formed_rate == 0.0
         assert report.records[0].violations
@@ -113,13 +113,13 @@ class TestEvaluate:
             golds.append(gold)
             other = linearize(random_parse(rng, Style.FLAT, 7), 7)
             preds.append(gold if rng.random() < 0.5 else other)
-        report = evaluate(preds, golds, [7] * 40, Style.FLAT)
+        report = evaluate(preds, golds, [7] * 40, [Style.FLAT] * 40)
         assert report.em_accuracy <= report.intent_accuracy
 
     def test_spanset_intent_is_not_applicable(self):
         rng = random.Random(12)
         seqs = [linearize(random_parse(rng, Style.SPANSET, 6), 6) for _ in range(5)]
-        report = evaluate(seqs, seqs, [6] * 5, Style.SPANSET)
+        report = evaluate(seqs, seqs, [6] * 5, [Style.SPANSET] * 5)
         assert report.intent_accuracy is None
 
     def test_report_breaks_down_by_style_and_counts_violation_kinds(self):
@@ -139,7 +139,7 @@ class TestEvaluate:
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            evaluate([FLAT], [FLAT, FLAT], [8, 8], Style.FLAT)
+            evaluate([FLAT], [FLAT, FLAT], [8, 8], [Style.FLAT] * 2)
 
     def test_first_divergence_position(self):
         shifted = TargetSequence.from_string(FLAT.to_string().replace("@ptr_7", "@ptr_6"))

@@ -153,8 +153,8 @@ def test_cache_select_keeps_each_row_on_its_own_prefix(model):
     cache = model.start_decoding(model.encode(src, mask), mask)
     for t in range(4):
         model.step(cache, tgt[:, t])
-    rows = np.array([2, 0, 0, 1])  # row 0 is the parent of two rows, each its own query
-    cache.select(rows, 1)
+    rows = np.array([0, 0, 2, 2])  # rows 0 and 2 are parents of two rows each; 1 leaves
+    cache.select(rows, 2)
     prefixes = tgt[rows]
     prefixes[:, 4:] = [[5, 6, 7], [3, 4, 5], [8, 9, 3], [11, 10, 9]]
     _check_against_teacher_forcing(model, cache, src[rows], mask[rows], prefixes, 4)
@@ -191,10 +191,10 @@ def test_select_after_the_capacity_doubled_twice(model):
         model.step(cache, tgt[:, t])
         capacities.add(cache.self_kv[0].shape[1])
     assert len(capacities) == 3  # 16, then 32, then max_tgt_len
-    rows = np.array([2, 2, 0])  # row 2 is the parent of two rows, row 1 is dropped
-    cache.select(rows, 1)
+    rows = np.array([0, 0, 2, 2])  # rows 0 and 2 are parents of two rows each; 1 leaves
+    cache.select(rows, 2)
     prefixes = tgt[rows]
-    prefixes[:, 34:] = _random_targets(model, lengths, steps - 34, seed=14)
+    prefixes[:, 34:] = _random_targets(model, [4] * 4, steps - 34, seed=14)
     _check_against_teacher_forcing(model, cache, src[rows], mask[rows], prefixes, 34)
 
 
@@ -279,9 +279,10 @@ def test_a_middle_query_leaving_compacts_the_source_state(model):
 
 
 def test_a_bad_layout_raises_before_any_write(model):
-    """A group of rows from two queries, rows that do not form whole groups,
-    an unknown row, and a token count other than Q·h are each refused with
-    the cache untouched, which then goes on as if they never happened."""
+    """A group of rows from two queries, a query that repeats or moves up,
+    rows that do not form whole groups, an unknown row, and a token count
+    other than Q·h are each refused with the cache untouched, which then
+    goes on as if they never happened."""
     lengths = [4, 9, 6]
     cache, src, mask, prefixes = _grouped_cache(model, lengths, 12, seed=23)
     for t in range(1, 4):
@@ -292,7 +293,8 @@ def test_a_bad_layout_raises_before_any_write(model):
         return [a.tobytes() for a in arrays], (cache.queries, cache.h, cache.length)
 
     kept = snapshot()
-    for rows, h in (([0, 2, 2, 3], 2), ([0, 1, 2], 2), ([0, 1, 6, 7], 2), ([0, 1, 2, 3], 0)):
+    for rows, h in (([0, 2, 2, 3], 2), ([0, 1, 0, 1], 2), ([2, 3, 0, 1], 2), ([4, 0], 1),
+                    ([0, 1, 2], 2), ([0, 1, 6, 7], 2), ([0, 1, 2, 3], 0)):
         with pytest.raises(ValueError):
             cache.select(rows, h)
         assert snapshot() == kept
@@ -352,7 +354,7 @@ def test_a_decode_step_builds_no_tensor_and_reads_no_tape(model, monkeypatch):
     row_query = np.arange(3)
     layouts = {2: ([0, 0, 1, 1, 2, 2], 2),  # every query widens to two rows
                6: ([1, 0, 5, 4], 2),  # query 1 leaves: the source state compacts
-               9: ([0, 0, 2, 2, 2, 3], 2),  # a query repeats: more queries than held
+               9: ([0, 0, 0, 3, 3, 2], 3),  # rows repeat within each query's group
                12: ([4], 1)}
     for t in range(20):  # past the first capacity of 16 positions
         model.step(cache, tgt[row_query, t])

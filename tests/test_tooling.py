@@ -1,8 +1,11 @@
 """Checks on the source tree itself and on the names the benchmark relies on."""
 
 import ast
+import dataclasses
 import importlib.util
+import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +13,8 @@ from pathlib import Path
 import pytest
 
 import pointerparse
-from pointerparse import cli, decoding, training
+from pointerparse import cli, decoding, training, training_ops
+from pointerparse.model import ModelConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path(pointerparse.__file__).resolve().parent
@@ -53,3 +57,27 @@ def test_demo_runs(demo):
     done = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr[-2000:]
+
+
+def test_readme_config_table_lists_every_key_and_default():
+    """Each key ``train`` accepts has one row in the README's config table,
+    with its default, and the table lists no other key: a setting added or
+    removed without its doc line fails here."""
+    rows = re.findall(r"^\| `(model|train)\.(\w+)` \| .* \| (.+) \|$",
+                      (ROOT / "README.md").read_text(), flags=re.MULTILINE)
+    documented = {(section, key): json.loads(default) for section, key, default in rows}
+    defaults = {(section, f.name): f.default
+                for section, config in (("model", ModelConfig), ("train", training.TrainConfig))
+                for f in dataclasses.fields(config)}
+    accepted = {("model", key) for key in cli._MODEL_KEYS} | {("train", key) for key in cli._TRAIN_KEYS}
+    assert len(rows) == len(documented)
+    assert documented == {key: defaults[key] for key in accepted}
+
+
+def test_readme_states_the_adam_constants():
+    found = re.search(r"beta1 (\S+), beta2 (\S+), eps (\S+) and global\s+gradient-norm "
+                      r"clipping at (\S+?)\.", (ROOT / "README.md").read_text())
+    assert found is not None
+    assert tuple(float(v) for v in found.groups()) == (
+        training_ops.ADAM_BETA1, training_ops.ADAM_BETA2, training_ops.ADAM_EPS,
+        training_ops.CLIP_NORM)

@@ -6,7 +6,7 @@ import pytest
 
 from pointerparse import checkpoint as ckpt
 from pointerparse.autodiff import (
-    MASK_FILL_VALUE, Tape, add, constant, log_softmax, mask_fill, mul, parameter, reduce_sum, scale,
+    Tape, add, constant, log_softmax, mask_fill, mul, parameter, reduce_sum, scale,
 )
 from pointerparse.data import CorpusExample, default_grammar, generate_synthetic
 from pointerparse.linearize import Kind, ParseNode, Query, SemanticParse, Style, SymKind, linearize
@@ -110,7 +110,7 @@ class TestLabelSmoothedCE:
             assert loss >= entropy - 1e-5
 
 
-def _composed_ce(logits, gold, step_mask, support_mask, epsilon, per_example):
+def _composed_ce(logits, gold, step_mask, support_mask, epsilon):
     """The loss written as a chain of tape ops (dense one-hot and support)."""
     batch, steps, width = logits.shape
     logp = log_softmax(logits)
@@ -122,9 +122,6 @@ def _composed_ce(logits, gold, step_mask, support_mask, epsilon, per_example):
     smooth = mul(smooth_sum, constant(-1.0 / counts[:, None].astype(np.float32)))
     masked = mul(add(scale(nll, 1.0 - epsilon), scale(smooth, epsilon)),
                  constant(step_mask.astype(np.float32)))
-    if per_example:
-        steps_per_example = np.maximum(step_mask.sum(axis=1), 1).astype(np.float32)
-        return mul(reduce_sum(masked, axis=1), constant(1.0 / steps_per_example))
     return scale(reduce_sum(masked), 1.0 / max(int(step_mask.sum()), 1))
 
 
@@ -143,47 +140,34 @@ def _ce_case(seed=0):
 
 
 class TestFusedLabelSmoothedCE:
-    @pytest.mark.parametrize("per_example", [False, True])
-    def test_finite_differences(self, per_example):
+    def test_finite_differences(self):
         raw, gold, step_mask, support = _ce_case(seed=1)
         logits = parameter(raw)
-        weights = constant(np.array([0.5, -1.0, 2.0], dtype=np.float32))
+        check_grad(lambda: label_smoothed_ce(logits, gold, step_mask, support, 0.1), [logits])
 
-        def loss():
-            out = label_smoothed_ce(logits, gold, step_mask, support, 0.1, per_example=per_example)
-            return reduce_sum(mul(out, weights)) if per_example else out
-
-        check_grad(loss, [logits])
-
-    @pytest.mark.parametrize("per_example", [False, True])
-    def test_matches_composed_formula(self, per_example):
+    def test_matches_composed_formula(self):
         raw, gold, step_mask, support = _ce_case(seed=2)
         blocked = np.zeros((3, 1, 7), dtype=bool)
         blocked[2, 0, 6] = True
         logits = parameter(raw)
-        weights = constant(np.array([0.5, -1.0, 2.0], dtype=np.float32))
         results = []
         for op in (label_smoothed_ce, _composed_ce):
             logits.zero_grad()
             with Tape() as tape:
-                masked = mask_fill(logits, blocked, MASK_FILL_VALUE)
-                out = op(masked, gold, step_mask, support, 0.1, per_example)
-                tape.backward(reduce_sum(mul(out, weights)) if per_example else out)
+                out = op(mask_fill(logits, blocked), gold, step_mask, support, 0.1)
+                tape.backward(out)
             results.append((out.data, logits.grad.copy()))
         (fused, fused_grad), (composed, composed_grad) = results
-        assert fused.shape == composed.shape == ((3,) if per_example else ())
+        assert fused.shape == composed.shape == ()
         np.testing.assert_allclose(fused, composed, atol=1e-6)
         np.testing.assert_allclose(fused_grad, composed_grad, atol=1e-6)
 
-    @pytest.mark.parametrize("per_example", [False, True])
-    def test_loss_below_entropy_floor_raises(self, per_example):
+    def test_loss_below_entropy_floor_raises(self):
         counts = np.array([6, 6])
         steps = np.array([2, 1])
-        below = constant(np.zeros(2 if per_example else (), dtype=np.float32))
         with pytest.raises(LossBelowEntropyFloor):
-            _check_entropy_floor(below, counts, steps, 0.1, per_example)
-        at_log_k = constant(np.full(2 if per_example else (), np.log(6), dtype=np.float32))
-        _check_entropy_floor(at_log_k, counts, steps, 0.1, per_example)
+            _check_entropy_floor(constant(np.float32(0.0)), counts, steps, 0.1)
+        _check_entropy_floor(constant(np.float32(np.log(6))), counts, steps, 0.1)
 
 
 class TestAdam:
@@ -198,11 +182,11 @@ class TestAdam:
         state = AdamState()
         lr = 0.01
         for _ in range(300):
-            p.grad = np.array([3.0], dtype=np.float32)
-            adam_step({"p": p}, state, lr=lr, clip_norm=None)
+            p.grad = np.array([0.75], dtype=np.float32)  # below the clip norm
+            adam_step({"p": p}, state, lr=lr)
         before = p.data.copy()
-        p.grad = np.array([3.0], dtype=np.float32)
-        adam_step({"p": p}, state, lr=lr, clip_norm=None)
+        p.grad = np.array([0.75], dtype=np.float32)
+        adam_step({"p": p}, state, lr=lr)
         delta = before - p.data
         assert delta[0] == pytest.approx(lr, rel=1e-3)
 
@@ -223,7 +207,7 @@ class TestAdam:
         state = AdamState()
         for g in grads:
             p.grad = np.array([g], dtype=np.float32)
-            adam_step({"p": p}, state, lr=lr, beta1=beta1, beta2=beta2, eps=eps, clip_norm=None)
+            adam_step({"p": p}, state, lr=lr)  # each norm is below the clip norm
         assert p.data[0] == pytest.approx(theta, abs=1e-7)
 
     def test_float32_update_tracks_float64_formula(self):
@@ -234,14 +218,19 @@ class TestAdam:
         theta, m, v = start.copy(), np.zeros(64), np.zeros(64)
         p = parameter(start.astype(np.float32))
         state = AdamState()
+        clipped = 0
         for t, g in enumerate(grads, start=1):
             g32 = g.astype(np.float32)
-            m = beta1 * m + (1 - beta1) * g32
-            v = beta2 * v + (1 - beta2) * g32.astype(np.float64) ** 2
+            # Global-norm clipping at 1.0 scales the gradient down.
+            factor = min(1.0, 1.0 / np.linalg.norm(g32.astype(np.float64)))
+            clipped += factor < 1.0
+            m = beta1 * m + (1 - beta1) * factor * g32
+            v = beta2 * v + (1 - beta2) * factor ** 2 * g32.astype(np.float64) ** 2
             theta -= lr * (m / (1 - beta1 ** t)) / (np.sqrt(v / (1 - beta2 ** t)) + eps)
             p.grad = g32
-            adam_step({"p": p}, state, lr=lr, beta1=beta1, beta2=beta2, eps=eps, clip_norm=None)
+            assert adam_step({"p": p}, state, lr=lr)[1] == pytest.approx(factor, rel=1e-12)
             assert state.m["p"].dtype == state.v["p"].dtype == p.data.dtype == np.float32
+        assert clipped == len(grads)
         np.testing.assert_allclose(p.data, theta, rtol=0, atol=1e-6)
 
     def test_non_finite_gradient_aborts(self):
@@ -260,7 +249,7 @@ class TestAdam:
         p = parameter(np.zeros(4, dtype=np.float32))
         p.grad = np.full(4, 10.0, dtype=np.float32)
         state = AdamState()
-        norm, factor = adam_step({"p": p}, state, lr=1.0, clip_norm=1.0)
+        norm, factor = adam_step({"p": p}, state, lr=1.0)
         # First moment built from the clipped gradient: norm 1 over 4 entries.
         np.testing.assert_allclose(state.m["p"], 0.1 * 10.0 / 20.0, atol=1e-6)
         assert (norm, factor) == (20.0, 1.0 / 20.0)
@@ -268,7 +257,7 @@ class TestAdam:
     def test_unclipped_step_reports_factor_one(self):
         p = parameter(np.zeros(2, dtype=np.float32))
         p.grad = np.array([0.3, 0.4], dtype=np.float32)
-        norm, factor = adam_step({"p": p}, AdamState(), lr=1.0, clip_norm=1.0)
+        norm, factor = adam_step({"p": p}, AdamState(), lr=1.0)
         assert norm == pytest.approx(0.5) and factor == 1.0
 
 
@@ -438,18 +427,19 @@ class TestBatchInvariance:
 
         model = PointerGeneratorModel(model_cfg, seed=2)
 
-        def loss_of(batch_examples):
+        def loss_of(batch_examples, counted):
+            """The loss over the target steps of the examples ``counted``
+            selects, so padding and batchmates reach it only through the
+            model."""
             batch = make_batch(batch_examples, symtab.vocab_size)
             logits = model.forward_teacher_forced(batch.src_ids, batch.src_mask, batch.tgt_in)
+            step_mask = batch.step_mask & np.asarray(counted)[:, None]
             return label_smoothed_ce(
-                logits, batch.gold, batch.step_mask, batch.support_mask, 0.1, per_example=True
-            ).data
+                logits, batch.gold, step_mask, batch.support_mask, 0.1
+            ).item()
 
-        pair = loss_of([a, b])
-        alone_a = loss_of([a])[0]
-        alone_b = loss_of([b])[0]
-        assert pair[0] == pytest.approx(alone_a, abs=1e-5)
-        assert pair[1] == pytest.approx(alone_b, abs=1e-5)
+        assert loss_of([a, b], [True, False]) == pytest.approx(loss_of([a], [True]), abs=1e-5)
+        assert loss_of([a, b], [False, True]) == pytest.approx(loss_of([b], [True]), abs=1e-5)
 
 
 class TestOverfitModelBehaviour:
