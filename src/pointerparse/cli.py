@@ -70,6 +70,7 @@ _DATA_ERRORS = (
     IsADirectoryError,
     NotADirectoryError,
     json.JSONDecodeError,
+    UnicodeDecodeError,
     KeyError,
     ConfigValueError,
 )
@@ -93,7 +94,7 @@ def load_flat_config(path: Optional[str]) -> dict:
     """Dotted-key JSON config file plus POINTERPARSE_* environment overrides."""
     flat: dict = {}
     if path:
-        obj = json.loads(Path(path).read_text())
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(obj, dict):
             raise DataError("config file must hold a JSON object of dotted keys")
         flat.update(obj)
@@ -227,7 +228,8 @@ def _predict_batch(model, loaded, queries, beam_config) -> list:
     decoded."""
     pools = decode_sources(model,
                            [loaded.source_vocab.encode(q.tokens) for q in queries],
-                           partial(beam_search_batch, config=beam_config))
+                           partial(beam_search_batch, config=beam_config),
+                           beam_config.beam_size)
     return [None if pool is None else (loaded.symtab.decode(pool[0].ids), pool[0])
             for pool in pools]
 
@@ -336,8 +338,17 @@ class UsageError(ValueError):
     pass
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argument parser that raises a bad command line as ``UsageError``,
+    so it is reported as one JSON line like every other failure.  Its
+    subcommand parsers are of this class too."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="pointerparse",
         description="Semantic parsing as sequence generation with source pointers.",
     )
@@ -404,11 +415,12 @@ def _fail(code: int, exc: BaseException) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_OK if not exc.code else EXIT_USAGE
+        args = build_parser().parse_args(argv)
+    except UsageError as exc:
+        return _fail(EXIT_USAGE, exc)
+    except SystemExit:  # only ``--help`` ends the parser, once its text is printed
+        return EXIT_OK
     try:
         return args.func(args)
     except UsageError as exc:

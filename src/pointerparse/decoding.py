@@ -16,8 +16,9 @@ its source-side state is held once, not per row.  After each step
 ``cache.select(rows, h)`` reorders the rows by parent hypothesis, and a
 query that stops gives its rows up; only then does the source-side state of
 the queries after it move down.
-Corpus callers decode padded chunks of 64 queries with ``decode_sources``,
-which alone decides which sources can be decoded.
+Corpus callers decode with ``decode_sources``, which alone decides which
+sources can be decoded and pads them in chunks of at most ``DECODE_ROWS``
+decoder rows: a beam of k runs ``DECODE_ROWS // k`` queries at a time.
 """
 
 from __future__ import annotations
@@ -60,21 +61,26 @@ def pad_sources(sources: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarra
     return src, mask
 
 
-DECODE_CHUNK = 64  # queries per padded batch in decode_sources
+DECODE_ROWS = 256  # decoder rows per padded batch in decode_sources
 
 
 def decode_sources(model: PointerGeneratorModel, sources: Sequence[Sequence[int]],
-                   decode: Callable) -> list:
+                   decode: Callable, beam_size: int) -> list:
     """Results of ``decode(model, src_ids, src_mask)`` on padded chunks of
-    ``DECODE_CHUNK`` decodable sources, one per source, in input order.
+    ``DECODE_ROWS // beam_size`` decodable sources (at least one), one per
+    source, in input order.
 
-    A source is decodable when it has at least one token and at most the
-    model's ``max_src_len``; each other source gets ``None`` in its place.
+    ``decode`` runs at most ``beam_size`` hypotheses per query, so no chunk
+    holds more than ``DECODE_ROWS`` decoder cache rows unless one query alone
+    needs more.  A source is decodable when it has at least one token and at
+    most the model's ``max_src_len``; each other source gets ``None`` in its
+    place.
     """
     results: list = [None] * len(sources)
     usable = [i for i, ids in enumerate(sources) if 0 < len(ids) <= model.config.max_src_len]
-    for lo in range(0, len(usable), DECODE_CHUNK):
-        chunk = usable[lo : lo + DECODE_CHUNK]
+    size = max(1, DECODE_ROWS // beam_size)
+    for lo in range(0, len(usable), size):
+        chunk = usable[lo : lo + size]
         for i, result in zip(chunk, decode(model, *pad_sources([sources[i] for i in chunk]))):
             results[i] = result
     return results

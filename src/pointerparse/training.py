@@ -181,7 +181,7 @@ def exact_match_rate(
         return 0.0
     # A source that cannot be decoded has no result and scores 0.
     results = decode_sources(model, [source_vocab.encode(ex.query.tokens) for ex in examples],
-                             greedy_batch)
+                             greedy_batch, beam_size=1)
     hits = sum(res is not None
                and exact_match(symtab.decode(res.ids), linearize(ex.parse, ex.query))
                for res, ex in zip(results, examples))

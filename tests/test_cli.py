@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from pointerparse import decoding
 from pointerparse.checkpoint import load_checkpoint, save_checkpoint
 from pointerparse.cli import (
     EXIT_DATA,
@@ -16,7 +17,7 @@ from pointerparse.cli import (
     main,
 )
 from pointerparse.data import CorpusExample, DataError, read_jsonl, write_jsonl
-from pointerparse.decoding import greedy, greedy_batch, pad_sources, target_cap
+from pointerparse.decoding import DECODE_ROWS, greedy, greedy_batch, pad_sources, target_cap
 from pointerparse.linearize import Kind, ParseNode, Query, SemanticParse, Style, linearize
 from pointerparse.training import exact_match_rate
 from pointerparse.vocab import EOS_ID
@@ -80,12 +81,45 @@ class TestValidateCommand:
         assert json.loads(out)["well_formed"] is True
 
 
+def assert_one_error_line(err, error=None):
+    """``err`` is one JSON error line, naming ``error`` when it is given."""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert set(record) == {"error", "message"}
+    assert error is None or record["error"] == error
+
+
 class TestUsageAndErrors:
     def test_unknown_command_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE
+        assert_one_error_line(capsys.readouterr().err, "UsageError")
 
     def test_missing_required_flag_is_usage_error(self, capsys):
         assert main(["generate"]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert_one_error_line(err, "UsageError")
+        assert json.loads(err)["message"] == (
+            "pointerparse generate: the following arguments are required: --out")
+
+    def test_flag_value_of_the_wrong_type_is_one_json_line(self, capsys):
+        """argparse's own errors exit 1 with one JSON line, not its usage text."""
+        code = main(["import", "--format", "top", "--tsv", "t.tsv", "--parse-col", "x",
+                     "--out", "o.jsonl"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert_one_error_line(err, "UsageError")
+        assert json.loads(err)["message"] == (
+            "pointerparse import: argument --parse-col: invalid int value: 'x'")
+
+    def test_help_exits_zero_with_its_text(self, capsys):
+        assert main(["import", "--help"]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: pointerparse import")
+        assert "--parse-col" in out
+        assert err == ""
 
     def test_missing_file_is_data_error(self, capsys):
         code = main(["import", "--format", "top", "--tsv", "/nonexistent.tsv", "--out", "/tmp/x.jsonl"])
@@ -116,7 +150,8 @@ def _with_slot(**changes):
     return dict(FLAT_EXAMPLE, parse=dict(FLAT_EXAMPLE["parse"], children=[slot]))
 
 
-# Malformed records of each JSON-lines input, as raw lines.
+# Malformed records of each JSON-lines input, as raw lines; a line of bytes
+# is written as it is.
 CORPUS_DEFECTS = {
     "unknown style": json.dumps(dict(FLAT_EXAMPLE, style="bogus")),
     "non-integer index": json.dumps(_with_slot(indices=["q"])),
@@ -125,6 +160,7 @@ CORPUS_DEFECTS = {
     "non-string label": json.dumps(_with_slot(label=5)),
     "non-string query": json.dumps(dict(FLAT_EXAMPLE, query=5)),
     "not an object": "[1, 2]",
+    "not UTF-8": json.dumps(FLAT_EXAMPLE).encode().replace(b"journey", b"journ\xff\xfe"),
 }
 VALIDATE_DEFECTS = {
     "unknown style": json.dumps({"target": FLAT_TARGET, "n": 8, "style": "bogus"}),
@@ -133,11 +169,13 @@ VALIDATE_DEFECTS = {
     "string n": json.dumps({"target": FLAT_TARGET, "n": "eight", "style": "flat"}),
     "fractional n": json.dumps({"target": FLAT_TARGET, "n": 8.5, "style": "flat"}),
     "not an object": "[1, 2]",
+    "not UTF-8": b'{"target": "\xff\xfe", "n": 1, "style": "tree"}',
 }
 PREDICT_DEFECTS = {
     "unknown style": json.dumps({"query": "play hey jude", "style": "bogus"}),
     "non-string query": json.dumps({"query": 5}),
     "not an object": "[1, 2]",
+    "not UTF-8": b'{"query": "play hey \xff\xfe"}',
 }
 MALFORMED_RECORDS = (
     [("linearize", case, line) for case, line in CORPUS_DEFECTS.items()]
@@ -154,7 +192,7 @@ MALFORMED_RECORDS = (
 )
 def test_malformed_record_is_data_error(command, line, tmp_path, request, capsys):
     """Every JSON-lines command exits 2 with one JSON error line on stderr."""
-    (tmp_path / "train.jsonl").write_text(line + "\n")
+    (tmp_path / "train.jsonl").write_bytes((line if isinstance(line, bytes) else line.encode()) + b"\n")
     argv = {
         "linearize": ["linearize", "--input", str(tmp_path / "train.jsonl")],
         "validate": ["validate", "--input", str(tmp_path / "train.jsonl")],
@@ -166,9 +204,7 @@ def test_malformed_record_is_data_error(command, line, tmp_path, request, capsys
     code = main(argv)
     _, err = capsys.readouterr()
     assert code == EXIT_DATA
-    lines = err.splitlines()
-    assert len(lines) == 1
-    assert set(json.loads(lines[0])) == {"error", "message"}
+    assert_one_error_line(err)
 
 
 class TestConfigMerging:
@@ -409,10 +445,10 @@ class TestPipeline:
         assert json.loads(err)["error"] == "CheckpointError"
 
     def test_beam_one_gives_greedy_predictions(self, pipeline_dir, tmp_path):
-        """``eval`` decodes in padded chunks of 64 queries: ``--beam 1`` is
-        bit-equal to ``greedy_batch`` on the same chunk.  Against one query
-        at a time the ids are equal and the score is within 1e-4, because
-        padding and batch shape change float32 rounding."""
+        """``eval --beam 1`` decodes in padded chunks of ``DECODE_ROWS``
+        queries, bit-equal to ``greedy_batch`` on the same chunks.  Against
+        one query at a time the ids are equal and the score is within 1e-4,
+        because padding and batch shape change float32 rounding."""
         dev = pipeline_dir / "corpus" / "dev.jsonl"
         code = main(["eval", "--checkpoint", str(pipeline_dir / "ckpt" / "best"),
                      "--input", str(dev), "--beam", "1", "--report-dir", str(tmp_path)])
@@ -424,14 +460,43 @@ class TestPipeline:
         assert len(details) == len(examples)
         sources = [loaded.source_vocab.encode(ex.query.tokens) for ex in examples]
         chunked = []
-        for lo in range(0, len(sources), 64):
-            chunked += greedy_batch(model, *pad_sources(sources[lo : lo + 64]))
+        for lo in range(0, len(sources), DECODE_ROWS):
+            chunked += greedy_batch(model, *pad_sources(sources[lo : lo + DECODE_ROWS]))
         for detail, src, batched in zip(details, sources, chunked):
             assert detail["prediction"] == loaded.symtab.decode(batched.ids).to_string()
             assert detail["score"] == batched.score
             alone = greedy(model, np.asarray(src, dtype=np.int64))
             assert batched.ids == alone.ids
             assert batched.score == pytest.approx(alone.score, abs=1e-4)
+
+    def test_each_command_chunks_by_its_own_beam(self, pipeline_dir, tmp_path, monkeypatch):
+        """``eval --beam k`` and ``predict --beam k`` hand ``decode_sources``
+        their beam size and ``exact_match_rate`` a beam of one, so a chunk
+        holds ``DECODE_ROWS // k`` queries (here under a budget of 8 rows)."""
+        examples = read_jsonl(pipeline_dir / "corpus" / "train.jsonl")[:11]
+        write_jsonl(tmp_path / "eleven.jsonl", examples)
+        checkpoint = str(pipeline_dir / "ckpt" / "best")
+        chunks = []
+
+        def pad(sources):
+            chunks.append(len(sources))
+            return real_pad(sources)
+
+        real_pad = decoding.pad_sources
+        monkeypatch.setattr(decoding, "pad_sources", pad)
+        monkeypatch.setattr(decoding, "DECODE_ROWS", 8)
+        plans = {1: [8, 3], 2: [4, 4, 3], 4: [2, 2, 2, 2, 2, 1]}
+        for command, beam in [("eval", 1), ("eval", 2), ("eval", 4), ("predict", 4)]:
+            chunks.clear()
+            out = ["--report-dir", str(tmp_path / "report")] if command == "eval" else [
+                "--out", str(tmp_path / "predictions.jsonl")]
+            assert main([command, "--checkpoint", checkpoint, "--input",
+                         str(tmp_path / "eleven.jsonl"), "--beam", str(beam), *out]) == EXIT_OK
+            assert chunks == plans[beam], (command, beam)
+        chunks.clear()
+        loaded = load_checkpoint(checkpoint)
+        exact_match_rate(loaded.build_model(), examples, loaded.symtab, loaded.source_vocab)
+        assert chunks == plans[1]
 
     def test_empty_query_is_a_miss_in_eval_as_in_dev_tracking(self, pipeline_dir, tmp_path):
         """``eval --beam 1`` and ``exact_match_rate`` decode the same chunks,

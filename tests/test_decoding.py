@@ -1,10 +1,11 @@
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from pointerparse.decoding import (
-    DECODE_CHUNK,
+    DECODE_ROWS,
     BeamConfig,
     DecodeResult,
     beam_search,
@@ -301,12 +302,17 @@ class TestBatchedBeamSearch:
 
     def test_decode_sources_pads_chunks_in_order(self):
         """Empty and too-long sources are not decoded and get None in their
-        places; the others are decoded in padded chunks, in input order."""
+        places; the others are decoded in padded chunks of ``DECODE_ROWS //
+        beam_size`` sources, in input order, and a beam wider than the
+        budget still decodes one source at a time."""
         model = SimpleNamespace(config=SimpleNamespace(max_src_len=7))
-        sources = [[2 + i % 5] * (1 + i % 7) for i in range(2 * DECODE_CHUNK + 3)]
+        sources = [[2 + i % 5] * (1 + i % 7) for i in range(2 * DECODE_ROWS + 3)]
         sources[5:5] = [[]]
-        sources[70:70] = [[3] * 8, []]
+        sources[33:33] = [[3] * 8, []]
+        sources[300:300] = [[]]
         sources.append([4] * 9)
+        expected = [ids if 0 < len(ids) <= 7 else None for ids in sources]
+        assert DECODE_ROWS == 256 and expected.count(None) == 5
         shapes = []
 
         def decode(decode_model, src_ids, src_mask):
@@ -315,10 +321,34 @@ class TestBatchedBeamSearch:
             assert (src_ids[~src_mask] == 0).all()
             return [row[row_mask].tolist() for row, row_mask in zip(src_ids, src_mask)]
 
-        expected = [ids if 0 < len(ids) <= 7 else None for ids in sources]
-        assert expected.count(None) == 4
-        assert decode_sources(model, sources, decode) == expected
-        assert shapes == [(DECODE_CHUNK, 7), (DECODE_CHUNK, 7), (3, 5)]
+        for beam_size, plan in [(1, [(256, 7)] * 2 + [(3, 4)]),
+                                (4, [(64, 7)] * 8 + [(3, 4)]),
+                                (8, [(32, 7)] * 16 + [(3, 4)])]:
+            shapes.clear()
+            assert decode_sources(model, sources, decode, beam_size) == expected
+            assert shapes == plan, beam_size
+        shapes.clear()
+        assert decode_sources(model, sources[:4], decode, DECODE_ROWS + 1) == expected[:4]
+        assert shapes == [(1, 1), (1, 2), (1, 3), (1, 4)]
+
+    @pytest.mark.parametrize("beam_size", [1, 4, 8])
+    def test_decode_sources_holds_at_most_decode_rows_rows(self, beam_size, monkeypatch):
+        """No decoder cache holds or allocates more than ``DECODE_ROWS``
+        rows, whatever the beam, and a full chunk reaches the budget."""
+        model = random_model(3, max_src_len=6)
+        rows = []
+
+        def step(self, cache, tokens):
+            rows.append(max(cache.rows, cache.self_kv[0].shape[0]))
+            return real_step(self, cache, tokens)
+
+        real_step = PointerGeneratorModel.step
+        monkeypatch.setattr(PointerGeneratorModel, "step", step)
+        sources = [random_src(model, seed) for seed in range(300)]
+        pools = decode_sources(model, sources, partial(beam_search_batch,
+                                                       config=BeamConfig(beam_size)), beam_size)
+        assert all(pool is not None and 0 < len(pool) <= beam_size for pool in pools)
+        assert max(rows) == DECODE_ROWS
 
     def test_empty_source_is_a_typed_error(self):
         model = random_model(0)

@@ -2,7 +2,8 @@
 typed exit.
 
 Each test takes a valid input (JSON-lines records, a bracketed TSV row, BIO
-triples, a train config), mutates it, and runs the command in-process.  The
+triples, a train config), mutates its text or its bytes, and runs the
+command in-process.  The
 run must exit 0, 1 or 2, never 3 (an untyped failure), and a failing run
 must print exactly one JSON error line on stderr.  The examples are bounded
 and derandomized, so the suite stays fast and repeatable; the models are
@@ -12,6 +13,7 @@ tiny and train for one step.
 import contextlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -79,6 +81,22 @@ def mutated_text(draw, text):
     start = draw(st.integers(0, len(text)))
     stop = draw(st.integers(start, min(len(text), start + 4)))
     return text[:start] + draw(snippets(3)) + text[stop:]
+
+
+# Byte runs that are not UTF-8: a lone continuation byte, a lead byte cut
+# short, an encoded surrogate, and two bytes that UTF-8 never uses.
+BAD_BYTES = st.lists(st.sampled_from([b"\x80", b"\xc3", b"\xed\xa0\x80", b"\xfe", b"\xff"]),
+                     min_size=1, max_size=3).map(b"".join)
+
+
+@st.composite
+def mutated_bytes(draw, text):
+    """``text`` in UTF-8 with one short run of bytes replaced by, or
+    preceded by, bytes that are not UTF-8."""
+    data = text.encode("utf-8")
+    start = draw(st.integers(0, len(data)))
+    stop = draw(st.integers(start, min(len(data), start + 4)))
+    return data[:start] + draw(BAD_BYTES) + data[stop:]
 
 
 @st.composite
@@ -190,3 +208,45 @@ def test_train_on_mutated_config(workdir, data):
     config.write_text(json.dumps({**TINY_CONFIG, key: value}))
     run_cli(["train", "--corpus", str(workdir / "corpus"), "--checkpoint",
              str(workdir / "ckpt_config"), "--config", str(config), "--max-steps", "1", "--quiet"])
+
+
+@FUZZ
+@given(st.data())
+def test_every_reader_on_bytes_that_are_not_utf8(workdir, data):
+    """A file that is not valid UTF-8 is a data error to every command that
+    reads one, whichever line and byte it breaks at."""
+    corpus = workdir / "bytes"
+    corpus.mkdir(exist_ok=True)
+    path, out = str(corpus / "train.jsonl"), str(corpus / "out.jsonl")
+    checkpoint = str(workdir / "ckpt")
+    train = ["train", "--checkpoint", str(workdir / "ckpt_bytes"), "--max-steps", "1", "--quiet"]
+    records = [json.dumps(r) for r in RECORDS]
+    query = {"query": RECORDS[0]["query"], "style": RECORDS[0]["style"]}
+    target = {"target": "[IN:GET_DISTANCE @ptr_0 ]IN:GET_DISTANCE", "n": 4, "style": "tree"}
+    cases = {  # each command's valid input lines, and its command line reading them from path
+        "linearize": (records, ["linearize", "--input", path]),
+        "validate": ([json.dumps(target)], ["validate", "--input", path]),
+        "train": (records, train + ["--corpus", str(corpus), "--config", str(workdir / "config.json")]),
+        "train --config": ([json.dumps(TINY_CONFIG)],
+                           train + ["--corpus", str(workdir / "corpus"), "--config", path]),
+        "eval": (records, ["eval", "--checkpoint", checkpoint, "--input", path,
+                           "--report-dir", str(workdir / "report")]),
+        "predict": ([json.dumps(query)], ["predict", "--checkpoint", checkpoint, "--input", path,
+                                          "--out", out]),
+        "import top": ([TSV_ROW], ["import", "--format", "top", "--tsv", path, "--out", out]),
+        "import bio": ([BIO[0]], ["import", "--format", "bio", "--tokens", path, "--tags",
+                                  str(workdir / "tags"), "--labels", str(workdir / "labels"),
+                                  "--out", out]),
+    }
+    lines, argv = cases[data.draw(st.sampled_from(sorted(cases)))]
+    which = data.draw(st.integers(0, len(lines) - 1))
+    raw = [line.encode("utf-8") for line in lines]
+    raw[which] = data.draw(mutated_bytes(lines[which]))
+    Path(path).write_bytes(b"".join(line + b"\n" for line in raw))
+    _write_lines(workdir / "tags", [BIO[1]])
+    _write_lines(workdir / "labels", [BIO[2]])
+    code = run_cli(argv)
+    try:
+        b"".join(raw).decode("utf-8")
+    except UnicodeDecodeError:
+        assert code == EXIT_DATA

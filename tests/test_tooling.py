@@ -81,3 +81,10 @@ def test_readme_states_the_adam_constants():
     assert tuple(float(v) for v in found.groups()) == (
         training_ops.ADAM_BETA1, training_ops.ADAM_BETA2, training_ops.ADAM_EPS,
         training_ops.CLIP_NORM)
+
+
+def test_readme_states_the_decode_row_budget():
+    found = re.search(r"pads chunks of at most (\d+) decoder\s+rows",
+                      (ROOT / "README.md").read_text())
+    assert found is not None
+    assert int(found[1]) == decoding.DECODE_ROWS
