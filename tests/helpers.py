@@ -1,4 +1,5 @@
-"""Shared test oracles: random-annotation builders and finite differences."""
+"""Shared test oracles: random-annotation builders, finite differences and
+the acceptance-scale training run."""
 
 from __future__ import annotations
 
@@ -7,7 +8,10 @@ import random
 import numpy as np
 
 from pointerparse.autodiff import Tape
+from pointerparse.data import default_grammar, generate_synthetic
 from pointerparse.linearize import Kind, ParseNode, SemanticParse, Style
+from pointerparse.model import ModelConfig
+from pointerparse.training import TrainConfig, prepare_corpus, train_loop
 
 
 def finite_diff(f, x: np.ndarray, h: float = 1e-3) -> np.ndarray:
@@ -143,3 +147,38 @@ TINY_CONFIG = {
     "model.n_enc_heads": 2, "model.n_dec_heads": 2, "model.n_enc_layers": 1,
     "model.n_dec_layers": 1, "train.warmup_steps": 1,
 }
+
+
+def train_acceptance_bundle():
+    """The full desk-scale run: seed-17 corpus of 1000 examples, 128-wide
+    two-layer encoder and decoder, trained with early stopping on dev EM.
+    Returns the training result and the corpus splits."""
+    splits = generate_synthetic(default_grammar(), 1000, seed=17)
+    symtab, src_vocab = prepare_corpus(splits["train"])
+    model_config = ModelConfig(
+        vocab_size=symtab.vocab_size,
+        src_vocab_size=src_vocab.size,
+        max_src_len=symtab.max_src_len,
+        d_model=128,
+        n_enc_layers=2,
+        n_enc_heads=4,
+        enc_ffn=256,
+        d_dec=128,
+        n_dec_layers=2,
+        n_dec_heads=4,
+        dec_ffn=256,
+        dropout=0.1,
+    )
+    train_config = TrainConfig(
+        batch_size=32,
+        max_steps=6000,
+        warmup_steps=600,
+        eval_every=250,
+        log_every=250,
+        seed=17,
+        early_stop_dev_em=0.99,
+    )
+    result = train_loop(
+        splits["train"], splits["dev"], model_config, train_config, symtab, src_vocab
+    )
+    return result, splits
