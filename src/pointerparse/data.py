@@ -137,8 +137,16 @@ def write_jsonl(path, examples: Iterable[CorpusExample]) -> None:
             fh.write(dumps_canonical(example_to_json(ex)) + "\n")
 
 
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
 def json_lines(path) -> Iterator[dict]:
-    """The JSON object on each non-blank line of a file, or of stdin."""
+    """The JSON object on each non-blank line of a file, or of stdin.
+
+    No string may hold a lone surrogate, which no output can encode.  Only a
+    ``\\u`` escape spells one in UTF-8 text (and stdin read with
+    ``surrogateescape`` holds one for each byte that is not UTF-8).
+    """
     source = open(path, encoding="utf-8") if path else sys.stdin
     try:
         for line in source:
@@ -146,6 +154,10 @@ def json_lines(path) -> Iterator[dict]:
                 obj = json.loads(line)
                 if not isinstance(obj, dict):
                     raise DataError(f"each line must hold a JSON object, got {line.strip()!r}")
+                # Without an escape, the strings are spelled as they are.
+                text = json.dumps(obj, ensure_ascii=False) if "\\u" in line else line
+                if _SURROGATE.search(text):
+                    raise DataError(f"a string holds a lone surrogate: {line.strip()!r}")
                 yield obj
     finally:
         if path:

@@ -86,6 +86,24 @@ def decode_sources(model: PointerGeneratorModel, sources: Sequence[Sequence[int]
     return results
 
 
+def rank(grid: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The column indices and values of each row's ``k`` largest entries,
+    best first: the first ``k`` columns of a stable descending sort, so ties
+    go to the lower index.  Each rank is one ``argmax`` pass, which returns
+    the first of equal maxima, and then overwrites its pick with ``-inf``:
+    O(k·columns) per row, and ``grid`` is consumed.  Slots past a row's
+    finite entries hold ``-inf`` and an index of no meaning.
+    """
+    rows = np.arange(grid.shape[0])
+    order = np.empty((grid.shape[0], min(k, grid.shape[1])), dtype=np.intp)
+    top = np.empty(order.shape)
+    for j in range(order.shape[1]):
+        order[:, j] = pick = grid.argmax(axis=1)
+        top[:, j] = grid[rows, pick]
+        grid[rows, pick] = -np.inf
+    return order, top
+
+
 def beam_search_batch(
     model: PointerGeneratorModel,
     src_ids: np.ndarray,
@@ -103,12 +121,13 @@ def beam_search_batch(
     pool while the top ``beam_size`` non-EOS continuations stay live, so
     stopping never competes with exploring for beam slots (and the pool
     always dominates the greedy stopping point it would have taken).
-    Candidates are ranked by a stable sort on the query's (hypothesis, token)
-    grid, and the pool keeps its best ``beam_size`` entries, earlier ones
-    first among ties.  Hypotheses that reach the length cap retire with a
-    truncation flag.  A query stops when it has no live hypothesis or none
-    can improve on its ``beam_size`` best finished scores (scores only
-    decrease).
+    Candidates are ranked by ``beam_size`` first-maximum passes over the
+    query's (hypothesis, token) grid (``rank``), in stable order: ties go to
+    the earlier hypothesis, then the lower id.  The pool keeps its best
+    ``beam_size`` entries, earlier ones first among ties.  Hypotheses that
+    reach the length cap retire with a truncation flag.  A query stops when
+    it has no live hypothesis or none can improve on its ``beam_size`` best
+    finished scores (scores only decrease).
     """
     config = config or BeamConfig()
     if config.max_target_len is not None and config.max_target_len > model.config.max_tgt_len:
@@ -150,15 +169,9 @@ def beam_search_batch(
                 closure = DecodeResult(emitted[i * h + j].tolist(), float(closures[i, j]))
                 pools[live[i]].append(closure)
             totals[:, :, EOS_ID] = -np.inf  # retired above; slots go to exploration
-        grid = totals.reshape(live.size, h * width)
-        if k == 1:
-            order = grid.argmax(axis=1)[:, None]
-        else:
-            order = np.argsort(-grid, axis=1, kind="stable")[:, :k]
-        query = np.arange(live.size)[:, None]
-        top = grid[query, order]
+        order, top = rank(totals.reshape(live.size, h * width), k)
         parent, token = np.divmod(order, width)
-        parent += h * query
+        parent += h * np.arange(live.size)[:, None]
         ranked = top > -np.inf
         done = ranked & ((token == EOS_ID) | (emitted.shape[1] + 1 >= caps[live])[:, None])
         for i, j in zip(*np.nonzero(done)):

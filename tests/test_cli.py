@@ -151,7 +151,7 @@ def _with_slot(**changes):
 
 
 # Malformed records of each JSON-lines input, as raw lines; a line of bytes
-# is written as it is.
+# is written as it is.  ``json.dumps`` writes a lone surrogate as its escape.
 CORPUS_DEFECTS = {
     "unknown style": json.dumps(dict(FLAT_EXAMPLE, style="bogus")),
     "non-integer index": json.dumps(_with_slot(indices=["q"])),
@@ -161,6 +161,8 @@ CORPUS_DEFECTS = {
     "non-string query": json.dumps(dict(FLAT_EXAMPLE, query=5)),
     "not an object": "[1, 2]",
     "not UTF-8": json.dumps(FLAT_EXAMPLE).encode().replace(b"journey", b"journ\xff\xfe"),
+    "lone surrogate": json.dumps(dict(FLAT_EXAMPLE, parse=dict(FLAT_EXAMPLE["parse"],
+                                                               label="Play\ud800"))),
 }
 VALIDATE_DEFECTS = {
     "unknown style": json.dumps({"target": FLAT_TARGET, "n": 8, "style": "bogus"}),
@@ -170,12 +172,15 @@ VALIDATE_DEFECTS = {
     "fractional n": json.dumps({"target": FLAT_TARGET, "n": 8.5, "style": "flat"}),
     "not an object": "[1, 2]",
     "not UTF-8": b'{"target": "\xff\xfe", "n": 1, "style": "tree"}',
+    "lone surrogate": json.dumps({"target": "[IN:X\udfff @ptr_0 ]IN:X\udfff", "n": 1,
+                                  "style": "tree"}),
 }
 PREDICT_DEFECTS = {
     "unknown style": json.dumps({"query": "play hey jude", "style": "bogus"}),
     "non-string query": json.dumps({"query": 5}),
     "not an object": "[1, 2]",
     "not UTF-8": b'{"query": "play hey \xff\xfe"}',
+    "lone surrogate": json.dumps({"query": "play hey \ud800"}),
 }
 MALFORMED_RECORDS = (
     [("linearize", case, line) for case, line in CORPUS_DEFECTS.items()]

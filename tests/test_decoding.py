@@ -14,6 +14,7 @@ from pointerparse.decoding import (
     greedy,
     greedy_batch,
     pad_sources,
+    rank,
     target_cap,
 )
 from pointerparse.model import EmptySource, ModelConfig, PointerGeneratorModel
@@ -268,6 +269,41 @@ def reference_greedy(model, src_ids, src_mask):
                 results[b] = DecodeResult(ids + [int(tokens[b])], float(scores[b]), True)
         prefix = np.concatenate([prefix, tokens[:, None]], axis=1)
     return results
+
+
+class TestRank:
+    """``rank`` against the stable descending sort it replaced.  The beam
+    search never hands it NaN: log-probs are finite, and the bans and dead
+    rows only add -inf, so these grids hold finite values and -inf only."""
+
+    @staticmethod
+    def grid(seed):
+        rng = np.random.default_rng(seed)
+        cols = (3, 10, 40)[seed % 3]
+        grid = rng.integers(-4, 4, (24, cols)) / 2.0  # eight values: many exact ties
+        grid[rng.random(grid.shape) < 0.3] = -np.inf
+        grid[0] = -np.inf  # a dead row
+        grid[1, 1:] = -np.inf  # fewer finite entries than k
+        grid[2, 3:] = -np.inf
+        grid[2, :3] = 0.5  # and all of them tied
+        grid[3] = 1.0  # every entry tied
+        return grid
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 16])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_a_stable_descending_sort(self, k, seed):
+        grid = self.grid(seed)
+        order, top = rank(grid.copy(), k)
+        expected = np.argsort(-grid, axis=1, kind="stable")[:, :k]
+        values = np.take_along_axis(grid, expected, axis=1)
+        assert order.shape == top.shape == expected.shape
+        finite = values > -np.inf
+        assert np.array_equal(order[finite], expected[finite])
+        assert np.array_equal(top[finite], values[finite])
+        # A row's slots past its finite candidates report -inf.  Their indices
+        # only name the row a dead slot copies, and a dead slot never ranks.
+        assert np.all(top[~finite] == -np.inf)
+        assert finite[3].all() and not finite[0].any()
 
 
 class TestBatchedBeamSearch:

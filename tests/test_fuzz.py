@@ -36,16 +36,19 @@ TSV_ROW = "how far is the place\t[IN:GET_DISTANCE how far is [SL:DESTINATION the
 BIO = ("play hey jude by the beatles", "O B-song I-song O B-artist I-artist", "PlayMusic")
 
 # Snippets of characters that matter to the formats, and of some that do not.
-PIECES = st.sampled_from(list("{}[]\":,\t\n @_-IBO0123456789xé") + ["SL:", "IN:", "B-", "I-"])
+# Inside a JSON string, the escapes spell lone surrogates and a valid pair.
+PIECES = st.sampled_from(list("{}[]\":,\t\n @_-IBO0123456789xé") + ["SL:", "IN:", "B-", "I-"]
+                         + ["\\ud800", "\\udfff", "\\ud83d\\ude00"])
 
 
 def snippets(max_size):
     return st.lists(PIECES, max_size=max_size).map("".join)
 
 
-# Scalars stay small: a config value becomes an array dimension.
+# Scalars stay small: a config value becomes an array dimension.  A JSON
+# line spells the lone surrogates as escapes.
 SCALARS = (st.none() | st.booleans() | st.integers(-3, 40) | st.floats(-2, 2)
-           | st.sampled_from([float("nan"), float("inf")]) | snippets(6))
+           | st.sampled_from([float("nan"), float("inf"), "\ud800", "x\udfff"]) | snippets(6))
 
 
 def containers(inner):
