@@ -143,9 +143,9 @@ _SURROGATE = re.compile("[\ud800-\udfff]")
 def json_lines(path) -> Iterator[dict]:
     """The JSON object on each non-blank line of a file, or of stdin.
 
-    No string may hold a lone surrogate, which no output can encode.  Only a
-    ``\\u`` escape spells one in UTF-8 text (and stdin read with
-    ``surrogateescape`` holds one for each byte that is not UTF-8).
+    No string may hold a lone surrogate, which no output can encode: a
+    ``\\u`` escape can spell one, and stdin read with ``surrogateescape``
+    holds one for each byte that is not UTF-8.
     """
     source = open(path, encoding="utf-8") if path else sys.stdin
     try:
@@ -154,9 +154,7 @@ def json_lines(path) -> Iterator[dict]:
                 obj = json.loads(line)
                 if not isinstance(obj, dict):
                     raise DataError(f"each line must hold a JSON object, got {line.strip()!r}")
-                # Without an escape, the strings are spelled as they are.
-                text = json.dumps(obj, ensure_ascii=False) if "\\u" in line else line
-                if _SURROGATE.search(text):
+                if _SURROGATE.search(json.dumps(obj, ensure_ascii=False)):
                     raise DataError(f"a string holds a lone surrogate: {line.strip()!r}")
                 yield obj
     finally:

@@ -6,9 +6,12 @@ decoded outputs, pinned bit for bit.
 ids, truncation flags and scores (as float hex) of every result of beams 1
 and 4 on the first 64 dev queries, decoded through ``decode_sources``, one
 JSON line per beam size and query.  Its first line also records the
-environment that wrote it: ``checkpoint.provenance()`` and numpy's BLAS
-build.  A change to any training or decoding kernel that moves
-one float by one ulp fails here, naming the first step or query that moved.
+environment that wrote it: ``checkpoint.provenance()``, numpy's BLAS
+build, and the run-time CPU facts that also steer float32 results (the
+machine, and the CPU features numpy's SIMD dispatch and OpenBLAS's
+DYNAMIC_ARCH core choice read).  A change to any training or decoding
+kernel that moves one float by one ulp fails here, naming the first step or
+query that moved.
 
 A change that moves these numbers on purpose regenerates the file with::
 
@@ -20,11 +23,16 @@ say so in ``CHANGES.md``, since the file is test data.
 
 import copy
 import json
+import platform
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy < 2
+    from numpy.core._multiarray_umath import __cpu_features__
 
 from pointerparse.checkpoint import provenance
 from pointerparse.decoding import BeamConfig, beam_search_batch, decode_sources
@@ -39,7 +47,9 @@ QUERIES = 64
 def environment() -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"provenance": provenance(),
-            "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")}}
+            "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")},
+            "machine": platform.machine(),
+            "cpu_features": sorted(name for name, on in __cpu_features__.items() if on)}
 
 
 def golden_lines(bundle) -> list:
