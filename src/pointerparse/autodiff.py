@@ -19,8 +19,8 @@ tape ops call.  The cached decoder step calls the same kernels on plain
 arrays, so it builds no ``Tensor`` and gets the same values as the ops.
 
 Recording is explicit: ops append backward closures to the innermost active
-``Tape`` (a thread-local stack, so independent tapes may run on separate
-threads).  With no tape active, ops are pure forward computations, which is
+``Tape`` (one module-level stack, so tapes nest; training runs on one
+thread).  With no tape active, ops are pure forward computations, which is
 what the encoder uses at inference.  ``Tape.backward`` walks the recorded
 nodes in reverse order exactly once; parameters not reachable from the loss
 keep their all-zero gradient buffers.
@@ -29,7 +29,6 @@ keep their all-zero gradient buffers.
 from __future__ import annotations
 
 import math
-import threading
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -80,18 +79,11 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-_local = threading.local()
-
-
-def _tape_stack() -> list["Tape"]:
-    if not hasattr(_local, "stack"):
-        _local.stack = []
-    return _local.stack
+_tape_stack: list["Tape"] = []  # active tapes, innermost last
 
 
 def active_tape() -> Optional["Tape"]:
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+    return _tape_stack[-1] if _tape_stack else None
 
 
 class Tape:
@@ -101,14 +93,13 @@ class Tape:
         self.nodes: list[Tensor] = []
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        _tape_stack.append(self)
         return self
 
     def __exit__(self, *exc) -> None:
-        stack = _tape_stack()
-        if not stack or stack[-1] is not self:
+        if active_tape() is not self:
             raise TapeOrderError("a tape must be the innermost active tape when it exits")
-        stack.pop()
+        _tape_stack.pop()
 
     def backward(self, loss: Tensor) -> None:
         if loss.data.size != 1:

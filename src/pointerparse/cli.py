@@ -81,17 +81,17 @@ _MODEL_KEYS = {
 _TRAIN_KEYS = {f.name for f in fields(TrainConfig)}
 
 
-def _coerce(raw):
-    if isinstance(raw, str):
-        try:
-            return json.loads(raw)
-        except json.JSONDecodeError:
-            return raw
-    return raw
+def _decode_env(raw: str):
+    """An environment value as JSON, or as the plain string when it is not."""
+    try:
+        return json.loads(raw)
+    except json.JSONDecodeError:
+        return raw
 
 
 def load_flat_config(path: Optional[str]) -> dict:
-    """Dotted-key JSON config file plus POINTERPARSE_* environment overrides."""
+    """Dotted-key JSON config file plus POINTERPARSE_* environment overrides.
+    File values keep their JSON types; each environment value is decoded once."""
     flat: dict = {}
     if path:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -101,20 +101,8 @@ def load_flat_config(path: Optional[str]) -> dict:
     for name, value in sorted(os.environ.items()):
         if name.startswith(ENV_PREFIX):
             key = name[len(ENV_PREFIX) :].lower().replace("__", ".")
-            flat[key] = _coerce(value)
+            flat[key] = _decode_env(value)
     return flat
-
-
-def _section(flat: dict, name: str, allowed: set[str]) -> dict:
-    out = {}
-    for key, value in flat.items():
-        head, _, field_name = key.partition(".")
-        if head != name:
-            continue
-        if field_name not in allowed:
-            raise DataError(f"unknown config key {key!r}")
-        out[field_name] = _coerce(value)
-    return out
 
 
 def _config(section: str, cls, kwargs: dict):
@@ -126,19 +114,18 @@ def _config(section: str, cls, kwargs: dict):
 
 
 def build_configs(flat: dict, overrides: dict):
-    """Split a flat config into (model kwargs, TrainConfig)."""
-    for key in flat:
-        head = key.partition(".")[0]
-        if head not in ("model", "train"):
-            raise DataError(f"unknown config section in key {key!r}")
-    model_kwargs = _section(flat, "model", _MODEL_KEYS)
-    train_kwargs = _section(flat, "train", _TRAIN_KEYS)
-    for key, value in overrides.items():
-        if value is None:
-            continue
+    """Split a flat config, with the non-None ``overrides`` on top, into
+    (model kwargs, TrainConfig).  Values keep the types they arrive with."""
+    allowed = {"model": _MODEL_KEYS, "train": _TRAIN_KEYS}
+    kwargs: dict = {"model": {}, "train": {}}
+    for key, value in {**flat, **{k: v for k, v in overrides.items() if v is not None}}.items():
         section, _, field_name = key.partition(".")
-        {"model": model_kwargs, "train": train_kwargs}[section][field_name] = value
-    return model_kwargs, _config("train", TrainConfig, train_kwargs)
+        if section not in allowed:
+            raise DataError(f"unknown config section in key {key!r}")
+        if field_name not in allowed[section]:
+            raise DataError(f"unknown config key {key!r}")
+        kwargs[section][field_name] = value
+    return kwargs["model"], _config("train", TrainConfig, kwargs["train"])
 
 
 def _print(obj) -> None:
@@ -146,6 +133,8 @@ def _print(obj) -> None:
 
 
 def cmd_generate(args) -> int:
+    if args.count < 1:
+        raise UsageError(f"--count must be at least 1, got {args.count}")
     splits = generate_synthetic(default_grammar(), args.count, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -206,10 +206,15 @@ class MultiHeadAttention:
         x = ad.reshape(x, (x.shape[0], x.shape[1], self.n_heads, self.head_dim))
         return ad.transpose(x, (0, 2, 1, 3))
 
-    def __call__(self, query_in, kv_in, fill_mask, p, train, rng):
-        """fill_mask: bool, broadcastable to [B, heads, Tq, Tk]; True blocks."""
+    def __call__(self, query_in, kv_in, fill_mask, p, train, rng) -> Tensor:
+        """Scaled dot-product attention of ``query_in`` over ``kv_in``.
+        fill_mask: bool, broadcastable to [B, heads, Tq, Tk]; True blocks."""
         q = self._split(self.wq(query_in))
-        return self.attend(q, *self.keys_values(kv_in), fill_mask, p, train, rng)
+        k, v = self.keys_values(kv_in)
+        ctx = ad.attention(q, k, v, fill_mask, 1.0 / math.sqrt(self.head_dim), p, train, rng)
+        ctx = ad.transpose(ctx, (0, 2, 1, 3))
+        batch, tq = ctx.shape[0], ctx.shape[1]
+        return self.wo(ad.reshape(ctx, (batch, tq, self.n_heads * self.head_dim)))
 
     def keys_values(self, kv_in: Tensor) -> tuple[Tensor, Tensor]:
         """Per-head keys and values, each [B, heads, Tk, head_dim]."""
@@ -222,19 +227,11 @@ class MultiHeadAttention:
         return (np.concatenate([p.w.data for p in parts], axis=1),
                 np.concatenate([p.b.data for p in parts]))
 
-    def attend(self, q, k, v, fill_mask, p=0.0, train=False, rng=None) -> Tensor:
-        """Scaled dot-product attention of per-head queries over per-head keys
-        and values; a key batch of one broadcasts over the query rows."""
-        ctx = ad.attention(q, k, v, fill_mask, 1.0 / math.sqrt(self.head_dim), p, train, rng)
-        ctx = ad.transpose(ctx, (0, 2, 1, 3))
-        batch, tq = ctx.shape[0], ctx.shape[1]
-        return self.wo(ad.reshape(ctx, (batch, tq, self.n_heads * self.head_dim)))
-
     def attend_array(self, q, k, v, blocked) -> np.ndarray:
-        """``attend`` without dropout for one query position per row, on
-        plain arrays, off the tape: per-head queries [..., heads, 1,
-        head_dim], against keys and values that broadcast to [..., heads,
-        Tk, head_dim], give output rows [R, d_out]."""
+        """The attention of ``__call__`` without dropout for one query
+        position per row, on plain arrays, off the tape: per-head queries
+        [..., heads, 1, head_dim], against keys and values that broadcast to
+        [..., heads, Tk, head_dim], give output rows [R, d_out]."""
         probs = ad.attention_probs(q, k, blocked, 1.0 / math.sqrt(self.head_dim))
         return self.wo.apply((probs @ v).reshape(-1, self.n_heads * self.head_dim))
 

@@ -21,7 +21,7 @@ from . import checkpoint as ckpt
 from .autodiff import DropoutRng, Tape
 from .data import CorpusExample
 from .decoding import decode_sources, greedy_batch, pad_sources
-from .linearize import TargetSequence, linearize
+from .linearize import linearize
 from .metrics import exact_match
 from .model import ModelConfig, PointerGeneratorModel, require_fraction, require_int
 from .training_ops import (
@@ -91,7 +91,6 @@ class TrainConfig:
 class EncodedExample:
     src_ids: np.ndarray
     tgt_ids: np.ndarray
-    gold: TargetSequence
 
 
 def prepare_corpus(examples: Sequence[CorpusExample], max_src_len: Optional[int] = None):
@@ -106,17 +105,10 @@ def prepare_corpus(examples: Sequence[CorpusExample], max_src_len: Optional[int]
 def encode_corpus(
     examples: Sequence[CorpusExample], symtab: SymbolTable, source_vocab: SourceVocab
 ) -> list[EncodedExample]:
-    out = []
-    for ex in examples:
-        gold = linearize(ex.parse, ex.query)
-        out.append(
-            EncodedExample(
-                src_ids=np.asarray(source_vocab.encode(ex.query.tokens), dtype=np.int64),
-                tgt_ids=np.asarray(symtab.encode(gold), dtype=np.int64),
-                gold=gold,
-            )
-        )
-    return out
+    return [EncodedExample(
+        src_ids=np.asarray(source_vocab.encode(ex.query.tokens), dtype=np.int64),
+        tgt_ids=np.asarray(symtab.encode(linearize(ex.parse, ex.query)), dtype=np.int64),
+    ) for ex in examples]
 
 
 @dataclass
@@ -130,44 +122,37 @@ class Batch:
 
 
 def make_batch(examples: Sequence[EncodedExample], vocab_size: int) -> Batch:
-    batch = len(examples)
-    src, mask = pad_sources([ex.src_ids for ex in examples])
-    n = src.shape[1]
-    t = max(len(ex.tgt_ids) for ex in examples) + 1  # room for EOS / BOS shift
-    tgt_in = np.full((batch, t), PAD_ID, dtype=np.int64)
+    """Pad examples into one teacher-forced batch of T = longest target + 1
+    steps.  ``tgt_in`` is BOS followed by the PAD-padded targets; ``gold`` is
+    the padded targets with EOS at each row's own length; ``step_mask`` is
+    ``gold != PAD``; ``support_mask`` is every vocabulary id but PAD,
+    followed by the source mask (the pointers inside that query)."""
+    src, src_mask = pad_sources([ex.src_ids for ex in examples])
+    tgt, tgt_mask = pad_sources([ex.tgt_ids for ex in examples])  # padded with 0 == PAD_ID
+    batch, t = tgt.shape[0], tgt.shape[1] + 1
+    tgt_in = np.full((batch, t), BOS_ID, dtype=np.int64)
+    tgt_in[:, 1:] = tgt
     gold = np.full((batch, t), PAD_ID, dtype=np.int64)
-    support = np.zeros((batch, vocab_size + n), dtype=bool)
-    for b, ex in enumerate(examples):
-        k = len(ex.src_ids)
-        m = len(ex.tgt_ids)
-        tgt_in[b, 0] = BOS_ID
-        tgt_in[b, 1 : m + 1] = ex.tgt_ids
-        gold[b, :m] = ex.tgt_ids
-        gold[b, m] = EOS_ID
-        support[b, :vocab_size] = True
-        support[b, PAD_ID] = False
-        support[b, vocab_size : vocab_size + k] = True
-    step_mask = gold != PAD_ID
-    return Batch(src, mask, tgt_in, gold, step_mask, support)
+    gold[:, :-1] = tgt
+    gold[np.arange(batch), tgt_mask.sum(axis=1)] = EOS_ID
+    support = np.zeros((batch, vocab_size + src.shape[1]), dtype=bool)
+    support[:, :vocab_size] = np.arange(vocab_size) != PAD_ID
+    support[:, vocab_size:] = src_mask
+    return Batch(src, src_mask, tgt_in, gold, gold != PAD_ID, support)
 
 
 def epoch_plan(
     n_examples: int, batch_size: int, seed: int, epoch: int, lengths: Sequence[int]
 ) -> list[np.ndarray]:
-    """Deterministic batch composition: shuffle, then bucket by source length
-    inside windows so batches waste little padding."""
-    rng = np.random.default_rng((seed, epoch))
-    perm = rng.permutation(n_examples)
+    """Deterministic batch composition: shuffle, then stable-sort by source
+    length inside windows of ``8 * batch_size`` so batches waste little
+    padding."""
+    perm = np.random.default_rng((seed, epoch)).permutation(n_examples)
+    lengths = np.asarray(lengths)
     window = 8 * batch_size
-    bucketed: list[int] = []
-    for w in range(0, n_examples, window):
-        chunk = perm[w : w + window]
-        order = np.argsort([lengths[i] for i in chunk], kind="stable")
-        bucketed.extend(int(i) for i in chunk[order])
-    return [
-        np.asarray(bucketed[i : i + batch_size])
-        for i in range(0, n_examples, batch_size)
-    ]
+    windows = np.split(perm, range(window, n_examples, window))
+    bucketed = np.concatenate([w[np.argsort(lengths[w], kind="stable")] for w in windows])
+    return np.split(bucketed, range(batch_size, n_examples, batch_size))
 
 
 def exact_match_rate(

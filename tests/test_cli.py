@@ -143,6 +143,18 @@ class TestUsageAndErrors:
         assert json.loads(err)["error"] == "UsageError"
         assert not out.exists()
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_count_below_one_is_usage_error(self, count, tmp_path, capsys):
+        """``generate --count`` below 1 is refused before anything is written."""
+        out = tmp_path / "corpus"
+        code = main(["generate", "--out", str(out), "--count", count])
+        stdout, err = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert stdout == ""
+        assert_one_error_line(err, "UsageError")
+        assert json.loads(err)["message"] == f"--count must be at least 1, got {count}"
+        assert not out.exists()
+
 
 def _with_slot(**changes):
     """FLAT_EXAMPLE with its first slot's fields replaced."""
@@ -228,6 +240,14 @@ class TestConfigMerging:
         _, train_config = build_configs(flat, {})
         assert train_config.batch_size == 7
 
+    def test_env_value_is_decoded_once(self, monkeypatch):
+        """A quoted environment value is a JSON string, not a number."""
+        monkeypatch.setenv("POINTERPARSE_TRAIN__SEED", '"5"')
+        flat = load_flat_config(None)
+        assert flat["train.seed"] == "5"
+        with pytest.raises(DataError, match=r"^train\.seed "):
+            build_configs(flat, {})
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         for key in ("model.bogus_field", "train.adam_beta1"):
             with pytest.raises(DataError):
@@ -249,6 +269,8 @@ class TestConfigMerging:
         ("train.batch_size", 0),
         ("train.log_every", 0),
         ("train.batch_size", "big"),
+        ("train.batch_size", "7"),
+        ("model.d_model", "64"),
         ("model.n_enc_heads", 0),
         ("train.epsilon_ls", 2),
         ("model.dropout", 1.5),

@@ -56,6 +56,8 @@ def containers(inner):
 
 
 JSON_VALUES = st.recursive(SCALARS, containers, max_leaves=5)
+# Strings that spell a number a config key would accept.
+NUMBER_STRINGS = (st.integers(0, 40) | st.floats(0, 1, exclude_max=True)).map(json.dumps)
 
 
 def _paths(obj, prefix=()):
@@ -206,11 +208,16 @@ def test_import_on_mutated_rows(workdir, data):
 def test_train_on_mutated_config(workdir, data):
     key = data.draw(st.sampled_from(sorted([f"model.{k}" for k in _MODEL_KEYS]
                                            + [f"train.{k}" for k in _TRAIN_KEYS])))
-    value = data.draw(JSON_VALUES)
+    value = data.draw(JSON_VALUES | NUMBER_STRINGS)
     config = workdir / "mutated_config.json"
     config.write_text(json.dumps({**TINY_CONFIG, key: value}))
-    run_cli(["train", "--corpus", str(workdir / "corpus"), "--checkpoint",
-             str(workdir / "ckpt_config"), "--config", str(config), "--max-steps", "1", "--quiet"])
+    code = run_cli(["train", "--corpus", str(workdir / "corpus"), "--checkpoint",
+                    str(workdir / "ckpt_config"), "--config", str(config), "--max-steps", "1",
+                    "--quiet"])
+    # Every config value is a number, so a string is refused, unless a flag
+    # overrides it.
+    if isinstance(value, str) and key != "train.max_steps":
+        assert code == EXIT_DATA
 
 
 @FUZZ

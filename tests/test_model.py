@@ -347,10 +347,10 @@ def test_a_decode_step_builds_no_tensor_and_reads_no_tape(model, monkeypatch):
         init(self, *args, **kwargs)
 
     def refuse():
-        raise AssertionError("the tape stack was read while decoding")
+        raise AssertionError("the active tape was looked up while decoding")
 
     monkeypatch.setattr(ad.Tensor, "__init__", counted)
-    monkeypatch.setattr(ad, "_tape_stack", refuse)
+    monkeypatch.setattr(ad, "active_tape", refuse)
     row_query = np.arange(3)
     layouts = {2: ([0, 0, 1, 1, 2, 2], 2),  # every query widens to two rows
                6: ([1, 0, 5, 4], 2),  # query 1 leaves: the source state compacts

@@ -14,11 +14,13 @@ from pointerparse.model import ModelConfig, PointerGeneratorModel
 from pointerparse.training import (
     TIMING_FIELDS,
     AdamState,
+    EncodedExample,
     GoldOutOfRange,
     NonFiniteGradient,
     TrainConfig,
     adam_step,
     encode_corpus,
+    epoch_plan,
     exact_match_rate,
     label_smoothed_ce,
     make_batch,
@@ -411,6 +413,51 @@ class TestTrainLoop:
             assert lines[0]["step"] == 4
             assert lines[0]["checkpoint"]["threads"]["OPENBLAS_NUM_THREADS"] == "1"
             assert lines[0]["current"] == ckpt.provenance()
+
+
+class TestBatchLayout:
+    def test_make_batch_on_unequal_lengths_and_an_empty_target(self):
+        """Six vocabulary ids (PAD 0, BOS 1, EOS 2, then 3-5), so pointer j
+        is id 6 + j.  Targets of 3, 0 and 4 symbols give T = 5 steps."""
+        examples = [EncodedExample(np.array([4, 5, 6]), np.array([3, 6, 7])),
+                    EncodedExample(np.array([7]), np.array([], dtype=np.int64)),
+                    EncodedExample(np.array([8, 9, 10, 11, 12]), np.array([4, 10, 5, 3]))]
+        batch = make_batch(examples, vocab_size=6)
+        expected = {
+            "src_ids": [[4, 5, 6, 0, 0], [7, 0, 0, 0, 0], [8, 9, 10, 11, 12]],
+            "src_mask": [[1, 1, 1, 0, 0], [1, 0, 0, 0, 0], [1, 1, 1, 1, 1]],
+            # BOS in column 0, each row's targets shifted one to the right.
+            "tgt_in": [[1, 3, 6, 7, 0], [1, 0, 0, 0, 0], [1, 4, 10, 5, 3]],
+            # EOS at the row's own length, PAD after it.
+            "gold": [[3, 6, 7, 2, 0], [2, 0, 0, 0, 0], [4, 10, 5, 3, 2]],
+            # Real steps up to and including EOS.
+            "step_mask": [[1, 1, 1, 1, 0], [1, 0, 0, 0, 0], [1, 1, 1, 1, 1]],
+            # Every vocabulary id but PAD, then the pointers inside the query.
+            "support_mask": [[0, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0],
+                             [0, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0],
+                             [0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]],
+        }
+        for name, rows in expected.items():
+            value = getattr(batch, name)
+            dtype = bool if name.endswith("mask") else np.int64
+            assert value.dtype == dtype, name
+            np.testing.assert_array_equal(value, np.array(rows, dtype=dtype), err_msg=name)
+
+    def test_epoch_plan_buckets_a_shuffle_by_length(self):
+        n, size = 203, 4
+        lengths = np.random.default_rng(0).integers(1, 30, n).tolist()
+        plan = epoch_plan(n, size, seed=3, epoch=0, lengths=lengths)
+        order = np.concatenate(plan)
+        assert sorted(order.tolist()) == list(range(n))  # each index once per epoch
+        assert [len(b) for b in plan] == [size] * (n // size) + [n % size]
+        ordered = np.asarray(lengths)[order]
+        for start in range(0, n, 8 * size):
+            assert np.all(np.diff(ordered[start : start + 8 * size]) >= 0)  # inside a window
+        assert np.any(np.diff(ordered) < 0)  # but not across the epoch
+        again = np.concatenate(epoch_plan(n, size, seed=3, epoch=0, lengths=lengths))
+        np.testing.assert_array_equal(again, order)
+        next_epoch = np.concatenate(epoch_plan(n, size, seed=3, epoch=1, lengths=lengths))
+        assert next_epoch.tolist() != order.tolist()
 
 
 class TestBatchInvariance:
