@@ -15,15 +15,17 @@ The forward arithmetic of the weight product, the embedding lookup, layer
 norm, attention (scale, mask and softmax) and log-softmax lives in
 plain-array kernels (``weight_product``, ``take_rows``,
 ``layer_norm_forward``, ``attention_probs``, ``log_softmax_f64``) that the
-tape ops call.  The cached decoder step calls the same kernels on plain
-arrays, so it builds no ``Tensor`` and gets the same values as the ops.
+tape ops call.  Decoding (the packed encoder and the cached decoder step)
+calls the same kernels on plain arrays, so it builds no ``Tensor`` and gets
+the same values as the ops.
 
 Recording is explicit: ops append backward closures to the innermost active
 ``Tape`` (one module-level stack, so tapes nest; training runs on one
-thread).  With no tape active, ops are pure forward computations, which is
-what the encoder uses at inference.  ``Tape.backward`` walks the recorded
-nodes in reverse order exactly once; parameters not reachable from the loss
-keep their all-zero gradient buffers.
+thread).  With no tape active, ops are pure forward computations.  A
+backward closure computes a gradient only for the inputs that require one.
+``Tape.backward`` walks the recorded nodes in reverse order exactly once;
+parameters not reachable from the loss keep their all-zero gradient
+buffers.
 """
 
 from __future__ import annotations
@@ -159,8 +161,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeMismatch(f"add: {a.shape} vs {b.shape}") from None
 
     def backward(g: Array) -> None:
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(g, b.shape).copy())  # a may have kept g itself
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            gb = _unbroadcast(g, b.shape)
+            _accumulate(b, gb.copy() if a.requires_grad else gb)  # a may have kept g itself
 
     return _record(out, (a, b), backward)
 
@@ -172,8 +177,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeMismatch(f"mul: {a.shape} vs {b.shape}") from None
 
     def backward(g: Array) -> None:
-        _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.data, b.shape))
 
     return _record(out, (a, b), backward)
 
@@ -202,8 +209,10 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     out = Tensor(a.data @ b.data)
 
     def backward(g: Array) -> None:
-        _accumulate(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape))
-        _accumulate(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
 
     return _record(out, (a, b), backward)
 
@@ -482,11 +491,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, fill_mask, scale: float,
               p: float = 0.0, train: bool = False, rng: Optional[DropoutRng] = None) -> Tensor:
     """``dropout(softmax(mask_fill(q @ k^T * scale))) @ v`` as one primitive.
 
-    q is [B, heads, Tq, hd]; k and v are [B, heads, Tk, hd], and a key batch
-    of one broadcasts over the query batch.  ``fill_mask`` (bool,
-    broadcastable to [B, heads, Tq, Tk], or None) blocks the positions where
-    it is true.  The forward values are those of the composed ops, and the
-    dropout mask is drawn at the same point of the stream, with the same
+    q is [B, heads, Tq, hd]; k and v are [B, heads, Tk, hd].  ``fill_mask``
+    (bool, broadcastable to [B, heads, Tq, Tk], or None) blocks the positions
+    where it is true.  The forward values are those of the composed ops, and
+    the dropout mask is drawn at the same point of the stream, with the same
     shape.
     """
     c = np.float32(scale)
@@ -503,7 +511,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, fill_mask, scale: float,
     out = Tensor(weights @ v.data)
 
     def backward(g: Array) -> None:
-        _accumulate(v, _unbroadcast(weights.swapaxes(-1, -2) @ g, v.shape))
+        _accumulate(v, weights.swapaxes(-1, -2) @ g)
         gs = g @ v.data.swapaxes(-1, -2)
         if drop is not None:
             gs *= inv_keep
@@ -514,7 +522,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, fill_mask, scale: float,
         if blocked is not None:
             gs = np.where(blocked, np.float32(0.0), gs)
         gs *= c
-        _accumulate(q, _unbroadcast(gs @ k.data, q.shape))
-        _accumulate(k, _unbroadcast(gs.swapaxes(-1, -2) @ q.data, k.shape))
+        _accumulate(q, gs @ k.data)
+        _accumulate(k, gs.swapaxes(-1, -2) @ q.data)
 
     return _record(out, (q, k, v), backward)

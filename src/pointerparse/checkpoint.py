@@ -16,7 +16,9 @@ a format-version mismatch, or a .bin file whose length or sha256 differs from
 the manifest's record, is a hard error rather than a best-effort read.
 A save builds the directory under a temporary sibling name and renames it
 into place, so an exception or a killed process partway through a save
-never leaves a partial checkpoint under the final name.  A save killed
+never leaves a partial checkpoint under the final name.  Every file and the
+temporary directory are fsynced before the rename, and the parent directory
+after it, so a checkpoint in place survives a power loss too.  A save killed
 between its two renames leaves the previous checkpoint as ``.<name>.old``
 and nothing under ``<name>``; loading and lookup read that copy then.
 
@@ -90,15 +92,18 @@ class Checkpoint:
     provenance: Optional[dict] = None  # None for manifests older than the record
 
     def build_model(self) -> PointerGeneratorModel:
-        model = PointerGeneratorModel(self.model_config, seed=0)
-        for name, tensor in model.parameters().items():
+        """The model whose parameters are this checkpoint's arrays: no random
+        init is drawn and nothing is copied, so the model owns the arrays
+        from then on; build one model per loaded checkpoint."""
+
+        def stored(name: str, shape: tuple) -> np.ndarray:
             if name not in self.params:
                 raise CheckpointError(f"checkpoint missing parameter {name}")
-            if tensor.data.shape != self.params[name].shape:
+            if self.params[name].shape != shape:
                 raise CheckpointError(f"shape mismatch for {name}")
-            tensor.data = self.params[name].astype(np.float32).copy()
-            tensor.zero_grad()
-        return model
+            return self.params[name]
+
+        return PointerGeneratorModel(self.model_config, values=stored)
 
 
 def _write_blob(path: Path, arrays: list[np.ndarray]) -> tuple[list[int], dict]:
@@ -132,10 +137,11 @@ def save_checkpoint(
 ) -> Path:
     """Write a checkpoint to ``directory``, replacing any checkpoint there.
 
-    The files go to ``.<name>.partial`` beside it, which is then renamed to
-    the final name; the previous checkpoint is moved to ``.<name>.old`` for
-    that rename and deleted after it.  Neither temporary name matches the
-    ``step_*`` pattern that pruning and checkpoint lookup read.
+    The files go to ``.<name>.partial`` beside it, which is fsynced with
+    every file in it and then renamed to the final name; the previous
+    checkpoint is moved to ``.<name>.old`` for that rename and deleted after
+    it, once the parent directory is fsynced.  Neither temporary name
+    matches the ``step_*`` pattern that pruning and checkpoint lookup read.
     """
     directory = Path(directory)
     partial = directory.with_name(f".{directory.name}.partial")
@@ -156,6 +162,9 @@ def save_checkpoint(
             "best_dev_em": best_dev_em,
             "provenance": provenance(),
         }, opt_m, opt_v)
+        for path in sorted(partial.iterdir()):
+            _fsync(path)
+        _fsync(partial)
     except BaseException:
         shutil.rmtree(partial, ignore_errors=True)
         raise
@@ -167,8 +176,18 @@ def save_checkpoint(
             shutil.rmtree(retired)
         os.replace(directory, retired)
     os.replace(partial, directory)
+    _fsync(directory.parent)  # makes the renames durable
     shutil.rmtree(retired, ignore_errors=True)
     return directory
+
+
+def _fsync(path: Path) -> None:
+    """Flush a file's or a directory's data and metadata to the disk."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def _write_checkpoint(directory: Path, model, symtab, source_vocab, manifest: dict,

@@ -143,7 +143,7 @@ def beam_search_batch(
     width = v + src_ids.shape[1]
     ban = np.where(np.arange(width) < v + lengths[:, None], 0.0, -np.inf)
     ban[:, [PAD_ID, BOS_ID]] = -np.inf
-    cache = model.start_decoding(model.encode(src_ids, src_mask), src_mask)
+    cache = model.start_decoding(src_ids, src_mask)
 
     pools: list[list[DecodeResult]] = [[] for _ in lengths]
     floor = np.full(len(lengths), -np.inf)  # a full pool's k-th best score

@@ -23,9 +23,11 @@ values, pointer keys, padding) is held once per query, and a query's h rows
 attend to and point at that one copy.  The step runs off the tape: the cache
 holds plain float32 arrays, and the step calls the kernels the tape ops call
 (``ad.weight_product``, ``ad.layer_norm_forward``, ``ad.attention_probs``) on
-them, so it builds no ``Tensor``.  The encoder runs on the tape ops at
-inference too.  The teacher-forced pass is the reference the cached path is
-tested against.
+them, so it builds no ``Tensor``.  ``start_decoding`` encodes off the tape
+too, on packed rows: only the real source positions of a padded batch go
+through the encoder, and the tape ``encode``, which training runs, is the
+reference it is tested against bit for bit.  The teacher-forced pass is the
+reference the cached step is tested against.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, asdict
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -149,22 +151,27 @@ def sinusoidal_positions(length: int, dim: int) -> np.ndarray:
 
 
 class ParamStore:
-    """Named parameter registry with deterministic uniform init."""
+    """Named parameter registry with deterministic uniform init, or, given
+    ``values``, with the array ``values(name, shape)`` returns for each
+    parameter, used as it is: then nothing is drawn."""
 
-    def __init__(self, seed: int):
-        self.rng = np.random.default_rng(seed)
+    def __init__(self, seed: int, values: Optional[Callable[[str, tuple], np.ndarray]] = None):
+        self.rng = np.random.default_rng(seed) if values is None else None
+        self.values = values
         self.params: dict[str, Tensor] = {}
+
+    def _add(self, name: str, shape: tuple[int, ...], init: Callable[[], np.ndarray]) -> Tensor:
+        """A float32 parameter of the array ``init`` draws, or of the given one."""
+        t = ad.parameter(init() if self.values is None else self.values(name, shape))
+        self.params[name] = t
+        return t
 
     def uniform(self, name: str, shape: tuple[int, ...], fan_in: int) -> Tensor:
         limit = 1.0 / math.sqrt(fan_in)
-        t = ad.parameter(self.rng.uniform(-limit, limit, size=shape).astype(np.float32))
-        self.params[name] = t
-        return t
+        return self._add(name, shape, lambda: self.rng.uniform(-limit, limit, size=shape))
 
     def fill(self, name: str, shape: tuple[int, ...], value: float) -> Tensor:
-        t = ad.parameter(np.full(shape, value, dtype=np.float32))
-        self.params[name] = t
-        return t
+        return self._add(name, shape, lambda: np.full(shape, value, dtype=np.float32))
 
 
 class Linear:
@@ -220,6 +227,34 @@ class MultiHeadAttention:
         """Per-head keys and values, each [B, heads, Tk, head_dim]."""
         return self._split(self.wk(kv_in)), self._split(self.wv(kv_in))
 
+    def _padded(self, lin: Linear, x: np.ndarray, real, shape) -> np.ndarray:
+        """``lin`` applied to packed rows x [P, d_in], placed at the ``real``
+        positions (row and column indices) of a zero [Q, n] layout and split
+        into heads as ``__call__`` splits them: [Q, heads, n, head_dim]."""
+        out = np.zeros(shape + (self.n_heads, self.head_dim), np.float32)
+        out[real] = lin.apply(x).reshape(-1, self.n_heads, self.head_dim)
+        return out.transpose(0, 2, 1, 3)
+
+    def packed_keys_values(self, x: np.ndarray, real, shape) -> np.ndarray:
+        """Keys then values of packed rows x [P, d_kv_in], written straight
+        into one zero [Q, 2, heads, n, head_dim] array."""
+        kv = np.zeros((shape[0], 2, self.n_heads, shape[1], self.head_dim), np.float32)
+        for i, lin in enumerate((self.wk, self.wv)):
+            heads = lin.apply(x).reshape(-1, self.n_heads, self.head_dim)
+            kv[:, i].transpose(0, 2, 1, 3)[real] = heads
+        return kv
+
+    def attend_packed(self, x: np.ndarray, real, shape, blocked) -> np.ndarray:
+        """``__call__`` without dropout as self-attention over packed rows x
+        [P, d_in], off the tape.  Queries, keys and values go to the padded
+        [Q, heads, n, head_dim] layout, zero at padding positions, only for
+        ``attention_probs``; ``blocked`` [Q, 1, 1, n] gives the padding no
+        weight.  Returns packed output rows [P, d_out]."""
+        q, k, v = (self._padded(lin, x, real, shape) for lin in (self.wq, self.wk, self.wv))
+        probs = ad.attention_probs(q, k, blocked, 1.0 / math.sqrt(self.head_dim))
+        ctx = (probs @ v).transpose(0, 2, 1, 3)[real]  # [P, heads, head_dim]
+        return self.wo.apply(ctx.reshape(len(ctx), -1))
+
     def fused_qkv(self) -> tuple[np.ndarray, np.ndarray]:
         """Copies of the weight ``[Wq|Wk|Wv]`` and its bias, which project
         one input to queries, keys and values in one product."""
@@ -261,6 +296,12 @@ class EncoderLayer:
         x = ad.add(x, ad.dropout(self.attn(h, h, pad_fill, p, train, rng), p, train, rng))
         x = ad.add(x, ad.dropout(self.ffn(self.norm2(x), p, train, rng), p, train, rng))
         return x
+
+    def apply(self, x: np.ndarray, real, shape, pad_fill) -> np.ndarray:
+        """The layer without dropout on packed rows x [P, d_model], the
+        ``real`` positions of a [Q, n] batch, off the tape."""
+        x = x + self.attn.attend_packed(self.norm1.apply(x), real, shape, pad_fill)
+        return x + self.ffn.apply(self.norm2.apply(x))
 
 
 class DecoderLayer:
@@ -308,10 +349,12 @@ class DecoderCache:
     live queries with h decoder rows each: a query's rows (its beam
     hypotheses) are consecutive, so row r belongs to query r // h.
 
-    Built once per batch of queries from the encoder states.  Source-side
+    Built once per batch of queries by ``start_decoding``.  Source-side
     state is held once per live query: each decoder layer's cross-attention
     keys and values [Q, 2, heads, n, head_dim], the pointer keys
     ``ptr_bilinear @ enc^T`` [Q, d_dec, n] and the source padding [Q, n].
+    The keys, values and pointer keys hold zeros at padding positions, which
+    every step masks.
     It also holds the decoder input table, pre-scaled by sqrt(d_dec), and
     each layer's ``[Wq|Wk|Wv]`` with its bias, concatenated here rather
     than on the model because training updates the weights in place.
@@ -407,10 +450,13 @@ class DecoderCache:
 
 
 class PointerGeneratorModel:
-    def __init__(self, config: ModelConfig, seed: int = 0):
+    def __init__(self, config: ModelConfig, seed: int = 0,
+                 values: Optional[Callable[[str, tuple], np.ndarray]] = None):
+        """A model with seeded random parameters, or with the arrays
+        ``values`` gives (see ``ParamStore``)."""
         self.config = config
         cfg = config
-        store = ParamStore(seed)
+        store = ParamStore(seed, values)
         self.src_embed = store.uniform("src_embed", (cfg.src_vocab_size, cfg.d_model), fan_in=cfg.d_model)
         self.sym_embed = store.uniform("sym_embed", (cfg.vocab_size, cfg.d_dec), fan_in=cfg.d_dec)
         # One learned embedding per source *position*, shared by every query.
@@ -433,15 +479,24 @@ class PointerGeneratorModel:
         for p in self.params.values():
             p.zero_grad()
 
-    def encode(self, src_ids: np.ndarray, src_mask: Optional[np.ndarray] = None,
-               train: bool = False, rng: Optional[DropoutRng] = None) -> Tensor:
-        """Source ids [B, n] to encoder states [B, n, d_model]."""
+    def _sources(self, src_ids) -> np.ndarray:
+        """Source ids as a [B, n] array, refused when n is 0 or above
+        ``max_src_len``."""
         src_ids = np.atleast_2d(np.asarray(src_ids))
         n = src_ids.shape[1]
         if n == 0:
             raise EmptySource("a source needs at least one token")
         if n > self.config.max_src_len:
             raise SourceTooLong(f"{n} tokens exceeds max_src_len {self.config.max_src_len}")
+        return src_ids
+
+    def encode(self, src_ids: np.ndarray, src_mask: Optional[np.ndarray] = None,
+               train: bool = False, rng: Optional[DropoutRng] = None) -> Tensor:
+        """Source ids [B, n] to encoder states [B, n, d_model] on the tape
+        ops: the training path, and the reference for the packed encoder
+        that ``start_decoding`` runs."""
+        src_ids = self._sources(src_ids)
+        n = src_ids.shape[1]
         if src_mask is None:
             src_mask = np.ones_like(src_ids, dtype=bool)
         p = self.config.dropout
@@ -488,13 +543,44 @@ class PointerGeneratorModel:
         states = self._decoder_states(tgt_in_ids, enc, np.asarray(src_mask, dtype=bool), train, rng)
         return self.joint_logits(states, enc, np.asarray(src_mask, dtype=bool))
 
-    def start_decoding(self, enc: Tensor, src_mask) -> DecoderCache:
-        """A cache for decoding from encoder states [Q, n, d_model], one row
-        per query."""
+    def encode_packed(self, src_ids, src_mask) -> np.ndarray:
+        """``encode`` without dropout on packed rows, off the tape: the
+        states [P, d_model] of the P real positions of source ids [Q, n]
+        under their mask, in ``np.nonzero(src_mask)`` order.  Only those
+        rows go through the embedding, LayerNorms, Linears, FFNs and
+        residual adds; each self-attention places its queries, keys and
+        values in the padded [Q, heads, n, head_dim] layout only for
+        ``attention_probs``.  A GEMM's output row depends only on its own
+        input row, so each row is ``encode``'s state there, bit for bit."""
+        src_ids = self._sources(src_ids)
         src_mask = np.atleast_2d(np.asarray(src_mask, dtype=bool))
-        cross_kv = [np.stack([t.data for t in layer.cross_attn.keys_values(enc)], axis=1)
+        real, shape = np.nonzero(src_mask), src_mask.shape
+        x = ad.take_rows(self.src_embed.data, src_ids[real])
+        x *= np.float32(math.sqrt(self.config.d_model))
+        x += self.enc_positions.data[real[1]]
+        pad_fill = ~src_mask[:, None, None, :]
+        for layer in self.enc_layers:
+            x = layer.apply(x, real, shape, pad_fill)
+        return self.enc_norm.apply(x)
+
+    def start_decoding(self, src_ids, src_mask) -> DecoderCache:
+        """A cache for decoding source ids [Q, n] under their mask, one row
+        per query.  Only the real source positions are encoded
+        (``encode_packed``).  Each decoder layer's cross-attention keys and
+        values are projected from those packed rows straight into the
+        cache's [Q, 2, heads, n, head_dim] buffers, and the pointer keys
+        are each query's ``ptr_bilinear @ enc^T``.  At every real position
+        these are the values the tape ``encode`` leads to, bit for bit;
+        padding positions, which every step masks, hold zeros.  No
+        ``Tensor`` is built."""
+        src_mask = np.atleast_2d(np.asarray(src_mask, dtype=bool))
+        x = self.encode_packed(src_ids, src_mask)
+        real, shape = np.nonzero(src_mask), src_mask.shape
+        cross_kv = [layer.cross_attn.packed_keys_values(x, real, shape)
                     for layer in self.dec_layers]
-        ptr_keys = ad.matmul(self.ptr_bilinear, ad.swap_last(enc)).data
+        enc = np.zeros(shape + (self.config.d_model,), np.float32)
+        enc[real] = x
+        ptr_keys = self.ptr_bilinear.data @ enc.swapaxes(-1, -2)
         qkv = [layer.self_attn.fused_qkv() for layer in self.dec_layers]
         # The training-time table is an ``ad.concat`` node; decoding needs
         # only its values, scaled once here rather than at every step.
@@ -540,14 +626,15 @@ class PointerGeneratorModel:
             log_probs=ad.log_softmax_f64(last).astype(np.float32),
         )
 
-    def decode_step(self, prefix_ids, enc: Tensor, src_mask) -> OutputDistribution:
-        """Next-token distribution given decoder input prefixes [B, t]: the
-        prefix goes through a fresh cache one position at a time, so the
-        result is computed exactly as the decoders compute it."""
+    def decode_step(self, prefix_ids, src_ids, src_mask) -> OutputDistribution:
+        """Next-token distribution given decoder input prefixes [B, t] for
+        source ids [B, n]: the prefix goes through a fresh cache one position
+        at a time, so the result is computed exactly as the decoders compute
+        it."""
         prefix = np.atleast_2d(np.asarray(prefix_ids))
         if prefix.shape[1] == 0:
             raise ValueError("decode_step needs a non-empty decoder prefix, at least BOS")
-        cache = self.start_decoding(enc, src_mask)
+        cache = self.start_decoding(src_ids, src_mask)
         for t in range(prefix.shape[1]):
             dist = self.step(cache, prefix[:, t])
         return dist

@@ -212,8 +212,7 @@ def test_criterion_4_distribution_contract():
             prefix = np.concatenate(
                 [[BOS_ID], rng.integers(3, vocab, prefix_len - 1)]
             )[None, :]
-            enc = model.encode(src, mask)
-            dist = model.decode_step(prefix, enc, mask)
+            dist = model.decode_step(prefix, src, mask)
             assert dist.log_probs.shape == (1, vocab + n)
             probs = dist.probs
             np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-5)
@@ -293,10 +292,10 @@ def test_criterion_6_beam_properties():
     model = _random_decode_model(77, vocab=4, max_len=1)
     src = np.array([2])
     mask = np.ones((1, 1), dtype=bool)
-    enc = model.encode(src[None, :], mask)
 
     def step(prefix):
-        row = model.decode_step(np.asarray([prefix]), enc, mask).log_probs[0].astype(np.float64)
+        dist = model.decode_step(np.asarray([prefix]), src[None, :], mask)
+        row = dist.log_probs[0].astype(np.float64)
         row[PAD_ID] = row[BOS_ID] = -np.inf
         return row
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pointerparse import autodiff
 from pointerparse.autodiff import (
     DropoutRng,
     NonScalarLoss,
@@ -118,6 +119,28 @@ class TestBackwardBasics:
         x = parameter(rand(2, 2, seed=9))
         out = matmul(x, x)
         assert out._backward is None and not out.requires_grad
+
+    @pytest.mark.parametrize("op", [add, mul, matmul])
+    def test_a_constant_operand_gets_no_gradient_work(self, op, monkeypatch):
+        """A constant broadcast over the batch (a position table), on either
+        side: the backward reduces a gradient for the parameter alone."""
+        x = parameter(rand(2, 3, 3, seed=10))
+        c = constant(rand(1, 3, 3, seed=11))
+        w = constant(rand(2, 3, 3, seed=12))
+        reduced = []
+        unbroadcast = autodiff._unbroadcast
+
+        def recorded(g, shape):
+            reduced.append(shape)
+            return unbroadcast(g, shape)
+
+        monkeypatch.setattr(autodiff, "_unbroadcast", recorded)
+        for a, b in ((x, c), (c, x)):
+            reduced.clear()
+            with Tape() as tape:
+                tape.backward(reduce_sum(mul(op(a, b), w)))
+            assert reduced[-1] == x.shape and c.shape not in reduced
+            assert c.grad is None
 
 
 class TestGradChecks:
@@ -275,25 +298,24 @@ class TestAttention:
     """The fused primitive against finite differences and the composed ops."""
 
     @staticmethod
-    def _qkv(batch, kv_batch, tq, tk, seed):
+    def _qkv(batch, tq, tk, seed):
         q = parameter(rand(batch, 2, tq, 3, seed=seed))
-        k = parameter(rand(kv_batch, 2, tk, 3, seed=seed + 1))
-        v = parameter(rand(kv_batch, 2, tk, 3, seed=seed + 2))
+        k = parameter(rand(batch, 2, tk, 3, seed=seed + 1))
+        v = parameter(rand(batch, 2, tk, 3, seed=seed + 2))
         w = constant(rand(batch, 2, tq, 3, seed=seed + 3))
         return q, k, v, w
 
     CASES = {
-        "padding": dict(batch=2, kv_batch=2, tq=3, tk=4, mask=_padding([4, 2], 4)),
-        "causal": dict(batch=2, kv_batch=2, tq=4, tk=4, mask=_causal(4)),
-        "dropout": dict(batch=2, kv_batch=2, tq=3, tk=4, mask=_padding([3, 4], 4), p=0.3),
-        "key_batch_of_one": dict(batch=3, kv_batch=1, tq=1, tk=4, mask=np.zeros((1, 1, 1, 4), bool)),
-        "fully_blocked_row": dict(batch=2, kv_batch=2, tq=3, tk=4, mask=_padding([4, 0], 4)),
+        "padding": dict(batch=2, tq=3, tk=4, mask=_padding([4, 2], 4)),
+        "causal": dict(batch=2, tq=4, tk=4, mask=_causal(4)),
+        "dropout": dict(batch=2, tq=3, tk=4, mask=_padding([3, 4], 4), p=0.3),
+        "fully_blocked_row": dict(batch=2, tq=3, tk=4, mask=_padding([4, 0], 4)),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_finite_differences(self, case):
         cfg = self.CASES[case]
-        q, k, v, w = self._qkv(cfg["batch"], cfg["kv_batch"], cfg["tq"], cfg["tk"], seed=70)
+        q, k, v, w = self._qkv(cfg["batch"], cfg["tq"], cfg["tk"], seed=70)
         p = cfg.get("p", 0.0)
 
         def loss():
@@ -305,7 +327,7 @@ class TestAttention:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_matches_composed_ops(self, case):
         cfg = self.CASES[case]
-        q, k, v, w = self._qkv(cfg["batch"], cfg["kv_batch"], cfg["tq"], cfg["tk"], seed=80)
+        q, k, v, w = self._qkv(cfg["batch"], cfg["tq"], cfg["tk"], seed=80)
         p = cfg.get("p", 0.0)
         results = []
         for op in (attention, _composed_attention):

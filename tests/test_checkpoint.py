@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +47,35 @@ def test_round_trip_restores_parameters(saved):
     assert loaded.step == 10
     assert loaded.dropout_counter == 40
     assert loaded.symtab == symtab
+
+
+def test_build_model_takes_the_stored_arrays_without_a_draw(saved, monkeypatch):
+    path, _, _ = saved
+    loaded = load_checkpoint(path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a random init was drawn")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    rebuilt = loaded.build_model()
+    assert rebuilt.parameters().keys() == loaded.params.keys()
+    for name, p in rebuilt.parameters().items():
+        assert p.data.dtype == np.float32 and np.shares_memory(p.data, loaded.params[name])
+        np.testing.assert_array_equal(p.grad, 0)
+
+
+@pytest.mark.parametrize("damage, message", [
+    ("drop", "checkpoint missing parameter dec_norm.gain"),
+    ("shorten", "shape mismatch for dec_norm.gain"),
+])
+def test_build_model_refuses_a_missing_or_misshapen_parameter(saved, damage, message):
+    loaded = load_checkpoint(saved[0])
+    if damage == "drop":
+        del loaded.params["dec_norm.gain"]
+    else:
+        loaded.params["dec_norm.gain"] = loaded.params["dec_norm.gain"][:-1]
+    with pytest.raises(CheckpointError, match=message):
+        loaded.build_model()
 
 
 def test_version_mismatch_is_hard_error(saved):
@@ -196,3 +226,34 @@ def test_save_killed_between_renames_loads_the_previous_checkpoint(saved, monkey
     save_checkpoint(path, model, symtab, source_vocab, {}, step=30)
     assert load_checkpoint(path).step == 30
     assert [p.name for p in path.parent.iterdir()] == ["best"]
+
+
+def test_save_fsyncs_before_the_rename_and_the_parent_after(saved, monkeypatch):
+    """Power-loss safety: every file and the ``.partial`` directory reach the
+    disk before the rename makes them the checkpoint, and the parent
+    directory, which holds the renames, right after."""
+    path, model, symtab = saved
+    source_vocab = load_checkpoint(path).source_vocab
+    fsync, replace = os.fsync, os.replace
+    events = []
+
+    def synced(fd):
+        events.append(("fsync", os.fstat(fd).st_ino))
+        fsync(fd)
+
+    def renamed(src, dst):
+        events.append(("replace", Path(src).name, Path(dst).name))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", synced)
+    monkeypatch.setattr(os, "replace", renamed)
+    save_checkpoint(path, model, symtab, source_vocab, {}, step=20)
+    files = sorted(p.stat().st_ino for p in path.iterdir())
+    assert len(files) == 4  # params, manifest and both vocabularies
+    *file_syncs, dir_sync, retire, install, parent_sync = events
+    assert sorted(inode for _, inode in file_syncs) == files
+    assert dir_sync == ("fsync", path.stat().st_ino)
+    assert retire == ("replace", "best", ".best.old")
+    assert install == ("replace", ".best.partial", "best")
+    assert parent_sync == ("fsync", path.parent.stat().st_ino)
+    assert load_checkpoint(path).step == 20

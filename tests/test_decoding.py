@@ -154,11 +154,10 @@ class TestBeamSearch:
         model = random_model(3, vocab_size=4, src_vocab_size=6, max_src_len=1, d=8)
         src = np.array([2])
         mask = np.ones((1, 1), dtype=bool)
-        enc = model.encode(src[None, :], mask)
         allowed = [EOS_ID, 3, 4]  # PAD/BOS banned; id 4 is the pointer @ptr_0
 
         def step_log_probs(prefix):
-            dist = model.decode_step(np.asarray([prefix]), enc, mask)
+            dist = model.decode_step(np.asarray([prefix]), src[None, :], mask)
             row = dist.log_probs[0].astype(np.float64)
             row[PAD_ID] = row[BOS_ID] = -np.inf
             return row
@@ -248,13 +247,12 @@ def reference_greedy(model, src_ids, src_mask):
     ``model.decode_step`` (a fresh cache, no row reordering), bans PAD, BOS
     and pointers past the row's length, and takes the first maximum.  Rows
     that have stopped are fed EOS, so the batch keeps its shape."""
-    enc = model.encode(src_ids, src_mask)
     lengths = src_mask.sum(axis=1)
     prefix = np.full((len(src_ids), 1), BOS_ID)
     scores = [0.0] * len(src_ids)
     results = [None] * len(src_ids)
     while None in results:
-        log_probs = model.decode_step(prefix, enc, src_mask).log_probs.astype(np.float64)
+        log_probs = model.decode_step(prefix, src_ids, src_mask).log_probs.astype(np.float64)
         tokens = np.full(len(src_ids), EOS_ID)
         for b in (b for b, res in enumerate(results) if res is None):
             row = log_probs[b]

@@ -3,6 +3,7 @@ import pytest
 
 from pointerparse import autodiff as ad
 from pointerparse.data import default_grammar, generate_synthetic
+from pointerparse.decoding import BeamConfig, beam_search_batch
 from pointerparse.model import (
     Linear,
     ModelConfig,
@@ -40,6 +41,14 @@ def tiny_config(**overrides):
 @pytest.fixture(scope="module")
 def model():
     return PointerGeneratorModel(tiny_config(), seed=7)
+
+
+@pytest.fixture(scope="module")
+def acceptance_width_model():
+    """Random weights at the acceptance config's widths and depths (the
+    ``ModelConfig`` defaults), with a 24-token pointer table."""
+    return PointerGeneratorModel(ModelConfig(vocab_size=40, src_vocab_size=200, max_src_len=24),
+                                 seed=29)
 
 
 def make_batch(model, lengths, prefix_len=4, seed=0):
@@ -87,16 +96,14 @@ def test_identical_tokens_get_distinct_rows(model):
 def test_joint_distribution_length_and_normalization(model):
     for n in (1, 4, 9):
         src, mask, tgt = make_batch(model, [n], seed=n)
-        enc = model.encode(src, mask)
-        dist = model.decode_step(tgt, enc, mask)
+        dist = model.decode_step(tgt, src, mask)
         assert dist.log_probs.shape == (1, model.config.vocab_size + n)
         np.testing.assert_allclose(dist.probs.sum(axis=-1), 1.0, atol=1e-5)
 
 
 def test_zero_mass_on_padded_pointers(model):
     src, mask, tgt = make_batch(model, [3, 7], seed=2)
-    enc = model.encode(src, mask)
-    dist = model.decode_step(tgt, enc, mask)
+    dist = model.decode_step(tgt, src, mask)
     v = model.config.vocab_size
     assert np.all(dist.probs[0, v + 3 :] == 0.0)
     np.testing.assert_allclose(dist.probs.sum(axis=-1), [1.0, 1.0], atol=1e-5)
@@ -105,17 +112,15 @@ def test_zero_mass_on_padded_pointers(model):
 def test_prefix_pad_rejected(model):
     src, mask, tgt = make_batch(model, [4], seed=3)
     tgt[0, 2] = PAD_ID
-    enc = model.encode(src, mask)
     with pytest.raises(PrefixContainsPAD):
-        model.decode_step(tgt, enc, mask)
+        model.decode_step(tgt, src, mask)
 
 
 def test_teacher_forcing_matches_stepwise_decoding(model):
     src, mask, tgt = make_batch(model, [6], prefix_len=5, seed=4)
     logits = model.forward_teacher_forced(src, mask, tgt).data[0]
-    enc = model.encode(src, mask)
     for t in range(1, tgt.shape[1] + 1):
-        dist = model.decode_step(tgt[:, :t], enc, mask)
+        dist = model.decode_step(tgt[:, :t], src, mask)
         step_logits = np.concatenate([dist.vocab_scores, dist.pointer_scores], axis=-1)[0]
         np.testing.assert_allclose(step_logits, logits[t - 1], atol=1e-5)
 
@@ -134,7 +139,7 @@ def test_cached_steps_match_teacher_forcing_up_to_the_cap(model):
     tgt = rng.integers(3, model.config.vocab_size + min(lengths), (len(lengths), steps))
     tgt[:, 0] = BOS_ID
     logits = model.forward_teacher_forced(src, mask, tgt).data
-    cache = model.start_decoding(model.encode(src, mask), mask)
+    cache = model.start_decoding(src, mask)
     for t in range(steps):
         np.testing.assert_allclose(_cache_logits(model, cache, tgt[:, t]), logits[:, t], atol=1e-5)
 
@@ -150,7 +155,7 @@ def _check_against_teacher_forcing(model, cache, src, mask, prefixes, start):
 
 def test_cache_select_keeps_each_row_on_its_own_prefix(model):
     src, mask, tgt = make_batch(model, [4, 9, 6], prefix_len=7, seed=10)
-    cache = model.start_decoding(model.encode(src, mask), mask)
+    cache = model.start_decoding(src, mask)
     for t in range(4):
         model.step(cache, tgt[:, t])
     rows = np.array([0, 0, 2, 2])  # rows 0 and 2 are parents of two rows each; 1 leaves
@@ -173,7 +178,7 @@ def test_two_caches_of_one_model_do_not_share_buffers(model):
         src, mask, _ = make_batch(model, lengths, seed=seed)
         tgt = _random_targets(model, lengths, 20, seed)
         logits = model.forward_teacher_forced(src, mask, tgt).data
-        batches.append((model.start_decoding(model.encode(src, mask), mask), tgt, logits))
+        batches.append((model.start_decoding(src, mask), tgt, logits))
     for t in range(20):  # past the first capacity of 16 positions
         for cache, tgt, logits in batches:
             np.testing.assert_allclose(_cache_logits(model, cache, tgt[:, t]), logits[:, t],
@@ -185,7 +190,7 @@ def test_select_after_the_capacity_doubled_twice(model):
     src, mask, _ = make_batch(model, lengths, seed=13)
     steps = model.config.max_tgt_len
     tgt = _random_targets(model, lengths, steps, seed=13)
-    cache = model.start_decoding(model.encode(src, mask), mask)
+    cache = model.start_decoding(src, mask)
     capacities = set()
     for t in range(34):
         model.step(cache, tgt[:, t])
@@ -204,7 +209,7 @@ def _grouped_cache(model, lengths, steps, seed, h=2):
     sources and masks repeated per row."""
     src, mask, _ = make_batch(model, lengths, seed=seed)
     prefixes = _random_targets(model, lengths * h, steps, seed=seed)
-    cache = model.start_decoding(model.encode(src, mask), mask)
+    cache = model.start_decoding(src, mask)
     model.step(cache, prefixes[::h, 0])
     cache.select(np.repeat(np.arange(len(lengths)), h), h)
     return cache, np.repeat(src, h, axis=0), np.repeat(mask, h, axis=0), prefixes
@@ -241,7 +246,7 @@ def test_select_moves_source_state_in_place(model):
     lengths = [4, 9, 6]
     src, mask, _ = make_batch(model, lengths, seed=18)
     prefixes = _random_targets(model, lengths * 2, 10, seed=18)
-    cache = model.start_decoding(model.encode(src, mask), mask)
+    cache = model.start_decoding(src, mask)
     held = _source_state(cache)
     before = [a.copy() for a in held]
     model.step(cache, prefixes[::2, 0])
@@ -307,7 +312,7 @@ def test_a_bad_layout_raises_before_any_write(model):
 def test_step_past_max_tgt_len_raises(model):
     src, mask, _ = make_batch(model, [3, 5], seed=15)
     cap = model.config.max_tgt_len
-    cache = model.start_decoding(model.encode(src, mask), mask)
+    cache = model.start_decoding(src, mask)
     for _ in range(cap):
         model.step(cache, [BOS_ID, BOS_ID])
     with pytest.raises(ValueError, match=f"target length {cap + 1} exceeds max_tgt_len {cap}"):
@@ -321,7 +326,7 @@ def test_token_count_must_match_the_cache_rows(model, fed, count):
     src, mask, _ = make_batch(model, lengths, seed=16)
     tgt = _random_targets(model, lengths, fed + 1, seed=16)
     logits = model.forward_teacher_forced(src, mask, tgt).data
-    cache = model.start_decoding(model.encode(src, mask), mask)
+    cache = model.start_decoding(src, mask)
     for t in range(fed):
         model.step(cache, tgt[:, t])
     with pytest.raises(RowCountMismatch, match=f"{count} tokens for a cache of 3 rows"):
@@ -332,13 +337,13 @@ def test_token_count_must_match_the_cache_rows(model, fed, count):
 
 
 def test_a_decode_step_builds_no_tensor_and_reads_no_tape(model, monkeypatch):
-    """The cached step and ``select`` run on plain arrays: once the cache is
-    built, decoding builds no ``Tensor`` (so no ``ad.concat`` either) and
-    never looks up the tape stack."""
+    """The packed encoder, the cached step and ``select`` run on plain
+    arrays: decoding from source ids, a whole ``beam_search_batch``
+    included, builds no ``Tensor`` (so no ``ad.concat`` either) and never
+    looks up the tape stack."""
     lengths = [4, 9, 6]
     src, mask, _ = make_batch(model, lengths, seed=17)
     tgt = _random_targets(model, lengths, 20, seed=17)
-    cache = model.start_decoding(model.encode(src, mask), mask)
     built = []
     init = ad.Tensor.__init__
 
@@ -351,6 +356,9 @@ def test_a_decode_step_builds_no_tensor_and_reads_no_tape(model, monkeypatch):
 
     monkeypatch.setattr(ad.Tensor, "__init__", counted)
     monkeypatch.setattr(ad, "active_tape", refuse)
+    for k in (1, 4):
+        assert all(beam_search_batch(model, src, mask, BeamConfig(k)))
+    cache = model.start_decoding(src, mask)
     row_query = np.arange(3)
     layouts = {2: ([0, 0, 1, 1, 2, 2], 2),  # every query widens to two rows
                6: ([1, 0, 5, 4], 2),  # query 1 leaves: the source state compacts
@@ -365,16 +373,41 @@ def test_a_decode_step_builds_no_tensor_and_reads_no_tape(model, monkeypatch):
     assert built == []
 
 
+@pytest.mark.parametrize("lengths", [[1], [1, 7, 24, 3, 12], [6, 6, 6, 6], [17],
+                                     list(np.random.default_rng(31).integers(1, 25, 64))])
+def test_packed_encoder_matches_the_tape_encoder_bit_for_bit(acceptance_width_model, lengths):
+    """At the acceptance width (d=128, 2+2 layers, 4 heads), a chunk of mixed
+    lengths, one with a 1-token source, one with no padding and a chunk of
+    one query go through ``start_decoding``'s packed encoder and through the
+    tape ``encode``: the encoder states, each decoder layer's
+    cross-attention keys and values and the pointer keys are bit-equal at
+    every real position, which pins the GEMM row invariance the packing
+    relies on at the model's own shapes.  Padding positions hold zeros."""
+    model = acceptance_width_model
+    src, mask, _ = make_batch(model, lengths, seed=len(lengths))
+    enc = model.encode(src, mask)
+    np.testing.assert_array_equal(model.encode_packed(src, mask), enc.data[mask])
+    cache = model.start_decoding(src, mask)
+    for layer, kv in zip(model.dec_layers, cache.cross_kv):
+        tape_kv = np.stack([t.data for t in layer.cross_attn.keys_values(enc)], axis=1)
+        by_position = kv.transpose(0, 3, 1, 2, 4)  # [Q, n, 2, heads, head_dim]
+        np.testing.assert_array_equal(by_position[mask], tape_kv.transpose(0, 3, 1, 2, 4)[mask])
+        assert not by_position[~mask].any()
+    tape_ptr = ad.matmul(model.ptr_bilinear, ad.swap_last(enc)).data
+    by_position = cache.ptr_keys.swapaxes(1, 2)  # [Q, n, d_dec]
+    np.testing.assert_array_equal(by_position[mask], tape_ptr.swapaxes(1, 2)[mask])
+    assert not by_position[~mask].any()
+
+
 def test_empty_prefix_is_refused_before_a_cache_is_built(model, monkeypatch):
     src, mask, _ = make_batch(model, [4], seed=19)
-    enc = model.encode(src, mask)
 
     def refuse(*args):
         raise AssertionError("a cache was built for an empty prefix")
 
     monkeypatch.setattr(model, "start_decoding", refuse)
     with pytest.raises(ValueError, match="non-empty decoder prefix"):
-        model.decode_step(np.zeros((1, 0), dtype=np.int64), enc, mask)
+        model.decode_step(np.zeros((1, 0), dtype=np.int64), src, mask)
 
 
 def test_single_step_target(model):
@@ -404,11 +437,10 @@ def test_identical_batch_rows_identical_outputs(model):
 
 def test_bilinear_linearity(model):
     src, mask, tgt = make_batch(model, [5], seed=8)
-    enc = model.encode(src, mask)
-    before = model.decode_step(tgt, enc, mask).pointer_scores.copy()
+    before = model.decode_step(tgt, src, mask).pointer_scores.copy()
     model.ptr_bilinear.data *= 2.0
     try:
-        after = model.decode_step(tgt, enc, mask).pointer_scores
+        after = model.decode_step(tgt, src, mask).pointer_scores
         real = ~np.isclose(before, -1e9)
         np.testing.assert_allclose(after[real], 2.0 * before[real], rtol=1e-5)
     finally:
