@@ -13,7 +13,9 @@ Layout::
 
 Loading a checkpoint restores training bit-identically on a single thread;
 a format-version mismatch, or a .bin file whose length or sha256 differs from
-the manifest's record, is a hard error rather than a best-effort read.
+the manifest's record, is a hard error rather than a best-effort read; so
+is a ``symtab.json`` or ``source_vocab.json`` whose size (or pointer range)
+differs from the manifest's ``model_config``.
 A save builds the directory under a temporary sibling name and renames it
 into place, so an exception or a killed process partway through a save
 never leaves a partial checkpoint under the final name.  Every file and the
@@ -267,12 +269,20 @@ def load_checkpoint(directory) -> Checkpoint:
     opt_m = opt_v = None
     if manifest["has_opt_state"]:
         opt_m, opt_v = _read_blob(directory / "optstate.bin", manifest, copies=2)
+    config = ModelConfig.from_json(manifest["model_config"])
+    symtab = SymbolTable.load(directory / "symtab.json")
+    source_vocab = SourceVocab.load(directory / "source_vocab.json")
+    for key, stored in (("vocab_size", symtab.vocab_size), ("max_src_len", symtab.max_src_len),
+                        ("src_vocab_size", source_vocab.size)):
+        if stored != getattr(config, key):
+            raise CheckpointError(f"the vocabularies in {directory} give {key} {stored}; "
+                                  f"its model_config says {getattr(config, key)}")
     return Checkpoint(
         step=int(manifest["step"]),
-        model_config=ModelConfig.from_json(manifest["model_config"]),
+        model_config=config,
         train_config=manifest["train_config"],
-        symtab=SymbolTable.load(directory / "symtab.json"),
-        source_vocab=SourceVocab.load(directory / "source_vocab.json"),
+        symtab=symtab,
+        source_vocab=source_vocab,
         params=params,
         opt_m=opt_m,
         opt_v=opt_v,

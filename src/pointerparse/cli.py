@@ -44,7 +44,6 @@ from .linearize import (
     Query,
     Style,
     TargetSequence,
-    linearize,
     validate,
 )
 from .metrics import LengthMismatch, evaluate
@@ -263,7 +262,8 @@ def cmd_predict(args) -> int:
 
 def cmd_eval(args) -> int:
     beam_config = _beam_config(args)
-    loaded = ckpt.load_checkpoint(ckpt.latest_checkpoint(args.checkpoint))
+    checkpoint = ckpt.latest_checkpoint(args.checkpoint)
+    loaded = ckpt.load_checkpoint(checkpoint)
     model = loaded.build_model()
     examples = read_jsonl(args.input)
     start = time.perf_counter()
@@ -271,7 +271,7 @@ def cmd_eval(args) -> int:
     seconds = time.perf_counter() - start
     decoded = [parse for parse in best if parse is not None]
     predictions = [TargetSequence(()) if parse is None else parse[0] for parse in best]
-    references = [linearize(ex.parse, ex.query) for ex in examples]
+    references = [ex.target for ex in examples]
     lengths = [len(ex.query.tokens) for ex in examples]
     styles = [ex.style for ex in examples]
     report = evaluate(predictions, references, lengths, styles)
@@ -285,7 +285,7 @@ def cmd_eval(args) -> int:
         "gold_len_mean": sum(gold) / len(gold) if gold else 0.0,
     })
 
-    report_dir = Path(args.report_dir) if args.report_dir else ckpt.latest_checkpoint(args.checkpoint) / "eval"
+    report_dir = Path(args.report_dir) if args.report_dir else checkpoint / "eval"
     report_dir.mkdir(parents=True, exist_ok=True)
     (report_dir / "report.json").write_text(json.dumps(headline, sort_keys=True, indent=2) + "\n")
     # Times vary from run to run, so they stay out of the reproducible report.
@@ -304,8 +304,7 @@ def cmd_eval(args) -> int:
 
 def cmd_linearize(args) -> int:
     for obj in json_lines(args.input):
-        example = example_from_json(obj)
-        sys.stdout.write(linearize(example.parse, example.query).to_string() + "\n")
+        sys.stdout.write(example_from_json(obj).target.to_string() + "\n")
     return EXIT_OK
 
 

@@ -20,6 +20,7 @@ import sys
 import unicodedata
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -31,6 +32,7 @@ from .linearize import (
     Query,
     SemanticParse,
     Style,
+    TargetSequence,
     linearize,
 )
 
@@ -67,6 +69,18 @@ class CorpusExample:
     @property
     def style(self) -> Style:
         return self.parse.style
+
+    @cached_property
+    def target(self) -> TargetSequence:
+        """``linearize(parse, query)``, computed on first read and kept; the
+        read raises LinearizeError for a parse its query does not allow."""
+        return linearize(self.parse, self.query)
+
+
+def _checked(example: CorpusExample) -> CorpusExample:
+    """``example`` after reading its target, which validates its parse."""
+    example.target  # noqa: B018 - the read computes and keeps the target
+    return example
 
 
 def node_to_json(node: ParseNode) -> dict:
@@ -241,8 +255,7 @@ def import_bio(tokens_path, tags_path, labels_path, policy: str = "reject") -> l
                 raise IllegalTagTransition(f"line {row}: unknown tag {tag!r}")
         close_span()
         parse = SemanticParse(ParseNode(intent.strip(), Kind.INTENT, (), tuple(slots)), Style.FLAT)
-        linearize(parse, query)
-        examples.append(CorpusExample(query, parse))
+        examples.append(_checked(CorpusExample(query, parse)))
     return examples
 
 
@@ -330,9 +343,7 @@ def import_top(tsv_path, utterance_col: int = 0, parse_col: int = 1) -> list[Cor
                 raise BracketParseError(f"row {row}: expected at least {max(utterance_col, parse_col) + 1} columns")
             query = Query.from_text(cols[utterance_col])
             root = parse_bracketed(cols[parse_col], query, row)
-            parse = SemanticParse(root, Style.TREE)
-            linearize(parse, query)
-            examples.append(CorpusExample(query, parse))
+            examples.append(_checked(CorpusExample(query, SemanticParse(root, Style.TREE))))
     return examples
 
 
@@ -567,8 +578,7 @@ def generate_synthetic(
         if surface in unique:
             stagnant += 1
             continue
-        linearize(example.parse, example.query)
-        unique[surface] = example
+        unique[surface] = _checked(example)
         stagnant = 0
     items = list(unique.values())
     order = rng.permutation(len(items))

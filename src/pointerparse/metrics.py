@@ -70,6 +70,17 @@ class ExampleRecord:
         }
 
 
+def _rates(records: Sequence[ExampleRecord]) -> dict:
+    """``examples``, ``em_accuracy`` and ``well_formed_rate`` over ``records``;
+    both rates read 0.0 over no records."""
+    total = len(records)
+    return {
+        "examples": total,
+        "em_accuracy": sum(r.exact for r in records) / total if total else 0.0,
+        "well_formed_rate": sum(r.well_formed for r in records) / total if total else 0.0,
+    }
+
+
 @dataclass
 class EvalReport:
     em_accuracy: float
@@ -92,14 +103,7 @@ class EvalReport:
             "intent_accuracy": self.intent_accuracy,
             "well_formed_rate": self.well_formed_rate,
             "examples": len(self.records),
-            "by_style": {
-                style: {
-                    "examples": len(rs),
-                    "em_accuracy": sum(r.exact for r in rs) / len(rs),
-                    "well_formed_rate": sum(r.well_formed for r in rs) / len(rs),
-                }
-                for style, rs in by_style.items()
-            },
+            "by_style": {style: _rates(rs) for style, rs in by_style.items()},
             "violations": violations,
         }
 
@@ -125,36 +129,28 @@ def evaluate(
         raise LengthMismatch(f"{len(styles)} styles for {len(predictions)} predictions")
 
     records = []
-    exact_hits = 0
-    wf_hits = 0
-    intent_hits = 0
-    intent_total = 0
     for i, (pred, gold, n, style) in enumerate(zip(predictions, references, lengths, styles)):
-        is_exact = exact_match(pred, gold)
         report = validate(pred.strip_framing(), n, style)
         intent_match: Optional[bool] = None
         if style is not Style.SPANSET:
             gold_intent = intent_of(gold)
             intent_match = intent_of(pred) == gold_intent and gold_intent is not None
-            intent_total += 1
-            intent_hits += intent_match
-        exact_hits += is_exact
-        wf_hits += report.ok
         records.append(
             ExampleRecord(
                 index=i,
                 style=style,
-                exact=is_exact,
+                exact=exact_match(pred, gold),
                 well_formed=report.ok,
                 intent_match=intent_match,
                 first_divergence=first_divergence(pred, gold),
                 violations=[v.value for v in report.violations],
             )
         )
-    total = len(predictions)
+    headline = _rates(records)
+    intents = [r.intent_match for r in records if r.intent_match is not None]
     return EvalReport(
-        em_accuracy=exact_hits / total if total else 0.0,
-        intent_accuracy=(intent_hits / intent_total) if intent_total else None,
-        well_formed_rate=wf_hits / total if total else 0.0,
+        em_accuracy=headline["em_accuracy"],
+        intent_accuracy=sum(intents) / len(intents) if intents else None,
+        well_formed_rate=headline["well_formed_rate"],
         records=records,
     )

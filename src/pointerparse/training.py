@@ -8,8 +8,10 @@ resumed run is bit-identical to an uninterrupted one.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -21,7 +23,6 @@ from . import checkpoint as ckpt
 from .autodiff import DropoutRng, Tape
 from .data import CorpusExample
 from .decoding import decode_sources, greedy_batch, pad_sources
-from .linearize import linearize
 from .metrics import exact_match
 from .model import ModelConfig, PointerGeneratorModel, require_fraction, require_int
 from .training_ops import (
@@ -94,10 +95,9 @@ class EncodedExample:
 
 
 def prepare_corpus(examples: Sequence[CorpusExample], max_src_len: Optional[int] = None):
-    """Linearize a corpus and build both vocabularies from it."""
-    targets = [linearize(ex.parse, ex.query) for ex in examples]
+    """Both vocabularies of a corpus: the symbols of its targets, and its words."""
     lengths = [len(ex.query.tokens) for ex in examples]
-    symtab = build_symbol_table(targets, lengths, max_src_len=max_src_len)
+    symtab = build_symbol_table([ex.target for ex in examples], lengths, max_src_len=max_src_len)
     source_vocab = build_source_vocab(ex.query.tokens for ex in examples)
     return symtab, source_vocab
 
@@ -107,7 +107,7 @@ def encode_corpus(
 ) -> list[EncodedExample]:
     return [EncodedExample(
         src_ids=np.asarray(source_vocab.encode(ex.query.tokens), dtype=np.int64),
-        tgt_ids=np.asarray(symtab.encode(linearize(ex.parse, ex.query)), dtype=np.int64),
+        tgt_ids=np.asarray(symtab.encode(ex.target), dtype=np.int64),
     ) for ex in examples]
 
 
@@ -168,9 +168,27 @@ def exact_match_rate(
     results = decode_sources(model, [source_vocab.encode(ex.query.tokens) for ex in examples],
                              greedy_batch, beam_size=1)
     hits = sum(res is not None
-               and exact_match(symtab.decode(res.ids), linearize(ex.parse, ex.query))
+               and exact_match(symtab.decode(res.ids), ex.target)
                for res, ex in zip(results, examples))
     return hits / len(examples)
+
+
+def _drop_records_after(log_path: Path, step: int) -> None:
+    """Rewrite a metrics log without its records after ``step``, through a
+    fsynced temporary file, so a crash leaves either the old log or the new
+    one.  A line that does not parse goes too: a run killed partway through
+    a write can leave one, as its last line."""
+    kept = []
+    for line in log_path.read_text(encoding="utf-8").splitlines():
+        with contextlib.suppress(json.JSONDecodeError):
+            if json.loads(line)["step"] <= step:
+                kept.append(line + "\n")
+    partial = log_path.with_name(log_path.name + ".partial")
+    with open(partial, "w", encoding="utf-8") as fh:
+        fh.writelines(kept)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(partial, log_path)
 
 
 @dataclass
@@ -211,9 +229,13 @@ def train_loop(
     training examples and target tokens per second over the interval since
     the previous record, dev evaluation and checkpoint saves included.  They
     are kept out of checkpoint manifests, which twin runs write identically.
-    A resumed run whose checkpoint records another ``checkpoint.provenance``
-    (thread variables, numpy, mask stream) first logs one ``warning`` record
-    with both, and carries on.
+    A resumed run refuses (CheckpointError) a checkpoint whose ``symtab``,
+    ``source_vocab`` or ``model_config`` differs from the arguments.  It
+    rewrites ``metrics.jsonl`` without the records after the checkpoint's
+    step.  If the checkpoint records another ``checkpoint.provenance``
+    (thread variables, numpy, mask stream), it logs one ``warning`` record
+    with both, and carries on.  Then it logs one ``resumed_from`` record
+    with the checkpoint's step.
     """
     cfg = train_config
     encoded = encode_corpus(train_examples, symtab, source_vocab)
@@ -227,6 +249,12 @@ def train_loop(
     warning = None
     if resume_from is not None:
         loaded = ckpt.load_checkpoint(resume_from)
+        differs = [name for name, ours in (("symtab", symtab), ("source_vocab", source_vocab),
+                                           ("model_config", model_config))
+                   if ours != getattr(loaded, name)]
+        if differs:
+            raise ckpt.CheckpointError(f"{resume_from} differs from this run in its "
+                                       f"{', '.join(differs)}")
         model = loaded.build_model()
         adam = AdamState(step=loaded.opt_step, m=loaded.opt_m or {}, v=loaded.opt_v or {})
         dropout_rng = DropoutRng(seed=cfg.seed, counter=loaded.dropout_counter)
@@ -245,6 +273,8 @@ def train_loop(
     if checkpoint_dir is not None:
         checkpoint_dir.mkdir(parents=True, exist_ok=True)
         log_path = checkpoint_dir / "metrics.jsonl"
+        if resume_from is not None and log_path.exists():
+            _drop_records_after(log_path, start_step)
 
     history: list[dict] = []
     started = logged_at = time.perf_counter()
@@ -261,8 +291,11 @@ def train_loop(
         history.append(record)
         log(record)
 
+    # Neither is a metrics record: both are kept out of history and manifests.
     if warning is not None:
-        log(warning)  # not a metrics record: kept out of history and manifests
+        log(warning)
+    if resume_from is not None:
+        log({"step": start_step, "resumed_from": str(resume_from)})
 
     def save(step: int, tag: Optional[str] = None) -> Path:
         target = checkpoint_dir / (tag or f"step_{step:06d}")

@@ -126,6 +126,21 @@ def test_manifest_missing_a_key_is_error(saved, key):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("name,key,field", [("symtab.json", "symbols", "vocab_size"),
+                                            ("symtab.json", "max_src_len", "max_src_len"),
+                                            ("source_vocab.json", "words", "src_vocab_size")])
+def test_vocabularies_that_disagree_with_the_model_config_are_error(saved, name, key, field):
+    """Only the .bin files carry an integrity record, so a vocabulary one
+    entry short (or a pointer range one shorter) must be caught by its size:
+    otherwise ids past its end would read as pointers or as UNK."""
+    path, _, _ = saved
+    vocab = json.loads((path / name).read_text())
+    vocab[key] = vocab[key] - 1 if key == "max_src_len" else vocab[key][:-1]
+    (path / name).write_text(json.dumps(vocab))
+    with pytest.raises(CheckpointError, match=field):
+        load_checkpoint(path)
+
+
 def test_latest_checkpoint_order(tmp_path):
     for step in (9, 10, 100):
         (tmp_path / f"step_{step}").mkdir()

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from pointerparse import decoding
+from pointerparse import cli, decoding
 from pointerparse.checkpoint import load_checkpoint, save_checkpoint
 from pointerparse.cli import (
     EXIT_DATA,
@@ -459,6 +459,25 @@ class TestPipeline:
         assert code == EXIT_OK
         assert (pipeline_dir / "ckpt" / "best" / "eval" / "report.json").exists()
 
+    def test_eval_reports_into_the_checkpoint_it_decoded(self, pipeline_dir, tmp_path,
+                                                         monkeypatch):
+        """A checkpoint saved while ``eval`` decodes does not receive the
+        report of the one it loaded."""
+        root = tmp_path / "run"
+        shutil.copytree(pipeline_dir / "ckpt" / "best", root / "step_000001",
+                        ignore=shutil.ignore_patterns("eval"))
+
+        def decode_while_saving(*args, **kwargs):
+            shutil.copytree(root / "step_000001", root / "step_000002")
+            return real_decode(*args, **kwargs)
+
+        real_decode = cli.decode_sources
+        monkeypatch.setattr(cli, "decode_sources", decode_while_saving)
+        assert main(["eval", "--checkpoint", str(root),
+                     "--input", str(pipeline_dir / "corpus" / "dev.jsonl")]) == EXIT_OK
+        assert (root / "step_000001" / "eval" / "report.json").exists()
+        assert not (root / "step_000002" / "eval").exists()
+
     def test_truncated_params_is_data_error(self, pipeline_dir, tmp_path, capsys):
         broken = tmp_path / "ckpt"
         shutil.copytree(pipeline_dir / "ckpt" / "best", broken)
@@ -470,6 +489,27 @@ class TestPipeline:
         _, err = capsys.readouterr()
         assert code == EXIT_DATA
         assert json.loads(err)["error"] == "CheckpointError"
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_symbol_table_short_of_the_model_config_exits_2(self, pipeline_dir, tmp_path,
+                                                            command, capsys):
+        """A checkpoint whose symtab.json lost its last symbol would read the
+        ids past it as pointers; it is refused before decoding."""
+        broken = tmp_path / "ckpt"
+        shutil.copytree(pipeline_dir / "ckpt" / "best", broken)
+        symtab = json.loads((broken / "symtab.json").read_text())
+        symtab["symbols"].pop()
+        (broken / "symtab.json").write_text(json.dumps(symtab))
+        out = ["--report-dir", str(tmp_path / "report")] if command == "eval" else [
+            "--out", str(tmp_path / "out.jsonl")]
+        code = main([command, "--checkpoint", str(broken),
+                     "--input", str(pipeline_dir / "corpus" / "dev.jsonl"), *out])
+        _, err = capsys.readouterr()
+        assert code == EXIT_DATA
+        failure = json.loads(err)
+        assert failure["error"] == "CheckpointError"
+        assert "vocab_size" in failure["message"]
+        assert not (tmp_path / "report").exists() and not (tmp_path / "out.jsonl").exists()
 
     def test_beam_one_gives_greedy_predictions(self, pipeline_dir, tmp_path):
         """``eval --beam 1`` decodes in padded chunks of ``DECODE_ROWS``

@@ -6,6 +6,7 @@ import pytest
 from pointerparse.data import (
     AlignmentError,
     BracketParseError,
+    CorpusExample,
     IllegalTagTransition,
     LexiconTooSmall,
     MisalignedFiles,
@@ -25,7 +26,10 @@ from pointerparse.data import (
 )
 from pointerparse.linearize import (
     Kind,
+    LinearizeError,
+    ParseNode,
     Query,
+    SemanticParse,
     Style,
     delinearize,
     linearize,
@@ -185,6 +189,18 @@ class TestCanonicalJsonl:
         assert set(obj) == {"query", "style", "parse"}
         assert set(obj["parse"]) == {"label", "kind", "indices", "children"}
         assert example_from_json(json.loads(dumps_canonical(obj))) == splits["train"][0]
+
+    def test_target_is_linearized_on_first_read_and_kept(self):
+        generated = generate_synthetic(default_grammar(), 20, 4)["train"][0]
+        example = CorpusExample(generated.query, generated.parse)
+        assert "target" not in vars(example)
+        assert example.target == linearize(example.parse, example.query)
+        assert example.target is example.target
+        assert example == generated and hash(example) == hash(generated)
+        broken = CorpusExample(Query.from_text("a b"), SemanticParse(
+            ParseNode("x", Kind.INTENT, (), (ParseNode("s", Kind.SLOT, (5,)),)), Style.FLAT))
+        with pytest.raises(LinearizeError):
+            broken.target
 
 
 class TestSyntheticGrammar:

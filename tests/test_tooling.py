@@ -31,6 +31,21 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+def test_only_data_calls_linearize():
+    """``CorpusExample.target`` is the package's one way to an example's
+    target, so no other module linearizes a parse again."""
+    callers = {
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) == "linearize"
+             or getattr(node.func, "attr", None) == "linearize")
+    }
+    assert callers <= {"linearize.py", "data.py"}
+    assert "data.py" in callers
+
+
 def test_benchmark_tracer_finds_every_name_it_patches():
     """``perfbench/tracing.instrument`` patches functions by module and
     attribute name; renaming or moving one must fail here, not only in a

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -414,6 +416,66 @@ class TestTrainLoop:
             assert lines[0]["checkpoint"]["threads"]["OPENBLAS_NUM_THREADS"] == "1"
             assert lines[0]["current"] == ckpt.provenance()
 
+    @staticmethod
+    def _six_steps(tmp_path):
+        """A tiny run trained to ``step_000006``, a checkpoint every 2 steps
+        and a log record every step; returns its corpus and run function."""
+        train = generate_synthetic(default_grammar(), 48, seed=5)["train"]
+        symtab, src_vocab = prepare_corpus(train)
+
+        def run(examples, symtab, src_vocab, mc, max_steps=6, resume=None):
+            config = TrainConfig(batch_size=8, max_steps=max_steps, warmup_steps=10,
+                                 eval_every=10_000, log_every=1, checkpoint_every=2, seed=9)
+            return train_loop(examples, None, mc, config, symtab, src_vocab,
+                              checkpoint_dir=tmp_path / "run", resume_from=resume)
+
+        run(train, symtab, src_vocab, _tiny_model_config(symtab, src_vocab, d=32))
+        return train, run
+
+    @pytest.mark.parametrize("change", ["symtab", "source_vocab", "model_config"])
+    def test_resume_refuses_a_checkpoint_of_other_inputs(self, tmp_path, change):
+        """Resuming on a corpus with one intent renamed (which moves symbol
+        ids), with one query word renamed, or with another dropout, is
+        refused with a CheckpointError that names what differs."""
+        train, run = self._six_steps(tmp_path)
+
+        def renamed(ex):
+            if change == "symtab" and ex.parse.root.label == "play_music":
+                root = dataclasses.replace(ex.parse.root, label="aaa_music")
+                return CorpusExample(ex.query, dataclasses.replace(ex.parse, root=root))
+            if change == "source_vocab" and "play" in ex.query.tokens:
+                return CorpusExample(Query.from_text(ex.query.raw.replace("play", "zzz")), ex.parse)
+            return ex
+
+        examples = [renamed(ex) for ex in train]
+        assert examples != train or change == "model_config"
+        symtab, src_vocab = prepare_corpus(examples)
+        mc = _tiny_model_config(symtab, src_vocab, d=32)
+        if change == "model_config":
+            mc = dataclasses.replace(mc, dropout=0.2)
+        with pytest.raises(ckpt.CheckpointError, match=change):
+            run(examples, symtab, src_vocab, mc, max_steps=8,
+                resume=tmp_path / "run" / "step_000006")
+        assert not (tmp_path / "run" / "step_000008").exists()
+
+    @pytest.mark.parametrize("torn", [False, True])
+    def test_resume_keeps_one_log_record_per_step(self, tmp_path, torn):
+        """Resumed from step 4 into its own directory, a 6-step run's log
+        loses the records of steps 5 and 6 (and a line that a kill partway
+        through a write left) before the resumed run logs them again."""
+        train, run = self._six_steps(tmp_path)
+        symtab, src_vocab = prepare_corpus(train)
+        log_path = tmp_path / "run" / "metrics.jsonl"
+        if torn:
+            with open(log_path, "a", encoding="utf-8") as fh:
+                fh.write('{"step": 7, "lo')
+        resume = tmp_path / "run" / "step_000004"
+        run(train, symtab, src_vocab, _tiny_model_config(symtab, src_vocab, d=32), resume=resume)
+        lines = [json.loads(line) for line in log_path.read_text().splitlines()]
+        assert [line["step"] for line in lines if "loss" in line] == [1, 2, 3, 4, 5, 6]
+        assert lines[4] == {"step": 4, "resumed_from": str(resume)}
+        assert len(lines) == 7
+
 
 class TestBatchLayout:
     def test_make_batch_on_unequal_lengths_and_an_empty_target(self):
@@ -524,6 +586,28 @@ def _empty_query_example():
 
 
 class TestExactMatchRate:
+    def test_each_example_is_linearized_once(self, monkeypatch):
+        """Building the vocabularies, encoding the corpus and two dev passes
+        over the same examples linearize each example once, counting every
+        ``linearize`` any ``pointerparse`` module calls."""
+        generated = generate_synthetic(default_grammar(), 40, seed=3)["train"]
+        examples = [CorpusExample(ex.query, ex.parse) for ex in generated]  # no target read yet
+        calls = []
+
+        def counted(parse, query):
+            calls.append(parse)
+            return linearize(parse, query)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "pointerparse" and getattr(module, "linearize", None) is linearize:
+                monkeypatch.setattr(module, "linearize", counted)
+        symtab, src_vocab = prepare_corpus(examples)
+        encode_corpus(examples, symtab, src_vocab)
+        model = PointerGeneratorModel(_tiny_model_config(symtab, src_vocab, d=16), seed=0)
+        for _ in range(2):
+            exact_match_rate(model, examples, symtab, src_vocab)
+        assert len(calls) == len(examples)
+
     def test_only_empty_queries_score_zero(self):
         splits = generate_synthetic(default_grammar(), 20, seed=3)
         symtab, src_vocab = prepare_corpus(splits["train"])
