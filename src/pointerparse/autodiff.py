@@ -11,6 +11,15 @@ same tape node.
 Attention (``attention``) is one primitive with a closed-form backward, not
 a chain of the ops it is made of.
 
+A ``Packing`` names the real rows of a padded [B, T] layout.  ``pack``
+takes a [B, T, ...] tensor to its [P, ...] real rows and ``unpack`` lays
+packed rows out again, zeros at padding; each is the other's backward.
+Row-wise work (products against a weight, layer norm, dropout, residual
+adds) can then run on the P real rows alone, so a weight's gradient sums
+over those rows only.  ``dropout`` of packed rows draws its mask at the
+padded shape and applies the mask's real rows, so the mask stream does not
+depend on the packing.
+
 The forward arithmetic of the weight product, the embedding lookup, layer
 norm, attention (scale, mask and softmax) and log-softmax lives in
 plain-array kernels (``weight_product``, ``take_rows``,
@@ -23,9 +32,11 @@ Recording is explicit: ops append backward closures to the innermost active
 ``Tape`` (one module-level stack, so tapes nest; training runs on one
 thread).  With no tape active, ops are pure forward computations.  A
 backward closure computes a gradient only for the inputs that require one.
-``Tape.backward`` walks the recorded nodes in reverse order exactly once;
-parameters not reachable from the loss keep their all-zero gradient
-buffers.
+``Tape.backward`` walks the recorded nodes in reverse order exactly once
+and drops each node's gradient once its closure has run, so a finished
+backward holds only the gradients of the tensors it did not record
+(parameters and inputs); parameters not reachable from the loss keep their
+all-zero gradient buffers.
 """
 
 from __future__ import annotations
@@ -110,6 +121,7 @@ class Tape:
         for node in reversed(self.nodes):
             if node.grad is not None and node._backward is not None:
                 node._backward(node.grad)
+                node.grad = None  # read once: only the leaves keep a gradient
 
 
 def _accumulate(t: Tensor, g: Array) -> None:
@@ -287,6 +299,56 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     return _record(out, tuple(tensors), backward)
 
 
+class Packing:
+    """The real rows of a padded [B, T] layout: the positions where the bool
+    ``mask`` is true, in row-major order (``np.nonzero``).  ``gather`` and
+    ``scatter`` move plain arrays between the padded [B, T, ...] layout and
+    the P packed rows [P, ...]; the ``pack`` and ``unpack`` ops call them."""
+
+    def __init__(self, mask):
+        self.mask = np.asarray(mask, dtype=bool)
+        if self.mask.ndim != 2:
+            raise ShapeMismatch(f"packing: mask of shape {self.mask.shape} is not [B, T]")
+        self.shape = self.mask.shape
+        self.real = np.nonzero(self.mask)
+
+    def gather(self, a: Array) -> Array:
+        """The real rows [P, ...] of a padded [B, T, ...] array."""
+        return a[self.real]
+
+    def scatter(self, a: Array) -> Array:
+        """Packed rows [P, ...] laid out as a padded [B, T, ...] array, zeros
+        at padding."""
+        out = np.zeros(self.shape + a.shape[1:], a.dtype)
+        out[self.real] = a
+        return out
+
+
+def pack(a: Tensor, packing: Packing) -> Tensor:
+    """The real rows [P, ...] of a padded [B, T, ...] tensor."""
+    if a.data.shape[:2] != packing.shape:
+        raise ShapeMismatch(f"pack: {a.shape} vs layout {packing.shape}")
+    out = Tensor(packing.gather(a.data))
+
+    def backward(g: Array) -> None:
+        _accumulate(a, packing.scatter(g))
+
+    return _record(out, (a,), backward)
+
+
+def unpack(a: Tensor, packing: Packing) -> Tensor:
+    """Packed rows [P, ...] laid out as a padded [B, T, ...] tensor, zeros at
+    padding (which get no gradient)."""
+    if a.data.shape[0] != len(packing.real[0]):
+        raise ShapeMismatch(f"unpack: {a.shape} vs {len(packing.real[0])} real rows")
+    out = Tensor(packing.scatter(a.data))
+
+    def backward(g: Array) -> None:
+        _accumulate(a, packing.gather(g))
+
+    return _record(out, (a,), backward)
+
+
 def take_rows(table: Array, ids) -> Array:
     """Rows of a plain array selected by an integer array, each id checked
     against the table's rows; not a tape op."""
@@ -452,13 +514,20 @@ class DropoutRng:
         return (words < round(keep_prob * 65536)).reshape(shape)
 
 
-def dropout(a: Tensor, p: float, train: bool, rng: Optional[DropoutRng] = None) -> Tensor:
+def dropout(a: Tensor, p: float, train: bool, rng: Optional[DropoutRng] = None,
+            packing: Optional[Packing] = None) -> Tensor:
+    """Inverted dropout.  Given a ``packing``, ``a`` holds its packed rows
+    [P, ...]: the mask is drawn at the padded shape [B, T, ...], and its
+    real rows are applied."""
     if not train or p <= 0.0:
         return a
     if rng is None:
         raise ValueError("training-mode dropout needs a DropoutRng")
     keep = 1.0 - p
-    mask = rng.next_mask(a.data.shape, keep)
+    if packing is None:
+        mask = rng.next_mask(a.data.shape, keep)
+    else:
+        mask = packing.gather(rng.next_mask(packing.shape + a.data.shape[1:], keep))
     inv_keep = np.float32(1.0 / keep)
     out = Tensor((a.data * inv_keep) * mask)
 

@@ -13,7 +13,15 @@ small-scale training stable.  The encoder width may differ from the decoder
 width; the bilinear matrix absorbs the mismatch.
 
 Training runs the decoder over whole target prefixes under a causal mask
-(``forward_teacher_forced``).  Inference runs it one position at a time on a
+(``forward_teacher_forced``), on packed rows: the real target positions (the
+non-PAD decoder inputs) alone go through the embedding, Linears, layer
+norms, FFNs, dropout, residual adds, ``dec_norm``, ``vocab_out`` and the
+product with ``ptr_bilinear``, so a weight's gradient sums over those rows.
+Only the causal self-attention, the cross-attention and the pointer
+product with each example's encoder states see the padded [B, T] layout
+(``ad.unpack`` and ``ad.pack`` move rows between the two), and each dropout
+mask is drawn at the padded shape, so the mask stream does not depend on
+the packing.  The training encoder stays padded.  Inference runs it one position at a time on a
 ``DecoderCache`` (``start_decoding``, then ``step``) whose rows are laid out
 ``[Q, h]``: Q queries with h consecutive rows (beam hypotheses) each.  Each
 step projects the new position's query, key and value with one product
@@ -35,7 +43,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, asdict
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -200,6 +208,21 @@ class LayerNorm:
         return ad.layer_norm_forward(x, self.gain.data, self.bias.data)[0]
 
 
+class PackedRows(NamedTuple):
+    """Rows ``x`` [P, d] at the real positions of ``packing``: the form in
+    which the decoder hands its packed rows to attention, which runs on the
+    padded layout, and to the FFN, whose dropout mask is drawn at the padded
+    shape."""
+
+    x: Tensor
+    packing: ad.Packing
+
+
+def _unwrap(x) -> tuple[Tensor, Optional[ad.Packing]]:
+    """A padded tensor with no packing, or ``PackedRows``' rows and packing."""
+    return (x.x, x.packing) if isinstance(x, PackedRows) else (x, None)
+
+
 class MultiHeadAttention:
     def __init__(self, store, name, d_query_in, d_kv_in, d_out, n_heads):
         self.n_heads = n_heads
@@ -209,50 +232,62 @@ class MultiHeadAttention:
         self.wv = Linear(store, f"{name}.v", d_kv_in, d_out)
         self.wo = Linear(store, f"{name}.o", d_out, d_out)
 
-    def _split(self, x: Tensor) -> Tensor:
+    def _heads(self, lin: Linear, x) -> Tensor:
+        """``lin`` applied to x, a [B, T, d_in] tensor or ``PackedRows`` (whose
+        output is unpacked, zeros at padding), split into heads [B, heads, T,
+        head_dim]."""
+        x, packing = _unwrap(x)
+        x = lin(x)
+        if packing is not None:
+            x = ad.unpack(x, packing)
         x = ad.reshape(x, (x.shape[0], x.shape[1], self.n_heads, self.head_dim))
         return ad.transpose(x, (0, 2, 1, 3))
 
     def __call__(self, query_in, kv_in, fill_mask, p, train, rng) -> Tensor:
-        """Scaled dot-product attention of ``query_in`` over ``kv_in``.
+        """Scaled dot-product attention of ``query_in`` over ``kv_in``, each a
+        [B, T, d] tensor or ``PackedRows``.  Attention runs on the padded
+        layout: packed queries, keys and values are unpacked for it, and
+        for packed queries the context is packed back before the output
+        projection, so the output is [B, Tq, d_out], or [P, d_out].
         fill_mask: bool, broadcastable to [B, heads, Tq, Tk]; True blocks."""
-        q = self._split(self.wq(query_in))
+        q = self._heads(self.wq, query_in)
         k, v = self.keys_values(kv_in)
         ctx = ad.attention(q, k, v, fill_mask, 1.0 / math.sqrt(self.head_dim), p, train, rng)
         ctx = ad.transpose(ctx, (0, 2, 1, 3))
-        batch, tq = ctx.shape[0], ctx.shape[1]
-        return self.wo(ad.reshape(ctx, (batch, tq, self.n_heads * self.head_dim)))
+        ctx = ad.reshape(ctx, (ctx.shape[0], ctx.shape[1], self.n_heads * self.head_dim))
+        packing = _unwrap(query_in)[1]
+        return self.wo(ctx if packing is None else ad.pack(ctx, packing))
 
-    def keys_values(self, kv_in: Tensor) -> tuple[Tensor, Tensor]:
+    def keys_values(self, kv_in) -> tuple[Tensor, Tensor]:
         """Per-head keys and values, each [B, heads, Tk, head_dim]."""
-        return self._split(self.wk(kv_in)), self._split(self.wv(kv_in))
+        return self._heads(self.wk, kv_in), self._heads(self.wv, kv_in)
 
-    def _padded(self, lin: Linear, x: np.ndarray, real, shape) -> np.ndarray:
-        """``lin`` applied to packed rows x [P, d_in], placed at the ``real``
-        positions (row and column indices) of a zero [Q, n] layout and split
-        into heads as ``__call__`` splits them: [Q, heads, n, head_dim]."""
-        out = np.zeros(shape + (self.n_heads, self.head_dim), np.float32)
-        out[real] = lin.apply(x).reshape(-1, self.n_heads, self.head_dim)
+    def _padded(self, lin: Linear, x: np.ndarray, packing: ad.Packing) -> np.ndarray:
+        """``lin`` applied to packed rows x [P, d_in], laid out as ``packing``
+        pads them (zeros at padding) and split into heads as ``__call__``
+        splits them: [Q, heads, n, head_dim]."""
+        out = packing.scatter(lin.apply(x).reshape(-1, self.n_heads, self.head_dim))
         return out.transpose(0, 2, 1, 3)
 
-    def packed_keys_values(self, x: np.ndarray, real, shape) -> np.ndarray:
+    def packed_keys_values(self, x: np.ndarray, packing: ad.Packing) -> np.ndarray:
         """Keys then values of packed rows x [P, d_kv_in], written straight
         into one zero [Q, 2, heads, n, head_dim] array."""
-        kv = np.zeros((shape[0], 2, self.n_heads, shape[1], self.head_dim), np.float32)
+        (queries, n), real = packing.shape, packing.real
+        kv = np.zeros((queries, 2, self.n_heads, n, self.head_dim), np.float32)
         for i, lin in enumerate((self.wk, self.wv)):
             heads = lin.apply(x).reshape(-1, self.n_heads, self.head_dim)
             kv[:, i].transpose(0, 2, 1, 3)[real] = heads
         return kv
 
-    def attend_packed(self, x: np.ndarray, real, shape, blocked) -> np.ndarray:
+    def attend_packed(self, x: np.ndarray, packing: ad.Packing, blocked) -> np.ndarray:
         """``__call__`` without dropout as self-attention over packed rows x
         [P, d_in], off the tape.  Queries, keys and values go to the padded
         [Q, heads, n, head_dim] layout, zero at padding positions, only for
         ``attention_probs``; ``blocked`` [Q, 1, 1, n] gives the padding no
         weight.  Returns packed output rows [P, d_out]."""
-        q, k, v = (self._padded(lin, x, real, shape) for lin in (self.wq, self.wk, self.wv))
+        q, k, v = (self._padded(lin, x, packing) for lin in (self.wq, self.wk, self.wv))
         probs = ad.attention_probs(q, k, blocked, 1.0 / math.sqrt(self.head_dim))
-        ctx = (probs @ v).transpose(0, 2, 1, 3)[real]  # [P, heads, head_dim]
+        ctx = packing.gather((probs @ v).transpose(0, 2, 1, 3))  # [P, heads, head_dim]
         return self.wo.apply(ctx.reshape(len(ctx), -1))
 
     def fused_qkv(self) -> tuple[np.ndarray, np.ndarray]:
@@ -277,7 +312,10 @@ class FeedForward:
         self.outer = Linear(store, f"{name}.outer", hidden, dim)
 
     def __call__(self, x, p, train, rng):
-        return self.outer(ad.dropout(ad.relu(self.inner(x)), p, train, rng))
+        """The block on a [..., dim] tensor, or on ``PackedRows``, whose
+        output is packed rows [P, dim]."""
+        x, packing = _unwrap(x)
+        return self.outer(ad.dropout(ad.relu(self.inner(x)), p, train, rng, packing))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """The block without dropout on a plain array, off the tape."""
@@ -297,10 +335,10 @@ class EncoderLayer:
         x = ad.add(x, ad.dropout(self.ffn(self.norm2(x), p, train, rng), p, train, rng))
         return x
 
-    def apply(self, x: np.ndarray, real, shape, pad_fill) -> np.ndarray:
-        """The layer without dropout on packed rows x [P, d_model], the
-        ``real`` positions of a [Q, n] batch, off the tape."""
-        x = x + self.attn.attend_packed(self.norm1.apply(x), real, shape, pad_fill)
+    def apply(self, x: np.ndarray, packing: ad.Packing, pad_fill) -> np.ndarray:
+        """The layer without dropout on packed rows x [P, d_model], the real
+        positions of a [Q, n] batch, off the tape."""
+        x = x + self.attn.attend_packed(self.norm1.apply(x), packing, pad_fill)
         return x + self.ffn.apply(self.norm2.apply(x))
 
 
@@ -313,12 +351,18 @@ class DecoderLayer:
         self.norm3 = LayerNorm(store, f"{name}.norm3", cfg.d_dec)
         self.ffn = FeedForward(store, f"{name}.ffn", cfg.d_dec, cfg.dec_ffn)
 
-    def __call__(self, x, enc, causal_fill, src_fill, p, train, rng):
-        h = self.norm1(x)
-        x = ad.add(x, ad.dropout(self.self_attn(h, h, causal_fill, p, train, rng), p, train, rng))
-        x = ad.add(x, ad.dropout(self.cross_attn(self.norm2(x), enc, src_fill, p, train, rng), p, train, rng))
-        x = ad.add(x, ad.dropout(self.ffn(self.norm3(x), p, train, rng), p, train, rng))
-        return x
+    def __call__(self, x, packing, enc, causal_fill, src_fill, p, train, rng):
+        """The layer on packed rows x [P, d_dec], the real target positions
+        ``packing`` names.  Only the two attentions see the padded layout;
+        every dropout mask is drawn at the padded shape."""
+        def drop(t):
+            return ad.dropout(t, p, train, rng, packing)
+
+        h = PackedRows(self.norm1(x), packing)
+        x = ad.add(x, drop(self.self_attn(h, h, causal_fill, p, train, rng)))
+        h = PackedRows(self.norm2(x), packing)
+        x = ad.add(x, drop(self.cross_attn(h, enc, src_fill, p, train, rng)))
+        return ad.add(x, drop(self.ffn(PackedRows(self.norm3(x), packing), p, train, rng)))
 
     def step(self, x, qkv, kv, t, cross_kv, src_fill):
         """Inference for one new position ``t`` per row on plain float32
@@ -508,40 +552,54 @@ class PointerGeneratorModel:
             x = layer(x, pad_fill, p, train, rng)
         return self.enc_norm(x)
 
-    def _embed_targets(self, ids: np.ndarray) -> Tensor:
-        """Scaled embeddings of decoder input ids [B, T], from the symbol
-        table then the pointer table, plus their positions."""
-        table = ad.concat([self.sym_embed, self.ptr_embed], axis=0)
-        x = ad.scale(ad.gather(table, ids), math.sqrt(self.config.d_dec))
-        return ad.add(x, ad.constant(self.dec_positions.data[: ids.shape[1]]))
-
-    def _decoder_states(self, tgt_ids, enc, src_mask, train, rng):
+    def _decoder_states(self, tgt_ids, packing, enc, src_mask, train, rng) -> PackedRows:
+        """Final decoder states of the real positions of decoder input ids
+        [B, T]: scaled embeddings from the symbol table then the pointer
+        table, plus their positions, through every layer on packed rows."""
         cfg = self.config
-        batch, steps = tgt_ids.shape
+        steps = tgt_ids.shape[1]
         if steps > cfg.max_tgt_len:
             raise ValueError(f"target length {steps} exceeds max_tgt_len {cfg.max_tgt_len}")
         p = cfg.dropout
-        x = ad.dropout(self._embed_targets(tgt_ids), p, train, rng)
+        table = ad.concat([self.sym_embed, self.ptr_embed], axis=0)
+        x = ad.scale(ad.gather(table, packing.gather(tgt_ids)), math.sqrt(cfg.d_dec))
+        x = ad.add(x, ad.constant(self.dec_positions.data[packing.real[1]]))
+        x = ad.dropout(x, p, train, rng, packing)
         causal_fill = np.triu(np.ones((steps, steps), dtype=bool), k=1)[None, None]
         src_fill = ~src_mask[:, None, None, :]
         for layer in self.dec_layers:
-            x = layer(x, enc, causal_fill, src_fill, p, train, rng)
-        return self.dec_norm(x)
+            x = layer(x, packing, enc, causal_fill, src_fill, p, train, rng)
+        return PackedRows(self.dec_norm(x), packing)
 
-    def joint_logits(self, states: Tensor, enc: Tensor, src_mask: np.ndarray) -> Tensor:
-        """Concatenate vocab scores and masked pointer scores: [B, T, |V|+n]."""
-        vocab = self.vocab_out(states)
-        pointer = ad.matmul(ad.matmul(states, self.ptr_bilinear), ad.swap_last(enc))
-        pointer = ad.mask_fill(pointer, ~src_mask[:, None, :])
+    def joint_logits(self, states: PackedRows, enc: Tensor, src_mask: np.ndarray) -> Tensor:
+        """Vocab scores and masked pointer scores of packed decoder states,
+        concatenated in the padded layout: [B, T, |V|+n], zeros at padding
+        positions.  ``vocab_out`` and the product with ``ptr_bilinear`` run
+        on the packed rows; only the product with each example's encoder
+        states sees the padded layout."""
+        x, packing = states
+        vocab = ad.unpack(self.vocab_out(x), packing)
+        pointer = ad.unpack(ad.matmul(x, self.ptr_bilinear), packing)
+        pointer = ad.matmul(pointer, ad.swap_last(enc))
+        pointer = ad.mask_fill(pointer, ~src_mask[:, None, :] & packing.mask[:, :, None])
         return ad.concat([vocab, pointer], axis=-1)
 
     def forward_teacher_forced(self, src_ids, src_mask, tgt_in_ids,
                                train: bool = False, rng: Optional[DropoutRng] = None) -> Tensor:
-        """Joint logits for every target position under a causal mask."""
-        tgt_in_ids = np.asarray(tgt_in_ids)
+        """Joint logits [B, T, |V|+n] for every target position under a
+        causal mask.  The real positions are the non-PAD entries of
+        ``tgt_in_ids``; a row may end in PAD, but a PAD followed by a
+        non-PAD symbol is refused (PrefixContainsPAD).  The decoder's
+        row-wise work runs on the real positions alone, and the logits at
+        PAD positions are zeros."""
+        tgt_in_ids = np.atleast_2d(np.asarray(tgt_in_ids))
+        real = tgt_in_ids != PAD_ID
+        if np.logical_or.reduce(real[:, 1:] & ~real[:, :-1], axis=None):
+            raise PrefixContainsPAD("a decoder input row has a PAD before a non-PAD symbol")
+        src_mask = np.asarray(src_mask, dtype=bool)
         enc = self.encode(src_ids, src_mask, train=train, rng=rng)
-        states = self._decoder_states(tgt_in_ids, enc, np.asarray(src_mask, dtype=bool), train, rng)
-        return self.joint_logits(states, enc, np.asarray(src_mask, dtype=bool))
+        states = self._decoder_states(tgt_in_ids, ad.Packing(real), enc, src_mask, train, rng)
+        return self.joint_logits(states, enc, src_mask)
 
     def encode_packed(self, src_ids, src_mask) -> np.ndarray:
         """``encode`` without dropout on packed rows, off the tape: the
@@ -553,14 +611,13 @@ class PointerGeneratorModel:
         ``attention_probs``.  A GEMM's output row depends only on its own
         input row, so each row is ``encode``'s state there, bit for bit."""
         src_ids = self._sources(src_ids)
-        src_mask = np.atleast_2d(np.asarray(src_mask, dtype=bool))
-        real, shape = np.nonzero(src_mask), src_mask.shape
-        x = ad.take_rows(self.src_embed.data, src_ids[real])
+        packing = ad.Packing(np.atleast_2d(src_mask))
+        x = ad.take_rows(self.src_embed.data, packing.gather(src_ids))
         x *= np.float32(math.sqrt(self.config.d_model))
-        x += self.enc_positions.data[real[1]]
-        pad_fill = ~src_mask[:, None, None, :]
+        x += self.enc_positions.data[packing.real[1]]
+        pad_fill = ~packing.mask[:, None, None, :]
         for layer in self.enc_layers:
-            x = layer.apply(x, real, shape, pad_fill)
+            x = layer.apply(x, packing, pad_fill)
         return self.enc_norm.apply(x)
 
     def start_decoding(self, src_ids, src_mask) -> DecoderCache:
@@ -575,11 +632,9 @@ class PointerGeneratorModel:
         ``Tensor`` is built."""
         src_mask = np.atleast_2d(np.asarray(src_mask, dtype=bool))
         x = self.encode_packed(src_ids, src_mask)
-        real, shape = np.nonzero(src_mask), src_mask.shape
-        cross_kv = [layer.cross_attn.packed_keys_values(x, real, shape)
-                    for layer in self.dec_layers]
-        enc = np.zeros(shape + (self.config.d_model,), np.float32)
-        enc[real] = x
+        packing = ad.Packing(src_mask)
+        cross_kv = [layer.cross_attn.packed_keys_values(x, packing) for layer in self.dec_layers]
+        enc = packing.scatter(x)
         ptr_keys = self.ptr_bilinear.data @ enc.swapaxes(-1, -2)
         qkv = [layer.self_attn.fused_qkv() for layer in self.dec_layers]
         # The training-time table is an ``ad.concat`` node; decoding needs

@@ -5,6 +5,7 @@ from pointerparse import autodiff
 from pointerparse.autodiff import (
     DropoutRng,
     NonScalarLoss,
+    Packing,
     ShapeMismatch,
     Tape,
     TapeOrderError,
@@ -20,6 +21,7 @@ from pointerparse.autodiff import (
     mask_fill,
     matmul,
     mul,
+    pack,
     parameter,
     reduce_sum,
     relu,
@@ -28,6 +30,7 @@ from pointerparse.autodiff import (
     softmax,
     swap_last,
     transpose,
+    unpack,
 )
 from helpers import check_grad
 
@@ -94,6 +97,16 @@ class TestBackwardBasics:
         with Tape() as tape:
             tape.backward(reduce_sum(x))
         np.testing.assert_allclose(unused.grad, np.zeros((2, 2)))
+
+    def test_backward_keeps_only_the_leaves_gradients(self):
+        """Each recorded node's gradient is dropped once its closure has
+        run, so a finished backward holds no intermediate's gradient."""
+        x = parameter(rand(3, 4, seed=5))
+        with Tape() as tape:
+            tape.backward(reduce_sum(relu(mul(x, x))))
+        assert len(tape.nodes) == 3
+        assert all(node.grad is None for node in tape.nodes)
+        np.testing.assert_allclose(x.grad, 2 * x.data)
 
     def test_non_scalar_loss_rejected(self):
         x = parameter(rand(3, seed=8))
@@ -393,6 +406,62 @@ class TestDropout:
         out = dropout(a, 0.25, train=True, rng=DropoutRng(seed=1))
         kept = out.data[out.data > 0]
         np.testing.assert_allclose(kept, np.full_like(kept, 1.0 / 0.75))
+
+
+class TestPacking:
+    """Real rows of a padded [B, T] layout: rows of 3, 1 and 4 real positions."""
+
+    MASK = np.array([[1, 1, 1, 0], [1, 0, 0, 0], [1, 1, 1, 1]], dtype=bool)
+
+    def test_pack_finite_differences(self):
+        a = parameter(rand(3, 4, 5, seed=90))
+        w = constant(rand(8, 5, seed=91))
+        check_grad(lambda: reduce_sum(mul(pack(a, Packing(self.MASK)), w)), [a])
+
+    def test_unpack_finite_differences(self):
+        r = parameter(rand(8, 5, seed=92))
+        w = constant(rand(3, 4, 5, seed=93))
+        check_grad(lambda: reduce_sum(mul(unpack(r, Packing(self.MASK)), w)), [r])
+
+    def test_unpack_fills_padding_with_zeros_and_pack_reads_it_back(self):
+        packing = Packing(self.MASK)
+        rows = rand(8, 2, 3, seed=94)
+        padded = unpack(constant(rows), packing).data
+        assert padded.shape == (3, 4, 2, 3)
+        assert not padded[~self.MASK].any()
+        np.testing.assert_array_equal(padded[self.MASK], rows)
+        np.testing.assert_array_equal(pack(constant(padded), packing).data, rows)
+
+    def test_shapes_that_do_not_fit_the_layout_are_refused(self):
+        packing = Packing(self.MASK)
+        with pytest.raises(ShapeMismatch, match="pack"):
+            pack(constant(rand(3, 5, 2)), packing)
+        with pytest.raises(ShapeMismatch, match="unpack"):
+            unpack(constant(rand(7, 2)), packing)
+        with pytest.raises(ShapeMismatch, match="packing"):
+            Packing(self.MASK[0])
+
+    def test_packed_dropout_applies_the_real_rows_of_the_padded_mask(self):
+        """The mask is drawn at the padded shape, from the same point of the
+        stream, so packing changes neither the kept entries nor the
+        counter."""
+        packing = Packing(self.MASK)
+        a = rand(3, 4, 5, seed=95)
+        padded_rng, packed_rng = DropoutRng(seed=9, counter=3), DropoutRng(seed=9, counter=3)
+        padded = dropout(constant(a), 0.4, True, padded_rng).data
+        packed = dropout(constant(a[self.MASK]), 0.4, True, packed_rng, packing).data
+        np.testing.assert_array_equal(packed, padded[self.MASK])
+        assert packed_rng.counter == padded_rng.counter == 4
+
+    def test_packed_dropout_finite_differences(self):
+        r = parameter(rand(8, 5, seed=96))
+        w = constant(rand(8, 5, seed=97))
+
+        def loss():
+            rng = DropoutRng(seed=123)  # same counter start: same mask each call
+            return reduce_sum(mul(dropout(r, 0.4, True, rng, Packing(self.MASK)), w))
+
+        check_grad(loss, [r])
 
 
 @pytest.mark.parametrize("shape", [(4, 1, 128), (64, 1, 128), (32, 21, 128), (3, 7, 16)])

@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -12,10 +15,11 @@ from pointerparse.checkpoint import (
     prune_checkpoints,
     save_checkpoint,
 )
-from pointerparse.data import default_grammar, generate_synthetic
+from pointerparse.data import default_grammar, generate_synthetic, write_jsonl
 from pointerparse.model import ModelConfig, PointerGeneratorModel
-from pointerparse.training import prepare_corpus
+from pointerparse.training import TIMING_FIELDS, prepare_corpus
 from pointerparse.vocab import SourceVocab
+from helpers import TINY_CONFIG
 
 
 @pytest.fixture()
@@ -272,3 +276,109 @@ def test_save_fsyncs_before_the_rename_and_the_parent_after(saved, monkeypatch):
     assert install == ("replace", ".best.partial", "best")
     assert parent_sync == ("fsync", path.parent.stat().st_ino)
     assert load_checkpoint(path).step == 20
+
+
+STEPS = 30  # of the killed run and of its uninterrupted twin
+
+
+def _train_process(corpus: Path, config: Path, ckpt: Path, resume=None) -> subprocess.Popen:
+    """``pointerparse train`` in its own process, with the package on
+    ``PYTHONPATH``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    cmd = [sys.executable, "-m", "pointerparse.cli", "train", "--corpus", str(corpus),
+           "--checkpoint", str(ckpt), "--config", str(config), "--max-steps", str(STEPS),
+           "--quiet"]
+    if resume is not None:
+        cmd += ["--resume", str(resume)]
+    return subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+
+
+def _steps(ckpt: Path) -> list[Path]:
+    return sorted(ckpt.glob("step_*"), key=lambda p: int(p.name.split("_")[1]))
+
+
+def _partials(ckpt: Path) -> list[str]:
+    return [p.name for p in ckpt.glob(".step_*.partial")]
+
+
+def _kill_when(proc: subprocess.Popen, ready, timeout: float = 20.0) -> bool:
+    """SIGKILL ``proc`` as soon as ``ready()`` holds, polling; False when the
+    process exited first."""
+    deadline = time.monotonic() + timeout
+    while proc.poll() is None:
+        if ready():
+            proc.kill()
+            proc.communicate(timeout=10)
+            return True
+        if time.monotonic() > deadline:
+            proc.kill()
+            raise AssertionError("the training process neither finished nor became killable")
+    return False
+
+
+def _records(ckpt: Path) -> list[dict]:
+    return [json.loads(line) for line in (ckpt / "metrics.jsonl").read_text().splitlines()]
+
+
+def test_a_killed_training_run_resumes_to_its_twins_bytes(tmp_path):
+    """A tiny ``pointerparse train`` process gets SIGKILL while a
+    ``.step_*.partial`` checkpoint directory exists, and at seeded times
+    after seeded steps; each time it resumes from its newest ``step_*``.
+    Its final checkpoint then holds the bytes of an uninterrupted twin's
+    (parameters and Adam moments), an equal manifest, and its log one
+    record per step, equal to the twin's apart from timing."""
+    corpus = tmp_path / "train.jsonl"
+    write_jsonl(corpus, generate_synthetic(default_grammar(), 40, seed=8)["train"])
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**TINY_CONFIG, "train.batch_size": 4, "train.log_every": 1,
+                                  "train.checkpoint_every": 1, "train.keep_checkpoints": 2}))
+    twin_dir, run_dir = tmp_path / "twin", tmp_path / "run"
+    twin = _train_process(corpus, config, twin_dir)
+
+    rng = np.random.default_rng(2024)
+    resumes = 0
+    proc = _train_process(corpus, config, run_dir)
+    # Kill inside a save first: retry until a kill leaves a partial behind.
+    killed_in_save = False
+    for _ in range(8):
+        assert _kill_when(proc, lambda: _steps(run_dir) and _partials(run_dir))
+        killed_in_save = bool(_partials(run_dir))
+        proc = _train_process(corpus, config, run_dir, resume=_steps(run_dir)[-1])
+        resumes += 1
+        if killed_in_save:
+            break
+    assert killed_in_save, "no kill landed while a checkpoint was being written"
+    for _ in range(2):
+        newest = _steps(run_dir)[-1]
+        target = int(newest.name.split("_")[1]) + int(rng.integers(3, 11))
+        delay = float(rng.uniform(0.0, 0.005))
+
+        def past_target():
+            steps = _steps(run_dir)
+            if not steps or int(steps[-1].name.split("_")[1]) < target:
+                return False
+            time.sleep(delay)
+            return True
+
+        assert _kill_when(proc, past_target)
+        proc = _train_process(corpus, config, run_dir, resume=_steps(run_dir)[-1])
+        resumes += 1
+    for done in (proc, twin):
+        _, err = done.communicate(timeout=60)
+        assert done.returncode == 0, err.decode()[-2000:]
+
+    final = f"step_{STEPS:06d}"
+    for name in ("params.bin", "optstate.bin"):
+        assert (run_dir / final / name).read_bytes() == (twin_dir / final / name).read_bytes()
+    manifests = [json.loads((d / final / "manifest.json").read_text()) for d in (run_dir, twin_dir)]
+    assert manifests[0] == manifests[1]
+
+    run_records, twin_records = _records(run_dir), _records(twin_dir)
+    logged = [r for r in run_records if "loss" in r]
+    assert [r["step"] for r in logged] == list(range(1, STEPS + 1))
+    untimed = lambda records: [{k: v for k, v in r.items() if k not in TIMING_FIELDS}
+                               for r in records]
+    assert untimed(logged) == untimed(twin_records)
+    assert sum("resumed_from" in r for r in run_records) == resumes

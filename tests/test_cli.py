@@ -448,24 +448,22 @@ class TestPipeline:
         for row in rows:
             assert set(row) == {"query", "prediction", "score", "well_formed"}
 
-    def test_eval_defaults_report_into_checkpoint(self, pipeline_dir, capsys):
-        code = main(
-            [
-                "eval",
-                "--checkpoint", str(pipeline_dir / "ckpt" / "best"),
-                "--input", str(pipeline_dir / "corpus" / "dev.jsonl"),
-            ]
-        )
+    def test_eval_defaults_report_into_checkpoint(self, pipeline_dir, tmp_path, capsys):
+        """On a copy of ``best``, so the shared checkpoint gets no report."""
+        best = tmp_path / "best"
+        shutil.copytree(pipeline_dir / "ckpt" / "best", best)
+        code = main(["eval", "--checkpoint", str(best),
+                     "--input", str(pipeline_dir / "corpus" / "dev.jsonl")])
         assert code == EXIT_OK
-        assert (pipeline_dir / "ckpt" / "best" / "eval" / "report.json").exists()
+        assert (best / "eval" / "report.json").exists()
+        assert not (pipeline_dir / "ckpt" / "best" / "eval").exists()
 
     def test_eval_reports_into_the_checkpoint_it_decoded(self, pipeline_dir, tmp_path,
                                                          monkeypatch):
         """A checkpoint saved while ``eval`` decodes does not receive the
         report of the one it loaded."""
         root = tmp_path / "run"
-        shutil.copytree(pipeline_dir / "ckpt" / "best", root / "step_000001",
-                        ignore=shutil.ignore_patterns("eval"))
+        shutil.copytree(pipeline_dir / "ckpt" / "best", root / "step_000001")
 
         def decode_while_saving(*args, **kwargs):
             shutil.copytree(root / "step_000001", root / "step_000002")

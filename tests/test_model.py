@@ -14,7 +14,8 @@ from pointerparse.model import (
     SourceTooLong,
     sinusoidal_positions,
 )
-from pointerparse.training import make_batch as make_train_batch, encode_corpus, prepare_corpus
+from pointerparse.training import (EncodedExample, encode_corpus, make_batch as make_train_batch,
+                                   prepare_corpus)
 from pointerparse.training_ops import label_smoothed_ce
 from pointerparse.vocab import BOS_ID, PAD_ID
 
@@ -123,6 +124,44 @@ def test_teacher_forcing_matches_stepwise_decoding(model):
         dist = model.decode_step(tgt[:, :t], src, mask)
         step_logits = np.concatenate([dist.vocab_scores, dist.pointer_scores], axis=-1)[0]
         np.testing.assert_allclose(step_logits, logits[t - 1], atol=1e-5)
+
+
+def test_teacher_forcing_refuses_a_pad_before_a_symbol(model):
+    """Trailing PAD marks positions that do not exist, and their logits are
+    zeros; a PAD followed by a symbol is refused, as ``step`` refuses it."""
+    src, mask, tgt = make_batch(model, [4, 6], prefix_len=5, seed=21)
+    trailing = tgt.copy()
+    trailing[0, 3:] = PAD_ID
+    logits = model.forward_teacher_forced(src, mask, trailing).data
+    assert not logits[0, 3:].any()
+    full = model.forward_teacher_forced(src, mask, tgt).data
+    np.testing.assert_allclose(logits[0, :3], full[0, :3], atol=1e-6)
+    np.testing.assert_allclose(logits[1], full[1], atol=1e-6)
+    middle = tgt.copy()
+    middle[1, 2] = PAD_ID
+    with pytest.raises(PrefixContainsPAD):
+        model.forward_teacher_forced(src, mask, middle)
+
+
+def test_each_example_of_a_padded_batch_gets_its_logits_alone(acceptance_width_model):
+    """At the acceptance width (d=128, 2+2 layers) with dropout off, every
+    example of a batch padded on both sides gets at its real positions the
+    teacher-forced logits it gets alone, within 1e-5, and zeros at its PAD
+    positions: packing the target rows lets no example see another's."""
+    model = acceptance_width_model
+    v = model.config.vocab_size
+    rng = np.random.default_rng(33)
+    examples = [EncodedExample(rng.integers(2, model.config.src_vocab_size, n),
+                               rng.integers(3, v + n, t))
+                for n, t in [(3, 9), (24, 2), (11, 30), (7, 0), (1, 16)]]
+    batch = make_train_batch(examples, v)
+    logits = model.forward_teacher_forced(batch.src_ids, batch.src_mask, batch.tgt_in).data
+    for b, ex in enumerate(examples):
+        n, t = len(ex.src_ids), len(ex.tgt_ids) + 1
+        alone = model.forward_teacher_forced(ex.src_ids[None], np.ones((1, n), dtype=bool),
+                                             batch.tgt_in[b:b + 1, :t]).data[0]
+        np.testing.assert_allclose(logits[b, :t, :v + n], alone, atol=1e-5)
+        assert not logits[b, t:].any()
 
 
 def _cache_logits(model, cache, tokens):
@@ -495,9 +534,16 @@ def test_linear_equals_matmul_then_add_bit_for_bit(lead):
         np.testing.assert_array_equal(fused, composed)
 
 
-def test_acceptance_training_step_records_142_tape_nodes():
+def test_acceptance_training_step_records_156_tape_nodes():
     """One node per op of an acceptance-config step (2+2 layers, dropout on):
-    each of the 33 biased Linears is one node, not a matmul and an add."""
+    each of the 33 biased Linears is one node, not a matmul and an add.
+    The decoder runs on packed target rows, which adds 14 nodes to the 142
+    of the padded decoder and removes none: in each decoder layer, three
+    ``unpack`` nodes (self-attention queries, keys and values) and one
+    ``pack`` (its context), one ``unpack`` (cross-attention queries) and
+    one ``pack`` (its context); in the head, one ``unpack`` each for the
+    vocabulary scores and for ``states @ ptr_bilinear``.  The embedding
+    gathers the real ids alone, so it needs no ``pack``."""
     examples = generate_synthetic(default_grammar(), 40, seed=17)["train"]
     symtab, src_vocab = prepare_corpus(examples)
     config = ModelConfig(vocab_size=symtab.vocab_size, src_vocab_size=src_vocab.size,
@@ -508,4 +554,4 @@ def test_acceptance_training_step_records_142_tape_nodes():
         logits = model.forward_teacher_forced(batch.src_ids, batch.src_mask, batch.tgt_in,
                                               train=True, rng=ad.DropoutRng(seed=17))
         label_smoothed_ce(logits, batch.gold, batch.step_mask, batch.support_mask, 0.1)
-    assert len(tape.nodes) == 142
+    assert len(tape.nodes) == 156

@@ -31,7 +31,7 @@ from pointerparse.training import (
     train_loop,
 )
 from pointerparse.training_ops import LossBelowEntropyFloor, _check_entropy_floor
-from pointerparse.vocab import BOS_ID
+from pointerparse.vocab import BOS_ID, PAD_ID
 from helpers import check_grad
 
 
@@ -478,6 +478,20 @@ class TestTrainLoop:
 
 
 class TestBatchLayout:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_step_mask_is_the_non_pad_decoder_input(self, seed):
+        """The teacher-forced pass finds the real target positions from
+        ``tgt_in != PAD``, which must be the positions the loss counts."""
+        rng = np.random.default_rng(seed)
+        vocab_size = 9
+        examples = []
+        for _ in range(int(rng.integers(1, 12))):
+            n = int(rng.integers(1, 8))
+            examples.append(EncodedExample(rng.integers(2, 30, n),
+                                           rng.integers(3, vocab_size + n, rng.integers(0, 15))))
+        batch = make_batch(examples, vocab_size)
+        np.testing.assert_array_equal(batch.step_mask, batch.tgt_in != PAD_ID)
+
     def test_make_batch_on_unequal_lengths_and_an_empty_target(self):
         """Six vocabulary ids (PAD 0, BOS 1, EOS 2, then 3-5), so pointer j
         is id 6 + j.  Targets of 3, 0 and 4 symbols give T = 5 steps."""
