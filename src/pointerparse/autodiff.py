@@ -24,9 +24,8 @@ The forward arithmetic of the weight product, the embedding lookup, layer
 norm, attention (scale, mask and softmax) and log-softmax lives in
 plain-array kernels (``weight_product``, ``take_rows``,
 ``layer_norm_forward``, ``attention_probs``, ``log_softmax_f64``) that the
-tape ops call.  Decoding (the packed encoder and the cached decoder step)
-calls the same kernels on plain arrays, so it builds no ``Tensor`` and gets
-the same values as the ops.
+tape ops call.  The cached decoder step calls the same kernels on plain
+arrays, so it builds no ``Tensor`` and gets the same values as the ops.
 
 Recording is explicit: ops append backward closures to the innermost active
 ``Tape`` (one module-level stack, so tapes nest; training runs on one

@@ -12,16 +12,22 @@ Pre-norm residual blocks and fixed sinusoidal positions on both sides keep
 small-scale training stable.  The encoder width may differ from the decoder
 width; the bilinear matrix absorbs the mismatch.
 
+One encoder, ``encode``, serves training and decoding.  It runs on packed
+rows: the real source positions alone go through the embedding, Linears,
+layer norms, FFNs, dropout and residual adds, and only its self-attention
+sees the padded [B, n] layout.  Training runs it on the tape; decoding runs
+the same ops with no tape active, where they are pure forward computations.
+
 Training runs the decoder over whole target prefixes under a causal mask
-(``forward_teacher_forced``), on packed rows: the real target positions (the
-non-PAD decoder inputs) alone go through the embedding, Linears, layer
+(``forward_teacher_forced``), on packed rows too: the real target positions
+(the non-PAD decoder inputs) alone go through the embedding, Linears, layer
 norms, FFNs, dropout, residual adds, ``dec_norm``, ``vocab_out`` and the
 product with ``ptr_bilinear``, so a weight's gradient sums over those rows.
 Only the causal self-attention, the cross-attention and the pointer
-product with each example's encoder states see the padded [B, T] layout
+product with each example's encoder states see the padded layout
 (``ad.unpack`` and ``ad.pack`` move rows between the two), and each dropout
 mask is drawn at the padded shape, so the mask stream does not depend on
-the packing.  The training encoder stays padded.  Inference runs it one position at a time on a
+the packing.  Inference runs the decoder one position at a time on a
 ``DecoderCache`` (``start_decoding``, then ``step``) whose rows are laid out
 ``[Q, h]``: Q queries with h consecutive rows (beam hypotheses) each.  Each
 step projects the new position's query, key and value with one product
@@ -31,11 +37,8 @@ values, pointer keys, padding) is held once per query, and a query's h rows
 attend to and point at that one copy.  The step runs off the tape: the cache
 holds plain float32 arrays, and the step calls the kernels the tape ops call
 (``ad.weight_product``, ``ad.layer_norm_forward``, ``ad.attention_probs``) on
-them, so it builds no ``Tensor``.  ``start_decoding`` encodes off the tape
-too, on packed rows: only the real source positions of a padded batch go
-through the encoder, and the tape ``encode``, which training runs, is the
-reference it is tested against bit for bit.  The teacher-forced pass is the
-reference the cached step is tested against.
+them, so it builds no ``Tensor``.  The teacher-forced pass is the reference
+the cached step is tested against.
 """
 
 from __future__ import annotations
@@ -210,17 +213,12 @@ class LayerNorm:
 
 class PackedRows(NamedTuple):
     """Rows ``x`` [P, d] at the real positions of ``packing``: the form in
-    which the decoder hands its packed rows to attention, which runs on the
-    padded layout, and to the FFN, whose dropout mask is drawn at the padded
-    shape."""
+    which the encoder and the decoder hand their rows to attention, which
+    runs on the padded layout, and to the FFN, whose dropout mask is drawn
+    at the padded shape."""
 
     x: Tensor
     packing: ad.Packing
-
-
-def _unwrap(x) -> tuple[Tensor, Optional[ad.Packing]]:
-    """A padded tensor with no packing, or ``PackedRows``' rows and packing."""
-    return (x.x, x.packing) if isinstance(x, PackedRows) else (x, None)
 
 
 class MultiHeadAttention:
@@ -232,42 +230,28 @@ class MultiHeadAttention:
         self.wv = Linear(store, f"{name}.v", d_kv_in, d_out)
         self.wo = Linear(store, f"{name}.o", d_out, d_out)
 
-    def _heads(self, lin: Linear, x) -> Tensor:
-        """``lin`` applied to x, a [B, T, d_in] tensor or ``PackedRows`` (whose
-        output is unpacked, zeros at padding), split into heads [B, heads, T,
-        head_dim]."""
-        x, packing = _unwrap(x)
-        x = lin(x)
-        if packing is not None:
-            x = ad.unpack(x, packing)
-        x = ad.reshape(x, (x.shape[0], x.shape[1], self.n_heads, self.head_dim))
-        return ad.transpose(x, (0, 2, 1, 3))
+    def _heads(self, lin: Linear, x: PackedRows) -> Tensor:
+        """``lin`` applied to packed rows, unpacked (zeros at padding) and
+        split into heads [B, heads, T, head_dim]."""
+        out = ad.unpack(lin(x.x), x.packing)
+        out = ad.reshape(out, (out.shape[0], out.shape[1], self.n_heads, self.head_dim))
+        return ad.transpose(out, (0, 2, 1, 3))
 
-    def __call__(self, query_in, kv_in, fill_mask, p, train, rng) -> Tensor:
-        """Scaled dot-product attention of ``query_in`` over ``kv_in``, each a
-        [B, T, d] tensor or ``PackedRows``.  Attention runs on the padded
-        layout: packed queries, keys and values are unpacked for it, and
-        for packed queries the context is packed back before the output
-        projection, so the output is [B, Tq, d_out], or [P, d_out].
+    def __call__(self, query_in: PackedRows, kv_in: PackedRows, fill_mask, p, train, rng) -> Tensor:
+        """Scaled dot-product attention of packed query rows over packed
+        key/value rows.  Attention runs on the padded layout: queries, keys
+        and values are unpacked for it, and the context is packed back
+        before the output projection, so the output is [P, d_out].
         fill_mask: bool, broadcastable to [B, heads, Tq, Tk]; True blocks."""
         q = self._heads(self.wq, query_in)
         k, v = self.keys_values(kv_in)
         ctx = ad.attention(q, k, v, fill_mask, 1.0 / math.sqrt(self.head_dim), p, train, rng)
-        ctx = ad.transpose(ctx, (0, 2, 1, 3))
-        ctx = ad.reshape(ctx, (ctx.shape[0], ctx.shape[1], self.n_heads * self.head_dim))
-        packing = _unwrap(query_in)[1]
-        return self.wo(ctx if packing is None else ad.pack(ctx, packing))
+        ctx = ad.pack(ad.transpose(ctx, (0, 2, 1, 3)), query_in.packing)  # [P, heads, head_dim]
+        return self.wo(ad.reshape(ctx, (ctx.shape[0], self.n_heads * self.head_dim)))
 
-    def keys_values(self, kv_in) -> tuple[Tensor, Tensor]:
+    def keys_values(self, kv_in: PackedRows) -> tuple[Tensor, Tensor]:
         """Per-head keys and values, each [B, heads, Tk, head_dim]."""
         return self._heads(self.wk, kv_in), self._heads(self.wv, kv_in)
-
-    def _padded(self, lin: Linear, x: np.ndarray, packing: ad.Packing) -> np.ndarray:
-        """``lin`` applied to packed rows x [P, d_in], laid out as ``packing``
-        pads them (zeros at padding) and split into heads as ``__call__``
-        splits them: [Q, heads, n, head_dim]."""
-        out = packing.scatter(lin.apply(x).reshape(-1, self.n_heads, self.head_dim))
-        return out.transpose(0, 2, 1, 3)
 
     def packed_keys_values(self, x: np.ndarray, packing: ad.Packing) -> np.ndarray:
         """Keys then values of packed rows x [P, d_kv_in], written straight
@@ -278,17 +262,6 @@ class MultiHeadAttention:
             heads = lin.apply(x).reshape(-1, self.n_heads, self.head_dim)
             kv[:, i].transpose(0, 2, 1, 3)[real] = heads
         return kv
-
-    def attend_packed(self, x: np.ndarray, packing: ad.Packing, blocked) -> np.ndarray:
-        """``__call__`` without dropout as self-attention over packed rows x
-        [P, d_in], off the tape.  Queries, keys and values go to the padded
-        [Q, heads, n, head_dim] layout, zero at padding positions, only for
-        ``attention_probs``; ``blocked`` [Q, 1, 1, n] gives the padding no
-        weight.  Returns packed output rows [P, d_out]."""
-        q, k, v = (self._padded(lin, x, packing) for lin in (self.wq, self.wk, self.wv))
-        probs = ad.attention_probs(q, k, blocked, 1.0 / math.sqrt(self.head_dim))
-        ctx = packing.gather((probs @ v).transpose(0, 2, 1, 3))  # [P, heads, head_dim]
-        return self.wo.apply(ctx.reshape(len(ctx), -1))
 
     def fused_qkv(self) -> tuple[np.ndarray, np.ndarray]:
         """Copies of the weight ``[Wq|Wk|Wv]`` and its bias, which project
@@ -311,11 +284,9 @@ class FeedForward:
         self.inner = Linear(store, f"{name}.inner", dim, hidden)
         self.outer = Linear(store, f"{name}.outer", hidden, dim)
 
-    def __call__(self, x, p, train, rng):
-        """The block on a [..., dim] tensor, or on ``PackedRows``, whose
-        output is packed rows [P, dim]."""
-        x, packing = _unwrap(x)
-        return self.outer(ad.dropout(ad.relu(self.inner(x)), p, train, rng, packing))
+    def __call__(self, x: PackedRows, p, train, rng) -> Tensor:
+        """The block on packed rows, giving packed rows [P, dim]."""
+        return self.outer(ad.dropout(ad.relu(self.inner(x.x)), p, train, rng, x.packing))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """The block without dropout on a plain array, off the tape."""
@@ -329,17 +300,16 @@ class EncoderLayer:
         self.norm2 = LayerNorm(store, f"{name}.norm2", cfg.d_model)
         self.ffn = FeedForward(store, f"{name}.ffn", cfg.d_model, cfg.enc_ffn)
 
-    def __call__(self, x, pad_fill, p, train, rng):
-        h = self.norm1(x)
-        x = ad.add(x, ad.dropout(self.attn(h, h, pad_fill, p, train, rng), p, train, rng))
-        x = ad.add(x, ad.dropout(self.ffn(self.norm2(x), p, train, rng), p, train, rng))
-        return x
+    def __call__(self, x, packing, pad_fill, p, train, rng):
+        """The layer on packed rows x [P, d_model], the real source positions
+        ``packing`` names.  Only the self-attention sees the padded layout;
+        every dropout mask is drawn at the padded shape."""
+        def drop(t):
+            return ad.dropout(t, p, train, rng, packing)
 
-    def apply(self, x: np.ndarray, packing: ad.Packing, pad_fill) -> np.ndarray:
-        """The layer without dropout on packed rows x [P, d_model], the real
-        positions of a [Q, n] batch, off the tape."""
-        x = x + self.attn.attend_packed(self.norm1.apply(x), packing, pad_fill)
-        return x + self.ffn.apply(self.norm2.apply(x))
+        h = PackedRows(self.norm1(x), packing)
+        x = ad.add(x, drop(self.attn(h, h, pad_fill, p, train, rng)))
+        return ad.add(x, drop(self.ffn(PackedRows(self.norm2(x), packing), p, train, rng)))
 
 
 class DecoderLayer:
@@ -535,24 +505,29 @@ class PointerGeneratorModel:
         return src_ids
 
     def encode(self, src_ids: np.ndarray, src_mask: Optional[np.ndarray] = None,
-               train: bool = False, rng: Optional[DropoutRng] = None) -> Tensor:
-        """Source ids [B, n] to encoder states [B, n, d_model] on the tape
-        ops: the training path, and the reference for the packed encoder
-        that ``start_decoding`` runs."""
+               train: bool = False, rng: Optional[DropoutRng] = None) -> PackedRows:
+        """Source ids [B, n] to the encoder states of their real positions
+        under ``src_mask`` (every position when None): rows [P, d_model] in
+        ``np.nonzero(src_mask)`` order, with their packing.  Only those rows
+        go through the embedding, LayerNorms, Linears, FFNs, dropout and
+        residual adds; each self-attention sees the padded [B, n] layout.
+        Training runs it on the tape, and ``start_decoding`` with no tape
+        active, where the ops are pure forward computations."""
         src_ids = self._sources(src_ids)
-        n = src_ids.shape[1]
-        if src_mask is None:
-            src_mask = np.ones_like(src_ids, dtype=bool)
+        mask = np.ones_like(src_ids, dtype=bool) if src_mask is None else np.atleast_2d(src_mask)
+        packing = ad.Packing(mask)
+        if packing.shape != src_ids.shape:
+            raise ad.ShapeMismatch(f"source mask {packing.shape} vs source ids {src_ids.shape}")
         p = self.config.dropout
-        x = ad.scale(ad.gather(self.src_embed, src_ids), math.sqrt(self.config.d_model))
-        x = ad.add(x, ad.constant(self.enc_positions.data[:n]))
-        x = ad.dropout(x, p, train, rng)
-        pad_fill = ~src_mask[:, None, None, :]  # block attention to padding
+        x = ad.scale(ad.gather(self.src_embed, packing.gather(src_ids)), math.sqrt(self.config.d_model))
+        x = ad.add(x, ad.constant(self.enc_positions.data[packing.real[1]]))
+        x = ad.dropout(x, p, train, rng, packing)
+        pad_fill = ~packing.mask[:, None, None, :]  # block attention to padding
         for layer in self.enc_layers:
-            x = layer(x, pad_fill, p, train, rng)
-        return self.enc_norm(x)
+            x = layer(x, packing, pad_fill, p, train, rng)
+        return PackedRows(self.enc_norm(x), packing)
 
-    def _decoder_states(self, tgt_ids, packing, enc, src_mask, train, rng) -> PackedRows:
+    def _decoder_states(self, tgt_ids, packing, enc: PackedRows, train, rng) -> PackedRows:
         """Final decoder states of the real positions of decoder input ids
         [B, T]: scaled embeddings from the symbol table then the pointer
         table, plus their positions, through every layer on packed rows."""
@@ -566,22 +541,22 @@ class PointerGeneratorModel:
         x = ad.add(x, ad.constant(self.dec_positions.data[packing.real[1]]))
         x = ad.dropout(x, p, train, rng, packing)
         causal_fill = np.triu(np.ones((steps, steps), dtype=bool), k=1)[None, None]
-        src_fill = ~src_mask[:, None, None, :]
+        src_fill = ~enc.packing.mask[:, None, None, :]
         for layer in self.dec_layers:
             x = layer(x, packing, enc, causal_fill, src_fill, p, train, rng)
         return PackedRows(self.dec_norm(x), packing)
 
-    def joint_logits(self, states: PackedRows, enc: Tensor, src_mask: np.ndarray) -> Tensor:
+    def joint_logits(self, states: PackedRows, enc: PackedRows) -> Tensor:
         """Vocab scores and masked pointer scores of packed decoder states,
         concatenated in the padded layout: [B, T, |V|+n], zeros at padding
         positions.  ``vocab_out`` and the product with ``ptr_bilinear`` run
         on the packed rows; only the product with each example's encoder
-        states sees the padded layout."""
+        states, unpacked for it, sees the padded layout."""
         x, packing = states
         vocab = ad.unpack(self.vocab_out(x), packing)
         pointer = ad.unpack(ad.matmul(x, self.ptr_bilinear), packing)
-        pointer = ad.matmul(pointer, ad.swap_last(enc))
-        pointer = ad.mask_fill(pointer, ~src_mask[:, None, :] & packing.mask[:, :, None])
+        pointer = ad.matmul(pointer, ad.swap_last(ad.unpack(*enc)))
+        pointer = ad.mask_fill(pointer, ~enc.packing.mask[:, None, :] & packing.mask[:, :, None])
         return ad.concat([vocab, pointer], axis=-1)
 
     def forward_teacher_forced(self, src_ids, src_mask, tgt_in_ids,
@@ -589,60 +564,37 @@ class PointerGeneratorModel:
         """Joint logits [B, T, |V|+n] for every target position under a
         causal mask.  The real positions are the non-PAD entries of
         ``tgt_in_ids``; a row may end in PAD, but a PAD followed by a
-        non-PAD symbol is refused (PrefixContainsPAD).  The decoder's
-        row-wise work runs on the real positions alone, and the logits at
-        PAD positions are zeros."""
+        non-PAD symbol is refused (PrefixContainsPAD).  The encoder's and
+        the decoder's row-wise work runs on the real positions alone, and
+        the logits at PAD positions are zeros."""
         tgt_in_ids = np.atleast_2d(np.asarray(tgt_in_ids))
         real = tgt_in_ids != PAD_ID
         if np.logical_or.reduce(real[:, 1:] & ~real[:, :-1], axis=None):
             raise PrefixContainsPAD("a decoder input row has a PAD before a non-PAD symbol")
-        src_mask = np.asarray(src_mask, dtype=bool)
         enc = self.encode(src_ids, src_mask, train=train, rng=rng)
-        states = self._decoder_states(tgt_in_ids, ad.Packing(real), enc, src_mask, train, rng)
-        return self.joint_logits(states, enc, src_mask)
-
-    def encode_packed(self, src_ids, src_mask) -> np.ndarray:
-        """``encode`` without dropout on packed rows, off the tape: the
-        states [P, d_model] of the P real positions of source ids [Q, n]
-        under their mask, in ``np.nonzero(src_mask)`` order.  Only those
-        rows go through the embedding, LayerNorms, Linears, FFNs and
-        residual adds; each self-attention places its queries, keys and
-        values in the padded [Q, heads, n, head_dim] layout only for
-        ``attention_probs``.  A GEMM's output row depends only on its own
-        input row, so each row is ``encode``'s state there, bit for bit."""
-        src_ids = self._sources(src_ids)
-        packing = ad.Packing(np.atleast_2d(src_mask))
-        x = ad.take_rows(self.src_embed.data, packing.gather(src_ids))
-        x *= np.float32(math.sqrt(self.config.d_model))
-        x += self.enc_positions.data[packing.real[1]]
-        pad_fill = ~packing.mask[:, None, None, :]
-        for layer in self.enc_layers:
-            x = layer.apply(x, packing, pad_fill)
-        return self.enc_norm.apply(x)
+        states = self._decoder_states(tgt_in_ids, ad.Packing(real), enc, train, rng)
+        return self.joint_logits(states, enc)
 
     def start_decoding(self, src_ids, src_mask) -> DecoderCache:
         """A cache for decoding source ids [Q, n] under their mask, one row
-        per query.  Only the real source positions are encoded
-        (``encode_packed``).  Each decoder layer's cross-attention keys and
-        values are projected from those packed rows straight into the
-        cache's [Q, 2, heads, n, head_dim] buffers, and the pointer keys
-        are each query's ``ptr_bilinear @ enc^T``.  At every real position
-        these are the values the tape ``encode`` leads to, bit for bit;
-        padding positions, which every step masks, hold zeros.  No
-        ``Tensor`` is built."""
-        src_mask = np.atleast_2d(np.asarray(src_mask, dtype=bool))
-        x = self.encode_packed(src_ids, src_mask)
-        packing = ad.Packing(src_mask)
-        cross_kv = [layer.cross_attn.packed_keys_values(x, packing) for layer in self.dec_layers]
-        enc = packing.scatter(x)
-        ptr_keys = self.ptr_bilinear.data @ enc.swapaxes(-1, -2)
+        per query.  ``encode`` runs with no tape active on the real source
+        positions.  Each decoder layer's cross-attention keys and values are
+        projected from those packed rows straight into the cache's [Q, 2,
+        heads, n, head_dim] buffers, and the pointer keys are each query's
+        ``ptr_bilinear @ enc^T``.  At every real position these are the
+        values the tape ops compute from ``encode``, bit for bit; padding
+        positions, which every step masks, hold zeros."""
+        enc, packing = self.encode(src_ids, src_mask)
+        cross_kv = [layer.cross_attn.packed_keys_values(enc.data, packing)
+                    for layer in self.dec_layers]
+        ptr_keys = self.ptr_bilinear.data @ packing.scatter(enc.data).swapaxes(-1, -2)
         qkv = [layer.self_attn.fused_qkv() for layer in self.dec_layers]
         # The training-time table is an ``ad.concat`` node; decoding needs
         # only its values, scaled once here rather than at every step.
         embed = np.concatenate([self.sym_embed.data, self.ptr_embed.data])
         embed *= np.float32(math.sqrt(self.config.d_dec))
         heads = self.config.n_dec_heads
-        return DecoderCache(cross_kv, ptr_keys, src_mask, embed, qkv,
+        return DecoderCache(cross_kv, ptr_keys, packing.mask, embed, qkv,
                             heads, self.config.d_dec // heads, self.config.max_tgt_len)
 
     def step(self, cache: DecoderCache, tokens) -> OutputDistribution:

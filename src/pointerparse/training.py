@@ -21,7 +21,7 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from .autodiff import DropoutRng, Tape
-from .data import CorpusExample
+from .data import CorpusExample, DataError
 from .decoding import decode_sources, greedy_batch, pad_sources
 from .metrics import exact_match
 from .model import ModelConfig, PointerGeneratorModel, require_fraction, require_int
@@ -105,6 +105,12 @@ def prepare_corpus(examples: Sequence[CorpusExample], max_src_len: Optional[int]
 def encode_corpus(
     examples: Sequence[CorpusExample], symtab: SymbolTable, source_vocab: SourceVocab
 ) -> list[EncodedExample]:
+    """Source and target ids of each example.  An example with an empty
+    query is refused (DataError, naming its index): the model has no source
+    token to encode for it."""
+    for i, ex in enumerate(examples):
+        if not ex.query.tokens:
+            raise DataError(f"training example {i} has an empty query")
     return [EncodedExample(
         src_ids=np.asarray(source_vocab.encode(ex.query.tokens), dtype=np.int64),
         tgt_ids=np.asarray(symtab.encode(ex.target), dtype=np.int64),
@@ -338,6 +344,10 @@ def train_loop(
                 logits, batch.gold, batch.step_mask, batch.support_mask, cfg.epsilon_ls
             )
             tape.backward(loss)
+        # Only the loss's value outlives the step, so the next forward does
+        # not run while this step's graph is still held.
+        loss = loss.item()
+        del logits, tape
         lr = noam_lr(step, model_config.d_model, cfg.warmup_steps)
         try:
             grad_norm, clip_factor = adam_step(model.parameters(), adam, lr)
@@ -357,7 +367,7 @@ def train_loop(
         if step % cfg.log_every == 0 or dev_em is not None or step == cfg.max_steps or stop:
             now = time.perf_counter()
             elapsed = now - logged_at
-            emit({"step": step, "loss": loss.item(), "lr": lr, "dev_em": dev_em,
+            emit({"step": step, "loss": loss, "lr": lr, "dev_em": dev_em,
                   "grad_norm": grad_norm, "clip_factor": clip_factor, "wall_s": now - started,
                   "examples_per_s": examples / elapsed, "tgt_tokens_per_s": tgt_tokens / elapsed})
             logged_at, examples, tgt_tokens = now, 0, 0

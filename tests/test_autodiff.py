@@ -291,6 +291,25 @@ class TestMatmulAgainstWeight:
         w = constant(rand(2, 3, 2, 5, seed=65))
         check_grad(lambda: reduce_sum(mul(matmul(a, b), w)), [a, b])
 
+    @pytest.mark.parametrize("d_in,d_out", [(128, 128), (128, 256), (256, 128), (128, 384)])
+    def test_a_row_is_the_same_in_any_product_of_2_to_299_rows(self, d_in, d_out):
+        """At the model's weight shapes (d=128, FFN 256, and the decoder
+        step's fused ``[Wq|Wk|Wv]``), each output row of ``weight_product``
+        on P rows, 2 <= P <= 299, is bit-equal to the same row computed
+        inside the 299-row product, at its start and at its end.  Packing
+        changes how many rows a product runs on, so this is what keeps a
+        row's value independent of the batch around it.  One row is left
+        out: numpy's OpenBLAS runs a one-row product as a matrix-vector
+        product (GEMV), whose sums differ from the GEMM's for K >= 64."""
+        a = rand(299, d_in, seed=66)
+        w = rand(d_in, d_out, seed=67, scale=0.1)
+        bias = rand(d_out, seed=68)
+        full = autodiff.weight_product(a, w, bias)
+        for rows in range(2, 300):
+            np.testing.assert_array_equal(autodiff.weight_product(a[:rows], w, bias), full[:rows])
+            np.testing.assert_array_equal(autodiff.weight_product(a[-rows:], w, bias),
+                                          full[-rows:])
+
 
 def _composed_attention(q, k, v, fill_mask, c, p=0.0, train=False, rng=None):
     scores = scale(matmul(q, swap_last(k)), c)

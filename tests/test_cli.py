@@ -293,6 +293,28 @@ class TestConfigMerging:
         assert not ckpt.exists()
 
 
+@pytest.mark.parametrize("batch_size", [1, 3])
+def test_train_refuses_an_empty_query_with_exit_2(batch_size, tmp_path, capsys):
+    """An empty query is a data error (exit 2) naming the example, whether
+    a batch would hold it alone or among examples around it."""
+    empty = {"query": "", "style": "flat",
+             "parse": {"label": "X", "kind": "intent", "indices": [], "children": []}}
+    records = [FLAT_EXAMPLE, empty, FLAT_EXAMPLE]
+    (tmp_path / "train.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({**TINY_CONFIG, "train.max_steps": 3,
+                                  "train.batch_size": batch_size}))
+    ckpt = tmp_path / "ckpt"
+    code = main(["train", "--corpus", str(tmp_path), "--checkpoint", str(ckpt),
+                 "--config", str(config), "--quiet"])
+    _, err = capsys.readouterr()
+    assert code == EXIT_DATA
+    failure = json.loads(err)
+    assert failure["error"] == "DataError"
+    assert failure["message"] == "training example 1 has an empty query"
+    assert not ckpt.exists()
+
+
 @pytest.fixture(scope="module")
 def pipeline_dir(tmp_path_factory):
     """generate -> train (tiny) once; shared by eval/predict tests."""

@@ -3,7 +3,6 @@ import pytest
 
 from pointerparse import autodiff as ad
 from pointerparse.data import default_grammar, generate_synthetic
-from pointerparse.decoding import BeamConfig, beam_search_batch
 from pointerparse.model import (
     Linear,
     ModelConfig,
@@ -72,7 +71,8 @@ def test_head_divisibility_enforced():
 
 def test_encode_single_token_shape(model):
     enc = model.encode(np.array([[5]]))
-    assert enc.shape == (1, 1, model.config.d_model)
+    assert enc.x.shape == (1, model.config.d_model)
+    assert enc.packing.shape == (1, 1)
 
 
 def test_source_too_long(model):
@@ -86,12 +86,19 @@ def test_padding_does_not_leak_into_real_rows(model):
     padded = np.concatenate([src, np.zeros((1, 3), dtype=np.int64)], axis=1)
     pmask = np.concatenate([mask, np.zeros((1, 3), dtype=bool)], axis=1)
     enc_padded = model.encode(padded, pmask)
-    np.testing.assert_allclose(enc_padded.data[:, :5], enc_short.data, atol=1e-6)
+    assert enc_padded.x.shape == enc_short.x.shape == (5, model.config.d_model)
+    np.testing.assert_allclose(enc_padded.x.data, enc_short.x.data, atol=1e-6)
+
+
+def test_source_mask_of_another_shape_is_refused(model):
+    src, mask, _ = make_batch(model, [5, 3], seed=1)
+    with pytest.raises(ad.ShapeMismatch, match="source mask"):
+        model.encode(src, mask[:, :4])
 
 
 def test_identical_tokens_get_distinct_rows(model):
     enc = model.encode(np.array([[7, 7]]))
-    assert not np.allclose(enc.data[0, 0], enc.data[0, 1], atol=1e-4)
+    assert not np.allclose(enc.x.data[0], enc.x.data[1], atol=1e-4)
 
 
 def test_joint_distribution_length_and_normalization(model):
@@ -376,13 +383,14 @@ def test_token_count_must_match_the_cache_rows(model, fed, count):
 
 
 def test_a_decode_step_builds_no_tensor_and_reads_no_tape(model, monkeypatch):
-    """The packed encoder, the cached step and ``select`` run on plain
-    arrays: decoding from source ids, a whole ``beam_search_batch``
-    included, builds no ``Tensor`` (so no ``ad.concat`` either) and never
-    looks up the tape stack."""
+    """The cached step and ``select`` run on plain arrays: once
+    ``start_decoding`` (which runs the tape ops of ``encode`` with no tape
+    active) has built the cache, decoding builds no ``Tensor`` (so no
+    ``ad.concat`` either) and never looks up the tape stack."""
     lengths = [4, 9, 6]
     src, mask, _ = make_batch(model, lengths, seed=17)
     tgt = _random_targets(model, lengths, 20, seed=17)
+    cache = model.start_decoding(src, mask)
     built = []
     init = ad.Tensor.__init__
 
@@ -395,9 +403,6 @@ def test_a_decode_step_builds_no_tensor_and_reads_no_tape(model, monkeypatch):
 
     monkeypatch.setattr(ad.Tensor, "__init__", counted)
     monkeypatch.setattr(ad, "active_tape", refuse)
-    for k in (1, 4):
-        assert all(beam_search_batch(model, src, mask, BeamConfig(k)))
-    cache = model.start_decoding(src, mask)
     row_query = np.arange(3)
     layouts = {2: ([0, 0, 1, 1, 2, 2], 2),  # every query widens to two rows
                6: ([1, 0, 5, 4], 2),  # query 1 leaves: the source state compacts
@@ -417,22 +422,24 @@ def test_a_decode_step_builds_no_tensor_and_reads_no_tape(model, monkeypatch):
 def test_packed_encoder_matches_the_tape_encoder_bit_for_bit(acceptance_width_model, lengths):
     """At the acceptance width (d=128, 2+2 layers, 4 heads), a chunk of mixed
     lengths, one with a 1-token source, one with no padding and a chunk of
-    one query go through ``start_decoding``'s packed encoder and through the
-    tape ``encode``: the encoder states, each decoder layer's
-    cross-attention keys and values and the pointer keys are bit-equal at
-    every real position, which pins the GEMM row invariance the packing
-    relies on at the model's own shapes.  Padding positions hold zeros."""
+    one query: ``start_decoding`` runs ``encode`` with no tape active, and
+    each decoder layer's cross-attention keys and values and the pointer
+    keys it caches are bit-equal at every real position to what the tape
+    ops compute from ``encode`` under an active ``Tape``, as training
+    computes them.  Padding positions hold zeros."""
     model = acceptance_width_model
     src, mask, _ = make_batch(model, lengths, seed=len(lengths))
-    enc = model.encode(src, mask)
-    np.testing.assert_array_equal(model.encode_packed(src, mask), enc.data[mask])
     cache = model.start_decoding(src, mask)
-    for layer, kv in zip(model.dec_layers, cache.cross_kv):
-        tape_kv = np.stack([t.data for t in layer.cross_attn.keys_values(enc)], axis=1)
+    with ad.Tape() as tape:
+        enc = model.encode(src, mask)
+        tape_kv = [np.stack([t.data for t in layer.cross_attn.keys_values(enc)], axis=1)
+                   for layer in model.dec_layers]
+        tape_ptr = ad.matmul(model.ptr_bilinear, ad.swap_last(ad.unpack(*enc))).data
+    assert tape.nodes  # the ops recorded: this is the training path
+    for kv, expected in zip(cache.cross_kv, tape_kv):
         by_position = kv.transpose(0, 3, 1, 2, 4)  # [Q, n, 2, heads, head_dim]
-        np.testing.assert_array_equal(by_position[mask], tape_kv.transpose(0, 3, 1, 2, 4)[mask])
+        np.testing.assert_array_equal(by_position[mask], expected.transpose(0, 3, 1, 2, 4)[mask])
         assert not by_position[~mask].any()
-    tape_ptr = ad.matmul(model.ptr_bilinear, ad.swap_last(enc)).data
     by_position = cache.ptr_keys.swapaxes(1, 2)  # [Q, n, d_dec]
     np.testing.assert_array_equal(by_position[mask], tape_ptr.swapaxes(1, 2)[mask])
     assert not by_position[~mask].any()
@@ -534,24 +541,64 @@ def test_linear_equals_matmul_then_add_bit_for_bit(lead):
         np.testing.assert_array_equal(fused, composed)
 
 
-def test_acceptance_training_step_records_156_tape_nodes():
-    """One node per op of an acceptance-config step (2+2 layers, dropout on):
-    each of the 33 biased Linears is one node, not a matmul and an add.
-    The decoder runs on packed target rows, which adds 14 nodes to the 142
-    of the padded decoder and removes none: in each decoder layer, three
-    ``unpack`` nodes (self-attention queries, keys and values) and one
-    ``pack`` (its context), one ``unpack`` (cross-attention queries) and
-    one ``pack`` (its context); in the head, one ``unpack`` each for the
-    vocabulary scores and for ``states @ ptr_bilinear``.  The embedding
-    gathers the real ids alone, so it needs no ``pack``."""
+def _acceptance_training_step(batch_size):
+    """Model and batch of an acceptance-config step (2+2 layers, d=128,
+    dropout on) over the first ``batch_size`` examples of the seed-17
+    corpus."""
     examples = generate_synthetic(default_grammar(), 40, seed=17)["train"]
     symtab, src_vocab = prepare_corpus(examples)
     config = ModelConfig(vocab_size=symtab.vocab_size, src_vocab_size=src_vocab.size,
                          max_src_len=symtab.max_src_len)
     model = PointerGeneratorModel(config, seed=17)
-    batch = make_train_batch(encode_corpus(examples[:8], symtab, src_vocab), symtab.vocab_size)
+    encoded = encode_corpus(examples[:batch_size], symtab, src_vocab)
+    return model, make_train_batch(encoded, symtab.vocab_size)
+
+
+def _run_training_step(model, batch):
     with ad.Tape() as tape:
         logits = model.forward_teacher_forced(batch.src_ids, batch.src_mask, batch.tgt_in,
                                               train=True, rng=ad.DropoutRng(seed=17))
         label_smoothed_ce(logits, batch.gold, batch.step_mask, batch.support_mask, 0.1)
-    assert len(tape.nodes) == 156
+    return tape
+
+
+def test_acceptance_training_step_records_169_tape_nodes():
+    """One node per op of an acceptance-config step (2+2 layers, dropout on):
+    each of the 33 biased Linears is one node, not a matmul and an add.
+    Packing the decoder's target rows added 14 nodes to the 142 of the
+    padded model: in each decoder layer, three ``unpack`` nodes
+    (self-attention queries, keys and values) and one ``pack`` (its
+    context), one ``unpack`` (cross-attention queries) and one ``pack``
+    (its context); in the head, one ``unpack`` each for the vocabulary
+    scores and for ``states @ ptr_bilinear``.  Packing the encoder's source
+    rows added 13 more: in each encoder layer, three ``unpack`` nodes
+    (self-attention queries, keys and values) and one ``pack`` (its
+    context); in each decoder layer, one ``unpack`` each for the
+    cross-attention keys and values; in the head, one ``unpack`` of the
+    encoder states for the pointer product.  The embeddings gather the real
+    ids alone, so they need no ``pack``."""
+    model, batch = _acceptance_training_step(8)
+    assert len(_run_training_step(model, batch).nodes) == 169
+
+
+def test_every_training_product_runs_on_the_packed_rows(monkeypatch):
+    """In an acceptance-config step with dropout on, every product against
+    a 2-D weight runs on exactly the real source rows (each encoder layer's
+    six Linears and each decoder layer's cross-attention keys and values)
+    or the real target rows (each decoder layer's eight other Linears,
+    ``vocab_out`` and ``ptr_bilinear``), never on a padded layout."""
+    model, batch = _acceptance_training_step(32)
+    (b, n), t = batch.src_ids.shape, batch.tgt_in.shape[1]
+    p_src, p_tgt = int(batch.src_mask.sum()), int((batch.tgt_in != PAD_ID).sum())
+    assert len({p_src, p_tgt, b * n, b * t}) == 4  # both sides are padded
+    rows = []
+    product = ad.weight_product
+
+    def counted(a, w, bias=None):
+        rows.append(int(np.prod(a.shape[:-1])))
+        return product(a, w, bias)
+
+    monkeypatch.setattr(ad, "weight_product", counted)
+    _run_training_step(model, batch)
+    enc, dec = model.config.n_enc_layers, model.config.n_dec_layers
+    assert sorted(rows) == sorted([p_src] * (6 * enc + 2 * dec) + [p_tgt] * (8 * dec + 2))

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from pointerparse import checkpoint as ckpt
 from pointerparse.autodiff import (
     Tape, add, constant, log_softmax, mask_fill, mul, parameter, reduce_sum, scale,
 )
-from pointerparse.data import CorpusExample, default_grammar, generate_synthetic
+from pointerparse.data import CorpusExample, DataError, default_grammar, generate_synthetic
 from pointerparse.linearize import Kind, ParseNode, Query, SemanticParse, Style, SymKind, linearize
 from pointerparse.model import ModelConfig, PointerGeneratorModel
 from pointerparse.training import (
@@ -313,6 +314,42 @@ class TestTrainLoop:
             )
             ems[bs] = exact_match_rate(result.model, train, symtab, src_vocab)
         assert ems[1] == ems[2] == 1.0
+
+    def test_a_step_frees_its_graph_before_the_next_forward(self, monkeypatch):
+        """Only the loss's value outlives a step: when the next step's
+        forward starts, the previous step's logits, and the graph they hold,
+        are gone, so a step's peak holds one graph, not two."""
+        train = generate_synthetic(default_grammar(), 40, seed=5)["train"]
+        symtab, src_vocab = prepare_corpus(train)
+        forward = PointerGeneratorModel.forward_teacher_forced
+        returned = []
+
+        def watched(self, *args, **kwargs):
+            assert all(ref() is None for ref in returned), "a previous step's logits are alive"
+            logits = forward(self, *args, **kwargs)
+            returned.append(weakref.ref(logits.data))  # a Tensor has no weakref slot
+            return logits
+
+        monkeypatch.setattr(PointerGeneratorModel, "forward_teacher_forced", watched)
+        config = TrainConfig(batch_size=8, max_steps=4, warmup_steps=2, eval_every=2,
+                             log_every=1, seed=1)
+        train_loop(train, train[:4], _tiny_model_config(symtab, src_vocab, d=16), config,
+                   symtab, src_vocab)
+        assert len(returned) == 4
+
+    def test_an_empty_query_is_refused_naming_its_index(self):
+        """The model has no source token to encode for an empty query, so
+        training refuses it up front as bad data, whatever batches the
+        seed would make."""
+        examples = generate_synthetic(default_grammar(), 20, seed=3)["train"]
+        examples = examples[:3] + [_empty_query_example()] + examples[3:]
+        symtab, src_vocab = prepare_corpus(examples)
+        with pytest.raises(DataError, match="training example 3 has an empty query"):
+            encode_corpus(examples, symtab, src_vocab)
+        config = TrainConfig(batch_size=4, max_steps=2, warmup_steps=1)
+        with pytest.raises(DataError, match="training example 3 "):
+            train_loop(examples, None, _tiny_model_config(symtab, src_vocab, d=16), config,
+                       symtab, src_vocab)
 
     def test_metrics_records_carry_grad_norm_and_clip_factor(self, tmp_path):
         splits = generate_synthetic(default_grammar(), 48, seed=5)
