@@ -8,17 +8,17 @@ GEMM over the flattened leading axes, forward and backward, so a weight's
 gradient accumulates over the batch inside that GEMM; a bias rides in the
 same tape node.
 
-Attention (``attention``) is one primitive with a closed-form backward, not
-a chain of the ops it is made of.
+A ``Packing`` names the real rows of a padded [B, T] layout.  Row-wise
+work (products against a weight, layer norm, dropout, residual adds) runs
+on the P real rows alone, so a weight's gradient sums over those rows
+only.  ``unpack`` lays packed rows out as [B, T, ...], zeros at padding.
+``dropout`` of packed rows draws its mask at the padded shape and applies
+the mask's real rows, so the mask stream does not depend on the packing.
 
-A ``Packing`` names the real rows of a padded [B, T] layout.  ``pack``
-takes a [B, T, ...] tensor to its [P, ...] real rows and ``unpack`` lays
-packed rows out again, zeros at padding; each is the other's backward.
-Row-wise work (products against a weight, layer norm, dropout, residual
-adds) can then run on the P real rows alone, so a weight's gradient sums
-over those rows only.  ``dropout`` of packed rows draws its mask at the
-padded shape and applies the mask's real rows, so the mask stream does not
-depend on the packing.
+Multi-head attention (``attention``) is one primitive with a closed-form
+backward, not a chain of the ops it is made of.  It takes packed query,
+key and value rows and returns packed context rows; the padded per-head
+layout it needs is its own.
 
 The forward arithmetic of the weight product, the embedding lookup, layer
 norm, attention (scale, mask and softmax) and log-softmax lives in
@@ -302,7 +302,7 @@ class Packing:
     """The real rows of a padded [B, T] layout: the positions where the bool
     ``mask`` is true, in row-major order (``np.nonzero``).  ``gather`` and
     ``scatter`` move plain arrays between the padded [B, T, ...] layout and
-    the P packed rows [P, ...]; the ``pack`` and ``unpack`` ops call them."""
+    the P packed rows [P, ...]."""
 
     def __init__(self, mask):
         self.mask = np.asarray(mask, dtype=bool)
@@ -321,18 +321,6 @@ class Packing:
         out = np.zeros(self.shape + a.shape[1:], a.dtype)
         out[self.real] = a
         return out
-
-
-def pack(a: Tensor, packing: Packing) -> Tensor:
-    """The real rows [P, ...] of a padded [B, T, ...] tensor."""
-    if a.data.shape[:2] != packing.shape:
-        raise ShapeMismatch(f"pack: {a.shape} vs layout {packing.shape}")
-    out = Tensor(packing.gather(a.data))
-
-    def backward(g: Array) -> None:
-        _accumulate(a, packing.scatter(g))
-
-    return _record(out, (a,), backward)
 
 
 def unpack(a: Tensor, packing: Packing) -> Tensor:
@@ -555,19 +543,36 @@ def attention_probs(q: Array, k: Array, blocked: Optional[Array], scale: float) 
     return probs
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, fill_mask, scale: float,
-              p: float = 0.0, train: bool = False, rng: Optional[DropoutRng] = None) -> Tensor:
-    """``dropout(softmax(mask_fill(q @ k^T * scale))) @ v`` as one primitive.
+def attention(q: Tensor, k: Tensor, v: Tensor, q_packing: Packing, kv_packing: Packing,
+              heads: int, fill_mask, p: float = 0.0, train: bool = False,
+              rng: Optional[DropoutRng] = None) -> Tensor:
+    """Multi-head ``dropout(softmax(mask_fill(q @ k^T * scale))) @ v`` as one
+    primitive on packed rows: q [Pq, d] at the real positions of
+    ``q_packing``, k and v [Pk, d] at those of ``kv_packing``.  They are laid
+    out padded per head, [B, heads, T, d / heads] (zeros at padding), with
+    scale ``(d / heads) ** -0.5``; ``fill_mask`` (bool, broadcastable to [B,
+    heads, Tq, Tk], or None) blocks where true, and the dropout mask is drawn
+    at that shape.  Returns the packed context [Pq, d]."""
+    d = q.data.shape[-1]
+    for name, t, packing in (("q", q, q_packing), ("k", k, kv_packing), ("v", v, kv_packing)):
+        if t.data.shape != (len(packing.real[0]), d):
+            raise ShapeMismatch(f"attention: {name} {t.shape} vs {len(packing.real[0])} real rows "
+                                f"of width {d}")
+    if d % heads:
+        raise ShapeMismatch(f"attention: {heads} heads do not divide width {d}")
+    head_dim = d // heads
 
-    q is [B, heads, Tq, hd]; k and v are [B, heads, Tk, hd].  ``fill_mask``
-    (bool, broadcastable to [B, heads, Tq, Tk], or None) blocks the positions
-    where it is true.  The forward values are those of the composed ops, and
-    the dropout mask is drawn at the same point of the stream, with the same
-    shape.
-    """
-    c = np.float32(scale)
+    def padded(x: Array, packing: Packing) -> Array:
+        out = packing.scatter(x)
+        return out.reshape(out.shape[:2] + (heads, head_dim)).transpose(0, 2, 1, 3)
+
+    def packed(x: Array, packing: Packing) -> Array:
+        return packing.gather(x.transpose(0, 2, 1, 3)).reshape(-1, d)
+
+    scale = 1.0 / math.sqrt(head_dim)
+    qh, kh, vh = padded(q.data, q_packing), padded(k.data, kv_packing), padded(v.data, kv_packing)
     blocked = None if fill_mask is None else np.asarray(fill_mask, dtype=bool)
-    probs = attention_probs(q.data, k.data, blocked, scale)
+    probs = attention_probs(qh, kh, blocked, scale)
     weights, drop = probs, None
     if train and p > 0.0:
         if rng is None:
@@ -576,11 +581,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, fill_mask, scale: float,
         drop = rng.next_mask(probs.shape, keep)
         inv_keep = np.float32(1.0 / keep)
         weights = (probs * inv_keep) * drop
-    out = Tensor(weights @ v.data)
+    out = Tensor(packed(weights @ vh, q_packing))
 
     def backward(g: Array) -> None:
-        _accumulate(v, weights.swapaxes(-1, -2) @ g)
-        gs = g @ v.data.swapaxes(-1, -2)
+        g = padded(g, q_packing)
+        _accumulate(v, packed(weights.swapaxes(-1, -2) @ g, kv_packing))
+        gs = g @ vh.swapaxes(-1, -2)
         if drop is not None:
             gs *= inv_keep
             gs *= drop
@@ -589,8 +595,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, fill_mask, scale: float,
         gs *= probs
         if blocked is not None:
             gs = np.where(blocked, np.float32(0.0), gs)
-        gs *= c
-        _accumulate(q, gs @ k.data)
-        _accumulate(k, gs.swapaxes(-1, -2) @ q.data)
+        gs *= np.float32(scale)
+        _accumulate(q, packed(gs @ kh, q_packing))
+        _accumulate(k, packed(gs.swapaxes(-1, -2) @ qh, kv_packing))
 
     return _record(out, (q, k, v), backward)

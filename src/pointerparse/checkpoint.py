@@ -15,7 +15,9 @@ Loading a checkpoint restores training bit-identically on a single thread;
 a format-version mismatch, or a .bin file whose length or sha256 differs from
 the manifest's record, is a hard error rather than a best-effort read; so
 is a ``symtab.json`` or ``source_vocab.json`` whose size (or pointer range)
-differs from the manifest's ``model_config``.
+differs from the manifest's ``model_config``, and any of the JSON files
+whose values have the wrong shape or types, such as a ``model_config`` whose
+keys are not exactly ``ModelConfig``'s fields.
 A save builds the directory under a temporary sibling name and renames it
 into place, so an exception or a killed process partway through a save
 never leaves a partial checkpoint under the final name.  Every file and the
@@ -36,6 +38,7 @@ warning then.  Manifests written before the record existed have none.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -252,33 +255,51 @@ def _recovered(directory: Path) -> Path:
     return directory
 
 
+@contextlib.contextmanager
+def _reading(path: Path):
+    """A type, value, key or attribute error inside the block is a
+    CheckpointError naming ``path``: the file holds malformed JSON or JSON
+    of the wrong shape or types."""
+    try:
+        yield
+    except (TypeError, ValueError, KeyError, AttributeError) as exc:
+        raise CheckpointError(f"malformed {path}: {type(exc).__name__}: {exc}") from None
+
+
 def load_checkpoint(directory) -> Checkpoint:
     directory = _recovered(Path(directory))
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
         raise CheckpointError(f"no manifest.json in {directory}")
-    manifest = json.loads(manifest_path.read_text())
-    if manifest.get("format_version") != FORMAT_VERSION:
-        raise CheckpointError(
-            f"checkpoint format {manifest.get('format_version')} != supported {FORMAT_VERSION}"
-        )
-    missing = sorted(_MANIFEST_KEYS - manifest.keys())
-    if missing:
-        raise CheckpointError(f"manifest.json in {directory} lacks {', '.join(missing)}")
-    (params,) = _read_blob(directory / "params.bin", manifest)
-    opt_m = opt_v = None
-    if manifest["has_opt_state"]:
-        opt_m, opt_v = _read_blob(directory / "optstate.bin", manifest, copies=2)
-    config = ModelConfig.from_json(manifest["model_config"])
-    symtab = SymbolTable.load(directory / "symtab.json")
-    source_vocab = SourceVocab.load(directory / "source_vocab.json")
+    with _reading(manifest_path):
+        manifest = json.loads(manifest_path.read_text())
+        if not isinstance(manifest, dict):
+            raise CheckpointError(f"{manifest_path} holds no JSON object")
+        if manifest.get("format_version") != FORMAT_VERSION:
+            raise CheckpointError(
+                f"checkpoint format {manifest.get('format_version')} != supported {FORMAT_VERSION}"
+            )
+        missing = sorted(_MANIFEST_KEYS - manifest.keys())
+        if missing:
+            raise CheckpointError(f"manifest.json in {directory} lacks {', '.join(missing)}")
+        (params,) = _read_blob(directory / "params.bin", manifest)
+        opt_m = opt_v = None
+        if manifest["has_opt_state"]:
+            opt_m, opt_v = _read_blob(directory / "optstate.bin", manifest, copies=2)
+        config = ModelConfig.from_json(manifest["model_config"])
+        counters = {key: int(manifest[key]) for key in ("step", "opt_step", "dropout_counter")}
+        best = manifest["best_dev_em"]
+        best_dev_em = None if best is None else float(best)
+    with _reading(directory / "symtab.json"):
+        symtab = SymbolTable.load(directory / "symtab.json")
+    with _reading(directory / "source_vocab.json"):
+        source_vocab = SourceVocab.load(directory / "source_vocab.json")
     for key, stored in (("vocab_size", symtab.vocab_size), ("max_src_len", symtab.max_src_len),
                         ("src_vocab_size", source_vocab.size)):
         if stored != getattr(config, key):
             raise CheckpointError(f"the vocabularies in {directory} give {key} {stored}; "
                                   f"its model_config says {getattr(config, key)}")
     return Checkpoint(
-        step=int(manifest["step"]),
         model_config=config,
         train_config=manifest["train_config"],
         symtab=symtab,
@@ -286,11 +307,10 @@ def load_checkpoint(directory) -> Checkpoint:
         params=params,
         opt_m=opt_m,
         opt_v=opt_v,
-        opt_step=int(manifest["opt_step"]),
-        dropout_counter=int(manifest["dropout_counter"]),
         metrics=manifest["metrics"],
-        best_dev_em=manifest["best_dev_em"],
+        best_dev_em=best_dev_em,
         provenance=manifest.get("provenance"),
+        **counters,
     )
 
 

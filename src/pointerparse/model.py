@@ -14,20 +14,20 @@ width; the bilinear matrix absorbs the mismatch.
 
 One encoder, ``encode``, serves training and decoding.  It runs on packed
 rows: the real source positions alone go through the embedding, Linears,
-layer norms, FFNs, dropout and residual adds, and only its self-attention
-sees the padded [B, n] layout.  Training runs it on the tape; decoding runs
-the same ops with no tape active, where they are pure forward computations.
+layer norms, FFNs, dropout and residual adds.  Training runs it on the
+tape; decoding runs the same ops with no tape active, where they are pure
+forward computations.
 
 Training runs the decoder over whole target prefixes under a causal mask
 (``forward_teacher_forced``), on packed rows too: the real target positions
 (the non-PAD decoder inputs) alone go through the embedding, Linears, layer
 norms, FFNs, dropout, residual adds, ``dec_norm``, ``vocab_out`` and the
 product with ``ptr_bilinear``, so a weight's gradient sums over those rows.
-Only the causal self-attention, the cross-attention and the pointer
-product with each example's encoder states see the padded layout
-(``ad.unpack`` and ``ad.pack`` move rows between the two), and each dropout
-mask is drawn at the padded shape, so the mask stream does not depend on
-the packing.  Inference runs the decoder one position at a time on a
+Attention takes and returns packed rows too; ``ad.attention`` lays them out
+padded per head itself.  Only the pointer product with each example's
+encoder states sees the padded layout (``ad.unpack`` lays rows out for it),
+and each dropout mask is drawn at the padded shape, so the mask stream does
+not depend on the packing.  Inference runs the decoder one position at a time on a
 ``DecoderCache`` (``start_decoding``, then ``step``) whose rows are laid out
 ``[Q, h]``: Q queries with h consecutive rows (beam hypotheses) each.  Each
 step projects the new position's query, key and value with one product
@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -137,6 +137,16 @@ class ModelConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ModelConfig":
+        """The config ``to_json`` wrote.  Any other key set is refused
+        (ConfigValueError naming the keys), so a field left out never loads
+        as its default."""
+        if not isinstance(obj, dict):
+            raise ConfigValueError(f"model_config must be a JSON object, got {obj!r}")
+        names = {f.name for f in fields(cls)}
+        wrong = [f"{what} {', '.join(sorted(keys))}" for what, keys in
+                 (("lacks", names - obj.keys()), ("has unknown keys", obj.keys() - names)) if keys]
+        if wrong:
+            raise ConfigValueError(f"model_config {' and '.join(wrong)}")
         return cls(**obj)
 
 
@@ -213,9 +223,8 @@ class LayerNorm:
 
 class PackedRows(NamedTuple):
     """Rows ``x`` [P, d] at the real positions of ``packing``: the form in
-    which the encoder and the decoder hand their rows to attention, which
-    runs on the padded layout, and to the FFN, whose dropout mask is drawn
-    at the padded shape."""
+    which the encoder and the decoder hand their rows to attention and to
+    the FFN, whose dropout masks are drawn at the padded shape."""
 
     x: Tensor
     packing: ad.Packing
@@ -230,28 +239,13 @@ class MultiHeadAttention:
         self.wv = Linear(store, f"{name}.v", d_kv_in, d_out)
         self.wo = Linear(store, f"{name}.o", d_out, d_out)
 
-    def _heads(self, lin: Linear, x: PackedRows) -> Tensor:
-        """``lin`` applied to packed rows, unpacked (zeros at padding) and
-        split into heads [B, heads, T, head_dim]."""
-        out = ad.unpack(lin(x.x), x.packing)
-        out = ad.reshape(out, (out.shape[0], out.shape[1], self.n_heads, self.head_dim))
-        return ad.transpose(out, (0, 2, 1, 3))
-
     def __call__(self, query_in: PackedRows, kv_in: PackedRows, fill_mask, p, train, rng) -> Tensor:
         """Scaled dot-product attention of packed query rows over packed
-        key/value rows.  Attention runs on the padded layout: queries, keys
-        and values are unpacked for it, and the context is packed back
-        before the output projection, so the output is [P, d_out].
+        key/value rows, giving packed output rows [P, d_out].
         fill_mask: bool, broadcastable to [B, heads, Tq, Tk]; True blocks."""
-        q = self._heads(self.wq, query_in)
-        k, v = self.keys_values(kv_in)
-        ctx = ad.attention(q, k, v, fill_mask, 1.0 / math.sqrt(self.head_dim), p, train, rng)
-        ctx = ad.pack(ad.transpose(ctx, (0, 2, 1, 3)), query_in.packing)  # [P, heads, head_dim]
-        return self.wo(ad.reshape(ctx, (ctx.shape[0], self.n_heads * self.head_dim)))
-
-    def keys_values(self, kv_in: PackedRows) -> tuple[Tensor, Tensor]:
-        """Per-head keys and values, each [B, heads, Tk, head_dim]."""
-        return self._heads(self.wk, kv_in), self._heads(self.wv, kv_in)
+        q, k, v = self.wq(query_in.x), self.wk(kv_in.x), self.wv(kv_in.x)
+        return self.wo(ad.attention(q, k, v, query_in.packing, kv_in.packing, self.n_heads,
+                                    fill_mask, p, train, rng))
 
     def packed_keys_values(self, x: np.ndarray, packing: ad.Packing) -> np.ndarray:
         """Keys then values of packed rows x [P, d_kv_in], written straight
@@ -302,8 +296,7 @@ class EncoderLayer:
 
     def __call__(self, x, packing, pad_fill, p, train, rng):
         """The layer on packed rows x [P, d_model], the real source positions
-        ``packing`` names.  Only the self-attention sees the padded layout;
-        every dropout mask is drawn at the padded shape."""
+        ``packing`` names; every dropout mask is drawn at the padded shape."""
         def drop(t):
             return ad.dropout(t, p, train, rng, packing)
 
@@ -323,8 +316,7 @@ class DecoderLayer:
 
     def __call__(self, x, packing, enc, causal_fill, src_fill, p, train, rng):
         """The layer on packed rows x [P, d_dec], the real target positions
-        ``packing`` names.  Only the two attentions see the padded layout;
-        every dropout mask is drawn at the padded shape."""
+        ``packing`` names; every dropout mask is drawn at the padded shape."""
         def drop(t):
             return ad.dropout(t, p, train, rng, packing)
 
@@ -510,7 +502,7 @@ class PointerGeneratorModel:
         under ``src_mask`` (every position when None): rows [P, d_model] in
         ``np.nonzero(src_mask)`` order, with their packing.  Only those rows
         go through the embedding, LayerNorms, Linears, FFNs, dropout and
-        residual adds; each self-attention sees the padded [B, n] layout.
+        residual adds, and attention takes them packed.
         Training runs it on the tape, and ``start_decoding`` with no tape
         active, where the ops are pure forward computations."""
         src_ids = self._sources(src_ids)
@@ -603,8 +595,12 @@ class PointerGeneratorModel:
         float32 arrays through the kernels the tape ops use, so it builds no
         ``Tensor`` and computes what the ops would.  Rows stay [R, d]; the h
         rows of a query read its one copy of the source-side state, each
-        with its own product, so a row's scores do not depend on how many
-        rows its query has."""
+        with its own product.  Rows stepped together on the same prefix get
+        the same scores, but a prefix stepped on one row need not score as
+        it does on several: numpy runs a one-row product against a weight
+        as a GEMV, which OpenBLAS sums in another order than a GEMM for
+        widths of 64 and more (a few 1e-6 in log-probs at d=128; ROADMAP
+        open item 2)."""
         cfg = self.config
         tokens = np.asarray(tokens).reshape(-1)
         if np.logical_or.reduce(tokens == PAD_ID):
@@ -636,8 +632,9 @@ class PointerGeneratorModel:
     def decode_step(self, prefix_ids, src_ids, src_mask) -> OutputDistribution:
         """Next-token distribution given decoder input prefixes [B, t] for
         source ids [B, n]: the prefix goes through a fresh cache one position
-        at a time, so the result is computed exactly as the decoders compute
-        it."""
+        at a time, so the result is what the decoders compute for the same
+        prefixes on the same number of rows.  On another row count it may
+        differ by float32 rounding (see ``step``)."""
         prefix = np.atleast_2d(np.asarray(prefix_ids))
         if prefix.shape[1] == 0:
             raise ValueError("decode_step needs a non-empty decoder prefix, at least BOS")

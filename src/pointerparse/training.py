@@ -106,11 +106,16 @@ def encode_corpus(
     examples: Sequence[CorpusExample], symtab: SymbolTable, source_vocab: SourceVocab
 ) -> list[EncodedExample]:
     """Source and target ids of each example.  An example with an empty
-    query is refused (DataError, naming its index): the model has no source
-    token to encode for it."""
+    query, or one longer than the symbol table's ``max_src_len``, is refused
+    (DataError, naming its index): the model has no source token to encode
+    for the first, and no position for the second's tokens past the limit."""
     for i, ex in enumerate(examples):
-        if not ex.query.tokens:
+        n = len(ex.query.tokens)
+        if not n:
             raise DataError(f"training example {i} has an empty query")
+        if n > symtab.max_src_len:
+            raise DataError(f"training example {i} has {n} query tokens, "
+                            f"above max_src_len {symtab.max_src_len}")
     return [EncodedExample(
         src_ids=np.asarray(source_vocab.encode(ex.query.tokens), dtype=np.int64),
         tgt_ids=np.asarray(symtab.encode(ex.target), dtype=np.int64),

@@ -21,7 +21,6 @@ from pointerparse.autodiff import (
     mask_fill,
     matmul,
     mul,
-    pack,
     parameter,
     reduce_sum,
     relu,
@@ -311,69 +310,115 @@ class TestMatmulAgainstWeight:
                                           full[-rows:])
 
 
-def _composed_attention(q, k, v, fill_mask, c, p=0.0, train=False, rng=None):
-    scores = scale(matmul(q, swap_last(k)), c)
+def _padded_heads(x, packing, heads):
+    """Packed rows [P, d] as per-head [B, heads, T, d / heads], zeros at
+    padding, by the composed ops."""
+    out = unpack(x, packing)
+    out = reshape(out, out.shape[:2] + (heads, out.shape[2] // heads))
+    return transpose(out, (0, 2, 1, 3))
+
+
+def _composed_attention(q, k, v, q_packing, kv_packing, heads, fill_mask, p=0.0, train=False,
+                        rng=None):
+    """The attention of packed rows by the composed ops, its context left in
+    the padded layout [B, Tq, d]."""
+    qh, kh, vh = (_padded_heads(x, pk, heads)
+                  for x, pk in ((q, q_packing), (k, kv_packing), (v, kv_packing)))
+    scores = scale(matmul(qh, swap_last(kh)), (q.shape[1] // heads) ** -0.5)
     if fill_mask is not None:
         scores = mask_fill(scores, fill_mask)
-    return matmul(dropout(softmax(scores), p, train, rng), v)
+    ctx = transpose(matmul(dropout(softmax(scores), p, train, rng), vh), (0, 2, 1, 3))
+    return reshape(ctx, ctx.shape[:2] + (q.shape[1],))
 
 
 def _causal(t):
     return np.triu(np.ones((t, t), dtype=bool), k=1)[None, None]
 
 
+def _lengths(lengths, t):
+    return np.arange(t)[None, :] < np.asarray(lengths)[:, None]
+
+
 def _padding(lengths, t):
-    return (np.arange(t)[None, :] >= np.asarray(lengths)[:, None])[:, None, None, :]
+    return ~_lengths(lengths, t)[:, None, None, :]
 
 
 class TestAttention:
-    """The fused primitive against finite differences and the composed ops."""
+    """The fused primitive on packed rows (2 heads of width 3) against
+    finite differences and the composed ops on the padded layout."""
+
+    HEADS = 2
 
     @staticmethod
-    def _qkv(batch, tq, tk, seed):
-        q = parameter(rand(batch, 2, tq, 3, seed=seed))
-        k = parameter(rand(batch, 2, tk, 3, seed=seed + 1))
-        v = parameter(rand(batch, 2, tk, 3, seed=seed + 2))
-        w = constant(rand(batch, 2, tq, 3, seed=seed + 3))
+    def _qkv(q_packing, kv_packing, seed):
+        pq, pk = len(q_packing.real[0]), len(kv_packing.real[0])
+        q = parameter(rand(pq, 6, seed=seed))
+        k = parameter(rand(pk, 6, seed=seed + 1))
+        v = parameter(rand(pk, 6, seed=seed + 2))
+        w = constant(rand(pq, 6, seed=seed + 3))
         return q, k, v, w
 
     CASES = {
-        "padding": dict(batch=2, tq=3, tk=4, mask=_padding([4, 2], 4)),
-        "causal": dict(batch=2, tq=4, tk=4, mask=_causal(4)),
-        "dropout": dict(batch=2, tq=3, tk=4, mask=_padding([3, 4], 4), p=0.3),
-        "fully_blocked_row": dict(batch=2, tq=3, tk=4, mask=_padding([4, 0], 4)),
+        "padding": dict(q=_lengths([3, 2], 3), kv=_lengths([4, 2], 4), mask=_padding([4, 2], 4)),
+        "causal": dict(q=_lengths([4, 3], 4), kv=_lengths([4, 3], 4), mask=_causal(4)),
+        "dropout": dict(q=_lengths([3, 1], 3), kv=_lengths([3, 4], 4), mask=_padding([3, 4], 4),
+                        p=0.3),
+        "fully_blocked_row": dict(q=_lengths([3, 2], 3), kv=_lengths([4, 2], 4),
+                                  mask=_padding([4, 0], 4)),
     }
+
+    def _case(self, case, seed):
+        cfg = self.CASES[case]
+        packings = Packing(cfg["q"]), Packing(cfg["kv"])
+        return cfg, packings, self._qkv(*packings, seed=seed), cfg.get("p", 0.0)
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_finite_differences(self, case):
-        cfg = self.CASES[case]
-        q, k, v, w = self._qkv(cfg["batch"], cfg["tq"], cfg["tk"], seed=70)
-        p = cfg.get("p", 0.0)
+        cfg, packings, (q, k, v, w), p = self._case(case, seed=70)
 
         def loss():
             rng = DropoutRng(seed=5)  # same counter start: the same mask each call
-            return reduce_sum(mul(attention(q, k, v, cfg["mask"], 0.6, p, p > 0, rng), w))
+            out = attention(q, k, v, *packings, self.HEADS, cfg["mask"], p, p > 0, rng)
+            return reduce_sum(mul(out, w))
 
         check_grad(loss, [q, k, v])
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_matches_composed_ops(self, case):
-        cfg = self.CASES[case]
-        q, k, v, w = self._qkv(cfg["batch"], cfg["tq"], cfg["tk"], seed=80)
-        p = cfg.get("p", 0.0)
+        """Values and gradients within 1e-6 of the composed ops, with the
+        dropout mask drawn at the same point of the stream.  The composed
+        context stays padded, and its loss weights are zero at padding, so
+        no op takes it back to packed rows."""
+        cfg, packings, (q, k, v, w), p = self._case(case, seed=80)
+        padded_w = constant(packings[0].scatter(w.data))
         results = []
-        for op in (attention, _composed_attention):
+        for op, weights in ((attention, w), (_composed_attention, padded_w)):
             for t in (q, k, v):
                 t.zero_grad()
             rng = DropoutRng(seed=5, counter=2)
             with Tape() as tape:
-                out = op(q, k, v, cfg["mask"], 0.6, p, p > 0, rng)
-                tape.backward(reduce_sum(mul(out, w)))
+                out = op(q, k, v, *packings, self.HEADS, cfg["mask"], p, p > 0, rng)
+                tape.backward(reduce_sum(mul(out, weights)))
             results.append((out.data, q.grad, k.grad, v.grad, rng.counter))
         fused, composed = results
         assert fused[4] == composed[4]  # one mask drawn from the same stream position
-        for a, b in zip(fused[:4], composed[:4]):
+        assert fused[0].shape == q.shape
+        np.testing.assert_allclose(fused[0], packings[0].gather(composed[0]), atol=1e-6)
+        for a, b in zip(fused[1:4], composed[1:4]):
             np.testing.assert_allclose(a, b, atol=1e-6)
+
+    def test_rows_that_do_not_fit_their_packing_are_refused(self):
+        packings = Packing(_lengths([3, 2], 3)), Packing(_lengths([4, 2], 4))
+        q, k, v, _ = self._qkv(*packings, seed=90)
+        short = constant(rand(4, 6, seed=94))
+        with pytest.raises(ShapeMismatch, match="attention: q"):
+            attention(short, k, v, *packings, self.HEADS, None)
+        with pytest.raises(ShapeMismatch, match="attention: v"):
+            attention(q, k, short, *packings, self.HEADS, None)
+        with pytest.raises(ShapeMismatch, match="attention: k"):
+            attention(q, short, v, *packings, self.HEADS, None)
+        with pytest.raises(ShapeMismatch, match="4 heads do not divide width 6"):
+            attention(q, k, v, *packings, 4, None)
 
 
 class TestDropout:
@@ -432,29 +477,21 @@ class TestPacking:
 
     MASK = np.array([[1, 1, 1, 0], [1, 0, 0, 0], [1, 1, 1, 1]], dtype=bool)
 
-    def test_pack_finite_differences(self):
-        a = parameter(rand(3, 4, 5, seed=90))
-        w = constant(rand(8, 5, seed=91))
-        check_grad(lambda: reduce_sum(mul(pack(a, Packing(self.MASK)), w)), [a])
-
     def test_unpack_finite_differences(self):
         r = parameter(rand(8, 5, seed=92))
         w = constant(rand(3, 4, 5, seed=93))
         check_grad(lambda: reduce_sum(mul(unpack(r, Packing(self.MASK)), w)), [r])
 
-    def test_unpack_fills_padding_with_zeros_and_pack_reads_it_back(self):
+    def test_unpack_fills_padding_with_zeros(self):
         packing = Packing(self.MASK)
         rows = rand(8, 2, 3, seed=94)
         padded = unpack(constant(rows), packing).data
         assert padded.shape == (3, 4, 2, 3)
         assert not padded[~self.MASK].any()
         np.testing.assert_array_equal(padded[self.MASK], rows)
-        np.testing.assert_array_equal(pack(constant(padded), packing).data, rows)
 
     def test_shapes_that_do_not_fit_the_layout_are_refused(self):
         packing = Packing(self.MASK)
-        with pytest.raises(ShapeMismatch, match="pack"):
-            pack(constant(rand(3, 5, 2)), packing)
         with pytest.raises(ShapeMismatch, match="unpack"):
             unpack(constant(rand(7, 2)), packing)
         with pytest.raises(ShapeMismatch, match="packing"):

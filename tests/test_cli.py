@@ -315,6 +315,44 @@ def test_train_refuses_an_empty_query_with_exit_2(batch_size, tmp_path, capsys):
     assert not ckpt.exists()
 
 
+GROCERY_EXAMPLE = {
+    "query": "add milk to my grocery list",
+    "style": "flat",
+    "parse": {
+        "label": "AddToListIntent",
+        "kind": "intent",
+        "indices": [],
+        "children": [
+            {"label": "Item", "kind": "slot", "indices": [1], "children": []},
+            {"label": "List", "kind": "slot", "indices": [4], "children": []},
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize("record, tokens", [(GROCERY_EXAMPLE, 6), (FLAT_EXAMPLE, 8)],
+                         ids=["pointers_inside_the_limit", "a_pointer_past_the_limit"])
+def test_train_refuses_a_query_longer_than_max_src_len_with_exit_2(record, tokens, tmp_path,
+                                                                   capsys):
+    """A query longer than ``--max-src-len`` is a data error (exit 2) naming
+    the example, its token count and the limit, whether or not one of its
+    pointers lies past the limit."""
+    short = {"query": "play it", "style": "flat",
+             "parse": {"label": "PlayIntent", "kind": "intent", "indices": [], "children": []}}
+    (tmp_path / "train.jsonl").write_text("".join(json.dumps(r) + "\n" for r in (short, record)))
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({**TINY_CONFIG, "train.max_steps": 2}))
+    ckpt = tmp_path / "ckpt"
+    code = main(["train", "--corpus", str(tmp_path), "--checkpoint", str(ckpt),
+                 "--config", str(config), "--max-src-len", "5", "--quiet"])
+    _, err = capsys.readouterr()
+    assert code == EXIT_DATA
+    failure = json.loads(err)
+    assert failure["error"] == "DataError"
+    assert failure["message"] == f"training example 1 has {tokens} query tokens, above max_src_len 5"
+    assert not ckpt.exists()
+
+
 @pytest.fixture(scope="module")
 def pipeline_dir(tmp_path_factory):
     """generate -> train (tiny) once; shared by eval/predict tests."""
@@ -392,6 +430,45 @@ class TestPipeline:
         assert failure["error"] == "CheckpointError"
         assert "format 2" in failure["message"]
         assert not list((tmp_path / "resumed").glob("step_*"))
+
+    MALFORMED = {
+        "unknown_config_key": ("manifest.json", lambda m: m | {
+            "model_config": m["model_config"] | {"d_modle": 128}}),
+        "config_without_d_model": ("manifest.json", lambda m: m | {"model_config": {
+            k: v for k, v in m["model_config"].items() if k != "d_model"}}),
+        "config_without_dropout": ("manifest.json", lambda m: m | {"model_config": {
+            k: v for k, v in m["model_config"].items() if k != "dropout"}}),
+        "null_config": ("manifest.json", lambda m: m | {"model_config": None}),
+        "step_not_a_number": ("manifest.json", lambda m: m | {"step": "abc"}),
+        "best_dev_em_not_a_number": ("manifest.json", lambda m: m | {"best_dev_em": "abc"}),
+        "params_not_a_list": ("manifest.json", lambda m: m | {"params": 5}),
+        "shape_not_a_list": ("manifest.json", lambda m: m | {
+            "params": [m["params"][0] | {"shape": "x"}] + m["params"][1:]}),
+        "manifest_a_list": ("manifest.json", lambda m: [m]),
+        "manifest_a_string": ("manifest.json", lambda m: "manifest"),
+        "symbols_not_a_list": ("symtab.json", lambda v: {"symbols": 5}),
+        "symbol_not_a_string": ("symtab.json", lambda v: v | {"symbols": [5] + v["symbols"]}),
+        "words_null": ("source_vocab.json", lambda v: {"words": None}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_eval_of_a_malformed_checkpoint_exits_2(self, pipeline_dir, tmp_path, capsys, case):
+        """A checkpoint file of the wrong shape or types is a CheckpointError
+        (exit 2, one JSON line naming the file), not a bare Python error;
+        a ``model_config`` that lacks a field does not load its default."""
+        name, edit = self.MALFORMED[case]
+        broken = tmp_path / "broken"
+        shutil.copytree(pipeline_dir / "ckpt" / "best", broken)
+        (broken / name).write_text(json.dumps(edit(json.loads((broken / name).read_text()))))
+        code = main(["eval", "--checkpoint", str(broken),
+                     "--input", str(pipeline_dir / "corpus" / "test.jsonl")])
+        _, err = capsys.readouterr()
+        assert code == EXIT_DATA
+        lines = err.splitlines()
+        assert len(lines) == 1
+        failure = json.loads(lines[0])
+        assert failure["error"] == "CheckpointError"
+        assert name in failure["message"]
 
     def test_eval_writes_report(self, pipeline_dir, capsys):
         report_dir = pipeline_dir / "report"

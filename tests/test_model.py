@@ -417,6 +417,13 @@ def test_a_decode_step_builds_no_tensor_and_reads_no_tape(model, monkeypatch):
     assert built == []
 
 
+def _heads(rows, packing, heads):
+    """Packed rows [P, d] laid out as [B, heads, T, d / heads], zeros at
+    padding."""
+    padded = packing.scatter(rows)
+    return padded.reshape(padded.shape[:2] + (heads, -1)).transpose(0, 2, 1, 3)
+
+
 @pytest.mark.parametrize("lengths", [[1], [1, 7, 24, 3, 12], [6, 6, 6, 6], [17],
                                      list(np.random.default_rng(31).integers(1, 25, 64))])
 def test_packed_encoder_matches_the_tape_encoder_bit_for_bit(acceptance_width_model, lengths):
@@ -432,7 +439,8 @@ def test_packed_encoder_matches_the_tape_encoder_bit_for_bit(acceptance_width_mo
     cache = model.start_decoding(src, mask)
     with ad.Tape() as tape:
         enc = model.encode(src, mask)
-        tape_kv = [np.stack([t.data for t in layer.cross_attn.keys_values(enc)], axis=1)
+        tape_kv = [np.stack([_heads(lin(enc.x).data, enc.packing, model.config.n_dec_heads)
+                             for lin in (layer.cross_attn.wk, layer.cross_attn.wv)], axis=1)
                    for layer in model.dec_layers]
         tape_ptr = ad.matmul(model.ptr_bilinear, ad.swap_last(ad.unpack(*enc))).data
     assert tape.nodes  # the ops recorded: this is the training path
@@ -562,23 +570,21 @@ def _run_training_step(model, batch):
     return tape
 
 
-def test_acceptance_training_step_records_169_tape_nodes():
+def test_acceptance_training_step_records_97_tape_nodes():
     """One node per op of an acceptance-config step (2+2 layers, dropout on):
-    each of the 33 biased Linears is one node, not a matmul and an add.
-    Packing the decoder's target rows added 14 nodes to the 142 of the
-    padded model: in each decoder layer, three ``unpack`` nodes
-    (self-attention queries, keys and values) and one ``pack`` (its
-    context), one ``unpack`` (cross-attention queries) and one ``pack``
-    (its context); in the head, one ``unpack`` each for the vocabulary
-    scores and for ``states @ ptr_bilinear``.  Packing the encoder's source
-    rows added 13 more: in each encoder layer, three ``unpack`` nodes
-    (self-attention queries, keys and values) and one ``pack`` (its
-    context); in each decoder layer, one ``unpack`` each for the
-    cross-attention keys and values; in the head, one ``unpack`` of the
-    encoder states for the pointer product.  The embeddings gather the real
-    ids alone, so they need no ``pack``."""
+    each of the 33 biased Linears is one node, not a matmul and an add, and
+    each of the 6 attentions (2 encoder self-attentions, 2 decoder
+    self-attentions and 2 cross-attentions) is one node between its four
+    Linears.  ``ad.attention`` takes packed rows and lays them out per head
+    itself, so each attention records none of the 12 layout nodes it once
+    needed (72 in all): an ``unpack``, a ``reshape`` and a ``transpose`` for
+    each of its queries, keys and values, and a ``transpose``, a ``pack``
+    and a ``reshape`` for its context.  The head keeps one ``unpack`` each
+    for the vocabulary scores, ``states @ ptr_bilinear`` and the encoder
+    states of the pointer product.  The embeddings gather the real ids
+    alone, so they need no layout node."""
     model, batch = _acceptance_training_step(8)
-    assert len(_run_training_step(model, batch).nodes) == 169
+    assert len(_run_training_step(model, batch).nodes) == 97
 
 
 def test_every_training_product_runs_on_the_packed_rows(monkeypatch):

@@ -14,7 +14,9 @@ import pytest
 
 import pointerparse
 from pointerparse import cli, decoding, training, training_ops
-from pointerparse.model import ModelConfig
+from pointerparse.autodiff import DropoutRng, Tape
+from pointerparse.data import default_grammar, generate_synthetic
+from pointerparse.model import ModelConfig, PointerGeneratorModel
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path(pointerparse.__file__).resolve().parent
@@ -46,18 +48,54 @@ def test_only_data_calls_linearize():
     assert "data.py" in callers
 
 
+def _tracing():
+    """``perfbench/tracing.py``, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
 def test_benchmark_tracer_finds_every_name_it_patches():
     """``perfbench/tracing.instrument`` patches functions by module and
     attribute name; renaming or moving one must fail here, not only in a
     traced benchmark run.  Leaving the block restores every original."""
-    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _tracing()
     originals = (cli.beam_search, training.greedy_batch, training.make_batch)
     with tracing.instrument(tracing.Tracer()):
         assert cli.beam_search is not originals[0]
     assert (cli.beam_search, training.greedy_batch, training.make_batch) == originals
     assert cli.beam_search is decoding.beam_search
+
+
+def test_benchmark_tracer_names_each_attention_by_its_role():
+    """A traced training step (d=8, 2 encoder and 3 decoder layers) counts
+    one ``model.enc_self_attn`` span per encoder layer and one
+    ``model.dec_self_attn`` and ``model.dec_cross_attn`` per decoder layer,
+    which the tracer tells apart by the arguments of
+    ``MultiHeadAttention.__call__``; and its tape-node count is the tape's."""
+    tracing = _tracing()
+    examples = generate_synthetic(default_grammar(), 12, seed=4)["train"][:4]
+    symtab, src_vocab = training.prepare_corpus(examples)
+    config = ModelConfig(vocab_size=symtab.vocab_size, src_vocab_size=src_vocab.size,
+                         max_src_len=symtab.max_src_len, d_model=8, n_enc_layers=2,
+                         n_enc_heads=2, enc_ffn=16, d_dec=8, n_dec_layers=3, n_dec_heads=2,
+                         dec_ffn=16)
+    model = PointerGeneratorModel(config, seed=4)
+    encoded = training.encode_corpus(examples, symtab, src_vocab)
+    tracer = tracing.Tracer()
+    tracer.set_phase("train")
+    with tracing.instrument(tracer):
+        batch = training.make_batch(encoded, symtab.vocab_size)
+        with Tape() as tape:
+            logits = model.forward_teacher_forced(batch.src_ids, batch.src_mask, batch.tgt_in,
+                                                  train=True, rng=DropoutRng(seed=4))
+            tape.backward(training.label_smoothed_ce(logits, batch.gold, batch.step_mask,
+                                                     batch.support_mask, 0.1))
+    spans = tracing.summarize(tracer, ["train"])
+    assert {name: spans[name]["calls"] for name in spans if name.endswith("_attn")} == {
+        "model.enc_self_attn": 2, "model.dec_self_attn": 3, "model.dec_cross_attn": 3}
+    assert tracer.counts["train"]["autodiff.tape_nodes"] == len(tape.nodes) > 0
 
 
 @pytest.mark.parametrize("demo", ["01_linearization.py", "02_autodiff.py", "04_beam_search.py",

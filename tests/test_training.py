@@ -351,6 +351,22 @@ class TestTrainLoop:
             train_loop(examples, None, _tiny_model_config(symtab, src_vocab, d=16), config,
                        symtab, src_vocab)
 
+    def test_a_query_longer_than_max_src_len_is_refused_naming_its_index(self):
+        """The model has no position for a source token past the symbol
+        table's ``max_src_len``, so training refuses such a query up front as
+        bad data, naming its token count and the limit."""
+        examples = generate_synthetic(default_grammar(), 20, seed=3)["train"]
+        limit = max(len(ex.query.tokens) for ex in examples) - 1
+        longest = next(i for i, ex in enumerate(examples) if len(ex.query.tokens) > limit)
+        symtab, src_vocab = prepare_corpus(examples, max_src_len=limit)
+        message = f"training example {longest} has {limit + 1} query tokens, above max_src_len {limit}"
+        with pytest.raises(DataError, match=message):
+            encode_corpus(examples, symtab, src_vocab)
+        config = TrainConfig(batch_size=4, max_steps=2, warmup_steps=1)
+        with pytest.raises(DataError, match=message):
+            train_loop(examples, None, _tiny_model_config(symtab, src_vocab, d=16), config,
+                       symtab, src_vocab)
+
     def test_metrics_records_carry_grad_norm_and_clip_factor(self, tmp_path):
         splits = generate_synthetic(default_grammar(), 48, seed=5)
         train = splits["train"]
