@@ -1,11 +1,14 @@
 """Dense float32 tensors with a reverse-mode gradient tape.
 
 Forward values live in float32; explicit reductions (sums, softmax
-normalizers, layer-norm statistics, broadcast gradients) accumulate in
-float64 before casting back, which keeps finite-difference gradient checks
-tight without doubling memory.  Products with a 2-D weight are one float32
-GEMM over the flattened leading axes, forward and backward, so a weight's
-gradient accumulates over the batch inside that GEMM; a bias rides in the
+normalizers, layer-norm statistics, the gain and bias gradients) accumulate
+in float64 before casting back, which keeps finite-difference gradient
+checks tight without doubling memory.  No op broadcasts: ``add``, ``mul``
+and ``mask_fill`` take operands of one shape, and ``matmul`` takes rows
+[P, d_in] against a 2-D weight, or two stacks of equal leading axes; other
+shapes raise ``ShapeMismatch`` before anything is recorded.  A product with
+a weight is one float32 GEMM, forward and backward, so the weight's
+gradient accumulates over the rows inside that GEMM; a bias rides in the
 same tape node.
 
 A ``Packing`` names the real rows of a padded [B, T] layout.  Row-wise
@@ -18,7 +21,8 @@ the mask's real rows, so the mask stream does not depend on the packing.
 Multi-head attention (``attention``) is one primitive with a closed-form
 backward, not a chain of the ops it is made of.  It takes packed query,
 key and value rows and returns packed context rows; the padded per-head
-layout it needs is its own.
+layout it needs is its own, and so is its mask: the packings name the
+padding keys, and a ``causal`` flag the later ones.
 
 The forward arithmetic of the weight product, the embedding lookup, layer
 norm, attention (scale, mask and softmax) and log-softmax lives in
@@ -146,15 +150,9 @@ def _record(out: Tensor, inputs: Sequence[Tensor], backward: Callable[[Array], N
     return out
 
 
-def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
-    """Reduce a broadcast gradient back to the shape it was broadcast from."""
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)), dtype=np.float64)
-    axes = tuple(i for i, d in enumerate(shape) if d == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True, dtype=np.float64)
-    return g.astype(np.float32, copy=False)
+def _same_shape(op: str, a: Array, b: Array) -> None:
+    if a.shape != b.shape:
+        raise ShapeMismatch(f"{op}: {a.shape} vs {b.shape}")
 
 
 def constant(data) -> Tensor:
@@ -166,32 +164,26 @@ def parameter(data) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        out = Tensor(a.data + b.data)
-    except ValueError:
-        raise ShapeMismatch(f"add: {a.shape} vs {b.shape}") from None
+    _same_shape("add", a.data, b.data)
+    out = Tensor(a.data + b.data)
 
     def backward(g: Array) -> None:
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.shape))
+        _accumulate(a, g)
         if b.requires_grad:
-            gb = _unbroadcast(g, b.shape)
-            _accumulate(b, gb.copy() if a.requires_grad else gb)  # a may have kept g itself
+            _accumulate(b, g.copy() if a.requires_grad else g)  # a may have kept g itself
 
     return _record(out, (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        out = Tensor(a.data * b.data)
-    except ValueError:
-        raise ShapeMismatch(f"mul: {a.shape} vs {b.shape}") from None
+    _same_shape("mul", a.data, b.data)
+    out = Tensor(a.data * b.data)
 
     def backward(g: Array) -> None:
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.data, a.shape))
+            _accumulate(a, g * b.data)
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.data, b.shape))
+            _accumulate(b, g * a.data)
 
     return _record(out, (a, b), backward)
 
@@ -207,53 +199,38 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    """``a @ b``, plus ``bias`` when one is given.  An input of rank 2 or
-    more against a 2-D weight runs as one 2-D GEMM over the flattened leading
-    axes, with the bias added in place to its output; other ranks broadcast
-    and take no bias."""
-    if a.data.shape[-1] != b.data.shape[-2 if b.data.ndim > 1 else 0]:
-        raise ShapeMismatch(f"matmul: {a.shape} vs {b.shape}")
-    if a.data.ndim >= 2 and b.data.ndim == 2:
-        return _matmul_weight(a, b, bias)
-    if bias is not None:
-        raise ShapeMismatch(f"matmul: no bias for {a.shape} @ {b.shape}")
-    out = Tensor(a.data @ b.data)
+    """``a @ b``: rows [P, d_in] against a 2-D weight [d_in, d_out], plus
+    ``bias`` [d_out] when one is given, as one GEMM (``weight_product``);
+    or two stacks [..., m, k] @ [..., k, n] of equal leading axes, with no
+    bias.  Any other shapes raise ShapeMismatch."""
+    sa, sb = a.data.shape, b.data.shape
+    if (len(sa) < 2 or len(sb) != len(sa) or sa[:-2] != sb[:-2] or sa[-1] != sb[-2]
+            or bias is not None and (len(sa) != 2 or bias.data.shape != sb[1:])):
+        raise ShapeMismatch(f"matmul: {a.shape} vs {b.shape}"
+                            + ("" if bias is None else f" with bias {bias.shape}"))
+    if len(sa) == 2:
+        out = Tensor(weight_product(a.data, b.data, None if bias is None else bias.data))
+    else:
+        out = Tensor(a.data @ b.data)
 
     def backward(g: Array) -> None:
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape))
+            _accumulate(a, g @ b.data.swapaxes(-1, -2))
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
+            _accumulate(b, a.data.swapaxes(-1, -2) @ g)
+        if bias is not None and bias.requires_grad:
+            _accumulate(bias, g.sum(axis=0, dtype=np.float64))
 
-    return _record(out, (a, b), backward)
+    return _record(out, (a, b) if bias is None else (a, b, bias), backward)
 
 
 def weight_product(a: Array, w: Array, bias: Optional[Array] = None) -> Array:
-    """``a @ w + bias`` of plain arrays against a 2-D weight: one 2-D GEMM
-    over the flattened leading axes, the bias added in place; not a tape
-    op."""
-    if a.ndim != 2:
-        out = weight_product(a.reshape(-1, a.shape[-1]), w, bias)
-        return out.reshape(a.shape[:-1] + w.shape[1:])
+    """``a @ w + bias`` of plain rows a [P, d_in] against a 2-D weight: one
+    GEMM, the bias added in place; not a tape op."""
     out = a @ w
     if bias is not None:
         out += bias
     return out
-
-
-def _matmul_weight(a: Tensor, w: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    out = Tensor(weight_product(a.data, w.data, None if bias is None else bias.data))
-
-    def backward(g: Array) -> None:
-        g2 = g.reshape(-1, g.shape[-1])
-        if a.requires_grad:
-            _accumulate(a, (g2 @ w.data.T).reshape(a.data.shape))
-        if w.requires_grad:
-            _accumulate(w, a.data.reshape(-1, a.data.shape[-1]).T @ g2)
-        if bias is not None and bias.requires_grad:
-            _accumulate(bias, g2.sum(axis=0, dtype=np.float64))
-
-    return _record(out, (a, w) if bias is None else (a, w, bias), backward)
 
 
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
@@ -421,15 +398,20 @@ def layer_norm_forward(a: Array, gain: Array, bias: Array) -> tuple[Array, Array
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize the last axis; statistics accumulate in float64."""
+    """Normalize the last axis, then apply ``gain`` and ``bias`` [d];
+    statistics accumulate in float64, and so do the gain and bias
+    gradients, summed over the leading axes."""
     d = a.data.shape[-1]
+    if gain.data.shape != (d,) or bias.data.shape != (d,):
+        raise ShapeMismatch(f"layer_norm: {a.shape} with gain {gain.shape} and bias {bias.shape}")
     y, xhat, inv = layer_norm_forward(a.data, gain.data, bias.data)
     out = Tensor(y)
     inv32 = inv.astype(np.float32)
+    lead = tuple(range(a.data.ndim - 1))
 
     def backward(g: Array) -> None:
-        _accumulate(gain, _unbroadcast(g * xhat, gain.shape))
-        _accumulate(bias, _unbroadcast(g, bias.shape))
+        _accumulate(gain, (g * xhat).sum(axis=lead, dtype=np.float64).astype(np.float32))
+        _accumulate(bias, g.sum(axis=lead, dtype=np.float64).astype(np.float32))
         gx = g * gain.data
         s1 = gx.sum(axis=-1, keepdims=True, dtype=np.float64).astype(np.float32)
         s2 = (gx * xhat).sum(axis=-1, keepdims=True, dtype=np.float64).astype(np.float32)
@@ -442,16 +424,15 @@ MASK_FILL_VALUE = -1e9  # finite sentinel; IEEE -inf would NaN the softmax backw
 
 
 def mask_fill(a: Tensor, mask) -> Tensor:
-    """Fill positions where ``mask`` is true with MASK_FILL_VALUE (no gradient there)."""
+    """Fill positions where the bool ``mask``, of ``a``'s shape, is true with
+    MASK_FILL_VALUE (no gradient there)."""
     m = np.asarray(mask, dtype=bool)
-    try:
-        out = Tensor(np.where(m, np.float32(MASK_FILL_VALUE), a.data))
-    except ValueError:
-        raise ShapeMismatch(f"mask_fill: {a.shape} vs mask {m.shape}") from None
+    _same_shape("mask_fill", a.data, m)
+    out = Tensor(np.where(m, np.float32(MASK_FILL_VALUE), a.data))
     keep = ~m
 
     def backward(g: Array) -> None:
-        _accumulate(a, _unbroadcast(g * keep, a.shape))
+        _accumulate(a, g * keep)
 
     return _record(out, (a,), backward)
 
@@ -544,15 +525,16 @@ def attention_probs(q: Array, k: Array, blocked: Optional[Array], scale: float) 
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, q_packing: Packing, kv_packing: Packing,
-              heads: int, fill_mask, p: float = 0.0, train: bool = False,
+              heads: int, causal: bool, p: float = 0.0, train: bool = False,
               rng: Optional[DropoutRng] = None) -> Tensor:
     """Multi-head ``dropout(softmax(mask_fill(q @ k^T * scale))) @ v`` as one
     primitive on packed rows: q [Pq, d] at the real positions of
     ``q_packing``, k and v [Pk, d] at those of ``kv_packing``.  They are laid
     out padded per head, [B, heads, T, d / heads] (zeros at padding), with
-    scale ``(d / heads) ** -0.5``; ``fill_mask`` (bool, broadcastable to [B,
-    heads, Tq, Tk], or None) blocks where true, and the dropout mask is drawn
-    at that shape.  Returns the packed context [Pq, d]."""
+    scale ``(d / heads) ** -0.5``.  The padding keys of ``kv_packing`` are
+    blocked, and when ``causal`` so is every key after the query's position;
+    the dropout mask is drawn at the scores' shape [B, heads, Tq, Tk].
+    Returns the packed context [Pq, d]."""
     d = q.data.shape[-1]
     for name, t, packing in (("q", q, q_packing), ("k", k, kv_packing), ("v", v, kv_packing)):
         if t.data.shape != (len(packing.real[0]), d):
@@ -560,6 +542,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, q_packing: Packing, kv_packing: P
                                 f"of width {d}")
     if d % heads:
         raise ShapeMismatch(f"attention: {heads} heads do not divide width {d}")
+    if q_packing.shape[0] != kv_packing.shape[0]:
+        raise ShapeMismatch(f"attention: query layout {q_packing.shape} vs key layout "
+                            f"{kv_packing.shape}")
     head_dim = d // heads
 
     def padded(x: Array, packing: Packing) -> Array:
@@ -571,7 +556,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, q_packing: Packing, kv_packing: P
 
     scale = 1.0 / math.sqrt(head_dim)
     qh, kh, vh = padded(q.data, q_packing), padded(k.data, kv_packing), padded(v.data, kv_packing)
-    blocked = None if fill_mask is None else np.asarray(fill_mask, dtype=bool)
+    blocked = ~kv_packing.mask[:, None, None, :]
+    if causal:
+        blocked = blocked | np.triu(np.ones((q_packing.shape[1], kv_packing.shape[1]), bool), k=1)
     probs = attention_probs(qh, kh, blocked, scale)
     weights, drop = probs, None
     if train and p > 0.0:
@@ -593,8 +580,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, q_packing: Packing, kv_packing: P
         # Softmax backward: probs * (g - sum(g * probs)).
         gs -= (gs * probs).sum(axis=-1, keepdims=True, dtype=np.float64).astype(np.float32)
         gs *= probs
-        if blocked is not None:
-            gs = np.where(blocked, np.float32(0.0), gs)
+        gs = np.where(blocked, np.float32(0.0), gs)
         gs *= np.float32(scale)
         _accumulate(q, packed(gs @ kh, q_packing))
         _accumulate(k, packed(gs.swapaxes(-1, -2) @ qh, kv_packing))

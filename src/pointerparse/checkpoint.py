@@ -30,15 +30,20 @@ Format 3 changed the dropout mask stream, so a format-2 checkpoint is
 refused: training resumed from it could not continue bit-identically.
 
 The manifest's ``provenance`` records what else the arithmetic of a run
-depends on (``provenance()``): the BLAS and OpenMP thread variables, numpy's
-version and the dropout mask-stream version.  Resuming under a different
-record still works, but need not be bit-identical; ``train_loop`` logs a
-warning then.  Manifests written before the record existed have none.
+depends on (``provenance()``): the BLAS and OpenMP thread variables, the
+OpenBLAS kernel core that ran (``blas_core()``), numpy's version and the
+dropout mask-stream version.  Resuming under a different record still
+works, but need not be bit-identical; ``train_loop`` logs a warning then.
+Manifests written before the record existed have none, and resume
+silently; those written before the kernel core was recorded lack its key,
+so resuming from one logs the warning once.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import functools
 import hashlib
 import json
 import os
@@ -59,11 +64,30 @@ FORMAT_VERSION = 3
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
 
 
+@functools.cache
+def blas_core() -> Optional[str]:
+    """The kernel core numpy's bundled OpenBLAS runs in this process, such
+    as ``"SkylakeX"`` or ``"Haswell"`` (``OPENBLAS_CORETYPE`` picks one;
+    otherwise OpenBLAS reads the CPU), or None when the library or its core
+    query is missing.  Products round differently on different cores."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        name = corename()
+        return name.decode(errors="replace") if name else None
+    return None
+
+
 def provenance() -> dict:
-    """This process's thread variables (None when unset), numpy version and
-    dropout mask-stream version."""
+    """This process's thread variables (None when unset), OpenBLAS kernel
+    core, numpy version and dropout mask-stream version."""
     return {
         "threads": {var: os.environ.get(var) for var in THREAD_VARS},
+        "blas_core": blas_core(),
         "numpy": np.__version__,
         "mask_stream": DropoutRng.STREAM_VERSION,
     }

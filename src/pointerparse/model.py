@@ -24,10 +24,11 @@ Training runs the decoder over whole target prefixes under a causal mask
 norms, FFNs, dropout, residual adds, ``dec_norm``, ``vocab_out`` and the
 product with ``ptr_bilinear``, so a weight's gradient sums over those rows.
 Attention takes and returns packed rows too; ``ad.attention`` lays them out
-padded per head itself.  Only the pointer product with each example's
-encoder states sees the padded layout (``ad.unpack`` lays rows out for it),
-and each dropout mask is drawn at the padded shape, so the mask stream does
-not depend on the packing.  Inference runs the decoder one position at a time on a
+padded per head and derives its mask from the packings and a ``causal``
+flag, so the model builds none.  Only the pointer product with each
+example's encoder states sees the padded layout (``ad.unpack`` lays rows
+out for it), and each dropout mask is drawn at the padded shape, so the
+mask stream does not depend on the packing.  Inference runs the decoder one position at a time on a
 ``DecoderCache`` (``start_decoding``, then ``step``) whose rows are laid out
 ``[Q, h]``: Q queries with h consecutive rows (beam hypotheses) each.  Each
 step projects the new position's query, key and value with one product
@@ -239,13 +240,13 @@ class MultiHeadAttention:
         self.wv = Linear(store, f"{name}.v", d_kv_in, d_out)
         self.wo = Linear(store, f"{name}.o", d_out, d_out)
 
-    def __call__(self, query_in: PackedRows, kv_in: PackedRows, fill_mask, p, train, rng) -> Tensor:
+    def __call__(self, query_in: PackedRows, kv_in: PackedRows, causal, p, train, rng) -> Tensor:
         """Scaled dot-product attention of packed query rows over packed
-        key/value rows, giving packed output rows [P, d_out].
-        fill_mask: bool, broadcastable to [B, heads, Tq, Tk]; True blocks."""
+        key/value rows (the earlier ones alone when ``causal``), giving
+        packed output rows [P, d_out]."""
         q, k, v = self.wq(query_in.x), self.wk(kv_in.x), self.wv(kv_in.x)
         return self.wo(ad.attention(q, k, v, query_in.packing, kv_in.packing, self.n_heads,
-                                    fill_mask, p, train, rng))
+                                    causal, p, train, rng))
 
     def packed_keys_values(self, x: np.ndarray, packing: ad.Packing) -> np.ndarray:
         """Keys then values of packed rows x [P, d_kv_in], written straight
@@ -294,14 +295,14 @@ class EncoderLayer:
         self.norm2 = LayerNorm(store, f"{name}.norm2", cfg.d_model)
         self.ffn = FeedForward(store, f"{name}.ffn", cfg.d_model, cfg.enc_ffn)
 
-    def __call__(self, x, packing, pad_fill, p, train, rng):
+    def __call__(self, x, packing, p, train, rng):
         """The layer on packed rows x [P, d_model], the real source positions
         ``packing`` names; every dropout mask is drawn at the padded shape."""
         def drop(t):
             return ad.dropout(t, p, train, rng, packing)
 
         h = PackedRows(self.norm1(x), packing)
-        x = ad.add(x, drop(self.attn(h, h, pad_fill, p, train, rng)))
+        x = ad.add(x, drop(self.attn(h, h, False, p, train, rng)))
         return ad.add(x, drop(self.ffn(PackedRows(self.norm2(x), packing), p, train, rng)))
 
 
@@ -314,16 +315,16 @@ class DecoderLayer:
         self.norm3 = LayerNorm(store, f"{name}.norm3", cfg.d_dec)
         self.ffn = FeedForward(store, f"{name}.ffn", cfg.d_dec, cfg.dec_ffn)
 
-    def __call__(self, x, packing, enc, causal_fill, src_fill, p, train, rng):
+    def __call__(self, x, packing, enc, p, train, rng):
         """The layer on packed rows x [P, d_dec], the real target positions
         ``packing`` names; every dropout mask is drawn at the padded shape."""
         def drop(t):
             return ad.dropout(t, p, train, rng, packing)
 
         h = PackedRows(self.norm1(x), packing)
-        x = ad.add(x, drop(self.self_attn(h, h, causal_fill, p, train, rng)))
+        x = ad.add(x, drop(self.self_attn(h, h, True, p, train, rng)))
         h = PackedRows(self.norm2(x), packing)
-        x = ad.add(x, drop(self.cross_attn(h, enc, src_fill, p, train, rng)))
+        x = ad.add(x, drop(self.cross_attn(h, enc, False, p, train, rng)))
         return ad.add(x, drop(self.ffn(PackedRows(self.norm3(x), packing), p, train, rng)))
 
     def step(self, x, qkv, kv, t, cross_kv, src_fill):
@@ -514,9 +515,8 @@ class PointerGeneratorModel:
         x = ad.scale(ad.gather(self.src_embed, packing.gather(src_ids)), math.sqrt(self.config.d_model))
         x = ad.add(x, ad.constant(self.enc_positions.data[packing.real[1]]))
         x = ad.dropout(x, p, train, rng, packing)
-        pad_fill = ~packing.mask[:, None, None, :]  # block attention to padding
         for layer in self.enc_layers:
-            x = layer(x, packing, pad_fill, p, train, rng)
+            x = layer(x, packing, p, train, rng)
         return PackedRows(self.enc_norm(x), packing)
 
     def _decoder_states(self, tgt_ids, packing, enc: PackedRows, train, rng) -> PackedRows:
@@ -532,10 +532,8 @@ class PointerGeneratorModel:
         x = ad.scale(ad.gather(table, packing.gather(tgt_ids)), math.sqrt(cfg.d_dec))
         x = ad.add(x, ad.constant(self.dec_positions.data[packing.real[1]]))
         x = ad.dropout(x, p, train, rng, packing)
-        causal_fill = np.triu(np.ones((steps, steps), dtype=bool), k=1)[None, None]
-        src_fill = ~enc.packing.mask[:, None, None, :]
         for layer in self.dec_layers:
-            x = layer(x, packing, enc, causal_fill, src_fill, p, train, rng)
+            x = layer(x, packing, enc, p, train, rng)
         return PackedRows(self.dec_norm(x), packing)
 
     def joint_logits(self, states: PackedRows, enc: PackedRows) -> Tensor:

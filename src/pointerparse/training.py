@@ -244,7 +244,7 @@ def train_loop(
     ``source_vocab`` or ``model_config`` differs from the arguments.  It
     rewrites ``metrics.jsonl`` without the records after the checkpoint's
     step.  If the checkpoint records another ``checkpoint.provenance``
-    (thread variables, numpy, mask stream), it logs one ``warning`` record
+    (thread variables, BLAS kernel core, numpy, mask stream), it logs one ``warning`` record
     with both, and carries on.  Then it logs one ``resumed_from`` record
     with the checkpoint's step.
     """

@@ -133,26 +133,43 @@ class TestBackwardBasics:
         assert out._backward is None and not out.requires_grad
 
     @pytest.mark.parametrize("op", [add, mul, matmul])
-    def test_a_constant_operand_gets_no_gradient_work(self, op, monkeypatch):
-        """A constant broadcast over the batch (a position table), on either
-        side: the backward reduces a gradient for the parameter alone."""
+    def test_a_constant_operand_gets_no_gradient_work(self, op):
+        """A constant operand (a position table), on either side: the
+        backward gives the parameter a gradient and the constant none."""
         x = parameter(rand(2, 3, 3, seed=10))
-        c = constant(rand(1, 3, 3, seed=11))
+        c = constant(rand(2, 3, 3, seed=11))
         w = constant(rand(2, 3, 3, seed=12))
-        reduced = []
-        unbroadcast = autodiff._unbroadcast
-
-        def recorded(g, shape):
-            reduced.append(shape)
-            return unbroadcast(g, shape)
-
-        monkeypatch.setattr(autodiff, "_unbroadcast", recorded)
         for a, b in ((x, c), (c, x)):
-            reduced.clear()
+            x.zero_grad()
             with Tape() as tape:
                 tape.backward(reduce_sum(mul(op(a, b), w)))
-            assert reduced[-1] == x.shape and c.shape not in reduced
+            assert x.grad.any()
             assert c.grad is None
+
+
+REFUSED_SHAPES = {
+    "add_row": (add, (3, 4), (1, 4)),
+    "add_vector": (add, (3, 4), (4,)),
+    "mul_row": (mul, (3, 4), (1, 4)),
+    "mul_vector": (mul, (3, 4), (4,)),
+    "mask_fill_column": (lambda a, b: mask_fill(a, b.data > 0), (3, 4), (3, 1)),
+    "layer_norm_row_gain": (lambda a, b: layer_norm(a, b, b), (3, 4), (1, 4)),
+    "matmul_stack_by_weight": (matmul, (2, 3, 4), (4, 5)),
+    "matmul_stack_by_one_stack": (matmul, (2, 3, 4), (1, 4, 5)),
+    "matmul_rows_by_stack": (matmul, (3, 4), (2, 4, 5)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_SHAPES))
+def test_no_op_broadcasts(case):
+    """Every op takes exactly the shapes the model gives it: operands that
+    would broadcast raise ShapeMismatch, and no tape node is recorded."""
+    op, shape_a, shape_b = REFUSED_SHAPES[case]
+    a, b = parameter(rand(*shape_a, seed=1)), parameter(rand(*shape_b, seed=2))
+    with Tape() as tape:
+        with pytest.raises(ShapeMismatch):
+            op(a, b)
+    assert tape.nodes == []
 
 
 class TestGradChecks:
@@ -163,12 +180,6 @@ class TestGradChecks:
         x = parameter(rand(8, seed=10))
         w = constant(rand(8, seed=11))
         check_grad(lambda: reduce_sum(mul(softmax(x), w)), [x], rel_tol=1e-2)
-
-    def test_add_broadcast(self):
-        a = parameter(rand(4, 5, seed=12))
-        b = parameter(rand(5, seed=13))
-        w = constant(rand(4, 5, seed=14))
-        check_grad(lambda: reduce_sum(mul(add(a, b), w)), [a, b])
 
     def test_add_of_two_intermediates_with_a_later_use(self):
         # add hands one upstream gradient to both inputs; a later use of the
@@ -199,9 +210,9 @@ class TestGradChecks:
         w = constant(rand(3, 2, seed=21))
         check_grad(lambda: reduce_sum(mul(matmul(a, b), w)), [a, b])
 
-    def test_matmul_batched_against_shared_weight(self):
+    def test_matmul_stacks(self):
         a = parameter(rand(2, 3, 4, seed=22))
-        b = parameter(rand(4, 5, seed=23))
+        b = parameter(rand(2, 4, 5, seed=23))
         w = constant(rand(2, 3, 5, seed=24))
         check_grad(lambda: reduce_sum(mul(matmul(a, b), w)), [a, b])
 
@@ -268,27 +279,7 @@ class TestGradChecks:
 
 
 class TestMatmulAgainstWeight:
-    """Rank >= 3 times a 2-D weight runs as one flattened GEMM."""
-
-    @pytest.mark.parametrize("lead", [(3, 5), (2, 3, 4)])
-    def test_matches_batched_product(self, lead):
-        a = parameter(rand(*lead, 6, seed=60))
-        b = parameter(rand(6, 7, seed=61))
-        g = rand(*lead, 7, seed=62)
-        with Tape() as tape:
-            out = matmul(a, b)
-            tape.backward(reduce_sum(mul(out, constant(g))))
-        a64, b64, g64 = a.data.astype(np.float64), b.data.astype(np.float64), g.astype(np.float64)
-        np.testing.assert_allclose(out.data, a64 @ b64, atol=1e-5)
-        np.testing.assert_allclose(a.grad, g64 @ b64.T, atol=1e-5)
-        batched = a64.swapaxes(-1, -2) @ g64  # one [6, 7] product per leading index
-        np.testing.assert_allclose(b.grad, batched.reshape(-1, 6, 7).sum(axis=0), atol=1e-5)
-
-    def test_rank_four_finite_differences(self):
-        a = parameter(rand(2, 3, 2, 4, seed=63))
-        b = parameter(rand(4, 5, seed=64))
-        w = constant(rand(2, 3, 2, 5, seed=65))
-        check_grad(lambda: reduce_sum(mul(matmul(a, b), w)), [a, b])
+    """Rows [P, d_in] times a 2-D weight run as one GEMM."""
 
     @pytest.mark.parametrize("d_in,d_out", [(128, 128), (128, 256), (256, 128), (128, 384)])
     def test_a_row_is_the_same_in_any_product_of_2_to_299_rows(self, d_in, d_out):
@@ -318,15 +309,17 @@ def _padded_heads(x, packing, heads):
     return transpose(out, (0, 2, 1, 3))
 
 
-def _composed_attention(q, k, v, q_packing, kv_packing, heads, fill_mask, p=0.0, train=False,
+def _composed_attention(q, k, v, q_packing, kv_packing, heads, causal, p=0.0, train=False,
                         rng=None):
     """The attention of packed rows by the composed ops, its context left in
     the padded layout [B, Tq, d]."""
     qh, kh, vh = (_padded_heads(x, pk, heads)
                   for x, pk in ((q, q_packing), (k, kv_packing), (v, kv_packing)))
     scores = scale(matmul(qh, swap_last(kh)), (q.shape[1] // heads) ** -0.5)
-    if fill_mask is not None:
-        scores = mask_fill(scores, fill_mask)
+    blocked = ~kv_packing.mask[:, None, None, :]
+    if causal:
+        blocked = blocked | _causal(q_packing.shape[1])
+    scores = mask_fill(scores, np.broadcast_to(blocked, scores.shape))
     ctx = transpose(matmul(dropout(softmax(scores), p, train, rng), vh), (0, 2, 1, 3))
     return reshape(ctx, ctx.shape[:2] + (q.shape[1],))
 
@@ -337,10 +330,6 @@ def _causal(t):
 
 def _lengths(lengths, t):
     return np.arange(t)[None, :] < np.asarray(lengths)[:, None]
-
-
-def _padding(lengths, t):
-    return ~_lengths(lengths, t)[:, None, None, :]
 
 
 class TestAttention:
@@ -359,12 +348,10 @@ class TestAttention:
         return q, k, v, w
 
     CASES = {
-        "padding": dict(q=_lengths([3, 2], 3), kv=_lengths([4, 2], 4), mask=_padding([4, 2], 4)),
-        "causal": dict(q=_lengths([4, 3], 4), kv=_lengths([4, 3], 4), mask=_causal(4)),
-        "dropout": dict(q=_lengths([3, 1], 3), kv=_lengths([3, 4], 4), mask=_padding([3, 4], 4),
-                        p=0.3),
-        "fully_blocked_row": dict(q=_lengths([3, 2], 3), kv=_lengths([4, 2], 4),
-                                  mask=_padding([4, 0], 4)),
+        "padding": dict(q=_lengths([3, 2], 3), kv=_lengths([4, 2], 4), causal=False),
+        "causal": dict(q=_lengths([4, 3], 4), kv=_lengths([4, 3], 4), causal=True),
+        "dropout": dict(q=_lengths([3, 1], 3), kv=_lengths([3, 4], 4), causal=False, p=0.3),
+        "fully_blocked_row": dict(q=_lengths([3, 2], 3), kv=_lengths([4, 0], 4), causal=False),
     }
 
     def _case(self, case, seed):
@@ -378,7 +365,7 @@ class TestAttention:
 
         def loss():
             rng = DropoutRng(seed=5)  # same counter start: the same mask each call
-            out = attention(q, k, v, *packings, self.HEADS, cfg["mask"], p, p > 0, rng)
+            out = attention(q, k, v, *packings, self.HEADS, cfg["causal"], p, p > 0, rng)
             return reduce_sum(mul(out, w))
 
         check_grad(loss, [q, k, v])
@@ -397,7 +384,7 @@ class TestAttention:
                 t.zero_grad()
             rng = DropoutRng(seed=5, counter=2)
             with Tape() as tape:
-                out = op(q, k, v, *packings, self.HEADS, cfg["mask"], p, p > 0, rng)
+                out = op(q, k, v, *packings, self.HEADS, cfg["causal"], p, p > 0, rng)
                 tape.backward(reduce_sum(mul(out, weights)))
             results.append((out.data, q.grad, k.grad, v.grad, rng.counter))
         fused, composed = results
@@ -406,6 +393,40 @@ class TestAttention:
         np.testing.assert_allclose(fused[0], packings[0].gather(composed[0]), atol=1e-6)
         for a, b in zip(fused[1:4], composed[1:4]):
             np.testing.assert_allclose(a, b, atol=1e-6)
+
+    def test_a_query_with_no_real_key_gets_a_zero_context(self):
+        """Cross-attention where example 1 has no real key: its query rows
+        come out zero, and the other examples' rows equal their attention
+        over their real keys alone, without the padding."""
+        packings = Packing(_lengths([2, 3, 1], 3)), Packing(_lengths([3, 0, 2], 4))
+        q, k, v, w = self._qkv(*packings, seed=100)
+        out = attention(q, k, v, *packings, self.HEADS, False).data
+        q_rows, kv_rows = np.cumsum([0, 2, 3, 1]), np.cumsum([0, 3, 0, 2])
+        assert not out[q_rows[1]:q_rows[2]].any()
+        for b in (0, 2):
+            qb, kb, vb = (constant(t.data[r[b]:r[b + 1]])
+                          for t, r in ((q, q_rows), (k, kv_rows), (v, kv_rows)))
+            alone = (Packing(np.ones((1, len(qb.data)), bool)),
+                     Packing(np.ones((1, len(kb.data)), bool)))
+            expected = attention(qb, kb, vb, *alone, self.HEADS, False).data
+            np.testing.assert_allclose(out[q_rows[b]:q_rows[b + 1]], expected, atol=1e-6)
+        check_grad(lambda: reduce_sum(mul(attention(q, k, v, *packings, self.HEADS, False), w)),
+                   [q, k, v])
+
+    def test_a_causal_query_sees_no_later_key(self):
+        """Under ``causal``, changing the key and value rows at one position
+        leaves the context of every earlier position as it was."""
+        packing = Packing(_lengths([4, 3], 4))
+        q, k, v, _ = self._qkv(packing, packing, seed=110)
+        before = attention(q, k, v, packing, packing, self.HEADS, True).data
+        moved_k, moved_v = k.data.copy(), v.data.copy()
+        moved_k[2] += 1.0
+        moved_v[2] += 1.0  # example 0, position 2
+        after = attention(q, constant(moved_k), constant(moved_v), packing, packing,
+                          self.HEADS, True).data
+        np.testing.assert_array_equal(after[:2], before[:2])
+        assert not np.array_equal(after[2], before[2])
+        np.testing.assert_array_equal(after[4:], before[4:])
 
     def test_rows_that_do_not_fit_their_packing_are_refused(self):
         packings = Packing(_lengths([3, 2], 3)), Packing(_lengths([4, 2], 4))
@@ -419,6 +440,10 @@ class TestAttention:
             attention(q, short, v, *packings, self.HEADS, None)
         with pytest.raises(ShapeMismatch, match="4 heads do not divide width 6"):
             attention(q, k, v, *packings, 4, None)
+        one_key_row = Packing(_lengths([4], 4))  # would broadcast over the query batch
+        k1, v1 = constant(rand(4, 6, seed=95)), constant(rand(4, 6, seed=96))
+        with pytest.raises(ShapeMismatch, match="query layout"):
+            attention(q, k1, v1, packings[0], one_key_row, self.HEADS, None)
 
 
 class TestDropout:

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pointerparse import checkpoint
 from pointerparse.checkpoint import (
     CheckpointError,
     latest_checkpoint,
@@ -276,6 +277,24 @@ def test_save_fsyncs_before_the_rename_and_the_parent_after(saved, monkeypatch):
     assert install == ("replace", ".best.partial", "best")
     assert parent_sync == ("fsync", path.parent.stat().st_ino)
     assert load_checkpoint(path).step == 20
+
+
+def test_provenance_records_the_blas_kernel_core_that_runs():
+    """``OPENBLAS_CORETYPE`` makes numpy's OpenBLAS run another kernel core,
+    and the provenance of that process names it."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", "import json; from pointerparse.checkpoint "
+                           "import provenance; print(json.dumps(provenance()))"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["blas_core"] == "Haswell"
+
+
+def test_blas_core_is_none_without_the_library(monkeypatch, tmp_path):
+    monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+    assert checkpoint.blas_core.__wrapped__() is None
 
 
 STEPS = 30  # of the killed run and of its uninterrupted twin

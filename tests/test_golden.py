@@ -11,7 +11,10 @@ build, and the run-time CPU facts that also steer float32 results (the
 machine, and the CPU features numpy's SIMD dispatch and OpenBLAS's
 DYNAMIC_ARCH core choice read).  A change to any training or decoding
 kernel that moves one float by one ulp fails here, naming the first step or
-query that moved.
+query that moved, and the OpenBLAS kernel core recorded and running
+(``checkpoint.blas_core``; a header written before the core was recorded
+lacks it).  The file holds one record, written on the SkylakeX core:
+training runs GEMMs, whose rounding follows the core.
 
 A change that moves these numbers on purpose regenerates the file with::
 
@@ -91,10 +94,13 @@ def first_difference(recorded: list, current: list):
 
 
 def environment_note(recorded: dict, current: dict) -> str:
+    ran = recorded.get("provenance", {})
+    was = f"recorded {ran['blas_core']}" if "blas_core" in ran else "not recorded"
+    kernels = f"BLAS kernel core: {was}, running {current.get('provenance', {}).get('blas_core')}."
     if recorded == current:
-        return "The recorded environment equals the one running."
+        return f"The recorded environment equals the one running. {kernels}"
     return (f"The recorded environment differs from the one running: recorded {recorded}, "
-            f"running {current}.")
+            f"running {current}. {kernels}")
 
 
 def read_golden() -> list:
@@ -123,6 +129,21 @@ def test_a_one_ulp_move_is_named_by_its_step_or_query():
     assert first_difference(recorded, moved).startswith(f"the loss logged at step {step} ")
     assert environment_note(recorded[0]["environment"], {}).startswith(
         "The recorded environment differs")
+
+
+def test_the_environment_note_names_both_kernel_cores():
+    running = environment()
+    core = running["provenance"]["blas_core"]
+    other = copy.deepcopy(running)
+    other["provenance"]["blas_core"] = "Sandybridge"
+    assert environment_note(other, running).endswith(
+        f"BLAS kernel core: recorded Sandybridge, running {core}.")
+    assert environment_note(running, running) == (
+        f"The recorded environment equals the one running. "
+        f"BLAS kernel core: recorded {core}, running {core}.")
+    del other["provenance"]["blas_core"]  # a header written before the core was recorded
+    assert environment_note(other, running).endswith(
+        f"BLAS kernel core: not recorded, running {core}.")
 
 
 if __name__ == "__main__":

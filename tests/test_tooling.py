@@ -98,6 +98,21 @@ def test_benchmark_tracer_names_each_attention_by_its_role():
     assert tracer.counts["train"]["autodiff.tape_nodes"] == len(tape.nodes) > 0
 
 
+def test_kernel_sweep_names_tests_that_exist():
+    """``tests/kernel_sweep.py`` runs its tests by node id; renaming or
+    moving one must fail here, not only in a sweep."""
+    spec = importlib.util.spec_from_file_location("kernel_sweep", ROOT / "tests" / "kernel_sweep.py")
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    assert sweep.TESTS
+    for node_id in sweep.TESTS:
+        path, *names = node_id.split("::")
+        target = importlib.import_module(Path(path).stem)
+        for name in names:
+            target = getattr(target, name, None)
+        assert callable(target), node_id
+
+
 @pytest.mark.parametrize("demo", ["01_linearization.py", "02_autodiff.py", "04_beam_search.py",
                                   "05_importers.py"])
 def test_demo_runs(demo):

@@ -123,8 +123,10 @@ def _composed_ce(logits, gold, step_mask, support_mask, epsilon):
     np.put_along_axis(onehot, gold[:, :, None], 1.0, axis=2)
     nll = scale(reduce_sum(mul(logp, constant(onehot)), axis=2), -1.0)
     counts = support_mask.sum(axis=1)
-    smooth_sum = reduce_sum(mul(logp, constant(support_mask[:, None, :].astype(np.float32))), axis=2)
-    smooth = mul(smooth_sum, constant(-1.0 / counts[:, None].astype(np.float32)))
+    support = np.broadcast_to(support_mask[:, None, :], logits.shape).astype(np.float32)
+    smooth_sum = reduce_sum(mul(logp, constant(support)), axis=2)
+    weights = np.broadcast_to(-1.0 / counts[:, None].astype(np.float32), smooth_sum.shape)
+    smooth = mul(smooth_sum, constant(weights))
     masked = mul(add(scale(nll, 1.0 - epsilon), scale(smooth, epsilon)),
                  constant(step_mask.astype(np.float32)))
     return scale(reduce_sum(masked), 1.0 / max(int(step_mask.sum()), 1))
@@ -152,8 +154,8 @@ class TestFusedLabelSmoothedCE:
 
     def test_matches_composed_formula(self):
         raw, gold, step_mask, support = _ce_case(seed=2)
-        blocked = np.zeros((3, 1, 7), dtype=bool)
-        blocked[2, 0, 6] = True
+        blocked = np.zeros((3, 4, 7), dtype=bool)
+        blocked[2, :, 6] = True
         logits = parameter(raw)
         results = []
         for op in (label_smoothed_ce, _composed_ce):
@@ -424,12 +426,13 @@ class TestTrainLoop:
             == (tmp_path / "resumed" / "step_000016" / "params.bin").read_bytes()
         )
 
-    @pytest.mark.parametrize("recorded", ["other_threads", "absent"])
+    @pytest.mark.parametrize("recorded", ["other_threads", "other_kernel", "absent"])
     def test_resume_under_another_provenance_warns_and_carries_on(self, tmp_path, monkeypatch,
                                                                   recorded):
-        """A checkpoint made with another thread count resumes with one
-        ``warning`` line in ``metrics.jsonl``; a manifest older than the
-        record resumes silently.  Either way the losses are unchanged."""
+        """A checkpoint made with another thread count, or on another BLAS
+        kernel core, resumes with one ``warning`` line in ``metrics.jsonl``;
+        a manifest older than the record resumes silently.  Either way the
+        losses are unchanged."""
         splits = generate_synthetic(default_grammar(), 48, seed=5)
         train = splits["train"]
         symtab, src_vocab = prepare_corpus(train)
@@ -453,8 +456,11 @@ class TestTrainLoop:
         assert manifest["provenance"]["threads"]["OPENBLAS_NUM_THREADS"] == "1"
         if recorded == "absent":
             del manifest["provenance"]
+        if recorded == "other_kernel":
+            manifest["provenance"]["blas_core"] = "NotThisCore"
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
         manifest_path.write_text(json.dumps(manifest))
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
         resumed = run(6, tmp_path / "resumed", resume=manifest_path.parent)
         assert [h["loss"] for h in resumed.history] == [h["loss"] for h in full.history[4:]]
         lines = [json.loads(line)
@@ -466,8 +472,10 @@ class TestTrainLoop:
         else:
             assert warnings == [lines[0]]
             assert lines[0]["step"] == 4
-            assert lines[0]["checkpoint"]["threads"]["OPENBLAS_NUM_THREADS"] == "1"
             assert lines[0]["current"] == ckpt.provenance()
+            differs = {key for key, value in lines[0]["checkpoint"].items()
+                       if value != lines[0]["current"][key]}
+            assert differs == {"threads" if recorded == "other_threads" else "blas_core"}
 
     @staticmethod
     def _six_steps(tmp_path):
