@@ -20,26 +20,26 @@ the mask's real rows, so the mask stream does not depend on the packing.
 
 Multi-head attention (``attention``) is one primitive with a closed-form
 backward, not a chain of the ops it is made of.  It takes packed query,
-key and value rows and returns packed context rows; the padded per-head
-layout it needs is its own, and so is its mask: the packings name the
+key and value rows, lays them out per head with ``Packing.heads``, and
+returns packed context rows; its mask is its own: the packings name the
 padding keys, and a ``causal`` flag the later ones.
 
 The forward arithmetic of the weight product, the embedding lookup, layer
-norm, attention (scale, mask and softmax) and log-softmax lives in
+norm, softmax, attention (scale and mask) and log-softmax lives in
 plain-array kernels (``weight_product``, ``take_rows``,
-``layer_norm_forward``, ``attention_probs``, ``log_softmax_f64``) that the
-tape ops call.  The cached decoder step calls the same kernels on plain
-arrays, so it builds no ``Tensor`` and gets the same values as the ops.
+``layer_norm_forward``, ``softmax_f32``, ``attention_probs``,
+``log_softmax_f64``) that the tape ops call.  The cached decoder step calls
+the same kernels on plain arrays, so it builds no ``Tensor`` and gets the
+same values as the ops.
 
 Recording is explicit: ops append backward closures to the innermost active
 ``Tape`` (one module-level stack, so tapes nest; training runs on one
 thread).  With no tape active, ops are pure forward computations.  A
 backward closure computes a gradient only for the inputs that require one.
-``Tape.backward`` walks the recorded nodes in reverse order exactly once
-and drops each node's gradient once its closure has run, so a finished
-backward holds only the gradients of the tensors it did not record
-(parameters and inputs); parameters not reachable from the loss keep their
-all-zero gradient buffers.
+No tensor has a gradient until a backward writes one, parameters
+included.  ``Tape.backward`` walks the recorded nodes in reverse order
+exactly once and drops each node's gradient once its closure has run, so a
+finished backward holds only the gradients of the leaves it reached.
 """
 
 from __future__ import annotations
@@ -71,9 +71,7 @@ class Tensor:
         arr = np.asarray(data, dtype=np.float32)
         self.data = arr
         self.requires_grad = requires_grad
-        # Parameters get a zero buffer up front so "unreachable" still reads
-        # as a zero gradient; intermediates allocate lazily.
-        self.grad: Optional[Array] = np.zeros_like(arr) if requires_grad else None
+        self.grad: Optional[Array] = None
         self._backward: Optional[Callable[[Array], None]] = None
 
     @property
@@ -85,8 +83,7 @@ class Tensor:
         return self.data.size
 
     def zero_grad(self) -> None:
-        if self.requires_grad:
-            self.grad = np.zeros_like(self.data)
+        self.grad = None
 
     def item(self) -> float:
         return float(self.data.reshape(()))
@@ -122,7 +119,7 @@ class Tape:
             raise NonScalarLoss(f"loss must be scalar, got shape {loss.data.shape}")
         _accumulate(loss, np.ones_like(loss.data))
         for node in reversed(self.nodes):
-            if node.grad is not None and node._backward is not None:
+            if node.grad is not None:
                 node._backward(node.grad)
                 node.grad = None  # read once: only the leaves keep a gradient
 
@@ -144,7 +141,6 @@ def _record(out: Tensor, inputs: Sequence[Tensor], backward: Callable[[Array], N
     tape = active_tape()
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        out.grad = None  # lazily allocated on first accumulation
         out._backward = backward
         tape.nodes.append(out)
     return out
@@ -299,6 +295,12 @@ class Packing:
         out[self.real] = a
         return out
 
+    def heads(self, a: Array, heads: int) -> Array:
+        """Packed rows [P, d] laid out per head, [B, heads, T, d / heads],
+        zeros at padding."""
+        out = self.scatter(a)
+        return out.reshape(self.shape + (heads, a.shape[-1] // heads)).transpose(0, 2, 1, 3)
+
 
 def unpack(a: Tensor, packing: Packing) -> Tensor:
     """Packed rows [P, ...] laid out as a padded [B, T, ...] tensor, zeros at
@@ -347,12 +349,20 @@ def relu(a: Tensor) -> Tensor:
     return _record(out, (a,), backward)
 
 
+def softmax_f32(x: Array) -> Array:
+    """Softmax of a plain float32 array over its last axis, written into
+    ``x`` and returned; the normalizer sums in float64.  Not a tape op."""
+    # The reductions are called as ufuncs: ``ndarray.max``/``sum`` compute
+    # the same through a Python wrapper.
+    x -= np.maximum.reduce(x, axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= np.add.reduce(x, axis=-1, keepdims=True, dtype=np.float64).astype(np.float32)
+    return x
+
+
 def softmax(a: Tensor) -> Tensor:
     """Softmax over the last axis; masked entries at -1e9 come out exactly 0."""
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    denom = exp.sum(axis=-1, keepdims=True, dtype=np.float64)
-    out = Tensor(exp / denom.astype(np.float32))
+    out = Tensor(softmax_f32(a.data.copy()))
     s = out.data
 
     def backward(g: Array) -> None:
@@ -516,12 +526,7 @@ def attention_probs(q: Array, k: Array, blocked: Optional[Array], scale: float) 
             scores = np.where(blocked, np.float32(MASK_FILL_VALUE), scores)
         except ValueError:
             raise ShapeMismatch(f"attention: scores {scores.shape} vs mask {blocked.shape}") from None
-    # The reductions are called as ufuncs: ``ndarray.max``/``sum`` compute
-    # the same through a Python wrapper.
-    scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
-    probs = np.exp(scores, out=scores)
-    probs /= np.add.reduce(probs, axis=-1, keepdims=True, dtype=np.float64).astype(np.float32)
-    return probs
+    return softmax_f32(scores)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, q_packing: Packing, kv_packing: Packing,
@@ -545,17 +550,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, q_packing: Packing, kv_packing: P
     if q_packing.shape[0] != kv_packing.shape[0]:
         raise ShapeMismatch(f"attention: query layout {q_packing.shape} vs key layout "
                             f"{kv_packing.shape}")
-    head_dim = d // heads
-
-    def padded(x: Array, packing: Packing) -> Array:
-        out = packing.scatter(x)
-        return out.reshape(out.shape[:2] + (heads, head_dim)).transpose(0, 2, 1, 3)
 
     def packed(x: Array, packing: Packing) -> Array:
         return packing.gather(x.transpose(0, 2, 1, 3)).reshape(-1, d)
 
-    scale = 1.0 / math.sqrt(head_dim)
-    qh, kh, vh = padded(q.data, q_packing), padded(k.data, kv_packing), padded(v.data, kv_packing)
+    scale = 1.0 / math.sqrt(d // heads)
+    qh, kh, vh = (q_packing.heads(q.data, heads), kv_packing.heads(k.data, heads),
+                  kv_packing.heads(v.data, heads))
     blocked = ~kv_packing.mask[:, None, None, :]
     if causal:
         blocked = blocked | np.triu(np.ones((q_packing.shape[1], kv_packing.shape[1]), bool), k=1)
@@ -571,7 +572,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, q_packing: Packing, kv_packing: P
     out = Tensor(packed(weights @ vh, q_packing))
 
     def backward(g: Array) -> None:
-        g = padded(g, q_packing)
+        g = q_packing.heads(g, heads)
         _accumulate(v, packed(weights.swapaxes(-1, -2) @ g, kv_packing))
         gs = g @ vh.swapaxes(-1, -2)
         if drop is not None:

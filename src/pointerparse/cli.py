@@ -66,6 +66,7 @@ _DATA_ERRORS = (
     LengthMismatch,
     ckpt.CheckpointError,
     FileNotFoundError,
+    FileExistsError,
     IsADirectoryError,
     NotADirectoryError,
     json.JSONDecodeError,
@@ -205,9 +206,10 @@ def cmd_train(args) -> int:
 
 
 def _beam_config(args) -> BeamConfig:
-    if args.beam < 1:
-        raise UsageError(f"--beam must be at least 1, got {args.beam}")
-    return BeamConfig(beam_size=args.beam)
+    try:
+        return BeamConfig(beam_size=args.beam)
+    except ValueError as exc:
+        raise UsageError(f"--beam: {exc}") from None
 
 
 def _predict_batch(model, loaded, queries, beam_config) -> list:

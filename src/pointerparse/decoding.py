@@ -18,7 +18,8 @@ query that stops gives its rows up; only then does the source-side state of
 the queries after it move down.
 Corpus callers decode with ``decode_sources``, which alone decides which
 sources can be decoded and pads them in chunks of at most ``DECODE_ROWS``
-decoder rows: a beam of k runs ``DECODE_ROWS // k`` queries at a time.
+decoder rows: a beam of k runs ``DECODE_ROWS // k`` queries at a time, and
+no beam is wider than ``DECODE_ROWS``.
 """
 
 from __future__ import annotations
@@ -32,14 +33,21 @@ from .model import PointerGeneratorModel, target_cap
 from .vocab import BOS_ID, EOS_ID, PAD_ID
 
 
+DECODE_ROWS = 256  # decoder rows per padded batch in decode_sources, and the widest beam
+
+
+def _check_beam_size(beam_size: int) -> None:
+    if not 1 <= beam_size <= DECODE_ROWS:
+        raise ValueError(f"beam_size must be 1 to {DECODE_ROWS}, got {beam_size}")
+
+
 @dataclass
 class BeamConfig:
     beam_size: int = 4
     max_target_len: Optional[int] = None  # default: 2n + 16 per query
 
     def __post_init__(self):
-        if self.beam_size < 1:
-            raise ValueError("beam_size must be at least 1")
+        _check_beam_size(self.beam_size)
         if self.max_target_len is not None and self.max_target_len < 1:
             raise ValueError("max_target_len must be at least 1")
 
@@ -61,24 +69,21 @@ def pad_sources(sources: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarra
     return src, mask
 
 
-DECODE_ROWS = 256  # decoder rows per padded batch in decode_sources
-
-
 def decode_sources(model: PointerGeneratorModel, sources: Sequence[Sequence[int]],
                    decode: Callable, beam_size: int) -> list:
     """Results of ``decode(model, src_ids, src_mask)`` on padded chunks of
-    ``DECODE_ROWS // beam_size`` decodable sources (at least one), one per
-    source, in input order.
+    ``DECODE_ROWS // beam_size`` decodable sources, one per source, in input
+    order; a ``beam_size`` outside ``1..DECODE_ROWS`` raises ValueError.
 
     ``decode`` runs at most ``beam_size`` hypotheses per query, so no chunk
-    holds more than ``DECODE_ROWS`` decoder cache rows unless one query alone
-    needs more.  A source is decodable when it has at least one token and at
-    most the model's ``max_src_len``; each other source gets ``None`` in its
-    place.
+    holds more than ``DECODE_ROWS`` decoder cache rows.  A source is
+    decodable when it has at least one token and at most the model's
+    ``max_src_len``; each other source gets ``None`` in its place.
     """
+    _check_beam_size(beam_size)
     results: list = [None] * len(sources)
     usable = [i for i, ids in enumerate(sources) if 0 < len(ids) <= model.config.max_src_len]
-    size = max(1, DECODE_ROWS // beam_size)
+    size = DECODE_ROWS // beam_size
     for lo in range(0, len(usable), size):
         chunk = usable[lo : lo + size]
         for i, result in zip(chunk, decode(model, *pad_sources([sources[i] for i in chunk]))):

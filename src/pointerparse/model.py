@@ -249,14 +249,11 @@ class MultiHeadAttention:
                                     causal, p, train, rng))
 
     def packed_keys_values(self, x: np.ndarray, packing: ad.Packing) -> np.ndarray:
-        """Keys then values of packed rows x [P, d_kv_in], written straight
-        into one zero [Q, 2, heads, n, head_dim] array."""
-        (queries, n), real = packing.shape, packing.real
-        kv = np.zeros((queries, 2, self.n_heads, n, self.head_dim), np.float32)
-        for i, lin in enumerate((self.wk, self.wv)):
-            heads = lin.apply(x).reshape(-1, self.n_heads, self.head_dim)
-            kv[:, i].transpose(0, 2, 1, 3)[real] = heads
-        return kv
+        """Keys then values of packed rows x [P, d_kv_in], laid out per head
+        as one [Q, 2, heads, n, head_dim] array, zeros at padding, in C
+        order: the stacked heads' strides would slow every step's products."""
+        return np.ascontiguousarray(np.stack(
+            [packing.heads(lin.apply(x), self.n_heads) for lin in (self.wk, self.wv)], axis=1))
 
     def fused_qkv(self) -> tuple[np.ndarray, np.ndarray]:
         """Copies of the weight ``[Wq|Wk|Wv]`` and its bias, which project
@@ -569,8 +566,8 @@ class PointerGeneratorModel:
         """A cache for decoding source ids [Q, n] under their mask, one row
         per query.  ``encode`` runs with no tape active on the real source
         positions.  Each decoder layer's cross-attention keys and values are
-        projected from those packed rows straight into the cache's [Q, 2,
-        heads, n, head_dim] buffers, and the pointer keys are each query's
+        projected from those packed rows into the cache's [Q, 2, heads, n,
+        head_dim] buffers, and the pointer keys are each query's
         ``ptr_bilinear @ enc^T``.  At every real position these are the
         values the tape ops compute from ``encode``, bit for bit; padding
         positions, which every step masks, hold zeros."""

@@ -104,9 +104,8 @@ class AdamState:
 def global_grad_norm(params: dict[str, Tensor]) -> float:
     total = 0.0
     for p in params.values():
-        if p.grad is not None:
-            sq = p.grad.astype(np.float64)
-            total += float(np.sum(np.square(sq, out=sq)))
+        sq = p.grad.astype(np.float64)
+        total += float(np.sum(np.square(sq, out=sq)))
     return float(np.sqrt(total))
 
 
@@ -123,12 +122,13 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr: float) -> tuple[f
 
     Moments and parameters are updated in place in float32; the global norm
     accumulates in float64.  A non-finite gradient anywhere aborts the step
-    before any moment or parameter changes.  Returns the global gradient
-    norm before clipping and the factor clipping scaled the gradients by.
+    before any moment or parameter changes.  A parameter with no gradient
+    gets a zero one.  Returns the global gradient norm before clipping and
+    the factor clipping scaled the gradients by.
     """
     for p in params.values():
         if p.grad is None:
-            p.zero_grad()
+            p.grad = np.zeros_like(p.data)
     # A float64 sum of squared float32 values cannot overflow, so the norm is
     # finite exactly when every gradient entry is.
     norm = global_grad_norm(params)

@@ -85,10 +85,16 @@ class SymbolTable:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SymbolTable":
-        return cls(
-            parse_symbols=tuple(parse_symbol(t) for t in obj["symbols"]),
-            max_src_len=int(obj["max_src_len"]),
-        )
+        """The table ``to_json`` wrote; ValueError unless it starts with the
+        specials, holds no other special or pointer, and repeats no symbol."""
+        symbols = tuple(parse_symbol(t) for t in obj["symbols"])
+        if symbols[:len(_SPECIALS)] != _SPECIALS:
+            raise ValueError(f"symbols must start {' '.join(s.surface() for s in _SPECIALS)}")
+        if any(s.sym is SymKind.POINTER or s in _SPECIALS for s in symbols[len(_SPECIALS):]):
+            raise ValueError("a pointer or special symbol among the parse symbols")
+        if len({s.surface() for s in symbols}) != len(symbols):
+            raise ValueError("a symbol is listed twice")
+        return cls(parse_symbols=symbols, max_src_len=int(obj["max_src_len"]))
 
     def save(self, path: Union[str, Path]) -> None:
         Path(path).write_text(json.dumps(self.to_json(), sort_keys=True, indent=2) + "\n")
@@ -155,7 +161,14 @@ class SourceVocab:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SourceVocab":
-        return cls(words=tuple(obj["words"]))
+        """The vocabulary ``to_json`` wrote; ValueError unless its words
+        start with PAD_WORD and UNK_WORD and none is listed twice."""
+        words = tuple(obj["words"])
+        if words[:2] != (PAD_WORD, UNK_WORD):
+            raise ValueError(f"words must start {PAD_WORD} {UNK_WORD}")
+        if len(set(words)) != len(words):
+            raise ValueError("a word is listed twice")
+        return cls(words=words)
 
     def save(self, path: Union[str, Path]) -> None:
         Path(path).write_text(json.dumps(self.to_json(), sort_keys=True) + "\n")
@@ -166,7 +179,8 @@ class SourceVocab:
 
 
 def build_source_vocab(token_lists: Iterable[Sequence[str]]) -> SourceVocab:
+    """PAD_WORD and UNK_WORD, then every other corpus word, sorted."""
     vocab: set[str] = set()
     for tokens in token_lists:
         vocab.update(tokens)
-    return SourceVocab(words=(PAD_WORD, UNK_WORD) + tuple(sorted(vocab)))
+    return SourceVocab(words=(PAD_WORD, UNK_WORD) + tuple(sorted(vocab - {PAD_WORD, UNK_WORD})))

@@ -31,6 +31,7 @@ from pointerparse.autodiff import (
     transpose,
     unpack,
 )
+from pointerparse.training_ops import AdamState, adam_step
 from helpers import check_grad
 
 
@@ -56,6 +57,17 @@ class TestForwardValues:
         s = softmax(mask_fill(x, mask))
         np.testing.assert_allclose(s.data.sum(axis=-1), np.ones(5), atol=1e-6)
         assert np.all(s.data[:, 5:] == 0.0)
+
+    def test_softmax_kernel_is_the_float64_normalized_formula(self):
+        """``softmax`` and ``attention_probs`` share one kernel, bit-equal to
+        ``exp(x - max) / float32(sum64)``, masked entries included."""
+        x = rand(3, 5, 8, seed=3, scale=3.0)
+        x[:, :, 6:] = autodiff.MASK_FILL_VALUE
+        exp = np.exp(x - x.max(axis=-1, keepdims=True))
+        expected = exp / exp.sum(axis=-1, keepdims=True, dtype=np.float64).astype(np.float32)
+        np.testing.assert_array_equal(softmax(constant(x)).data, expected)
+        eye = np.broadcast_to(np.eye(8, dtype=np.float32), (3, 8, 8))
+        np.testing.assert_array_equal(autodiff.attention_probs(x, eye, None, 1.0), expected)
 
     def test_log_softmax_matches_log_of_softmax(self):
         x = constant(rand(4, 9, seed=3, scale=5.0))
@@ -90,12 +102,26 @@ class TestBackwardBasics:
             tape.backward(loss)
         np.testing.assert_allclose(x.grad, np.zeros((3, 3)))
 
-    def test_unreachable_parameter_keeps_zero_grad(self):
+    def test_unreachable_parameter_gets_no_grad(self):
+        """A parameter the loss does not reach has no gradient after
+        backward, and an Adam step leaves it unchanged."""
         x = parameter(rand(2, 2, seed=6))
         unused = parameter(rand(2, 2, seed=7))
+        before = unused.data.copy()
         with Tape() as tape:
             tape.backward(reduce_sum(x))
-        np.testing.assert_allclose(unused.grad, np.zeros((2, 2)))
+        assert unused.grad is None
+        adam_step({"x": x, "unused": unused}, AdamState(), lr=0.1)
+        np.testing.assert_array_equal(unused.data, before)
+
+    def test_a_parameter_has_no_grad_until_backward_writes_one(self):
+        x = parameter(rand(2, 2, seed=6))
+        assert x.grad is None
+        with Tape() as tape:
+            tape.backward(reduce_sum(x))
+        assert x.grad is not None
+        x.zero_grad()
+        assert x.grad is None
 
     def test_backward_keeps_only_the_leaves_gradients(self):
         """Each recorded node's gradient is dropped once its closure has
@@ -514,6 +540,13 @@ class TestPacking:
         assert padded.shape == (3, 4, 2, 3)
         assert not padded[~self.MASK].any()
         np.testing.assert_array_equal(padded[self.MASK], rows)
+
+    def test_heads_lays_packed_rows_out_per_head(self):
+        packing = Packing(self.MASK)
+        rows = rand(8, 6, seed=98)
+        expected = packing.scatter(rows).reshape(3, 4, 2, -1).transpose(0, 2, 1, 3)
+        np.testing.assert_array_equal(packing.heads(rows, 2), expected)
+        assert packing.heads(rows, 2).shape == (3, 2, 4, 3)
 
     def test_shapes_that_do_not_fit_the_layout_are_refused(self):
         packing = Packing(self.MASK)

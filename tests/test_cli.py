@@ -143,6 +143,24 @@ class TestUsageAndErrors:
         assert json.loads(err)["error"] == "UsageError"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "generate", "eval"])
+    def test_a_file_where_a_directory_belongs_is_data_error(self, command, tmp_path, request,
+                                                             capsys):
+        """A path that names a file where a command writes its directory
+        exits 2 with one JSON line."""
+        file = tmp_path / "file"
+        file.write_text("")
+        argv = ["generate", "--out", str(file), "--count", "3"]
+        if command != "generate":
+            pipeline = request.getfixturevalue("pipeline_dir")
+            argv = {"train": ["train", "--corpus", str(pipeline / "corpus"),
+                              "--checkpoint", str(file), "--max-steps", "1"],
+                    "eval": ["eval", "--checkpoint", str(pipeline / "ckpt" / "best"),
+                             "--input", str(pipeline / "corpus" / "dev.jsonl"),
+                             "--report-dir", str(file)]}[command]
+        assert main(argv) == EXIT_DATA
+        assert_one_error_line(capsys.readouterr().err, "FileExistsError")
+
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_count_below_one_is_usage_error(self, count, tmp_path, capsys):
         """``generate --count`` below 1 is refused before anything is written."""
@@ -449,6 +467,14 @@ class TestPipeline:
         "symbols_not_a_list": ("symtab.json", lambda v: {"symbols": 5}),
         "symbol_not_a_string": ("symtab.json", lambda v: v | {"symbols": [5] + v["symbols"]}),
         "words_null": ("source_vocab.json", lambda v: {"words": None}),
+        "pad_swapped_for_a_parse_symbol": ("symtab.json", lambda v: v | {
+            "symbols": v["symbols"][3:4] + v["symbols"][1:3] + v["symbols"][:1] + v["symbols"][4:]}),
+        "symbol_repeated": ("symtab.json", lambda v: v | {
+            "symbols": v["symbols"][:-1] + v["symbols"][3:4]}),
+        "pointer_among_parse_symbols": ("symtab.json", lambda v: v | {
+            "symbols": v["symbols"][:-1] + ["@ptr_0"]}),
+        "pad_word_moved": ("source_vocab.json", lambda v: {
+            "words": v["words"][2:3] + v["words"][1:2] + v["words"][:1] + v["words"][3:]}),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -697,10 +723,13 @@ class TestPipeline:
         assert code == EXIT_DATA
         assert json.loads(err)["error"] == "CheckpointError"
 
+    @pytest.mark.parametrize("beam", ["0", "257"])
     @pytest.mark.parametrize("command", ["eval", "predict"])
-    def test_beam_below_one_is_usage_error(self, pipeline_dir, command, capsys):
-        code = main([command, "--checkpoint", str(pipeline_dir / "ckpt" / "best"),
-                     "--input", str(pipeline_dir / "corpus" / "dev.jsonl"), "--beam", "0"])
+    def test_beam_outside_one_to_256_is_usage_error(self, tmp_path, command, beam, capsys):
+        """``--beam`` is refused before the checkpoint loads: there is none."""
+        code = main([command, "--checkpoint", str(tmp_path / "none"),
+                     "--input", str(tmp_path / "none.jsonl"), "--beam", beam])
         _, err = capsys.readouterr()
         assert code == EXIT_USAGE
-        assert json.loads(err)["error"] == "UsageError"
+        failure = json.loads(err)
+        assert failure["error"] == "UsageError" and "1 to 256" in failure["message"]

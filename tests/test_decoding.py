@@ -183,6 +183,20 @@ class TestBeamSearch:
             assert res.score == pytest.approx(score, abs=1e-9)
             assert res.truncated == truncated
 
+    @pytest.mark.parametrize("beam_size", [2, 3])
+    def test_matches_a_reference_search_without_early_stop(self, beam_size):
+        """A full pool's k-th score prunes closures and stops a query early
+        without changing its results."""
+        for seed in range(10):
+            model = random_model(seed, vocab_size=5, max_src_len=3)
+            model.vocab_out.b.data[EOS_ID] -= 1.0  # longer outputs: the pool fills early
+            src = random_src(model, seed + 50)
+            results = beam_search(model, src, BeamConfig(beam_size=beam_size))
+            expected = reference_beam(model, src, beam_size)
+            assert [(r.ids, r.truncated) for r in results] == [(r.ids, r.truncated) for r in expected]
+            for res, ref in zip(results, expected):
+                assert res.score == pytest.approx(ref.score, abs=1e-4)
+
     def test_no_eos_truncates_every_result_at_the_cap(self):
         model = random_model(4, max_src_len=8)
         model.vocab_out.b.data[EOS_ID] = -1e4
@@ -223,8 +237,11 @@ class TestBeamSearch:
         assert scores == sorted(scores, reverse=True)
 
     def test_beam_size_validation(self):
-        with pytest.raises(ValueError):
-            BeamConfig(beam_size=0)
+        """A beam is 1 to ``DECODE_ROWS`` wide."""
+        for beam_size in (0, DECODE_ROWS + 1):
+            with pytest.raises(ValueError, match="beam_size"):
+                BeamConfig(beam_size=beam_size)
+        assert BeamConfig(beam_size=DECODE_ROWS).beam_size == DECODE_ROWS
 
     @pytest.mark.parametrize("max_target_len", [0, -1])
     def test_max_target_len_validation(self, max_target_len):
@@ -267,6 +284,39 @@ def reference_greedy(model, src_ids, src_mask):
                 results[b] = DecodeResult(ids + [int(tokens[b])], float(scores[b]), True)
         prefix = np.concatenate([prefix, tokens[:, None]], axis=1)
     return results
+
+
+def reference_beam(model, src, k):
+    """Beam search of one query written out with lists, without the pool's
+    floor or the early stop: each step runs every live hypothesis's whole
+    prefix through ``model.decode_step``, deposits its EOS closure in the
+    pool when k >= 2, keeps the k best (score, hypothesis, id) candidates in
+    stable order, and retires those that end or reach the cap."""
+    src = np.asarray(src)
+    mask = np.ones((1, len(src)), dtype=bool)
+    cap = target_cap(len(src))
+    live, pool = [((), 0.0)], []
+    for t in range(cap):
+        candidates = []
+        for ids, score in live:
+            row = model.decode_step(np.asarray([(BOS_ID, *ids)]), src[None], mask)
+            row = score + row.log_probs[0].astype(np.float64)
+            row[[PAD_ID, BOS_ID]] = -np.inf
+            if k >= 2:
+                pool.append(DecodeResult(list(ids), float(row[EOS_ID])))
+                row[EOS_ID] = -np.inf
+            candidates += [(s, ids, token) for token, s in enumerate(row) if s > -np.inf]
+        candidates.sort(key=lambda c: -c[0])
+        live = []
+        for score, ids, token in candidates[:k]:
+            if token == EOS_ID:
+                pool.append(DecodeResult(list(ids), float(score)))
+            elif t + 1 == cap:
+                pool.append(DecodeResult([*ids, token], float(score), True))
+            else:
+                live.append(((*ids, token), score))
+    pool.sort(key=lambda res: -res.score)
+    return pool[:k]
 
 
 class TestRank:
@@ -320,6 +370,32 @@ class TestBatchedBeamSearch:
                 for b, s in zip(batched, single):
                     assert b.score == pytest.approx(s.score, abs=1e-4)
 
+    def test_a_short_query_emits_no_pointer_past_its_length(self):
+        """A beam wider than a short query's candidates leaves slots free,
+        and the pointers its batch's padding adds do not fill them."""
+        model = random_model(2, vocab_size=4, max_src_len=4)
+        srcs = [np.array([3, 4, 5, 6]), np.array([3])]
+        config = BeamConfig(beam_size=4, max_target_len=1)
+        pools = beam_search_batch(model, *pad_sources(srcs), config)
+        for src, pool in zip(srcs, pools):
+            assert [r.ids for r in pool] == [r.ids for r in beam_search(model, src, config)]
+            assert all(i < model.config.vocab_size + len(src) for r in pool for i in r.ids)
+        assert len(pools[1]) == 3  # EOS, symbol 3 and @ptr_0
+
+    def test_a_batch_is_encoded_once(self, monkeypatch):
+        model = random_model(5, max_src_len=8)
+        encoded = []
+
+        def encode(self, *args, **kwargs):
+            encoded.append(args[0].shape)
+            return real_encode(self, *args, **kwargs)
+
+        real_encode = PointerGeneratorModel.encode
+        monkeypatch.setattr(PointerGeneratorModel, "encode", encode)
+        _, src_ids, mask = mixed_batch(model, 5)
+        beam_search_batch(model, src_ids, mask, BeamConfig(beam_size=3))
+        assert encoded == [src_ids.shape]
+
     def test_greedy_and_greedy_batch_match_an_argmax_reference(self):
         truncated = 0
         for seed in range(6):
@@ -338,7 +414,7 @@ class TestBatchedBeamSearch:
         """Empty and too-long sources are not decoded and get None in their
         places; the others are decoded in padded chunks of ``DECODE_ROWS //
         beam_size`` sources, in input order, and a beam wider than the
-        budget still decodes one source at a time."""
+        budget is refused."""
         model = SimpleNamespace(config=SimpleNamespace(max_src_len=7))
         sources = [[2 + i % 5] * (1 + i % 7) for i in range(2 * DECODE_ROWS + 3)]
         sources[5:5] = [[]]
@@ -362,8 +438,10 @@ class TestBatchedBeamSearch:
             assert decode_sources(model, sources, decode, beam_size) == expected
             assert shapes == plan, beam_size
         shapes.clear()
-        assert decode_sources(model, sources[:4], decode, DECODE_ROWS + 1) == expected[:4]
-        assert shapes == [(1, 1), (1, 2), (1, 3), (1, 4)]
+        for beam_size in (0, DECODE_ROWS + 1):
+            with pytest.raises(ValueError, match="beam_size"):
+                decode_sources(model, sources[:4], decode, beam_size)
+        assert shapes == []
 
     @pytest.mark.parametrize("beam_size", [1, 4, 8])
     def test_decode_sources_holds_at_most_decode_rows_rows(self, beam_size, monkeypatch):

@@ -231,6 +231,14 @@ def test_two_caches_of_one_model_do_not_share_buffers(model):
                                        atol=1e-5)
 
 
+def test_cached_cross_attention_keys_and_values_are_c_ordered(model):
+    """Every step multiplies against them, and strided buffers slow each
+    product."""
+    src, mask, _ = make_batch(model, [5, 2, 6], seed=11)
+    cache = model.start_decoding(src, mask)
+    assert all(kv.flags.c_contiguous for kv in cache.cross_kv)
+
+
 def test_select_after_the_capacity_doubled_twice(model):
     lengths = [4, 9, 6]
     src, mask, _ = make_batch(model, lengths, seed=13)

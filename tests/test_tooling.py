@@ -113,6 +113,27 @@ def test_kernel_sweep_names_tests_that_exist():
         assert callable(target), node_id
 
 
+def test_mutation_table_names_text_and_tests_that_exist():
+    """Each mutant of ``tests/mutants.py`` names an old text that occurs
+    exactly once in its file and test ids that pytest collects, so an edit
+    that moves a mutant's target fails here, not only when mutants run."""
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "tests" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    assert len(mutants.MUTANTS) >= 25
+    assert len({m.name for m in mutants.MUTANTS}) == len(mutants.MUTANTS)
+    for mutant in mutants.MUTANTS:
+        assert (PACKAGE / mutant.file).read_text().count(mutant.old) == 1, mutant.name
+        assert mutant.tests and mutant.old != mutant.new, mutant.name
+    ids = sorted({test for mutant in mutants.MUTANTS for test in mutant.tests})
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "pytest", "--collect-only", "-q",
+                           "-p", "no:cacheprovider", *ids], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
+
+
 @pytest.mark.parametrize("demo", ["01_linearization.py", "02_autodiff.py", "04_beam_search.py",
                                   "05_importers.py"])
 def test_demo_runs(demo):

@@ -19,6 +19,7 @@ from pointerparse.vocab import (
     EmptyCorpus,
     SymbolTable,
     UnknownSymbol,
+    SourceVocab,
     build_source_vocab,
     build_symbol_table,
 )
@@ -122,3 +123,40 @@ def test_source_vocab_unk_and_round_trip(tmp_path):
     vocab.save(path)
     loaded = type(vocab).load(path)
     assert loaded == vocab
+
+
+TABLE = ["<pad>", "<bos>", "<eos>", "I", "[s", "s]"]
+
+
+@pytest.mark.parametrize("symbols, message", [
+    (TABLE[3:4] + TABLE[1:3] + TABLE[:1] + TABLE[4:], "must start <pad> <bos> <eos>"),
+    (TABLE[:2] + TABLE[3:], "must start <pad> <bos> <eos>"),
+    (TABLE + ["@ptr_0"], "pointer or special"),
+    (TABLE + ["<bos>"], "pointer or special"),
+    (TABLE + ["I"], "listed twice"),
+])
+def test_symbol_table_from_json_refuses_a_table_it_did_not_write(symbols, message):
+    with pytest.raises(ValueError, match=message):
+        SymbolTable.from_json({"symbols": symbols, "max_src_len": 4})
+    table = SymbolTable.from_json({"symbols": TABLE, "max_src_len": 4})
+    assert SymbolTable.from_json(table.to_json()) == table
+
+
+@pytest.mark.parametrize("words, message", [
+    (["the", "<unk>", "<pad>"], "must start <pad> <unk>"),
+    (["<unk>", "<pad>", "the"], "must start <pad> <unk>"),
+    (["<pad>", "<unk>", "the", "the"], "listed twice"),
+    (["<pad>", "<unk>", "<pad>"], "listed twice"),
+])
+def test_source_vocab_from_json_refuses_words_it_did_not_write(words, message):
+    with pytest.raises(ValueError, match=message):
+        SourceVocab.from_json({"words": words})
+
+
+def test_source_vocab_lists_the_reserved_words_once():
+    """A query token spelled like a reserved word is not a second entry:
+    ``<unk>`` reads as UNK and ``<pad>`` as PAD."""
+    vocab = build_source_vocab([["play", "<unk>"], ["<pad>", "the"]])
+    assert vocab.words == ("<pad>", "<unk>", "play", "the")
+    assert vocab.encode(["<pad>", "<unk>", "play"]) == [vocab.pad_id, vocab.unk_id, 2]
+    assert SourceVocab.from_json(vocab.to_json()) == vocab
