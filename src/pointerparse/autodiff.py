@@ -38,8 +38,11 @@ thread).  With no tape active, ops are pure forward computations.  A
 backward closure computes a gradient only for the inputs that require one.
 No tensor has a gradient until a backward writes one, parameters
 included.  ``Tape.backward`` walks the recorded nodes in reverse order
-exactly once and drops each node's gradient once its closure has run, so a
-finished backward holds only the gradients of the leaves it reached.
+exactly once and drops each node's gradient and closure as it passes the
+node, so a finished backward holds only the gradients of the leaves it
+reached and no closure: a caller may keep the loss or the logits without
+keeping the graph's inputs and saved arrays alive.  A tape runs backward
+once; a second call raises ``GraphFreed``.
 """
 
 from __future__ import annotations
@@ -62,6 +65,10 @@ class NonScalarLoss(ValueError):
 
 class TapeOrderError(RuntimeError):
     """A tape exited while it was not the innermost active tape."""
+
+
+class GraphFreed(RuntimeError):
+    """A tape's backward ran again after its first run freed the graph."""
 
 
 class Tensor:
@@ -104,6 +111,7 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[Tensor] = []
+        self.freed = False  # backward has run and dropped the closures
 
     def __enter__(self) -> "Tape":
         _tape_stack.append(self)
@@ -115,13 +123,22 @@ class Tape:
         _tape_stack.pop()
 
     def backward(self, loss: Tensor) -> None:
+        """Accumulate d loss / d leaf into each leaf the loss reaches, then
+        free the graph: each recorded node loses its gradient and its
+        closure (with the inputs and arrays the closure held) once the walk
+        has passed it, reached or not.  ``nodes`` still lists the nodes.
+        A second call raises ``GraphFreed`` before it writes anything."""
+        if self.freed:
+            raise GraphFreed("this tape's backward has run and freed its graph")
         if loss.data.size != 1:
             raise NonScalarLoss(f"loss must be scalar, got shape {loss.data.shape}")
+        self.freed = True
         _accumulate(loss, np.ones_like(loss.data))
         for node in reversed(self.nodes):
             if node.grad is not None:
                 node._backward(node.grad)
                 node.grad = None  # read once: only the leaves keep a gradient
+            node._backward = None  # and with it the graph behind the node
 
 
 def _accumulate(t: Tensor, g: Array) -> None:
@@ -353,8 +370,10 @@ def softmax_f32(x: Array) -> Array:
     """Softmax of a plain float32 array over its last axis, written into
     ``x`` and returned; the normalizer sums in float64.  Not a tape op."""
     # The reductions are called as ufuncs: ``ndarray.max``/``sum`` compute
-    # the same through a Python wrapper.
-    x -= np.maximum.reduce(x, axis=-1, keepdims=True)
+    # the same through a Python wrapper.  ``fmax`` skips NaNs where
+    # ``maximum`` returns them, but a row with a NaN comes out all NaN
+    # either way, and numpy reduces short rows faster with ``fmax``.
+    x -= np.fmax.reduce(x, axis=-1, keepdims=True)
     np.exp(x, out=x)
     x /= np.add.reduce(x, axis=-1, keepdims=True, dtype=np.float64).astype(np.float32)
     return x
@@ -374,8 +393,9 @@ def softmax(a: Tensor) -> Tensor:
 
 def log_softmax_f64(x: Array) -> Array:
     """Log-softmax of a plain array over its last axis, in float64; not a
-    tape op.  The max is subtracted in the input's dtype."""
-    shifted = (x - np.maximum.reduce(x, axis=-1, keepdims=True)).astype(np.float64)
+    tape op.  The max (``fmax``, as in ``softmax_f32``) is subtracted in
+    the input's dtype."""
+    shifted = (x - np.fmax.reduce(x, axis=-1, keepdims=True)).astype(np.float64)
     return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
 
 

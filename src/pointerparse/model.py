@@ -366,8 +366,9 @@ class DecoderCache:
     Each layer's self-attention keys and values share one buffer [rows,
     capacity, 2, heads, head_dim] that ``PointerGeneratorModel.step``
     writes one position into.  The capacity starts at 16 positions and
-    doubles as needed, up to ``max_tgt_len``; the rows grow only when
-    ``select`` asks for more than were ever allocated.
+    doubles as needed, up to ``max_tgt_len``, and each doubling keeps only
+    the live rows; the rows grow when ``select`` asks for more than the
+    buffers hold.
     """
 
     INITIAL_CAPACITY = 16
@@ -394,20 +395,21 @@ class DecoderCache:
 
     def _resize(self, rows: int, capacity: int) -> None:
         """Move every K/V buffer to a new [rows, capacity, ...] one,
-        keeping the positions written so far."""
-        def resized(buf: np.ndarray) -> np.ndarray:
+        keeping the live rows' positions written so far.  One layer at a
+        time, so each old buffer is dropped before the next new one is
+        built."""
+        for i, buf in enumerate(self.self_kv):
             out = np.empty((rows, capacity) + buf.shape[2:], np.float32)
             out[: self.rows, : self.length] = buf[: self.rows, : self.length]
-            return out
-
-        self.self_kv = [resized(kv) for kv in self.self_kv]
+            self.self_kv[i] = out
 
     def layer_kv(self, i: int) -> np.ndarray:
         """Layer ``i``'s K/V buffer over the live rows, with room for
-        position ``length``."""
+        position ``length``.  Growing the capacity keeps only the live
+        rows."""
         capacity = self.self_kv[0].shape[1]
         if self.length == capacity:
-            self._resize(self.self_kv[0].shape[0], min(2 * capacity, self.max_len))
+            self._resize(self.rows, min(2 * capacity, self.max_len))
         return self.self_kv[i][: self.rows]
 
     def select(self, rows, h: int) -> None:

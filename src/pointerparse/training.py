@@ -217,6 +217,22 @@ class TrainResult:
 TIMING_FIELDS = ("wall_s", "examples_per_s", "tgt_tokens_per_s")
 
 
+def _forward_backward(model: PointerGeneratorModel, batch: Batch, rng: DropoutRng,
+                      epsilon_ls: float) -> float:
+    """Teacher-forced training forward, label-smoothed loss and backward of
+    one batch on a tape of its own; returns the loss's value.  The backward
+    frees the graph, and the tape, which still lists the nodes and so their
+    outputs, goes with this frame, so the optimizer step, dev decoding and
+    the next forward run with none of this step's activations held."""
+    with Tape() as tape:
+        logits = model.forward_teacher_forced(
+            batch.src_ids, batch.src_mask, batch.tgt_in, train=True, rng=rng
+        )
+        loss = label_smoothed_ce(logits, batch.gold, batch.step_mask, batch.support_mask, epsilon_ls)
+        tape.backward(loss)
+    return loss.item()
+
+
 def train_loop(
     train_examples: Sequence[CorpusExample],
     dev_examples: Optional[Sequence[CorpusExample]],
@@ -341,18 +357,7 @@ def train_loop(
         tgt_tokens += int(batch.step_mask.sum())
 
         model.zero_grad()
-        with Tape() as tape:
-            logits = model.forward_teacher_forced(
-                batch.src_ids, batch.src_mask, batch.tgt_in, train=True, rng=dropout_rng
-            )
-            loss = label_smoothed_ce(
-                logits, batch.gold, batch.step_mask, batch.support_mask, cfg.epsilon_ls
-            )
-            tape.backward(loss)
-        # Only the loss's value outlives the step, so the next forward does
-        # not run while this step's graph is still held.
-        loss = loss.item()
-        del logits, tape
+        loss = _forward_backward(model, batch, dropout_rng, cfg.epsilon_ls)
         lr = noam_lr(step, model_config.d_model, cfg.warmup_steps)
         try:
             grad_norm, clip_factor = adam_step(model.parameters(), adam, lr)

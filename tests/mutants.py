@@ -8,10 +8,9 @@ For each mutant alone (or each one named), the runner copies ``src/``,
 directory, replaces the mutant's old text with its new text there, and runs
 only the mutant's tests, with ``-x``, in one child ``python -m pytest`` in
 that directory, with the copy of ``src/`` first on ``PYTHONPATH``; one child
-runs at a time.  The tests are copied too because some start a child
-``python -m pointerparse.cli`` with their own checkout's ``src/`` first on
-its path.  A mutant is killed when its tests fail, and survives
-when they pass.  The runner prints each outcome with its wall time and exits
+runs at a time.  Tests that start a child process of their own put the
+imported package's directory, here the copy's ``src/``, first on its path.
+A mutant is killed when its tests fail, and survives when they pass.  The runner prints each outcome with its wall time and exits
 1 if any mutant survives or its child cannot run the tests.
 ``tests/test_tooling.py`` checks, without running any mutant, that each old
 text occurs exactly once in its file and that each test id names a test, so
@@ -208,6 +207,25 @@ MUTANTS = (
            "no beam is wider than DECODE_ROWS, so no chunk holds more rows",
            (f"{_DEC}::TestBeamSearch::test_beam_size_validation",
             f"{_DEC}::TestBatchedBeamSearch::test_decode_sources_pads_chunks_in_order")),
+    # A finished backward frees its graph; the decoder cache holds the live rows.
+    Mutant("closures_kept_after_backward", "autodiff.py",
+           "            node._backward = None  # and with it the graph behind the node\n", "",
+           "a finished backward holds no closure, so a held loss keeps no other array alive",
+           ("tests/test_autodiff.py::TestBackwardBasics"
+            "::test_a_held_loss_keeps_no_array_of_its_graph_alive",
+            "tests/test_autodiff.py::TestBackwardBasics"
+            "::test_backward_drops_every_closure_reached_or_not",
+            f"{_MODEL}::test_a_held_loss_and_logits_keep_no_other_array_of_the_step_alive")),
+    Mutant("second_backward_unguarded", "autodiff.py",
+           "        if self.freed:\n", "        if False:\n",
+           "a second backward on a tape raises GraphFreed before it writes any gradient",
+           ("tests/test_autodiff.py::TestBackwardBasics"
+            "::test_a_second_backward_raises_before_writing_any_gradient",)),
+    Mutant("capacity_grows_every_allocated_row", "model.py",
+           "self._resize(self.rows, min(2 * capacity, self.max_len))",
+           "self._resize(self.self_kv[0].shape[0], min(2 * capacity, self.max_len))",
+           "growing the self-attention capacity keeps only the live rows",
+           (f"{_MODEL}::test_growing_the_capacity_keeps_only_the_live_rows",)),
 )
 
 # Mutants whose target the code no longer has, each with the reason.

@@ -1,9 +1,12 @@
+import weakref
+
 import numpy as np
 import pytest
 
 from pointerparse import autodiff
 from pointerparse.autodiff import (
     DropoutRng,
+    GraphFreed,
     NonScalarLoss,
     Packing,
     ShapeMismatch,
@@ -69,6 +72,31 @@ class TestForwardValues:
         eye = np.broadcast_to(np.eye(8, dtype=np.float32), (3, 8, 8))
         np.testing.assert_array_equal(autodiff.attention_probs(x, eye, None, 1.0), expected)
 
+    def test_row_max_kernels_match_the_maximum_formula(self):
+        """``softmax_f32`` and ``log_softmax_f64`` take the row max with
+        ``fmax``; on rows of 1 to 64 entries, with -1e9 fills, infinities,
+        a NaN and all-equal entries, both stay bit-equal to the formulas
+        with ``np.maximum``: a row with a NaN comes out all NaN either way."""
+        rng = np.random.default_rng(31)
+        for n in range(1, 65):
+            rows = (rng.standard_normal((8, n)) * 3.0).astype(np.float32)
+            rows[1, n // 2:] = autodiff.MASK_FILL_VALUE
+            rows[2, rng.integers(n)] = np.inf
+            rows[3, rng.integers(n)] = -np.inf
+            rows[4, rng.integers(n)] = np.nan
+            rows[5] = rows[0, 0]
+            rows[6] = -np.inf
+            rows[7, : (n + 1) // 2] = np.nan
+            with np.errstate(invalid="ignore"):
+                top = np.maximum.reduce(rows, axis=-1, keepdims=True)
+                exp = np.exp(rows - top)
+                probs = exp / np.add.reduce(exp, axis=-1, keepdims=True,
+                                            dtype=np.float64).astype(np.float32)
+                shifted = (rows - top).astype(np.float64)
+                log_probs = shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
+                np.testing.assert_array_equal(autodiff.softmax_f32(rows.copy()), probs)
+                np.testing.assert_array_equal(autodiff.log_softmax_f64(rows), log_probs)
+
     def test_log_softmax_matches_log_of_softmax(self):
         x = constant(rand(4, 9, seed=3, scale=5.0))
         np.testing.assert_allclose(
@@ -132,6 +160,42 @@ class TestBackwardBasics:
         assert len(tape.nodes) == 3
         assert all(node.grad is None for node in tape.nodes)
         np.testing.assert_allclose(x.grad, 2 * x.data)
+
+    def test_a_held_loss_keeps_no_array_of_its_graph_alive(self):
+        """Backward drops every closure, and with them the inputs and saved
+        arrays they held: once the tape is gone, the loss alone keeps
+        nothing of the graph behind it."""
+        x = parameter(rand(3, 4, seed=5))
+        with Tape() as tape:
+            h = mul(x, x)
+            loss = reduce_sum(relu(h))
+            tape.backward(loss)
+        held = weakref.ref(h.data)
+        del h, tape
+        assert held() is None
+        assert loss.item() > 0
+
+    def test_backward_drops_every_closure_reached_or_not(self):
+        x = parameter(rand(3, 4, seed=5))
+        with Tape() as tape:
+            mul(x, x)  # recorded, but the loss does not reach it
+            tape.backward(reduce_sum(relu(x)))
+        assert len(tape.nodes) == 3
+        assert all(node._backward is None for node in tape.nodes)
+
+    def test_a_second_backward_raises_before_writing_any_gradient(self):
+        """The first walk dropped every closure, so a second call raises
+        ``GraphFreed`` before it seeds the loss: no gradient changes."""
+        x, w = parameter(rand(3, 4, seed=5)), parameter(rand(3, 4, seed=6))
+        with Tape() as tape:
+            loss = reduce_sum(mul(x, w))
+            tape.backward(loss)
+            grads = [x.grad.copy(), w.grad.copy()]
+            with pytest.raises(GraphFreed):
+                tape.backward(loss)
+        np.testing.assert_array_equal(x.grad, grads[0])
+        np.testing.assert_array_equal(w.grad, grads[1])
+        assert loss.grad is None
 
     def test_non_scalar_loss_rejected(self):
         x = parameter(rand(3, seed=8))

@@ -22,6 +22,10 @@ from pointerparse.training import TIMING_FIELDS, prepare_corpus
 from pointerparse.vocab import SourceVocab
 from helpers import TINY_CONFIG
 
+# The directory of the package under test, for child processes: the caller's
+# PYTHONPATH may name another copy than this checkout's src/.
+SRC = str(Path(checkpoint.__file__).resolve().parents[1])
+
 
 @pytest.fixture()
 def saved(tmp_path):
@@ -282,9 +286,8 @@ def test_save_fsyncs_before_the_rename_and_the_parent_after(saved, monkeypatch):
 def test_provenance_records_the_blas_kernel_core_that_runs():
     """``OPENBLAS_CORETYPE`` makes numpy's OpenBLAS run another kernel core,
     and the provenance of that process names it."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, OPENBLAS_CORETYPE="Haswell",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", "import json; from pointerparse.checkpoint "
                            "import provenance; print(json.dumps(provenance()))"],
                           env=env, capture_output=True, text=True, timeout=60)
@@ -301,10 +304,9 @@ STEPS = 30  # of the killed run and of its uninterrupted twin
 
 
 def _train_process(corpus: Path, config: Path, ckpt: Path, resume=None) -> subprocess.Popen:
-    """``pointerparse train`` in its own process, with the package on
-    ``PYTHONPATH``."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    """``pointerparse train`` in its own process, with the package under
+    test on ``PYTHONPATH``."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     cmd = [sys.executable, "-m", "pointerparse.cli", "train", "--corpus", str(corpus),
            "--checkpoint", str(ckpt), "--config", str(config), "--max-steps", str(STEPS),

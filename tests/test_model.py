@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -292,6 +294,33 @@ def test_grouped_rows_match_teacher_forcing_past_two_capacity_doublings(model):
             np.testing.assert_allclose(_cache_logits(model, cache, prefixes[:, t]), logits[:, t],
                                        atol=1e-5)
     assert (cache.queries, cache.h, cache.self_kv[0].shape[1]) == (3, 2, steps)
+
+
+def test_growing_the_capacity_keeps_only_the_live_rows():
+    """A capacity doubling after queries left moves only the live rows, in
+    every layer, and ``select`` grows the rows again when a beam widens;
+    the steps stay bit-equal to a twin cache whose buffers never shrank."""
+    model = PointerGeneratorModel(tiny_config(n_dec_layers=2), seed=7)
+    steps = model.config.max_tgt_len  # capacities 16, 32, then this
+    shrunk, _, _, prefixes = _grouped_cache(model, [4, 9, 6, 7], steps, seed=24)
+    kept, *_ = _grouped_cache(model, [4, 9, 6, 7], steps, seed=24)
+    kept._resize(kept.rows, steps)  # all 8 rows at full capacity: never resized again
+    selects = {5: (np.array([0, 1, 4, 5]), 2),  # queries 1 and 3 leave
+               20: (np.array([0, 0, 1, 1, 2, 2, 3, 3]), 4)}  # both widen to 4 rows
+    held = {15: 8, 16: 4, 19: 4, 20: 8}  # rows the buffers hold after step t
+    for t in range(1, steps):
+        if t in selects:
+            rows, h = selects[t]
+            prefixes = prefixes[rows]
+            for cache in (shrunk, kept):
+                cache.select(rows, h)
+        a, b = model.step(shrunk, prefixes[:, t]), model.step(kept, prefixes[:, t])
+        np.testing.assert_array_equal(a.log_probs, b.log_probs)
+        if t in held:
+            assert {kv.shape[0] for kv in shrunk.self_kv} == {held[t]}
+    assert [kv.shape[:2] for kv in shrunk.self_kv] == [(8, steps)] * 2
+    for a, b in zip(shrunk.self_kv, kept.self_kv):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_select_moves_source_state_in_place(model):
@@ -595,6 +624,23 @@ def test_acceptance_training_step_records_97_tape_nodes():
     alone, so they need no layout node."""
     model, batch = _acceptance_training_step(8)
     assert len(_run_training_step(model, batch).nodes) == 97
+
+
+def test_a_held_loss_and_logits_keep_no_other_array_of_the_step_alive():
+    """A finished backward frees its graph: with the tape gone, a caller
+    that keeps the loss and the logits of an acceptance-config step keeps
+    none of the other 95 nodes' outputs alive."""
+    model, batch = _acceptance_training_step(8)
+    with ad.Tape() as tape:
+        logits = model.forward_teacher_forced(batch.src_ids, batch.src_mask, batch.tgt_in,
+                                              train=True, rng=ad.DropoutRng(seed=17))
+        loss = label_smoothed_ce(logits, batch.gold, batch.step_mask, batch.support_mask, 0.1)
+        tape.backward(loss)
+    others = [weakref.ref(node.data) for node in tape.nodes
+              if node is not logits and node is not loss]
+    assert len(others) == 95
+    del tape
+    assert sum(ref() is not None for ref in others) == 0
 
 
 def test_every_training_product_runs_on_the_packed_rows(monkeypatch):

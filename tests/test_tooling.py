@@ -20,6 +20,10 @@ from pointerparse.model import ModelConfig, PointerGeneratorModel
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path(pointerparse.__file__).resolve().parent
+# Child processes import the package under test, which the caller's
+# PYTHONPATH may take from another copy than this checkout's src/.
+CHILD_PYTHONPATH = os.pathsep.join(
+    filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
 
 
 def test_no_assert_statements_in_the_package():
@@ -126,8 +130,7 @@ def test_mutation_table_names_text_and_tests_that_exist():
         assert (PACKAGE / mutant.file).read_text().count(mutant.old) == 1, mutant.name
         assert mutant.tests and mutant.old != mutant.new, mutant.name
     ids = sorted({test for mutant in mutants.MUTANTS for test in mutant.tests})
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    env = dict(os.environ, PYTHONPATH=CHILD_PYTHONPATH)
     done = subprocess.run([sys.executable, "-m", "pytest", "--collect-only", "-q",
                            "-p", "no:cacheprovider", *ids], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
@@ -138,11 +141,10 @@ def test_mutation_table_names_text_and_tests_that_exist():
                                   "05_importers.py"])
 def test_demo_runs(demo):
     """Each fast demo runs to exit code 0 in its own process, with the package
-    on ``PYTHONPATH``.  ``03_train_and_evaluate.py`` is left out: it trains a
-    model for about 80 s, and the criterion-5 test already covers training
-    followed by beam-4 evaluation."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    under test on ``PYTHONPATH``.  ``03_train_and_evaluate.py`` is left out:
+    it trains a model for about 80 s, and the criterion-5 test already covers
+    training followed by beam-4 evaluation."""
+    env = dict(os.environ, PYTHONPATH=CHILD_PYTHONPATH)
     done = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr[-2000:]
