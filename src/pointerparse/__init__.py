@@ -21,7 +21,7 @@ from .linearize import (
     validate,
 )
 from .vocab import SourceVocab, SymbolTable, build_source_vocab, build_symbol_table
-from .model import ModelConfig, OutputDistribution, PointerGeneratorModel
+from .model import ModelConfig, PointerGeneratorModel
 from .decoding import BeamConfig, DecodeResult, beam_search, greedy
 from .training import TrainConfig, TrainResult, prepare_corpus, train_loop
 from .metrics import EvalReport, evaluate, exact_match, intent_of

@@ -165,6 +165,8 @@ def cmd_import(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.max_src_len is not None and args.max_src_len < 1:
+        raise UsageError(f"--max-src-len must be at least 1, got {args.max_src_len}")
     corpus_dir = Path(args.corpus)
     train_path = corpus_dir / "train.jsonl" if corpus_dir.is_dir() else corpus_dir
     train_examples = read_jsonl(train_path)

@@ -3,11 +3,11 @@
 One decoder, ``beam_search_batch``, serves every caller: a beam of one is
 greedy decoding, and ``beam_search`` and ``greedy`` are batches of one query.
 It works on symbol-table ids: ids below ``vocab_size`` are parse symbols, the
-rest are pointers.  PAD and BOS are banned outright, pointers at or beyond a
-query's length are banned per query, and ties break toward the earlier
-hypothesis, then the lower id, so decoding is deterministic.  Generation
-stops at EOS or at ``2n + 16`` emitted symbols, whichever comes first;
-hitting the cap marks the result truncated.
+rest are pointers.  The model's step gives each query's pointers past its
+length a log-prob of -inf, the search bans PAD and BOS, and ties break
+toward the earlier hypothesis, then the lower id, so decoding is
+deterministic.  Generation stops at EOS or at ``2n + 16`` emitted symbols,
+whichever comes first; hitting the cap marks the result truncated.
 
 Decoding is incremental: each ``model.step`` feeds one new symbol for every
 live hypothesis of every query in the batch to one ``DecoderCache``.  Its
@@ -141,28 +141,27 @@ def beam_search_batch(
     k = config.beam_size
     src_ids = np.atleast_2d(np.asarray(src_ids))
     src_mask = np.atleast_2d(np.asarray(src_mask, dtype=bool))
-    lengths = src_mask.sum(axis=1)
-    caps = target_cap(lengths) if config.max_target_len is None else np.full_like(
-        lengths, config.max_target_len)
-    v = model.config.vocab_size
-    width = v + src_ids.shape[1]
-    ban = np.where(np.arange(width) < v + lengths[:, None], 0.0, -np.inf)
-    ban[:, [PAD_ID, BOS_ID]] = -np.inf
+    queries = len(src_ids)
+    caps = (target_cap(src_mask.sum(axis=1)) if config.max_target_len is None
+            else np.full(queries, config.max_target_len))
+    width = model.config.vocab_size + src_ids.shape[1]
+    ban = np.zeros(width)
+    ban[[PAD_ID, BOS_ID]] = -np.inf
     cache = model.start_decoding(src_ids, src_mask)
 
-    pools: list[list[DecodeResult]] = [[] for _ in lengths]
-    floor = np.full(len(lengths), -np.inf)  # a full pool's k-th best score
-    live = np.arange(len(lengths))  # queries still searching, in row order
+    pools: list[list[DecodeResult]] = [[] for _ in range(queries)]
+    floor = np.full(queries, -np.inf)  # a full pool's k-th best score
+    live = np.arange(queries)  # queries still searching, in row order
     # Each live query has h consecutive rows; one with fewer live hypotheses
     # fills the rest with dead rows scored -inf, which never rank.
     h = 1
-    scores = np.zeros(len(lengths))
-    tokens = np.full(len(lengths), BOS_ID)
-    emitted = np.zeros((len(lengths), 0), dtype=np.int64)
+    scores = np.zeros(queries)
+    tokens = np.full(queries, BOS_ID)
+    emitted = np.zeros((queries, 0), dtype=np.int64)
     while live.size:
         # [Q, h, width]: each live query's h rows
-        totals = model.step(cache, tokens).log_probs.astype(np.float64).reshape(live.size, h, width)
-        totals += ban[live, None]
+        totals = model.step(cache, tokens).astype(np.float64).reshape(live.size, h, width)
+        totals += ban
         totals += scores.reshape(live.size, h, 1)
         touched = set()
         if k >= 2:

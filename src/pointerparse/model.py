@@ -38,8 +38,11 @@ values, pointer keys, padding) is held once per query, and a query's h rows
 attend to and point at that one copy.  The step runs off the tape: the cache
 holds plain float32 arrays, and the step calls the kernels the tape ops call
 (``ad.weight_product``, ``ad.layer_norm_forward``, ``ad.attention_probs``) on
-them, so it builds no ``Tensor``.  The teacher-forced pass is the reference
-the cached step is tested against.
+them, so it builds no ``Tensor``.  It returns the joint log-probs the search
+ranks, and it alone masks the pointers past each query's length: at -inf, so
+they never rank (training's logits use the finite ``MASK_FILL_VALUE``, which
+its backward needs).  The teacher-forced pass is the reference the cached
+step is tested against.
 """
 
 from __future__ import annotations
@@ -149,19 +152,6 @@ class ModelConfig:
         if wrong:
             raise ConfigValueError(f"model_config {' and '.join(wrong)}")
         return cls(**obj)
-
-
-@dataclass
-class OutputDistribution:
-    """Joint next-token distribution at one decode step."""
-
-    vocab_scores: np.ndarray    # [B, |V|], unnormalized
-    pointer_scores: np.ndarray  # [B, n], unnormalized bilinear attention
-    log_probs: np.ndarray       # [B, |V|+n], normalized
-
-    @property
-    def probs(self) -> np.ndarray:
-        return np.exp(self.log_probs)
 
 
 def sinusoidal_positions(length: int, dim: int) -> np.ndarray:
@@ -502,7 +492,8 @@ class PointerGeneratorModel:
         under ``src_mask`` (every position when None): rows [P, d_model] in
         ``np.nonzero(src_mask)`` order, with their packing.  Only those rows
         go through the embedding, LayerNorms, Linears, FFNs, dropout and
-        residual adds, and attention takes them packed.
+        residual adds, and attention takes them packed.  A row with no real
+        position is refused (EmptySource), as an empty source is.
         Training runs it on the tape, and ``start_decoding`` with no tape
         active, where the ops are pure forward computations."""
         src_ids = self._sources(src_ids)
@@ -510,6 +501,9 @@ class PointerGeneratorModel:
         packing = ad.Packing(mask)
         if packing.shape != src_ids.shape:
             raise ad.ShapeMismatch(f"source mask {packing.shape} vs source ids {src_ids.shape}")
+        filled = np.logical_or.reduce(packing.mask, axis=1)
+        if not filled.all():
+            raise EmptySource(f"source row {int(filled.argmin())} has no real token")
         p = self.config.dropout
         x = ad.scale(ad.gather(self.src_embed, packing.gather(src_ids)), math.sqrt(self.config.d_model))
         x = ad.add(x, ad.constant(self.enc_positions.data[packing.real[1]]))
@@ -586,9 +580,11 @@ class PointerGeneratorModel:
         return DecoderCache(cross_kv, ptr_keys, packing.mask, embed, qkv,
                             heads, self.config.d_dec // heads, self.config.max_tgt_len)
 
-    def step(self, cache: DecoderCache, tokens) -> OutputDistribution:
+    def step(self, cache: DecoderCache, tokens) -> np.ndarray:
         """Feed one decoder input id per cache row at the next position and
-        return the joint next-token distribution.  The step runs on plain
+        return the joint next-token log-probs, float32 [R, |V| + n]: one
+        softmax over the symbols and the pointers, with each query's
+        pointers past its own length at exactly -inf.  The step runs on plain
         float32 arrays through the kernels the tape ops use, so it builds no
         ``Tensor`` and computes what the ops would.  Rows stay [R, d]; the h
         rows of a query read its one copy of the source-side state, each
@@ -616,26 +612,24 @@ class PointerGeneratorModel:
         # [Q, h, 1, d] @ [Q, 1, d, n]: each row against its query's one copy
         pointer = states.reshape(cache.queries, cache.h, 1, -1) @ cache.ptr_keys[:, None]
         if cache.padded:
-            pointer = np.where(src_fill[:, :, 0], np.float32(ad.MASK_FILL_VALUE), pointer)
+            # -inf, not cross-attention's finite fill: a pointer past the
+            # query's length is no outcome, so its column may never rank.
+            pointer = np.where(src_fill[:, :, 0], np.float32(-np.inf), pointer)
         last = np.concatenate([self.vocab_out.apply(states), pointer.reshape(cache.rows, -1)],
                               axis=-1)
-        v = cfg.vocab_size
-        return OutputDistribution(
-            vocab_scores=last[:, :v],
-            pointer_scores=last[:, v:],
-            log_probs=ad.log_softmax_f64(last).astype(np.float32),
-        )
+        return ad.log_softmax_f64(last).astype(np.float32)
 
-    def decode_step(self, prefix_ids, src_ids, src_mask) -> OutputDistribution:
-        """Next-token distribution given decoder input prefixes [B, t] for
-        source ids [B, n]: the prefix goes through a fresh cache one position
-        at a time, so the result is what the decoders compute for the same
-        prefixes on the same number of rows.  On another row count it may
-        differ by float32 rounding (see ``step``)."""
+    def decode_step(self, prefix_ids, src_ids, src_mask) -> np.ndarray:
+        """Next-token log-probs, float32 [B, |V| + n] as ``step`` returns
+        them, given decoder input prefixes [B, t] for source ids [B, n]: the
+        prefix goes through a fresh cache one position at a time, so the
+        result is what the decoders compute for the same prefixes on the
+        same number of rows.  On another row count it may differ by float32
+        rounding (see ``step``)."""
         prefix = np.atleast_2d(np.asarray(prefix_ids))
         if prefix.shape[1] == 0:
             raise ValueError("decode_step needs a non-empty decoder prefix, at least BOS")
         cache = self.start_decoding(src_ids, src_mask)
         for t in range(prefix.shape[1]):
-            dist = self.step(cache, prefix[:, t])
-        return dist
+            log_probs = self.step(cache, prefix[:, t])
+        return log_probs

@@ -52,7 +52,7 @@ MUTANTS = (
            (f"{_DEC}::TestGreedy::test_truncation_flag_at_cap",
             f"{_DEC}::TestBatchedBeamSearch::test_no_eos_truncates_each_query_at_its_own_cap")),
     Mutant("bos_not_banned", "decoding.py",
-           "ban[:, [PAD_ID, BOS_ID]] = -np.inf", "ban[:, [PAD_ID]] = -np.inf",
+           "ban[[PAD_ID, BOS_ID]] = -np.inf", "ban[[PAD_ID]] = -np.inf",
            "BOS is never emitted",
            (f"{_DEC}::TestGreedy::test_output_never_contains_banned_ids",)),
     Mutant("scores_not_accumulated", "decoding.py",
@@ -60,13 +60,13 @@ MUTANTS = (
            "a hypothesis scores the sum of its log-probabilities",
            (f"{_DEC}::TestBeamSearch::test_scores_match_teacher_forced_recompute",
             f"{_DEC}::TestBeamSearch::test_matches_brute_force_enumeration")),
-    Mutant("pointer_ban_at_padded_width", "decoding.py",
-           "np.arange(width) < v + lengths[:, None]", "np.arange(width) < width + 0 * lengths[:, None]",
-           "each query bans the pointers at or past its own length",
+    Mutant("pointer_ban_at_padded_width", "model.py",
+           "np.float32(-np.inf)", "np.float32(ad.MASK_FILL_VALUE)",
+           "the step gives each query's pointers at or past its own length a log-prob of -inf",
            (f"{_DEC}::TestBatchedBeamSearch::test_a_short_query_emits_no_pointer_past_its_length",)),
     Mutant("scores_summed_in_float32", "decoding.py",
-           "model.step(cache, tokens).log_probs.astype(np.float64)",
-           "model.step(cache, tokens).log_probs.astype(np.float32)",
+           "model.step(cache, tokens).astype(np.float64)",
+           "model.step(cache, tokens).astype(np.float32)",
            "a hypothesis's score sums its log-probabilities in float64, as brute force does",
            (f"{_DEC}::TestBeamSearch::test_matches_brute_force_enumeration",)),
     Mutant("beam_one_keeps_closures", "decoding.py",

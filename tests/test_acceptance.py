@@ -212,9 +212,9 @@ def test_criterion_4_distribution_contract():
             prefix = np.concatenate(
                 [[BOS_ID], rng.integers(3, vocab, prefix_len - 1)]
             )[None, :]
-            dist = model.decode_step(prefix, src, mask)
-            assert dist.log_probs.shape == (1, vocab + n)
-            probs = dist.probs
+            log_probs = model.decode_step(prefix, src, mask)
+            assert log_probs.shape == (1, vocab + n)
+            probs = np.exp(log_probs)
             np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-5)
             assert np.all(probs[0, vocab + true_len:] == 0.0)
             checked += 1
@@ -294,8 +294,7 @@ def test_criterion_6_beam_properties():
     mask = np.ones((1, 1), dtype=bool)
 
     def step(prefix):
-        dist = model.decode_step(np.asarray([prefix]), src[None, :], mask)
-        row = dist.log_probs[0].astype(np.float64)
+        row = model.decode_step(np.asarray([prefix]), src[None, :], mask)[0].astype(np.float64)
         row[PAD_ID] = row[BOS_ID] = -np.inf
         return row
 

@@ -173,6 +173,20 @@ class TestUsageAndErrors:
         assert json.loads(err)["message"] == f"--count must be at least 1, got {count}"
         assert not out.exists()
 
+    @pytest.mark.parametrize("limit", ["0", "-2"])
+    def test_max_src_len_below_one_is_usage_error(self, limit, tmp_path, capsys):
+        """``train --max-src-len`` below 1 is refused before the corpus is
+        read: there is none."""
+        ckpt = tmp_path / "ckpt"
+        code = main(["train", "--corpus", str(tmp_path / "none"), "--checkpoint", str(ckpt),
+                     "--max-src-len", limit])
+        stdout, err = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert stdout == ""
+        assert_one_error_line(err, "UsageError")
+        assert json.loads(err)["message"] == f"--max-src-len must be at least 1, got {limit}"
+        assert not ckpt.exists()
+
 
 def _with_slot(**changes):
     """FLAT_EXAMPLE with its first slot's fields replaced."""

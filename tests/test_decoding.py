@@ -157,8 +157,7 @@ class TestBeamSearch:
         allowed = [EOS_ID, 3, 4]  # PAD/BOS banned; id 4 is the pointer @ptr_0
 
         def step_log_probs(prefix):
-            dist = model.decode_step(np.asarray([prefix]), src[None, :], mask)
-            row = dist.log_probs[0].astype(np.float64)
+            row = model.decode_step(np.asarray([prefix]), src[None, :], mask)[0].astype(np.float64)
             row[PAD_ID] = row[BOS_ID] = -np.inf
             return row
 
@@ -269,7 +268,7 @@ def reference_greedy(model, src_ids, src_mask):
     scores = [0.0] * len(src_ids)
     results = [None] * len(src_ids)
     while None in results:
-        log_probs = model.decode_step(prefix, src_ids, src_mask).log_probs.astype(np.float64)
+        log_probs = model.decode_step(prefix, src_ids, src_mask).astype(np.float64)
         tokens = np.full(len(src_ids), EOS_ID)
         for b in (b for b, res in enumerate(results) if res is None):
             row = log_probs[b]
@@ -300,7 +299,7 @@ def reference_beam(model, src, k):
         candidates = []
         for ids, score in live:
             row = model.decode_step(np.asarray([(BOS_ID, *ids)]), src[None], mask)
-            row = score + row.log_probs[0].astype(np.float64)
+            row = score + row[0].astype(np.float64)
             row[[PAD_ID, BOS_ID]] = -np.inf
             if k >= 2:
                 pool.append(DecodeResult(list(ids), float(row[EOS_ID])))

@@ -5,7 +5,9 @@ import pytest
 
 from pointerparse import autodiff as ad
 from pointerparse.data import default_grammar, generate_synthetic
+from pointerparse.decoding import BeamConfig, beam_search_batch
 from pointerparse.model import (
+    EmptySource,
     Linear,
     ModelConfig,
     ParamStore,
@@ -106,17 +108,32 @@ def test_identical_tokens_get_distinct_rows(model):
 def test_joint_distribution_length_and_normalization(model):
     for n in (1, 4, 9):
         src, mask, tgt = make_batch(model, [n], seed=n)
-        dist = model.decode_step(tgt, src, mask)
-        assert dist.log_probs.shape == (1, model.config.vocab_size + n)
-        np.testing.assert_allclose(dist.probs.sum(axis=-1), 1.0, atol=1e-5)
+        log_probs = model.decode_step(tgt, src, mask)
+        assert log_probs.dtype == np.float32
+        assert log_probs.shape == (1, model.config.vocab_size + n)
+        np.testing.assert_allclose(np.exp(log_probs).sum(axis=-1), 1.0, atol=1e-5)
 
 
 def test_zero_mass_on_padded_pointers(model):
+    """A short query's pointers past its length get a log-prob of exactly
+    -inf, so no search can rank them."""
     src, mask, tgt = make_batch(model, [3, 7], seed=2)
-    dist = model.decode_step(tgt, src, mask)
+    log_probs = model.decode_step(tgt, src, mask)
     v = model.config.vocab_size
-    assert np.all(dist.probs[0, v + 3 :] == 0.0)
-    np.testing.assert_allclose(dist.probs.sum(axis=-1), [1.0, 1.0], atol=1e-5)
+    assert np.all(log_probs[0, v + 3 :] == -np.inf)
+    assert np.isfinite(log_probs[0, : v + 3]).all() and np.isfinite(log_probs[1]).all()
+    np.testing.assert_allclose(np.exp(log_probs).sum(axis=-1), [1.0, 1.0], atol=1e-5)
+
+
+def test_a_source_row_with_no_real_token_is_refused(model):
+    """A padded batch may not hold an empty query, as ``beam_search`` of an
+    empty source may not: decoding and teacher forcing both refuse it."""
+    src = np.array([[3, 4, 5], [0, 0, 0]])
+    mask = src != 0
+    with pytest.raises(EmptySource, match="source row 1 has no real token"):
+        beam_search_batch(model, src, mask, BeamConfig(2))
+    with pytest.raises(EmptySource, match="source row 1 has no real token"):
+        model.forward_teacher_forced(src, mask, np.full((2, 1), BOS_ID))
 
 
 def test_prefix_pad_rejected(model):
@@ -126,13 +143,26 @@ def test_prefix_pad_rejected(model):
         model.decode_step(tgt, src, mask)
 
 
+def _assert_teacher_log_probs(model, log_probs, logits, mask):
+    """``log_probs`` [R, |V| + n], a step's float32 output, match within
+    1e-5 the log-softmax of the teacher-forced ``logits`` [R, |V| + n] over
+    each row's real columns, its symbols and the pointers its source mask
+    [R, n] keeps, and are exactly -inf at the pointers past them.  The
+    search ranks log-probs alone, so the logits' per-row shift, which this
+    cannot see, changes no result."""
+    real = np.concatenate([np.ones((len(mask), model.config.vocab_size), bool), mask], axis=1)
+    assert log_probs.dtype == np.float32 and log_probs.shape == real.shape
+    expected = ad.log_softmax_f64(np.where(real, logits, -np.inf))
+    np.testing.assert_allclose(log_probs[real], expected[real], atol=1e-5)
+    assert np.all(log_probs[~real] == -np.inf)
+
+
 def test_teacher_forcing_matches_stepwise_decoding(model):
     src, mask, tgt = make_batch(model, [6], prefix_len=5, seed=4)
-    logits = model.forward_teacher_forced(src, mask, tgt).data[0]
+    logits = model.forward_teacher_forced(src, mask, tgt).data
     for t in range(1, tgt.shape[1] + 1):
-        dist = model.decode_step(tgt[:, :t], src, mask)
-        step_logits = np.concatenate([dist.vocab_scores, dist.pointer_scores], axis=-1)[0]
-        np.testing.assert_allclose(step_logits, logits[t - 1], atol=1e-5)
+        _assert_teacher_log_probs(model, model.decode_step(tgt[:, :t], src, mask),
+                                  logits[:, t - 1], mask)
 
 
 def test_teacher_forcing_refuses_a_pad_before_a_symbol(model):
@@ -173,9 +203,10 @@ def test_each_example_of_a_padded_batch_gets_its_logits_alone(acceptance_width_m
         assert not logits[b, t:].any()
 
 
-def _cache_logits(model, cache, tokens):
-    dist = model.step(cache, tokens)
-    return np.concatenate([dist.vocab_scores, dist.pointer_scores], axis=-1)
+def _check_step(model, cache, tokens, logits, mask):
+    """Step ``cache`` on ``tokens`` and check it against the teacher-forced
+    ``logits`` [R, |V| + n] of rows whose source masks are ``mask``."""
+    _assert_teacher_log_probs(model, model.step(cache, tokens), logits, mask)
 
 
 def test_cached_steps_match_teacher_forcing_up_to_the_cap(model):
@@ -189,7 +220,7 @@ def test_cached_steps_match_teacher_forcing_up_to_the_cap(model):
     logits = model.forward_teacher_forced(src, mask, tgt).data
     cache = model.start_decoding(src, mask)
     for t in range(steps):
-        np.testing.assert_allclose(_cache_logits(model, cache, tgt[:, t]), logits[:, t], atol=1e-5)
+        _check_step(model, cache, tgt[:, t], logits[:, t], mask)
 
 
 def _check_against_teacher_forcing(model, cache, src, mask, prefixes, start):
@@ -197,8 +228,7 @@ def _check_against_teacher_forcing(model, cache, src, mask, prefixes, start):
     r of ``src``, checking every step against teacher forcing."""
     logits = model.forward_teacher_forced(src, mask, prefixes).data
     for t in range(start, prefixes.shape[1]):
-        np.testing.assert_allclose(_cache_logits(model, cache, prefixes[:, t]), logits[:, t],
-                                   atol=1e-5)
+        _check_step(model, cache, prefixes[:, t], logits[:, t], mask)
 
 
 def test_cache_select_keeps_each_row_on_its_own_prefix(model):
@@ -226,11 +256,10 @@ def test_two_caches_of_one_model_do_not_share_buffers(model):
         src, mask, _ = make_batch(model, lengths, seed=seed)
         tgt = _random_targets(model, lengths, 20, seed)
         logits = model.forward_teacher_forced(src, mask, tgt).data
-        batches.append((model.start_decoding(src, mask), tgt, logits))
+        batches.append((model.start_decoding(src, mask), mask, tgt, logits))
     for t in range(20):  # past the first capacity of 16 positions
-        for cache, tgt, logits in batches:
-            np.testing.assert_allclose(_cache_logits(model, cache, tgt[:, t]), logits[:, t],
-                                       atol=1e-5)
+        for cache, mask, tgt, logits in batches:
+            _check_step(model, cache, tgt[:, t], logits[:, t], mask)
 
 
 def test_cached_cross_attention_keys_and_values_are_c_ordered(model):
@@ -291,8 +320,7 @@ def test_grouped_rows_match_teacher_forcing_past_two_capacity_doublings(model):
             prefixes[:, lo:] = _random_targets(model, [4] * 6, steps - lo, seed=21 + seg)
         logits = model.forward_teacher_forced(src, mask, prefixes).data
         for t in range(lo, hi):
-            np.testing.assert_allclose(_cache_logits(model, cache, prefixes[:, t]), logits[:, t],
-                                       atol=1e-5)
+            _check_step(model, cache, prefixes[:, t], logits[:, t], mask)
     assert (cache.queries, cache.h, cache.self_kv[0].shape[1]) == (3, 2, steps)
 
 
@@ -314,8 +342,8 @@ def test_growing_the_capacity_keeps_only_the_live_rows():
             prefixes = prefixes[rows]
             for cache in (shrunk, kept):
                 cache.select(rows, h)
-        a, b = model.step(shrunk, prefixes[:, t]), model.step(kept, prefixes[:, t])
-        np.testing.assert_array_equal(a.log_probs, b.log_probs)
+        np.testing.assert_array_equal(model.step(shrunk, prefixes[:, t]),
+                                      model.step(kept, prefixes[:, t]))
         if t in held:
             assert {kv.shape[0] for kv in shrunk.self_kv} == {held[t]}
     assert [kv.shape[:2] for kv in shrunk.self_kv] == [(8, steps)] * 2
@@ -364,6 +392,26 @@ def test_a_middle_query_leaving_compacts_the_source_state(model):
         assert np.shares_memory(a, b)
         np.testing.assert_array_equal(a, original[[0, 2, 3]])
     _check_against_teacher_forcing(model, cache, src[rows], mask[rows], prefixes[rows], 5)
+
+
+def test_padded_pointers_stay_at_minus_inf_after_a_middle_query_leaves(model):
+    """The step alone masks each query's padded pointers: after the middle
+    query, the longest, leaves and the later query's source state moves
+    down, every later step gives each remaining row exactly -inf at the
+    pointers past its own query's length and a distribution over the rest."""
+    v = model.config.vocab_size
+    cache, src, mask, prefixes = _grouped_cache(model, [3, 9, 5], 16, seed=26)
+    for t in range(1, 4):
+        model.step(cache, prefixes[:, t])
+    rows = np.array([0, 1, 4, 5])  # query 1 leaves
+    cache.select(rows, 2)
+    real = np.concatenate([np.ones((len(rows), v), bool), mask[rows]], axis=1)
+    for t in range(4, 16):
+        log_probs = model.step(cache, prefixes[rows, t])
+        assert np.all(log_probs[~real] == -np.inf)
+        assert np.isfinite(log_probs[real]).all()
+        np.testing.assert_allclose(np.where(real, np.exp(log_probs), 0.0).sum(axis=1), 1.0,
+                                   atol=1e-5)
 
 
 def test_a_bad_layout_raises_before_any_write(model):
@@ -416,7 +464,7 @@ def test_token_count_must_match_the_cache_rows(model, fed, count):
         model.step(cache, tgt[:count, fed] if count <= 3 else np.resize(tgt[:, fed], count))
     # The refused step wrote nothing: the cache goes on as if it never ran.
     assert cache.length == fed
-    np.testing.assert_allclose(_cache_logits(model, cache, tgt[:, fed]), logits[:, fed], atol=1e-5)
+    _check_step(model, cache, tgt[:, fed], logits[:, fed], mask)
 
 
 def test_a_decode_step_builds_no_tensor_and_reads_no_tape(model, monkeypatch):
@@ -530,13 +578,15 @@ def test_identical_batch_rows_identical_outputs(model):
 
 
 def test_bilinear_linearity(model):
+    """The teacher-forced pointer block, the raw bilinear scores, doubles
+    with ``ptr_bilinear``."""
     src, mask, tgt = make_batch(model, [5], seed=8)
-    before = model.decode_step(tgt, src, mask).pointer_scores.copy()
+    v = model.config.vocab_size
+    before = model.forward_teacher_forced(src, mask, tgt).data[..., v:]
     model.ptr_bilinear.data *= 2.0
     try:
-        after = model.decode_step(tgt, src, mask).pointer_scores
-        real = ~np.isclose(before, -1e9)
-        np.testing.assert_allclose(after[real], 2.0 * before[real], rtol=1e-5)
+        after = model.forward_teacher_forced(src, mask, tgt).data[..., v:]
+        np.testing.assert_allclose(after, 2.0 * before, rtol=1e-5)
     finally:
         model.ptr_bilinear.data /= 2.0
 

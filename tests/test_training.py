@@ -648,8 +648,7 @@ class TestOverfitModelBehaviour:
             mask = np.ones_like(src, dtype=bool)
             t = spots[0]
             prefix = np.asarray([[BOS_ID] + ids[: t + 1]])
-            dist = model.decode_step(prefix, src, mask)
-            assert int(np.argmax(dist.log_probs[0])) == ids[t + 1]
+            assert int(np.argmax(model.decode_step(prefix, src, mask)[0])) == ids[t + 1]
             checked += 1
         assert checked >= 10
 
