@@ -256,12 +256,6 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     return _record(out, (a,), backward)
 
 
-def swap_last(a: Tensor) -> Tensor:
-    """Transpose the final two axes (attention helper)."""
-    order = tuple(range(a.data.ndim - 2)) + (a.data.ndim - 1, a.data.ndim - 2)
-    return transpose(a, order)
-
-
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(shape)
     try:
@@ -348,8 +342,6 @@ def gather(table: Tensor, ids) -> Tensor:
     out = Tensor(take_rows(table.data, idx))
 
     def backward(g: Array) -> None:
-        if not table.requires_grad:
-            return
         acc = np.zeros_like(table.data)
         np.add.at(acc, idx.reshape(-1), g.reshape(-1, table.data.shape[-1]))
         _accumulate(table, acc)
@@ -512,20 +504,15 @@ class DropoutRng:
         return (words < round(keep_prob * 65536)).reshape(shape)
 
 
-def dropout(a: Tensor, p: float, train: bool, rng: Optional[DropoutRng] = None,
-            packing: Optional[Packing] = None) -> Tensor:
-    """Inverted dropout.  Given a ``packing``, ``a`` holds its packed rows
-    [P, ...]: the mask is drawn at the padded shape [B, T, ...], and its
-    real rows are applied."""
-    if not train or p <= 0.0:
+def dropout(a: Tensor, p: float, rng: Optional[DropoutRng], packing: Packing) -> Tensor:
+    """Inverted dropout of the packed rows [P, ...] of ``packing``: the mask
+    is drawn at the padded shape [B, T, ...], and its real rows are
+    applied.  With no mask stream (``rng`` None), or ``p`` 0, it is the
+    identity: that is eval."""
+    if rng is None or p <= 0.0:
         return a
-    if rng is None:
-        raise ValueError("training-mode dropout needs a DropoutRng")
     keep = 1.0 - p
-    if packing is None:
-        mask = rng.next_mask(a.data.shape, keep)
-    else:
-        mask = packing.gather(rng.next_mask(packing.shape + a.data.shape[1:], keep))
+    mask = packing.gather(rng.next_mask(packing.shape + a.data.shape[1:], keep))
     inv_keep = np.float32(1.0 / keep)
     out = Tensor((a.data * inv_keep) * mask)
 
@@ -550,16 +537,16 @@ def attention_probs(q: Array, k: Array, blocked: Optional[Array], scale: float) 
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, q_packing: Packing, kv_packing: Packing,
-              heads: int, causal: bool, p: float = 0.0, train: bool = False,
-              rng: Optional[DropoutRng] = None) -> Tensor:
+              heads: int, causal: bool, p: float = 0.0, rng: Optional[DropoutRng] = None) -> Tensor:
     """Multi-head ``dropout(softmax(mask_fill(q @ k^T * scale))) @ v`` as one
     primitive on packed rows: q [Pq, d] at the real positions of
     ``q_packing``, k and v [Pk, d] at those of ``kv_packing``.  They are laid
     out padded per head, [B, heads, T, d / heads] (zeros at padding), with
     scale ``(d / heads) ** -0.5``.  The padding keys of ``kv_packing`` are
     blocked, and when ``causal`` so is every key after the query's position;
-    the dropout mask is drawn at the scores' shape [B, heads, Tq, Tk].
-    Returns the packed context [Pq, d]."""
+    the dropout mask is drawn at the scores' shape [B, heads, Tq, Tk], and
+    with no mask stream (``rng`` None) there is none.  Returns the packed
+    context [Pq, d]."""
     d = q.data.shape[-1]
     for name, t, packing in (("q", q, q_packing), ("k", k, kv_packing), ("v", v, kv_packing)):
         if t.data.shape != (len(packing.real[0]), d):
@@ -582,9 +569,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, q_packing: Packing, kv_packing: P
         blocked = blocked | np.triu(np.ones((q_packing.shape[1], kv_packing.shape[1]), bool), k=1)
     probs = attention_probs(qh, kh, blocked, scale)
     weights, drop = probs, None
-    if train and p > 0.0:
-        if rng is None:
-            raise ValueError("training-mode dropout needs a DropoutRng")
+    if rng is not None and p > 0.0:
         keep = 1.0 - p
         drop = rng.next_mask(probs.shape, keep)
         inv_keep = np.float32(1.0 / keep)

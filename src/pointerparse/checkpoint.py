@@ -338,29 +338,30 @@ def load_checkpoint(directory) -> Checkpoint:
     )
 
 
-def _step_dirs(root) -> list[Path]:
-    """The ``step_*`` checkpoint directories under ``root``, oldest first."""
+def step_dirs(root) -> list[Path]:
+    """The ``step_<digits>`` checkpoint directories under ``root``, oldest first."""
     return sorted(
-        (p for p in Path(root).glob("step_*") if p.is_dir()),
-        key=lambda p: int(p.name.split("_")[1]),
+        (p for p in Path(root).glob("step_*")
+         if p.name[5:].isascii() and p.name[5:].isdigit() and p.is_dir()),
+        key=lambda p: int(p.name[5:]),
     )
 
 
 def latest_checkpoint(path) -> Path:
     """``path`` itself if it holds a checkpoint, else its ``best``
-    checkpoint, else its newest ``step_*`` checkpoint.  A missing ``path``
+    checkpoint, else its newest ``step_<digits>`` checkpoint.  A missing ``path``
     or ``best`` is read from its ``.old`` copy when one is left."""
     path = Path(path)
     for candidate in (_recovered(path), _recovered(path / "best")):
         if (candidate / "manifest.json").exists():
             return candidate
-    steps = _step_dirs(path)
+    steps = step_dirs(path)
     if steps:
         return steps[-1]
     raise CheckpointError(f"no checkpoint found under {path}")
 
 
 def prune_checkpoints(root: Path, keep: int) -> None:
-    """Delete all but the newest ``keep`` step_* checkpoint directories."""
-    for stale in _step_dirs(root)[:-keep] if keep > 0 else []:
+    """Delete all but the newest ``keep`` ``step_<digits>`` checkpoints."""
+    for stale in step_dirs(root)[:-keep] if keep > 0 else []:
         shutil.rmtree(stale)

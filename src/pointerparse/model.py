@@ -230,13 +230,13 @@ class MultiHeadAttention:
         self.wv = Linear(store, f"{name}.v", d_kv_in, d_out)
         self.wo = Linear(store, f"{name}.o", d_out, d_out)
 
-    def __call__(self, query_in: PackedRows, kv_in: PackedRows, causal, p, train, rng) -> Tensor:
+    def __call__(self, query_in: PackedRows, kv_in: PackedRows, causal, p, rng) -> Tensor:
         """Scaled dot-product attention of packed query rows over packed
         key/value rows (the earlier ones alone when ``causal``), giving
         packed output rows [P, d_out]."""
         q, k, v = self.wq(query_in.x), self.wk(kv_in.x), self.wv(kv_in.x)
         return self.wo(ad.attention(q, k, v, query_in.packing, kv_in.packing, self.n_heads,
-                                    causal, p, train, rng))
+                                    causal, p, rng))
 
     def packed_keys_values(self, x: np.ndarray, packing: ad.Packing) -> np.ndarray:
         """Keys then values of packed rows x [P, d_kv_in], laid out per head
@@ -266,9 +266,9 @@ class FeedForward:
         self.inner = Linear(store, f"{name}.inner", dim, hidden)
         self.outer = Linear(store, f"{name}.outer", hidden, dim)
 
-    def __call__(self, x: PackedRows, p, train, rng) -> Tensor:
+    def __call__(self, x: PackedRows, p, rng) -> Tensor:
         """The block on packed rows, giving packed rows [P, dim]."""
-        return self.outer(ad.dropout(ad.relu(self.inner(x.x)), p, train, rng, x.packing))
+        return self.outer(ad.dropout(ad.relu(self.inner(x.x)), p, rng, x.packing))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """The block without dropout on a plain array, off the tape."""
@@ -282,15 +282,15 @@ class EncoderLayer:
         self.norm2 = LayerNorm(store, f"{name}.norm2", cfg.d_model)
         self.ffn = FeedForward(store, f"{name}.ffn", cfg.d_model, cfg.enc_ffn)
 
-    def __call__(self, x, packing, p, train, rng):
+    def __call__(self, x, packing, p, rng):
         """The layer on packed rows x [P, d_model], the real source positions
         ``packing`` names; every dropout mask is drawn at the padded shape."""
         def drop(t):
-            return ad.dropout(t, p, train, rng, packing)
+            return ad.dropout(t, p, rng, packing)
 
         h = PackedRows(self.norm1(x), packing)
-        x = ad.add(x, drop(self.attn(h, h, False, p, train, rng)))
-        return ad.add(x, drop(self.ffn(PackedRows(self.norm2(x), packing), p, train, rng)))
+        x = ad.add(x, drop(self.attn(h, h, False, p, rng)))
+        return ad.add(x, drop(self.ffn(PackedRows(self.norm2(x), packing), p, rng)))
 
 
 class DecoderLayer:
@@ -302,17 +302,17 @@ class DecoderLayer:
         self.norm3 = LayerNorm(store, f"{name}.norm3", cfg.d_dec)
         self.ffn = FeedForward(store, f"{name}.ffn", cfg.d_dec, cfg.dec_ffn)
 
-    def __call__(self, x, packing, enc, p, train, rng):
+    def __call__(self, x, packing, enc, p, rng):
         """The layer on packed rows x [P, d_dec], the real target positions
         ``packing`` names; every dropout mask is drawn at the padded shape."""
         def drop(t):
-            return ad.dropout(t, p, train, rng, packing)
+            return ad.dropout(t, p, rng, packing)
 
         h = PackedRows(self.norm1(x), packing)
-        x = ad.add(x, drop(self.self_attn(h, h, True, p, train, rng)))
+        x = ad.add(x, drop(self.self_attn(h, h, True, p, rng)))
         h = PackedRows(self.norm2(x), packing)
-        x = ad.add(x, drop(self.cross_attn(h, enc, False, p, train, rng)))
-        return ad.add(x, drop(self.ffn(PackedRows(self.norm3(x), packing), p, train, rng)))
+        x = ad.add(x, drop(self.cross_attn(h, enc, False, p, rng)))
+        return ad.add(x, drop(self.ffn(PackedRows(self.norm3(x), packing), p, rng)))
 
     def step(self, x, qkv, kv, t, cross_kv, src_fill):
         """Inference for one new position ``t`` per row on plain float32
@@ -475,28 +475,21 @@ class PointerGeneratorModel:
         for p in self.params.values():
             p.zero_grad()
 
-    def _sources(self, src_ids) -> np.ndarray:
-        """Source ids as a [B, n] array, refused when n is 0 or above
-        ``max_src_len``."""
-        src_ids = np.atleast_2d(np.asarray(src_ids))
-        n = src_ids.shape[1]
-        if n == 0:
-            raise EmptySource("a source needs at least one token")
-        if n > self.config.max_src_len:
-            raise SourceTooLong(f"{n} tokens exceeds max_src_len {self.config.max_src_len}")
-        return src_ids
-
     def encode(self, src_ids: np.ndarray, src_mask: Optional[np.ndarray] = None,
-               train: bool = False, rng: Optional[DropoutRng] = None) -> PackedRows:
+               rng: Optional[DropoutRng] = None) -> PackedRows:
         """Source ids [B, n] to the encoder states of their real positions
         under ``src_mask`` (every position when None): rows [P, d_model] in
         ``np.nonzero(src_mask)`` order, with their packing.  Only those rows
         go through the embedding, LayerNorms, Linears, FFNs, dropout and
         residual adds, and attention takes them packed.  A row with no real
-        position is refused (EmptySource), as an empty source is.
-        Training runs it on the tape, and ``start_decoding`` with no tape
-        active, where the ops are pure forward computations."""
-        src_ids = self._sources(src_ids)
+        position, as in an empty source, is refused (EmptySource), and so is
+        a source over ``max_src_len`` (SourceTooLong).  Training runs it on the
+        tape with a mask stream ``rng``, and ``start_decoding`` with neither,
+        where the ops are pure forward computations."""
+        src_ids = np.atleast_2d(np.asarray(src_ids))
+        if src_ids.shape[1] > self.config.max_src_len:
+            raise SourceTooLong(f"{src_ids.shape[1]} tokens exceeds max_src_len "
+                                f"{self.config.max_src_len}")
         mask = np.ones_like(src_ids, dtype=bool) if src_mask is None else np.atleast_2d(src_mask)
         packing = ad.Packing(mask)
         if packing.shape != src_ids.shape:
@@ -507,12 +500,12 @@ class PointerGeneratorModel:
         p = self.config.dropout
         x = ad.scale(ad.gather(self.src_embed, packing.gather(src_ids)), math.sqrt(self.config.d_model))
         x = ad.add(x, ad.constant(self.enc_positions.data[packing.real[1]]))
-        x = ad.dropout(x, p, train, rng, packing)
+        x = ad.dropout(x, p, rng, packing)
         for layer in self.enc_layers:
-            x = layer(x, packing, p, train, rng)
+            x = layer(x, packing, p, rng)
         return PackedRows(self.enc_norm(x), packing)
 
-    def _decoder_states(self, tgt_ids, packing, enc: PackedRows, train, rng) -> PackedRows:
+    def _decoder_states(self, tgt_ids, packing, enc: PackedRows, rng) -> PackedRows:
         """Final decoder states of the real positions of decoder input ids
         [B, T]: scaled embeddings from the symbol table then the pointer
         table, plus their positions, through every layer on packed rows."""
@@ -524,9 +517,9 @@ class PointerGeneratorModel:
         table = ad.concat([self.sym_embed, self.ptr_embed], axis=0)
         x = ad.scale(ad.gather(table, packing.gather(tgt_ids)), math.sqrt(cfg.d_dec))
         x = ad.add(x, ad.constant(self.dec_positions.data[packing.real[1]]))
-        x = ad.dropout(x, p, train, rng, packing)
+        x = ad.dropout(x, p, rng, packing)
         for layer in self.dec_layers:
-            x = layer(x, packing, enc, p, train, rng)
+            x = layer(x, packing, enc, p, rng)
         return PackedRows(self.dec_norm(x), packing)
 
     def joint_logits(self, states: PackedRows, enc: PackedRows) -> Tensor:
@@ -538,7 +531,7 @@ class PointerGeneratorModel:
         x, packing = states
         vocab = ad.unpack(self.vocab_out(x), packing)
         pointer = ad.unpack(ad.matmul(x, self.ptr_bilinear), packing)
-        pointer = ad.matmul(pointer, ad.swap_last(ad.unpack(*enc)))
+        pointer = ad.matmul(pointer, ad.transpose(ad.unpack(*enc), (0, 2, 1)))
         pointer = ad.mask_fill(pointer, ~enc.packing.mask[:, None, :] & packing.mask[:, :, None])
         return ad.concat([vocab, pointer], axis=-1)
 
@@ -549,13 +542,18 @@ class PointerGeneratorModel:
         ``tgt_in_ids``; a row may end in PAD, but a PAD followed by a
         non-PAD symbol is refused (PrefixContainsPAD).  The encoder's and
         the decoder's row-wise work runs on the real positions alone, and
-        the logits at PAD positions are zeros."""
+        the logits at PAD positions are zeros.  With ``train``, dropout draws
+        its masks from ``rng`` (ValueError if none and the config's dropout
+        is above 0); without, ``rng`` is not read."""
         tgt_in_ids = np.atleast_2d(np.asarray(tgt_in_ids))
         real = tgt_in_ids != PAD_ID
         if np.logical_or.reduce(real[:, 1:] & ~real[:, :-1], axis=None):
             raise PrefixContainsPAD("a decoder input row has a PAD before a non-PAD symbol")
-        enc = self.encode(src_ids, src_mask, train=train, rng=rng)
-        states = self._decoder_states(tgt_in_ids, ad.Packing(real), enc, train, rng)
+        if train and rng is None and self.config.dropout > 0.0:
+            raise ValueError("training-mode dropout needs a DropoutRng")
+        rng = rng if train else None
+        enc = self.encode(src_ids, src_mask, rng)
+        states = self._decoder_states(tgt_in_ids, ad.Packing(real), enc, rng)
         return self.joint_logits(states, enc)
 
     def start_decoding(self, src_ids, src_mask) -> DecoderCache:

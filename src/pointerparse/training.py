@@ -256,6 +256,9 @@ def train_loop(
     training examples and target tokens per second over the interval since
     the previous record, dev evaluation and checkpoint saves included.  They
     are kept out of checkpoint manifests, which twin runs write identically.
+    A fresh run (no ``resume_from``) refuses (FileExistsError) a
+    ``checkpoint_dir`` that holds a run already: a ``metrics.jsonl``, a
+    ``best`` or a ``step_<digits>`` checkpoint.
     A resumed run refuses (CheckpointError) a checkpoint whose ``symtab``,
     ``source_vocab`` or ``model_config`` differs from the arguments.  It
     rewrites ``metrics.jsonl`` without the records after the checkpoint's
@@ -298,8 +301,12 @@ def train_loop(
     checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
     log_path = None
     if checkpoint_dir is not None:
-        checkpoint_dir.mkdir(parents=True, exist_ok=True)
         log_path = checkpoint_dir / "metrics.jsonl"
+        if resume_from is None and (log_path.exists() or (checkpoint_dir / "best").exists()
+                                    or ckpt.step_dirs(checkpoint_dir)):
+            raise FileExistsError(f"{checkpoint_dir} holds a training run already: resume it, "
+                                  "or train into another directory")
+        checkpoint_dir.mkdir(parents=True, exist_ok=True)
         if resume_from is not None and log_path.exists():
             _drop_records_after(log_path, start_step)
 

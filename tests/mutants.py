@@ -226,6 +226,22 @@ MUTANTS = (
            "self._resize(self.self_kv[0].shape[0], min(2 * capacity, self.max_len))",
            "growing the self-attention capacity keeps only the live rows",
            (f"{_MODEL}::test_growing_the_capacity_keeps_only_the_live_rows",)),
+    # Eval is no mask stream; a checkpoint directory holds one run.
+    Mutant("eval_reads_the_mask_stream", "model.py",
+           "rng = rng if train else None", "rng = rng",
+           "without train, teacher forcing draws no dropout mask",
+           (f"{_MODEL}::test_eval_teacher_forcing_draws_no_dropout_mask",)),
+    Mutant("step_names_not_filtered", "checkpoint.py",
+           "if p.name[5:].isascii() and p.name[5:].isdigit() and p.is_dir()", "if p.is_dir()",
+           "lookup and pruning read only step_<digits> directories",
+           ("tests/test_checkpoint.py"
+            "::test_lookup_and_pruning_skip_step_names_that_are_not_numbers",)),
+    Mutant("fresh_run_into_a_used_directory", "training.py",
+           "if resume_from is None and (", "if False and (",
+           "a fresh run refuses a checkpoint directory that holds a run",
+           (f"{_TRAIN}::TestTrainLoop::test_a_fresh_run_refuses_a_directory_that_holds_a_run",
+            "tests/test_cli.py"
+            "::test_a_fresh_train_into_a_directory_holding_a_run_exits_2_and_leaves_it")),
 )
 
 # Mutants whose target the code no longer has, each with the reason.

@@ -30,7 +30,6 @@ from pointerparse.autodiff import (
     reshape,
     scale,
     softmax,
-    swap_last,
     transpose,
     unpack,
 )
@@ -41,6 +40,13 @@ from helpers import check_grad
 def rand(*shape, seed=0, scale=1.0):
     rng = np.random.default_rng(seed)
     return (rng.standard_normal(shape) * scale).astype(np.float32)
+
+
+def _every_row(t):
+    """A packing whose real rows are all the rows of ``t``: one layout row
+    of ``len(t)`` positions, so dropout draws its mask at ``(1,) + t.shape``,
+    the same words as at ``t.shape``."""
+    return Packing(np.ones((1, t.shape[0]), bool))
 
 
 class TestForwardValues:
@@ -363,7 +369,7 @@ class TestGradChecks:
 
         def loss():
             rng = DropoutRng(seed=123)  # same counter start: same mask each call
-            return reduce_sum(mul(dropout(a, 0.4, train=True, rng=rng), w))
+            return reduce_sum(mul(dropout(a, 0.4, rng, _every_row(a)), w))
 
         check_grad(loss, [a])
 
@@ -399,18 +405,18 @@ def _padded_heads(x, packing, heads):
     return transpose(out, (0, 2, 1, 3))
 
 
-def _composed_attention(q, k, v, q_packing, kv_packing, heads, causal, p=0.0, train=False,
-                        rng=None):
+def _composed_attention(q, k, v, q_packing, kv_packing, heads, causal, p=0.0, rng=None):
     """The attention of packed rows by the composed ops, its context left in
     the padded layout [B, Tq, d]."""
     qh, kh, vh = (_padded_heads(x, pk, heads)
                   for x, pk in ((q, q_packing), (k, kv_packing), (v, kv_packing)))
-    scores = scale(matmul(qh, swap_last(kh)), (q.shape[1] // heads) ** -0.5)
+    scores = scale(matmul(qh, transpose(kh, (0, 1, 3, 2))), (q.shape[1] // heads) ** -0.5)
     blocked = ~kv_packing.mask[:, None, None, :]
     if causal:
         blocked = blocked | _causal(q_packing.shape[1])
     scores = mask_fill(scores, np.broadcast_to(blocked, scores.shape))
-    ctx = transpose(matmul(dropout(softmax(scores), p, train, rng), vh), (0, 2, 1, 3))
+    probs = softmax(scores)
+    ctx = transpose(matmul(dropout(probs, p, rng, _every_row(probs)), vh), (0, 2, 1, 3))
     return reshape(ctx, ctx.shape[:2] + (q.shape[1],))
 
 
@@ -455,7 +461,7 @@ class TestAttention:
 
         def loss():
             rng = DropoutRng(seed=5)  # same counter start: the same mask each call
-            out = attention(q, k, v, *packings, self.HEADS, cfg["causal"], p, p > 0, rng)
+            out = attention(q, k, v, *packings, self.HEADS, cfg["causal"], p, rng)
             return reduce_sum(mul(out, w))
 
         check_grad(loss, [q, k, v])
@@ -474,7 +480,7 @@ class TestAttention:
                 t.zero_grad()
             rng = DropoutRng(seed=5, counter=2)
             with Tape() as tape:
-                out = op(q, k, v, *packings, self.HEADS, cfg["causal"], p, p > 0, rng)
+                out = op(q, k, v, *packings, self.HEADS, cfg["causal"], p, rng)
                 tape.backward(reduce_sum(mul(out, weights)))
             results.append((out.data, q.grad, k.grad, v.grad, rng.counter))
         fused, composed = results
@@ -538,8 +544,13 @@ class TestAttention:
 
 class TestDropout:
     def test_eval_mode_is_identity(self):
+        """No mask stream, or p 0, is eval: the input comes back and no
+        mask is drawn."""
         a = constant(rand(3, 3, seed=48))
-        assert dropout(a, 0.5, train=False) is a
+        assert dropout(a, 0.5, None, _every_row(a)) is a
+        rng = DropoutRng(seed=1)
+        assert dropout(a, 0.0, rng, _every_row(a)) is a
+        assert rng.counter == 0
 
     def test_counter_stream_reproducible(self):
         r1 = DropoutRng(seed=9, counter=3)
@@ -582,7 +593,7 @@ class TestDropout:
 
     def test_inverted_scaling(self):
         a = constant(np.ones((2000,), dtype=np.float32))
-        out = dropout(a, 0.25, train=True, rng=DropoutRng(seed=1))
+        out = dropout(a, 0.25, DropoutRng(seed=1), _every_row(a))
         kept = out.data[out.data > 0]
         np.testing.assert_allclose(kept, np.full_like(kept, 1.0 / 0.75))
 
@@ -624,11 +635,12 @@ class TestPacking:
         stream, so packing changes neither the kept entries nor the
         counter."""
         packing = Packing(self.MASK)
-        a = rand(3, 4, 5, seed=95)
+        a = rand(3, 4, 5, seed=95)[self.MASK]
         padded_rng, packed_rng = DropoutRng(seed=9, counter=3), DropoutRng(seed=9, counter=3)
-        padded = dropout(constant(a), 0.4, True, padded_rng).data
-        packed = dropout(constant(a[self.MASK]), 0.4, True, packed_rng, packing).data
-        np.testing.assert_array_equal(packed, padded[self.MASK])
+        keep = 1.0 - 0.4
+        kept = padded_rng.next_mask((3, 4, 5), keep)[self.MASK]
+        packed = dropout(constant(a), 0.4, packed_rng, packing).data
+        np.testing.assert_array_equal(packed, (a * np.float32(1.0 / keep)) * kept)
         assert packed_rng.counter == padded_rng.counter == 4
 
     def test_packed_dropout_finite_differences(self):
@@ -637,7 +649,7 @@ class TestPacking:
 
         def loss():
             rng = DropoutRng(seed=123)  # same counter start: same mask each call
-            return reduce_sum(mul(dropout(r, 0.4, True, rng, Packing(self.MASK)), w))
+            return reduce_sum(mul(dropout(r, 0.4, rng, Packing(self.MASK)), w))
 
         check_grad(loss, [r])
 

@@ -173,6 +173,18 @@ def test_prune_keeps_newest(tmp_path):
     assert left == ["step_000030", "step_000040"]
 
 
+def test_lookup_and_pruning_skip_step_names_that_are_not_numbers(tmp_path):
+    """Only ``step_<digits>`` directories are step checkpoints: beside
+    ``step_final`` or ``step_1e3``, lookup finds the newest numbered one and
+    pruning deletes only numbered ones."""
+    for name in ("step_000010", "step_000020", "step_final", "step_1e3", "step_"):
+        (tmp_path / name).mkdir()
+    assert latest_checkpoint(tmp_path) == tmp_path / "step_000020"
+    prune_checkpoints(tmp_path, keep=1)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "step_", "step_000020", "step_1e3", "step_final"]
+
+
 def test_resave_replaces_checkpoint_and_leaves_no_temporaries(saved):
     path, model, symtab = saved
     source_vocab = load_checkpoint(path).source_vocab

@@ -385,6 +385,28 @@ def test_train_refuses_a_query_longer_than_max_src_len_with_exit_2(record, token
     assert not ckpt.exists()
 
 
+def test_a_fresh_train_into_a_directory_holding_a_run_exits_2_and_leaves_it(tmp_path, capsys):
+    """A second ``train`` with no ``--resume`` into the checkpoint directory
+    of a finished run is a data error (exit 2) naming the directory, and
+    every file of the first run keeps its bytes: no checkpoint of it is
+    pruned, and its log gains no line."""
+    (tmp_path / "train.jsonl").write_text(json.dumps(FLAT_EXAMPLE) + "\n")
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({**TINY_CONFIG, "train.checkpoint_every": 2}))
+    ckpt = tmp_path / "ckpt"
+    train = ["train", "--corpus", str(tmp_path), "--checkpoint", str(ckpt), "--config", str(config),
+             "--quiet"]
+    assert main(train + ["--max-steps", "6"]) == EXIT_OK
+    capsys.readouterr()
+    before = {p: p.read_bytes() if p.is_file() else None for p in ckpt.rglob("*")}
+    assert ckpt / "step_000006" in before and ckpt / "metrics.jsonl" in before
+    assert main(train + ["--max-steps", "2", "--seed", "5"]) == EXIT_DATA
+    _, err = capsys.readouterr()
+    assert_one_error_line(err, "FileExistsError")
+    assert str(ckpt) in json.loads(err)["message"]
+    assert {p: p.read_bytes() if p.is_file() else None for p in ckpt.rglob("*")} == before
+
+
 @pytest.fixture(scope="module")
 def pipeline_dir(tmp_path_factory):
     """generate -> train (tiny) once; shared by eval/predict tests."""

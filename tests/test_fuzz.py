@@ -13,6 +13,7 @@ tiny and train for one step.
 import contextlib
 import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -149,6 +150,12 @@ def _write_lines(path, lines):
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
+def _fresh_checkpoint(workdir, name):
+    """A new empty checkpoint directory under ``workdir`` for one example: a
+    fresh ``train`` refuses a directory that holds a run already."""
+    return tempfile.mkdtemp(prefix=name, dir=workdir)
+
+
 @FUZZ
 @given(st.data())
 def test_linearize_and_train_on_mutated_records(workdir, data):
@@ -159,7 +166,8 @@ def test_linearize_and_train_on_mutated_records(workdir, data):
     corpus.mkdir(exist_ok=True)
     _write_lines(corpus / "train.jsonl", lines)
     run_cli(["linearize", "--input", str(corpus / "train.jsonl")])
-    run_cli(["train", "--corpus", str(corpus), "--checkpoint", str(workdir / "ckpt_mutated"),
+    run_cli(["train", "--corpus", str(corpus),
+             "--checkpoint", _fresh_checkpoint(workdir, "ckpt_mutated"),
              "--config", str(workdir / "config.json"), "--max-steps", "1", "--quiet"])
 
 
@@ -211,9 +219,9 @@ def test_train_on_mutated_config(workdir, data):
     value = data.draw(JSON_VALUES | NUMBER_STRINGS)
     config = workdir / "mutated_config.json"
     config.write_text(json.dumps({**TINY_CONFIG, key: value}))
-    code = run_cli(["train", "--corpus", str(workdir / "corpus"), "--checkpoint",
-                    str(workdir / "ckpt_config"), "--config", str(config), "--max-steps", "1",
-                    "--quiet"])
+    code = run_cli(["train", "--corpus", str(workdir / "corpus"),
+                    "--checkpoint", _fresh_checkpoint(workdir, "ckpt_config"),
+                    "--config", str(config), "--max-steps", "1", "--quiet"])
     # Every config value is a number, so a string is refused, unless a flag
     # overrides it.
     if isinstance(value, str) and key != "train.max_steps":
@@ -229,7 +237,8 @@ def test_every_reader_on_bytes_that_are_not_utf8(workdir, data):
     corpus.mkdir(exist_ok=True)
     path, out = str(corpus / "train.jsonl"), str(corpus / "out.jsonl")
     checkpoint = str(workdir / "ckpt")
-    train = ["train", "--checkpoint", str(workdir / "ckpt_bytes"), "--max-steps", "1", "--quiet"]
+    train = ["train", "--checkpoint", _fresh_checkpoint(workdir, "ckpt_bytes"), "--max-steps", "1",
+             "--quiet"]
     records = [json.dumps(r) for r in RECORDS]
     query = {"query": RECORDS[0]["query"], "style": RECORDS[0]["style"]}
     target = {"target": "[IN:GET_DISTANCE @ptr_0 ]IN:GET_DISTANCE", "n": 4, "style": "tree"}

@@ -182,6 +182,33 @@ def test_teacher_forcing_refuses_a_pad_before_a_symbol(model):
         model.forward_teacher_forced(src, mask, middle)
 
 
+def test_eval_teacher_forcing_draws_no_dropout_mask():
+    """Without ``train``, a model with dropout draws no mask: a stream
+    passed in keeps its counter at 0, and the logits are bit-equal to those
+    with no stream."""
+    model = PointerGeneratorModel(tiny_config(dropout=0.3), seed=7)
+    src, mask, tgt = make_batch(model, [4, 6], prefix_len=5, seed=22)
+    rng = ad.DropoutRng(seed=3)
+    logits = model.forward_teacher_forced(src, mask, tgt, train=False, rng=rng).data
+    assert rng.counter == 0
+    np.testing.assert_array_equal(logits, model.forward_teacher_forced(src, mask, tgt).data)
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+def test_training_needs_a_mask_stream_only_when_dropout_is_on(dropout):
+    """``train`` with no stream raises a ValueError naming DropoutRng when
+    the config's dropout is above 0; at 0 it runs, and gives the eval
+    logits."""
+    model = PointerGeneratorModel(tiny_config(dropout=dropout), seed=7)
+    src, mask, tgt = make_batch(model, [4, 6], prefix_len=5, seed=22)
+    if dropout:
+        with pytest.raises(ValueError, match="DropoutRng"):
+            model.forward_teacher_forced(src, mask, tgt, train=True)
+    else:
+        np.testing.assert_array_equal(model.forward_teacher_forced(src, mask, tgt, train=True).data,
+                                      model.forward_teacher_forced(src, mask, tgt).data)
+
+
 def test_each_example_of_a_padded_batch_gets_its_logits_alone(acceptance_width_model):
     """At the acceptance width (d=128, 2+2 layers) with dropout off, every
     example of a batch padded on both sides gets at its real positions the
@@ -527,7 +554,7 @@ def test_packed_encoder_matches_the_tape_encoder_bit_for_bit(acceptance_width_mo
         tape_kv = [np.stack([_heads(lin(enc.x).data, enc.packing, model.config.n_dec_heads)
                              for lin in (layer.cross_attn.wk, layer.cross_attn.wv)], axis=1)
                    for layer in model.dec_layers]
-        enc_t = ad.swap_last(ad.unpack(*enc))
+        enc_t = ad.transpose(ad.unpack(*enc), (0, 2, 1))
         ptr = ad.constant(np.broadcast_to(model.ptr_bilinear.data,
                                           enc_t.shape[:1] + model.ptr_bilinear.shape))
         tape_ptr = ad.matmul(ptr, enc_t).data

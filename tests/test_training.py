@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import sys
 import weakref
 
@@ -492,6 +493,30 @@ class TestTrainLoop:
 
         run(train, symtab, src_vocab, _tiny_model_config(symtab, src_vocab, d=32))
         return train, run
+
+    @pytest.mark.parametrize("left", ["metrics.jsonl", "best", "step_000002"])
+    def test_a_fresh_run_refuses_a_directory_that_holds_a_run(self, tmp_path, left):
+        """A run's log, its ``best`` and a ``step_<digits>`` checkpoint each
+        mark a directory as holding a run: a fresh run (no ``resume_from``)
+        into it raises FileExistsError naming it, before it writes there.
+        A ``step_*`` name that is not a number marks none."""
+        train = generate_synthetic(default_grammar(), 48, seed=5)["train"]
+        symtab, src_vocab = prepare_corpus(train)
+        mc = _tiny_model_config(symtab, src_vocab, d=32)
+        config = TrainConfig(batch_size=8, max_steps=1, warmup_steps=10, eval_every=10_000, seed=9)
+        run_dir, other = tmp_path / "run", tmp_path / "other"
+        for directory in (run_dir, other):
+            (directory / "step_final").mkdir(parents=True)
+        if left == "metrics.jsonl":
+            (run_dir / left).write_text("")
+        else:
+            (run_dir / left).mkdir()
+        before = sorted(run_dir.rglob("*"))
+        with pytest.raises(FileExistsError, match=re.escape(str(run_dir))):
+            train_loop(train, None, mc, config, symtab, src_vocab, checkpoint_dir=run_dir)
+        assert sorted(run_dir.rglob("*")) == before
+        train_loop(train, None, mc, config, symtab, src_vocab, checkpoint_dir=other)
+        assert (other / "step_000001").is_dir()
 
     @pytest.mark.parametrize("change", ["symtab", "source_vocab", "model_config"])
     def test_resume_refuses_a_checkpoint_of_other_inputs(self, tmp_path, change):
