@@ -274,7 +274,7 @@ def cmd_eval(args) -> int:
     best = _predict_batch(model, loaded, [ex.query for ex in examples], beam_config)
     seconds = time.perf_counter() - start
     decoded = [parse for parse in best if parse is not None]
-    predictions = [TargetSequence(()) if parse is None else parse[0] for parse in best]
+    predictions = [None if parse is None else parse[0] for parse in best]
     references = [ex.target for ex in examples]
     lengths = [len(ex.query.tokens) for ex in examples]
     styles = [ex.style for ex in examples]

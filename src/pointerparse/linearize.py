@@ -441,6 +441,7 @@ def _read_tree(target: TargetSequence, n: int) -> ParseNode:
     # Each frame: (open symbol, direct indices, children, item starts in emission order)
     stack: list[tuple[TargetSymbol, list[int], list[ParseNode], list[int]]] = []
     root: Optional[ParseNode] = None
+    # The root opens first and nothing may follow its close: the stack is never empty below.
     for pos, sym in enumerate(syms):
         if root is not None:
             raise Malformed(Violation.TRAILING_SYMBOLS, f"symbols after root close at position {pos}")
@@ -453,14 +454,10 @@ def _read_tree(target: TargetSequence, n: int) -> ParseNode:
                     raise Malformed(Violation.UNEXPECTED_SYMBOL, f"{sym.surface()!r} does not alternate with its parent")
             stack.append((sym, [], [], []))
         elif sym.sym is SymKind.POINTER:
-            if not stack:
-                raise Malformed(Violation.UNEXPECTED_SYMBOL, "pointer outside any bracket")
             i = _want_pointer_in_range(sym, n)
             stack[-1][1].append(i)
             stack[-1][3].append(i)
         elif sym.sym in (SymKind.INTENT_CLOSE, SymKind.SLOT_CLOSE):
-            if not stack:
-                raise Malformed(Violation.UNBALANCED_BRACKET, f"close {sym.surface()!r} with no open bracket")
             opener, direct, children, starts = stack.pop()
             open_kind = SymKind.INTENT_OPEN if sym.sym is SymKind.INTENT_CLOSE else SymKind.SLOT_OPEN
             if opener.sym is not open_kind or opener.label != sym.label:

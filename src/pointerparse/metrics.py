@@ -10,7 +10,7 @@ kind of well-formedness violation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 from .linearize import Style, SymKind, TargetSequence, Violation, validate
@@ -59,15 +59,7 @@ class ExampleRecord:
     violations: list[str] = field(default_factory=list)
 
     def to_json(self) -> dict:
-        return {
-            "index": self.index,
-            "style": self.style.value,
-            "exact": self.exact,
-            "well_formed": self.well_formed,
-            "intent_match": self.intent_match,
-            "first_divergence": self.first_divergence,
-            "violations": self.violations,
-        }
+        return {**asdict(self), "style": self.style.value}
 
 
 def _rates(records: Sequence[ExampleRecord]) -> dict:
@@ -109,7 +101,7 @@ class EvalReport:
 
 
 def evaluate(
-    predictions: Sequence[TargetSequence],
+    predictions: Sequence[Optional[TargetSequence]],
     references: Sequence[TargetSequence],
     lengths: Sequence[int],
     styles: Sequence[Style],
@@ -117,7 +109,9 @@ def evaluate(
     """Score aligned prediction/reference lists.
 
     ``lengths`` are the source lengths (pointer range for well-formedness);
-    ``styles`` has one style per example.
+    ``styles`` has one style per example.  A prediction of None, a query
+    with no result, is a miss: not exact and not well-formed, with no
+    violation, diverging at position 0 and matching no intent.
     References are assumed well-formed, which makes em <= well_formed_rate.
     """
     if len(predictions) != len(references) or len(predictions) != len(lengths):
@@ -130,11 +124,14 @@ def evaluate(
 
     records = []
     for i, (pred, gold, n, style) in enumerate(zip(predictions, references, lengths, styles)):
-        report = validate(pred.strip_framing(), n, style)
         intent_match: Optional[bool] = None
         if style is not Style.SPANSET:
             gold_intent = intent_of(gold)
-            intent_match = intent_of(pred) == gold_intent and gold_intent is not None
+            intent_match = pred is not None and intent_of(pred) == gold_intent and gold_intent is not None
+        if pred is None:
+            records.append(ExampleRecord(i, style, False, False, intent_match, 0))
+            continue
+        report = validate(pred.strip_framing(), n, style)
         records.append(
             ExampleRecord(
                 index=i,

@@ -353,30 +353,35 @@ class DecoderCache:
     each layer's ``[Wq|Wk|Wv]`` with its bias, concatenated here rather
     than on the model because training updates the weights in place.
 
-    Each layer's self-attention keys and values share one buffer [rows,
-    capacity, 2, heads, head_dim] that ``PointerGeneratorModel.step``
-    writes one position into.  The capacity starts at 16 positions and
-    doubles as needed, up to ``max_tgt_len``, and each doubling keeps only
-    the live rows; the rows grow when ``select`` asks for more than the
-    buffers hold.
+    Each layer has a self-attention buffer [rows, capacity, 2, heads,
+    head_dim], keys then values, in the cross-attention's head layout, that
+    ``PointerGeneratorModel.step`` writes one position into.  The layers
+    share one capacity, which starts at 16 positions and doubles as needed,
+    up to ``max_len``, and each doubling keeps only the live rows; the rows
+    grow when ``select`` asks for more than the buffers hold.
     """
 
     INITIAL_CAPACITY = 16
 
     def __init__(self, cross_kv, ptr_keys: np.ndarray, src_mask: np.ndarray, embed: np.ndarray,
-                 qkv: list[tuple[np.ndarray, np.ndarray]], n_heads: int, head_dim: int, max_len: int):
+                 qkv: list[tuple[np.ndarray, np.ndarray]], max_len: int):
         self.embed = embed                               # scaled symbol then pointer table
         self.qkv = qkv                                   # per layer [Wq|Wk|Wv] and bias
         self.max_len = max_len
-        self.queries = src_mask.shape[0]                 # live queries
         self.h = 1                                       # rows per query
         self.length = 0                                  # positions fed so far
         self.cross_kv = cross_kv                         # per layer [Q, 2, heads, n, hd]
         self.ptr_keys = ptr_keys                         # [Q, d_dec, n]
         self.pad = ~src_mask                             # [Q, n]
         self.padded = bool(self.pad.any())               # else the masks are skipped
-        shape = (self.queries, min(self.INITIAL_CAPACITY, max_len), 2, n_heads, head_dim)
+        queries, _, heads, _, head_dim = cross_kv[0].shape
+        shape = (queries, min(self.INITIAL_CAPACITY, max_len), 2, heads, head_dim)
         self.self_kv = [np.empty(shape, np.float32) for _ in qkv]
+
+    @property
+    def queries(self) -> int:
+        """Live queries: the first axis of every source-side array."""
+        return self.pad.shape[0]
 
     @property
     def rows(self) -> int:
@@ -393,14 +398,12 @@ class DecoderCache:
             out[: self.rows, : self.length] = buf[: self.rows, : self.length]
             self.self_kv[i] = out
 
-    def layer_kv(self, i: int) -> np.ndarray:
-        """Layer ``i``'s K/V buffer over the live rows, with room for
-        position ``length``.  Growing the capacity keeps only the live
-        rows."""
+    def make_room(self) -> None:
+        """Room for position ``length`` in every K/V buffer.  Growing the
+        capacity keeps only the live rows."""
         capacity = self.self_kv[0].shape[1]
         if self.length == capacity:
             self._resize(self.rows, min(2 * capacity, self.max_len))
-        return self.self_kv[i][: self.rows]
 
     def select(self, rows, h: int) -> None:
         """Between steps, keep decoder rows ``rows`` in that order, as h
@@ -442,7 +445,6 @@ class DecoderCache:
             for a in state:
                 a[moved] = a[queries[moved]]
             *self.cross_kv, self.ptr_keys, self.pad = (a[: queries.size] for a in state)
-        self.queries = queries.size
 
 
 class PointerGeneratorModel:
@@ -574,9 +576,7 @@ class PointerGeneratorModel:
         # only its values, scaled once here rather than at every step.
         embed = np.concatenate([self.sym_embed.data, self.ptr_embed.data])
         embed *= np.float32(math.sqrt(self.config.d_dec))
-        heads = self.config.n_dec_heads
-        return DecoderCache(cross_kv, ptr_keys, packing.mask, embed, qkv,
-                            heads, self.config.d_dec // heads, self.config.max_tgt_len)
+        return DecoderCache(cross_kv, ptr_keys, packing.mask, embed, qkv, self.config.max_tgt_len)
 
     def step(self, cache: DecoderCache, tokens) -> np.ndarray:
         """Feed one decoder input id per cache row at the next position and
@@ -591,7 +591,7 @@ class PointerGeneratorModel:
         it does on several: numpy runs a one-row product against a weight
         as a GEMV, which OpenBLAS sums in another order than a GEMM for
         widths of 64 and more (a few 1e-6 in log-probs at d=128; ROADMAP
-        open item 2)."""
+        item "One query, one answer on any kernel")."""
         cfg = self.config
         tokens = np.asarray(tokens).reshape(-1)
         if np.logical_or.reduce(tokens == PAD_ID):
@@ -603,8 +603,9 @@ class PointerGeneratorModel:
             raise ValueError(f"target length {t + 1} exceeds max_tgt_len {cfg.max_tgt_len}")
         x = ad.take_rows(cache.embed, tokens) + self.dec_positions.data[t]
         src_fill = cache.pad[:, None, None, None, :] if cache.padded else None
-        for i, layer in enumerate(self.dec_layers):
-            x = layer.step(x, cache.qkv[i], cache.layer_kv(i), t, cache.cross_kv[i], src_fill)
+        cache.make_room()
+        for layer, qkv, kv, cross in zip(self.dec_layers, cache.qkv, cache.self_kv, cache.cross_kv):
+            x = layer.step(x, qkv, kv[: cache.rows], t, cross, src_fill)
         cache.length = t + 1
         states = self.dec_norm.apply(x)
         # [Q, h, 1, d] @ [Q, 1, d, n]: each row against its query's one copy

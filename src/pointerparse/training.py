@@ -256,6 +256,9 @@ def train_loop(
     training examples and target tokens per second over the interval since
     the previous record, dev evaluation and checkpoint saves included.  They
     are kept out of checkpoint manifests, which twin runs write identically.
+    An example whose target, after BOS, is longer than the model's
+    ``max_tgt_len`` is refused (DataError, naming its index) before anything
+    is loaded or written.
     A fresh run (no ``resume_from``) refuses (FileExistsError) a
     ``checkpoint_dir`` that holds a run already: a ``metrics.jsonl``, a
     ``best`` or a ``step_<digits>`` checkpoint.
@@ -269,6 +272,10 @@ def train_loop(
     """
     cfg = train_config
     encoded = encode_corpus(train_examples, symtab, source_vocab)
+    for i, ex in enumerate(encoded):
+        if len(ex.tgt_ids) + 1 > model_config.max_tgt_len:  # BOS, then the target
+            raise DataError(f"training example {i} has {len(ex.tgt_ids)} target symbols; with "
+                            f"BOS they exceed max_tgt_len {model_config.max_tgt_len}")
     lengths = [len(ex.src_ids) for ex in encoded]
     batches_per_epoch = max(1, math.ceil(len(encoded) / cfg.batch_size))
 

@@ -242,6 +242,21 @@ MUTANTS = (
            (f"{_TRAIN}::TestTrainLoop::test_a_fresh_run_refuses_a_directory_that_holds_a_run",
             "tests/test_cli.py"
             "::test_a_fresh_train_into_a_directory_holding_a_run_exits_2_and_leaves_it")),
+    # A query with no result is a miss; training refuses what it cannot hold and logs its end.
+    Mutant("no_result_scored_as_an_empty_parse", "cli.py",
+           "predictions = [None if parse is None else parse[0] for parse in best]",
+           "predictions = [TargetSequence(()) if parse is None else parse[0] for parse in best]",
+           "eval scores a query with no result as a miss, even against an empty gold",
+           ("tests/test_cli.py::TestPipeline"
+            "::test_a_query_with_no_result_is_a_miss_even_against_an_empty_gold",)),
+    Mutant("over_long_target_accepted", "training.py",
+           "if len(ex.tgt_ids) + 1 > model_config.max_tgt_len:", "if False:",
+           "train refuses a target longer than the decoder holds, before it writes anything",
+           ("tests/test_cli.py::test_train_refuses_a_target_longer_than_max_tgt_len_with_exit_2",)),
+    Mutant("non_finite_gradient_not_logged", "training.py",
+           '            emit({"step": step, "error": "non_finite_gradient"})\n', "",
+           "a run ended by a non-finite gradient logs one record for that step",
+           (f"{_TRAIN}::TestTrainLoop::test_a_non_finite_gradient_is_logged_then_raised",)),
 )
 
 # Mutants whose target the code no longer has, each with the reason.

@@ -268,6 +268,20 @@ def test_no_op_broadcasts(case):
     assert tape.nodes == []
 
 
+def test_reshape_to_another_size_is_refused():
+    a = parameter(rand(2, 3, seed=1))
+    with Tape() as tape:
+        with pytest.raises(ShapeMismatch, match=r"reshape: \(2, 3\) to \(4, 2\)"):
+            reshape(a, (4, 2))
+    assert tape.nodes == []
+
+
+def test_an_attention_mask_of_another_shape_is_refused():
+    q, k = rand(2, 1, 4, seed=1), rand(2, 5, 4, seed=2)
+    with pytest.raises(ShapeMismatch, match=r"scores \(2, 1, 5\) vs mask \(2, 1, 3\)"):
+        autodiff.attention_probs(q, k, np.zeros((2, 1, 3), dtype=bool), 0.5)
+
+
 class TestGradChecks:
     """Every primitive against central finite differences (h=1e-3)."""
 

@@ -116,6 +116,16 @@ def test_flipped_byte_is_error(saved, blob):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("blob", ["params.bin", "optstate.bin"])
+def test_blob_without_an_integrity_record_is_error(saved, blob):
+    path, _, _ = saved
+    manifest = json.loads((path / "manifest.json").read_text())
+    del manifest["blobs"][blob]
+    (path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(CheckpointError, match=f"manifest has no integrity record for {blob}"):
+        load_checkpoint(path)
+
+
 def test_missing_manifest_is_error(tmp_path):
     with pytest.raises(CheckpointError):
         load_checkpoint(tmp_path)
@@ -259,6 +269,35 @@ def test_save_killed_between_renames_loads_the_previous_checkpoint(saved, monkey
     assert load_checkpoint(path).step == 10
 
     monkeypatch.setattr(os, "replace", rename)
+    save_checkpoint(path, model, symtab, source_vocab, {}, step=30)
+    assert load_checkpoint(path).step == 30
+    assert [p.name for p in path.parent.iterdir()] == ["best"]
+
+
+def test_save_killed_after_both_renames_leaves_a_copy_the_next_save_removes(saved, monkeypatch):
+    """A kill after the new checkpoint moved into place and before the
+    ``.old`` copy was deleted leaves both; the new one loads, and the next
+    save retires it over the stale copy."""
+    path, model, symtab = saved
+    source_vocab = load_checkpoint(path).source_vocab
+    fsync = checkpoint._fsync
+
+    class Killed(BaseException):
+        pass
+
+    def killed_at_the_parent(target):
+        if Path(target) == path.parent:
+            raise Killed
+        fsync(target)
+
+    monkeypatch.setattr(checkpoint, "_fsync", killed_at_the_parent)
+    with pytest.raises(Killed):
+        save_checkpoint(path, model, symtab, source_vocab, {}, step=20)
+    assert sorted(p.name for p in path.parent.iterdir()) == [".best.old", "best"]
+    assert load_checkpoint(path).step == 20
+    assert load_checkpoint(path.parent / ".best.old").step == 10
+
+    monkeypatch.setattr(checkpoint, "_fsync", fsync)
     save_checkpoint(path, model, symtab, source_vocab, {}, step=30)
     assert load_checkpoint(path).step == 30
     assert [p.name for p in path.parent.iterdir()] == ["best"]

@@ -129,6 +129,23 @@ class TestUsageAndErrors:
         code = main(["import", "--format", "bio", "--out", "/tmp/x.jsonl"])
         assert code == EXIT_USAGE
 
+    def test_top_format_requires_tsv(self, tmp_path, capsys):
+        out = tmp_path / "x.jsonl"
+        assert main(["import", "--format", "top", "--out", str(out)]) == EXIT_USAGE
+        assert json.loads(capsys.readouterr().err) == {"error": "UsageError",
+                                                       "message": "--format top needs --tsv"}
+        assert not out.exists()
+
+    def test_an_unexpected_error_exits_3_with_one_json_line(self, monkeypatch, capsys):
+        def broken(args):
+            raise ZeroDivisionError("a bug")
+
+        monkeypatch.setattr(cli, "cmd_validate", broken)
+        assert main(["validate"]) == cli.EXIT_RUNTIME
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err) == {"error": "ZeroDivisionError", "message": "a bug"}
+
     @pytest.mark.parametrize("value", ["-5", "-1"])
     @pytest.mark.parametrize("flag", ["--utterance-col", "--parse-col"])
     def test_negative_column_is_usage_error(self, flag, value, tmp_path, capsys):
@@ -280,6 +297,23 @@ class TestConfigMerging:
         with pytest.raises(DataError, match=r"^train\.seed "):
             build_configs(flat, {})
 
+    def test_env_value_that_is_not_json_is_a_string(self, monkeypatch):
+        monkeypatch.setenv("POINTERPARSE_MODEL__D_MODEL", "wide")
+        assert load_flat_config(None)["model.d_model"] == "wide"
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '"model.d_model"', "3"])
+    def test_config_file_that_is_not_an_object_is_data_error(self, text, tmp_path, capsys):
+        (tmp_path / "train.jsonl").write_text(json.dumps(FLAT_EXAMPLE) + "\n")
+        config = tmp_path / "c.json"
+        config.write_text(text)
+        code = main(["train", "--corpus", str(tmp_path), "--checkpoint", str(tmp_path / "ckpt"),
+                     "--config", str(config), "--quiet"])
+        _, err = capsys.readouterr()
+        assert code == EXIT_DATA
+        assert json.loads(err) == {"error": "DataError",
+                                   "message": "config file must hold a JSON object of dotted keys"}
+        assert not (tmp_path / "ckpt").exists()
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         for key in ("model.bogus_field", "train.adam_beta1"):
             with pytest.raises(DataError):
@@ -382,6 +416,59 @@ def test_train_refuses_a_query_longer_than_max_src_len_with_exit_2(record, token
     failure = json.loads(err)
     assert failure["error"] == "DataError"
     assert failure["message"] == f"training example 1 has {tokens} query tokens, above max_src_len 5"
+    assert not ckpt.exists()
+
+
+def test_train_without_quiet_prints_each_record_it_logs(tmp_path, capsys):
+    """Without ``--quiet``, ``train`` prints every record it appends to
+    ``metrics.jsonl``, one JSON line each, then its summary line."""
+    (tmp_path / "train.jsonl").write_text(json.dumps(FLAT_EXAMPLE) + "\n")
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({**TINY_CONFIG, "train.log_every": 1}))
+    ckpt = tmp_path / "ckpt"
+    code = main(["train", "--corpus", str(tmp_path), "--checkpoint", str(ckpt),
+                 "--config", str(config), "--max-steps", "3"])
+    out, _ = capsys.readouterr()
+    assert code == EXIT_OK
+    *records, summary = out.splitlines()
+    assert records == (ckpt / "metrics.jsonl").read_text().splitlines()
+    assert [json.loads(r)["step"] for r in records] == [1, 2, 3]
+    assert json.loads(summary)["final_step"] == 3
+
+
+def _chain(depth: int) -> dict:
+    """A tree parse of ``depth`` nested nodes, intents and slots in turn,
+    whose innermost node points at token 0."""
+    def node(level, children):
+        kind, prefix = ("slot", "SL") if level % 2 else ("intent", "IN")
+        return {"label": f"{prefix}:N{level}", "kind": kind, "indices": [] if children else [0],
+                "children": children}
+
+    parse = node(depth - 1, [])
+    for level in reversed(range(depth - 1)):
+        parse = node(level, [parse])
+    return parse
+
+
+def test_train_refuses_a_target_longer_than_max_tgt_len_with_exit_2(tmp_path, capsys):
+    """A target the decoder cannot hold (BOS plus its symbols above the
+    model's ``max_tgt_len``) is a data error (exit 2) naming the example,
+    its length and the limit, before any checkpoint is written."""
+    deep = {"query": "hello", "style": "tree", "parse": _chain(17)}
+    (tmp_path / "train.jsonl").write_text(
+        "".join(json.dumps(r) + "\n" for r in (FLAT_EXAMPLE, deep)))
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({**TINY_CONFIG, "train.max_steps": 2}))
+    ckpt = tmp_path / "ckpt"
+    code = main(["train", "--corpus", str(tmp_path), "--checkpoint", str(ckpt),
+                 "--config", str(config), "--quiet"])
+    _, err = capsys.readouterr()
+    assert code == EXIT_DATA
+    failure = json.loads(err)
+    assert failure["error"] == "DataError"
+    # 8 query tokens give max_tgt_len 2 * 8 + 16 + 2 = 34; the chain has 35 symbols.
+    assert failure["message"] == ("training example 1 has 35 target symbols; with BOS they "
+                                  "exceed max_tgt_len 34")
     assert not ckpt.exists()
 
 
@@ -609,6 +696,22 @@ class TestPipeline:
         for row in rows:
             assert set(row) == {"query", "prediction", "score", "well_formed"}
 
+    def test_predict_writes_a_null_prediction_for_a_query_with_no_result(self, pipeline_dir,
+                                                                          tmp_path, capsys):
+        limit = load_checkpoint(pipeline_dir / "ckpt" / "best").symtab.max_src_len
+        long = " ".join(["word"] * (limit + 1))
+        queries = ["", long, "play some music"]
+        (tmp_path / "q.jsonl").write_text(
+            "".join(json.dumps({"query": q, "style": "flat"}) + "\n" for q in queries))
+        code = main(["predict", "--checkpoint", str(pipeline_dir / "ckpt"),
+                     "--input", str(tmp_path / "q.jsonl"), "--beam", "2"])
+        out, _ = capsys.readouterr()
+        assert code == EXIT_OK
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert rows[:2] == [{"query": q, "prediction": None, "score": None, "well_formed": False}
+                            for q in queries[:2]]
+        assert rows[2]["prediction"] is not None and rows[2]["score"] < 0
+
     def test_eval_defaults_report_into_checkpoint(self, pipeline_dir, tmp_path, capsys):
         """On a copy of ``best``, so the shared checkpoint gets no report."""
         best = tmp_path / "best"
@@ -744,6 +847,32 @@ class TestPipeline:
         em = exact_match_rate(loaded.build_model(), mixed, loaded.symtab, loaded.source_vocab)
         assert report["em_accuracy"] == em < 1.0
         assert em > 0.5
+
+    def test_a_query_with_no_result_is_a_miss_even_against_an_empty_gold(self, pipeline_dir,
+                                                                          tmp_path):
+        """A query that cannot be decoded (empty, or over ``max_src_len``) is
+        a miss and not well-formed, even when its gold is an empty span-set
+        parse, which an empty prediction would match."""
+        limit = load_checkpoint(pipeline_dir / "ckpt" / "best").symtab.max_src_len
+        nothing = SemanticParse(ParseNode("", Kind.GROUP), Style.SPANSET)
+        undecodable = [CorpusExample(Query.from_text(" ".join(["word"] * (limit + 1))), nothing),
+                       CorpusExample(Query.from_text(""), nothing)]
+        write_jsonl(tmp_path / "undecodable.jsonl", undecodable)
+        code = main(["eval", "--checkpoint", str(pipeline_dir / "ckpt" / "best"),
+                     "--input", str(tmp_path / "undecodable.jsonl"), "--beam", "2",
+                     "--report-dir", str(tmp_path / "report")])
+        assert code == EXIT_OK
+        report = json.loads((tmp_path / "report" / "report.json").read_text())
+        assert (report["em_accuracy"], report["well_formed_rate"]) == (0.0, 0.0)
+        assert report["by_style"] == {"spanset": {"examples": 2, "em_accuracy": 0.0,
+                                                  "well_formed_rate": 0.0}}
+        assert set(report["violations"].values()) == {0}
+        details = [json.loads(line) for line in
+                   (tmp_path / "report" / "details.jsonl").read_text().splitlines()]
+        assert details == [{"index": i, "style": "spanset", "prediction": None, "score": None,
+                            "truncated": False, "exact": False, "well_formed": False,
+                            "intent_match": None, "first_divergence": 0, "violations": []}
+                           for i in range(2)]
 
     def test_flipped_params_byte_is_data_error(self, pipeline_dir, tmp_path, capsys):
         broken = tmp_path / "ckpt"

@@ -7,6 +7,7 @@ from pointerparse.data import (
     AlignmentError,
     BracketParseError,
     CorpusExample,
+    DataError,
     IllegalTagTransition,
     LexiconTooSmall,
     MisalignedFiles,
@@ -48,6 +49,17 @@ def _write_bio(tmp_path, tokens, tags, labels):
 
 
 class TestBioImport:
+    def test_unknown_policy_is_refused(self, tmp_path):
+        paths = _write_bio(tmp_path, ["call mom"], ["O O"], ["CallIntent"])
+        with pytest.raises(ValueError, match="unknown BIO policy 'guess'"):
+            import_bio(*paths, policy="guess")
+
+    def test_only_flat_examples_export(self):
+        tree = generate_synthetic(default_grammar(), 60, 5)
+        examples = [ex for split in tree.values() for ex in split if ex.style is Style.TREE]
+        with pytest.raises(DataError, match="only flat examples have a BIO form"):
+            export_bio(examples[:1])
+
     def test_weather_example(self, tmp_path):
         # One condition word and a four-token place name, everything else O.
         tokens = ["will there be fog in tahquamenon falls state park"]
@@ -160,6 +172,24 @@ class TestTopImport:
         with pytest.raises(BracketParseError):
             parse_bracketed("[CALL call mom ]", Query.from_text("call mom"))
 
+    @pytest.mark.parametrize("annotation, error, message", [
+        ("[IN:CALL call ] [IN:CALL mom ]", BracketParseError, "trailing annotation after root closed"),
+        ("[IN:CALL call mom ] ]", BracketParseError, "unbalanced close bracket"),
+        ("[IN:CALL call mom now ]", AlignmentError, "annotation has more terminals than the utterance"),
+        ("[IN:CALL call ]", AlignmentError, "annotation covers 1 of 2 tokens"),
+    ], ids=["second_root", "extra_close", "extra_terminal", "missing_terminal"])
+    def test_annotation_errors_name_their_row(self, annotation, error, message):
+        with pytest.raises(error, match=f"^row 4: {message}$"):
+            parse_bracketed(annotation, Query.from_text("call mom"), row=4)
+
+    def test_blank_lines_are_skipped_and_rows_keep_their_numbers(self, tmp_path):
+        path = tmp_path / "top.tsv"
+        path.write_text("call mom\t[IN:CALL call mom ]\n\n  \ncall dad\t[IN:CALL call dad\n")
+        with pytest.raises(BracketParseError, match="row 4: "):
+            import_top(path)
+        path.write_text("\ncall mom\t[IN:CALL call mom ]\n\n")
+        assert [ex.query.raw for ex in import_top(path)] == ["call mom"]
+
     def test_corpus_stats(self, tmp_path):
         path = tmp_path / "top.tsv"
         path.write_text(TOP_ROW + "\ncall mom\t[IN:CALL call mom ]\n")
@@ -182,6 +212,14 @@ class TestCanonicalJsonl:
         write_jsonl(p1, splits["train"])
         write_jsonl(p2, read_jsonl(p1))
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("children", ["none", {"label": "x"}])
+    def test_children_that_are_not_a_list_are_refused(self, children):
+        obj = {"query": "call mom", "style": "flat",
+               "parse": {"label": "CallIntent", "kind": "intent", "indices": [],
+                         "children": children}}
+        with pytest.raises(DataError, match="'children' must be a list"):
+            example_from_json(obj)
 
     def test_example_json_shape(self):
         splits = generate_synthetic(default_grammar(), 20, 4)
@@ -253,6 +291,23 @@ class TestSyntheticGrammar:
         assert len(splits["train"]) == 800
         assert len(splits["dev"]) == 100
         assert len(splits["test"]) == 100
+
+    def test_count_below_one_is_refused(self):
+        with pytest.raises(ValueError, match="count must be at least 1"):
+            generate_synthetic(default_grammar(), 0, 1)
+
+    def test_a_grammar_with_no_template_is_refused(self):
+        grammar = SyntheticGrammar(lexicons={"x": ("a",)}, flat_templates=(),
+                                   tree_templates=(), spanset_templates=())
+        with pytest.raises(DataError, match="grammar has no templates"):
+            generate_synthetic(grammar, 1, 1)
+
+    def test_a_template_naming_an_unknown_lexicon_is_refused(self):
+        grammar = SyntheticGrammar(lexicons={"x": ("a",)},
+                                   flat_templates=(("only_intent", "do {thing:y}"),),
+                                   tree_templates=(), spanset_templates=())
+        with pytest.raises(DataError, match="template references unknown lexicon 'y'"):
+            generate_synthetic(grammar, 1, 1)
 
     def test_lexicon_too_small(self):
         grammar = SyntheticGrammar(

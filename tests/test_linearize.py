@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from pointerparse.linearize import (
     BOS,
     EOS,
+    BadSymbol,
     PAD,
     IndexOutOfRange,
     Kind,
@@ -28,6 +30,7 @@ from pointerparse.linearize import (
     slot_open,
     validate,
 )
+from pointerparse.vocab import SymbolTable
 from helpers import random_parse
 
 FLAT_QUERY = Query.from_text("play the song don't stop believin by journey")
@@ -396,3 +399,17 @@ def test_flat_pointer_order(seed, n):
 def test_symbol_surface_round_trip():
     for text in ["PlaySongIntent", "SongName(", ")SongName", "[IN:A", "IN:A]", "[SL:B", "SL:B]", "@ptr_12", "<bos>", "<eos>", "<pad>"]:
         assert parse_symbol(text).surface() == text
+
+
+@pytest.mark.parametrize("surface, message", [
+    ("[", "empty bracket symbol"), ("]", "empty bracket symbol"),
+    ("(", "empty bracket symbol"), (")", "empty bracket symbol"), ("", "empty symbol"),
+])
+def test_a_symbol_table_with_an_empty_symbol_is_refused(surface, message, tmp_path):
+    """``from_string`` splits on whitespace and so never reads an empty
+    token, but a ``symtab.json`` lists its surfaces as given."""
+    path = tmp_path / "symtab.json"
+    path.write_text(json.dumps({"symbols": ["<pad>", "<bos>", "<eos>", surface],
+                                "max_src_len": 4}))
+    with pytest.raises(BadSymbol, match=f"^{message}$"):
+        SymbolTable.load(path)

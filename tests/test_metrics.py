@@ -141,6 +141,23 @@ class TestEvaluate:
         with pytest.raises(LengthMismatch):
             evaluate([FLAT], [FLAT, FLAT], [8, 8], [Style.FLAT] * 2)
 
+    def test_one_style_per_prediction(self):
+        with pytest.raises(LengthMismatch, match="1 styles for 2 predictions"):
+            evaluate([FLAT, FLAT], [FLAT, FLAT], [8, 8], [Style.FLAT])
+
+    def test_no_result_is_a_miss_with_no_violation(self):
+        """A prediction of None scores as a miss in every style, even against
+        an empty span-set gold, which an empty prediction would match."""
+        empty = TargetSequence(())
+        report = evaluate([None, None, None, FLAT], [FLAT, TREE, empty, FLAT], [8, 6, 3, 8],
+                          [Style.FLAT, Style.TREE, Style.SPANSET, Style.FLAT])
+        assert [(r.exact, r.well_formed, r.intent_match, r.first_divergence, r.violations)
+                for r in report.records[:3]] == [(False, False, False, 0, [])] * 2 + [
+                    (False, False, None, 0, [])]
+        assert (report.em_accuracy, report.well_formed_rate) == (0.25, 0.25)
+        assert report.intent_accuracy == 1 / 3
+        assert set(report.to_json()["violations"].values()) == {0}
+
     def test_first_divergence_position(self):
         shifted = TargetSequence.from_string(FLAT.to_string().replace("@ptr_7", "@ptr_6"))
         assert first_divergence(shifted, FLAT) == 7

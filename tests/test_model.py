@@ -73,6 +73,11 @@ def test_head_divisibility_enforced():
         tiny_config(d_model=16, n_enc_heads=3)
 
 
+def test_decoder_head_divisibility_enforced():
+    with pytest.raises(ValueError, match="n_dec_heads 5 does not divide d_dec 12"):
+        tiny_config(d_dec=12, n_dec_heads=5)
+
+
 def test_encode_single_token_shape(model):
     enc = model.encode(np.array([[5]]))
     assert enc.x.shape == (1, model.config.d_model)
@@ -82,6 +87,12 @@ def test_encode_single_token_shape(model):
 def test_source_too_long(model):
     with pytest.raises(SourceTooLong):
         model.encode(np.zeros((1, model.config.max_src_len + 1), dtype=np.int64))
+
+
+@pytest.mark.parametrize("word", [-1, 20])
+def test_a_source_id_outside_the_vocabulary_is_refused(model, word):
+    with pytest.raises(ad.ShapeMismatch, match="ids outside table of 20 rows"):
+        model.encode(np.array([[3, word]]))
 
 
 def test_padding_does_not_leak_into_real_rows(model):
@@ -465,6 +476,14 @@ def test_a_bad_layout_raises_before_any_write(model):
         model.step(cache, prefixes[:3, 4])
     assert snapshot() == kept
     _check_against_teacher_forcing(model, cache, src, mask, prefixes, 4)
+
+
+def test_teacher_forcing_past_max_tgt_len_raises(model):
+    src, mask, _ = make_batch(model, [3, 5], seed=15)
+    cap = model.config.max_tgt_len
+    model.forward_teacher_forced(src, mask, np.full((2, cap), BOS_ID))
+    with pytest.raises(ValueError, match=f"target length {cap + 1} exceeds max_tgt_len {cap}"):
+        model.forward_teacher_forced(src, mask, np.full((2, cap + 1), BOS_ID))
 
 
 def test_step_past_max_tgt_len_raises(model):

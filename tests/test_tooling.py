@@ -137,6 +137,24 @@ def test_mutation_table_names_text_and_tests_that_exist():
     assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
 
 
+def test_coverage_allowlist_names_statements_that_exist():
+    """Each ``ALLOWED`` entry of ``tests/coverage_report.py`` is the first
+    line of exactly one statement of its file, so an edit that moves or
+    deletes it fails here, not only when the traced suite runs."""
+    spec = importlib.util.spec_from_file_location("coverage_report",
+                                                  ROOT / "tests" / "coverage_report.py")
+    report = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(report)
+    assert report.ALLOWED
+    for entry in report.ALLOWED:
+        source = (PACKAGE / entry.file).read_text()
+        lines = source.splitlines()
+        starts = [node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, (ast.stmt, ast.excepthandler))
+                  and lines[node.lineno - 1].strip() == entry.text]
+        assert len(starts) == 1 and entry.reason, entry
+
+
 @pytest.mark.parametrize("demo", ["01_linearization.py", "02_autodiff.py", "04_beam_search.py",
                                   "05_importers.py"])
 def test_demo_runs(demo):

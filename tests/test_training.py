@@ -8,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
-from pointerparse import checkpoint as ckpt
+from pointerparse import checkpoint as ckpt, training
 from pointerparse.autodiff import (
     Tape, add, constant, log_softmax, mask_fill, mul, parameter, reduce_sum, scale,
 )
@@ -99,6 +99,11 @@ class TestLabelSmoothedCE:
     def test_gold_out_of_range(self):
         with pytest.raises(GoldOutOfRange):
             _loss_from_probs([[0.5, 0.5]], [5], epsilon=0.1)
+
+    def test_gold_outside_its_support(self):
+        """A gold pointer past its own query, which the support leaves out."""
+        with pytest.raises(GoldOutOfRange, match="outside its example's support"):
+            _loss_from_probs([[0.2, 0.3, 0.5]], [2], epsilon=0.1, support=[[True, True, False]])
 
     def test_mean_over_steps(self):
         two_steps = _loss_from_probs([[0.7, 0.2, 0.1], [0.1, 0.7, 0.2]], [0, 1], 0.1)
@@ -369,6 +374,31 @@ class TestTrainLoop:
         with pytest.raises(DataError, match=message):
             train_loop(examples, None, _tiny_model_config(symtab, src_vocab, d=16), config,
                        symtab, src_vocab)
+
+    def test_a_non_finite_gradient_is_logged_then_raised(self, tmp_path, monkeypatch):
+        """A step whose gradient is not finite ends the run: its one
+        ``non_finite_gradient`` record is the last line of the log, and the
+        error reaches the caller."""
+        train = generate_synthetic(default_grammar(), 24, seed=5)["train"]
+        symtab, src_vocab = prepare_corpus(train)
+        forward_backward = training._forward_backward
+        steps = []
+
+        def poisoned(model, *args):
+            loss = forward_backward(model, *args)
+            steps.append(loss)
+            if len(steps) == 2:
+                model.parameters()["vocab_out.b"].grad[0] = np.inf
+            return loss
+
+        monkeypatch.setattr(training, "_forward_backward", poisoned)
+        config = TrainConfig(batch_size=8, max_steps=4, warmup_steps=2, log_every=1, seed=1)
+        with pytest.raises(NonFiniteGradient, match="vocab_out.b"):
+            train_loop(train, None, _tiny_model_config(symtab, src_vocab, d=16), config,
+                       symtab, src_vocab, checkpoint_dir=tmp_path)
+        records = [json.loads(line) for line in (tmp_path / "metrics.jsonl").read_text().splitlines()]
+        assert [r["step"] for r in records] == [1, 2]
+        assert records[-1] == {"step": 2, "error": "non_finite_gradient"}
 
     def test_metrics_records_carry_grad_norm_and_clip_factor(self, tmp_path):
         splits = generate_synthetic(default_grammar(), 48, seed=5)
@@ -711,6 +741,7 @@ class TestExactMatchRate:
         splits = generate_synthetic(default_grammar(), 20, seed=3)
         symtab, src_vocab = prepare_corpus(splits["train"])
         model = PointerGeneratorModel(_tiny_model_config(symtab, src_vocab, d=16), seed=0)
+        assert exact_match_rate(model, [], symtab, src_vocab) == 0.0
         assert exact_match_rate(model, [_empty_query_example()], symtab, src_vocab) == 0.0
         assert exact_match_rate(model, [_empty_query_example()] * 3, symtab, src_vocab) == 0.0
 

@@ -90,6 +90,22 @@ def test_unknown_symbol():
         table.encode(unseen)
 
 
+@pytest.mark.parametrize("idx", [-1, "total_size"])
+def test_an_id_outside_the_table_has_no_symbol(idx):
+    table = build_symbol_table([_flat("I", [], 1)], [4])
+    idx = table.total_size if idx == "total_size" else idx
+    with pytest.raises(UnknownSymbol, match=f"id {idx}"):
+        table.symbol_of(idx)
+    assert table.symbol_of(table.total_size - 1) == pointer(3)
+
+
+@pytest.mark.parametrize("lengths, limit", [([0, 0], None), ([4], 0)])
+def test_a_pointer_limit_below_one_is_refused(lengths, limit):
+    """No query token to point at: every query empty, or a limit of 0."""
+    with pytest.raises(EmptyCorpus, match="max_src_len must be at least 1"):
+        build_symbol_table([_flat("I", [], 1)], lengths, max_src_len=limit)
+
+
 def test_empty_corpus():
     with pytest.raises(EmptyCorpus):
         build_symbol_table([], [])
