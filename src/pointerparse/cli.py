@@ -208,8 +208,10 @@ def cmd_train(args) -> int:
 
 
 def _beam_config(args) -> BeamConfig:
+    """``eval`` and ``predict`` read only each query's best result, so the
+    search keeps only that one and stops a query once it is final."""
     try:
-        return BeamConfig(beam_size=args.beam)
+        return BeamConfig(beam_size=args.beam, n_best=1)
     except ValueError as exc:
         raise UsageError(f"--beam: {exc}") from None
 
@@ -245,7 +247,8 @@ def cmd_predict(args) -> int:
     try:
         for (query, style), parse in zip(inputs, best):
             if parse is None:
-                record = {"query": query.raw, "prediction": None, "score": None, "well_formed": False}
+                record = {"query": query.raw, "prediction": None, "score": None,
+                          "well_formed": None if style is None else False}
             else:
                 seq, result = parse
                 well_formed = (

@@ -45,11 +45,17 @@ def _check_beam_size(beam_size: int) -> None:
 class BeamConfig:
     beam_size: int = 4
     max_target_len: Optional[int] = None  # default: 2n + 16 per query
+    n_best: Optional[int] = None  # results kept per query; default: beam_size
 
     def __post_init__(self):
         _check_beam_size(self.beam_size)
         if self.max_target_len is not None and self.max_target_len < 1:
             raise ValueError("max_target_len must be at least 1")
+        if self.n_best is None:
+            self.n_best = self.beam_size
+        if type(self.n_best) is not int or not 1 <= self.n_best <= self.beam_size:
+            raise ValueError(f"n_best must be an int from 1 to beam_size {self.beam_size}, "
+                             f"got {self.n_best!r}")
 
 
 @dataclass
@@ -116,7 +122,7 @@ def beam_search_batch(
     config: Optional[BeamConfig] = None,
 ) -> list[list[DecodeResult]]:
     """Beam search over summed log-probabilities for every query of a padded
-    batch; per query up to beam_size results, best first.
+    batch; per query up to ``n_best`` results, best first.
 
     Each query is searched as if it were alone, up to float32 rounding that
     depends on the batch shape; a batch of one is bit-exact.  A beam of one
@@ -129,16 +135,29 @@ def beam_search_batch(
     Candidates are ranked by ``beam_size`` first-maximum passes over the
     query's (hypothesis, token) grid (``rank``), in stable order: ties go to
     the earlier hypothesis, then the lower id.  The pool keeps its best
-    ``beam_size`` entries, earlier ones first among ties.  Hypotheses that
-    reach the length cap retire with a truncation flag.  A query stops when
-    it has no live hypothesis or none can improve on its ``beam_size`` best
-    finished scores (scores only decrease).
+    ``n_best`` entries (``beam_size`` by default), earlier ones first among
+    ties.  Hypotheses that reach the length cap retire with a truncation
+    flag.  A query stops when it has no live hypothesis or none beats the
+    ``n_best``-th of its finished scores.
+
+    The stop changes none of the ``n_best`` results: every later result
+    descends from a live candidate and scores only fall, so none beats the
+    ``n_best``-th, and one that ties it sorts after it (the sort is stable)
+    and is trimmed.  At ``n_best=1`` this is the 1-best stopping rule of
+    Huang, Zhao and Ma ("When to Finish?", EMNLP 2017): a caller that reads
+    only the top result stops each query as soon as that result is final.
+    A query searched alone steps the same rows up to its stop whatever
+    ``n_best`` is, so its results are bit-exact.  In a batch, a query that
+    stops earlier changes the row count of the later steps.  On the SkylakeX
+    OpenBLAS core a product of 2 or more rows does not depend on the row
+    count, but on cores such as Haswell or Sandybridge the other queries'
+    scores may move by the batch-shape rounding above.
     """
     config = config or BeamConfig()
     if config.max_target_len is not None and config.max_target_len > model.config.max_tgt_len:
         raise ValueError(f"max_target_len {config.max_target_len} exceeds the model's "
                          f"max_tgt_len {model.config.max_tgt_len}")
-    k = config.beam_size
+    k, n_best = config.beam_size, config.n_best
     src_ids = np.atleast_2d(np.asarray(src_ids))
     src_mask = np.atleast_2d(np.asarray(src_mask, dtype=bool))
     queries = len(src_ids)
@@ -150,7 +169,7 @@ def beam_search_batch(
     cache = model.start_decoding(src_ids, src_mask)
 
     pools: list[list[DecodeResult]] = [[] for _ in range(queries)]
-    floor = np.full(queries, -np.inf)  # a full pool's k-th best score
+    floor = np.full(queries, -np.inf)  # a full pool's n_best-th best score
     live = np.arange(queries)  # queries still searching, in row order
     # Each live query has h consecutive rows; one with fewer live hypotheses
     # fills the rest with dead rows scored -inf, which never rank.
@@ -187,8 +206,8 @@ def beam_search_batch(
             pools[live[i]].append(DecodeResult(ids, float(top[i, j]), truncated))
         for q in touched:
             pools[q].sort(key=lambda res: -res.score)
-            del pools[q][k:]
-            if len(pools[q]) == k:
+            del pools[q][n_best:]
+            if len(pools[q]) == n_best:
                 floor[q] = pools[q][-1].score
         # A query's survivors are a prefix of its ranked candidates: only
         # the cap or the early stop retire a live candidate, and either

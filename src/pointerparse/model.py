@@ -592,15 +592,14 @@ class PointerGeneratorModel:
         as a GEMV, which OpenBLAS sums in another order than a GEMM for
         widths of 64 and more (a few 1e-6 in log-probs at d=128; ROADMAP
         item "One query, one answer on any kernel")."""
-        cfg = self.config
         tokens = np.asarray(tokens).reshape(-1)
         if np.logical_or.reduce(tokens == PAD_ID):
             raise PrefixContainsPAD("decoder prefix must not contain PAD")
         if tokens.shape[0] != cache.rows:
             raise RowCountMismatch(f"{tokens.shape[0]} tokens for a cache of {cache.rows} rows")
         t = cache.length
-        if t >= cfg.max_tgt_len:
-            raise ValueError(f"target length {t + 1} exceeds max_tgt_len {cfg.max_tgt_len}")
+        if t >= cache.max_len:
+            raise ValueError(f"target length {t + 1} exceeds max_tgt_len {cache.max_len}")
         x = ad.take_rows(cache.embed, tokens) + self.dec_positions.data[t]
         src_fill = cache.pad[:, None, None, None, :] if cache.padded else None
         cache.make_room()

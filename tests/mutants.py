@@ -78,6 +78,23 @@ MUTANTS = (
            "floor[q] = pools[q][-1].score", "floor[q] = pools[q][0].score",
            "the early stop and the pool's floor change no result",
            (f"{_DEC}::TestBeamSearch::test_matches_a_reference_search_without_early_stop",)),
+    Mutant("n_best_floor_at_beam_size", "decoding.py",
+           "if len(pools[q]) == n_best:", "if len(pools[q]) == k:",
+           "a query stops once no live candidate beats the n_best-th of its results",
+           (f"{_DEC}::TestNBest::test_a_chunk_stops_each_query_once_its_best_is_final",)),
+    Mutant("n_best_tie_replaces_best", "decoding.py",
+           "closures > floor[live, None])):\n"
+           "                touched.add(live[i])\n"
+           "                closure = DecodeResult(emitted[i * h + j].tolist(), float(closures[i, j]))\n"
+           "                pools[live[i]].append(closure)\n",
+           "closures >= floor[live, None])):\n"
+           "                touched.add(live[i])\n"
+           "                closure = DecodeResult(emitted[i * h + j].tolist(), float(closures[i, j]))\n"
+           "                pools[live[i]].insert(0, closure)\n",
+           "a result that ties the best comes later and sorts after it, so one best is final "
+           "once no live candidate beats it",
+           (f"{_DEC}::TestNBest::test_a_later_tie_does_not_replace_the_best",
+            f"{_DEC}::TestNBest::test_one_best_is_the_default_top_result")),
     Mutant("encode_inside_the_search", "decoding.py",
            "    while live.size:\n",
            "    while live.size:\n        model.encode(src_ids, src_mask)\n",

@@ -17,8 +17,16 @@ from pointerparse.cli import (
     main,
 )
 from pointerparse.data import CorpusExample, DataError, read_jsonl, write_jsonl
-from pointerparse.decoding import DECODE_ROWS, greedy, greedy_batch, pad_sources, target_cap
+from pointerparse.decoding import (
+    DECODE_ROWS,
+    BeamConfig,
+    greedy,
+    greedy_batch,
+    pad_sources,
+    target_cap,
+)
 from pointerparse.linearize import Kind, ParseNode, Query, SemanticParse, Style, linearize
+from pointerparse.model import PointerGeneratorModel
 from pointerparse.training import exact_match_rate
 from pointerparse.vocab import EOS_ID
 
@@ -711,6 +719,52 @@ class TestPipeline:
         assert rows[:2] == [{"query": q, "prediction": None, "score": None, "well_formed": False}
                             for q in queries[:2]]
         assert rows[2]["prediction"] is not None and rows[2]["score"] < 0
+
+    @pytest.mark.parametrize("flags, verdict", [([], None), (["--style", "flat"], False)])
+    def test_predict_gives_a_query_with_no_result_a_verdict_only_under_a_style(
+            self, pipeline_dir, tmp_path, capsys, flags, verdict):
+        """Like a decoded query, one with no result is judged well-formed or
+        not only when a style is known; here neither record names one."""
+        limit = load_checkpoint(pipeline_dir / "ckpt" / "best").symtab.max_src_len
+        queries = ["", " ".join(["word"] * (limit + 1)), "play some music"]
+        (tmp_path / "q.jsonl").write_text("".join(json.dumps({"query": q}) + "\n" for q in queries))
+        code = main(["predict", "--checkpoint", str(pipeline_dir / "ckpt"),
+                     "--input", str(tmp_path / "q.jsonl"), *flags])
+        out, _ = capsys.readouterr()
+        assert code == EXIT_OK
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert [row["prediction"] is None for row in rows] == [True, True, False]
+        assert [row["well_formed"] for row in rows[:2]] == [verdict, verdict]
+        assert (rows[2]["well_formed"] is None) == (verdict is None)
+
+    def test_eval_and_predict_keep_only_the_best_result(self, pipeline_dir, tmp_path,
+                                                         monkeypatch, capsys):
+        """Searching for one best result per query writes the bytes a search
+        for full pools writes, and steps fewer decoder rows."""
+        rows = []
+
+        def step(self, cache, tokens):
+            rows.append(cache.rows)
+            return real_step(self, cache, tokens)
+
+        real_step = PointerGeneratorModel.step
+        monkeypatch.setattr(PointerGeneratorModel, "step", step)
+        ckpt, dev = str(pipeline_dir / "ckpt"), str(pipeline_dir / "corpus" / "dev.jsonl")
+        written, stepped = [], []
+        for run in ("best", "full"):
+            if run == "full":
+                monkeypatch.setattr(cli, "_beam_config", lambda args: BeamConfig(args.beam))
+            rows.clear()
+            out = tmp_path / run
+            assert main(["eval", "--checkpoint", ckpt, "--input", dev, "--beam", "4",
+                         "--report-dir", str(out)]) == EXIT_OK
+            assert main(["predict", "--checkpoint", ckpt, "--input", dev, "--beam", "4",
+                         "--out", str(out / "predictions.jsonl")]) == EXIT_OK
+            written.append([(out / name).read_bytes()
+                            for name in ("report.json", "details.jsonl", "predictions.jsonl")])
+            stepped.append(sum(rows))
+        assert written[0] == written[1]
+        assert stepped[0] < stepped[1]
 
     def test_eval_defaults_report_into_checkpoint(self, pipeline_dir, tmp_path, capsys):
         """On a copy of ``best``, so the shared checkpoint gets no report."""

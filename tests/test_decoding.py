@@ -505,6 +505,110 @@ class TestBatchedBeamSearch:
         pytest.fail("no batch with a query that stops at the first step")
 
 
+class ScriptedModel:
+    """A stand-in for the model whose next-token log-probs are a table keyed
+    by each row's emitted prefix, ``{prefix: {id: log-prob}}``, with every
+    other id at -inf; it lets a test set exact ties."""
+
+    def __init__(self, table, vocab_size):
+        self.table = table
+        self.config = SimpleNamespace(vocab_size=vocab_size, max_tgt_len=64)
+
+    def start_decoding(self, src_ids, src_mask):
+        cache = SimpleNamespace(prefixes=[()] * len(src_ids),
+                                width=self.config.vocab_size + src_ids.shape[1])
+        cache.select = lambda rows, h: setattr(
+            cache, "prefixes", [cache.prefixes[r] for r in rows])
+        return cache
+
+    def step(self, cache, tokens):
+        cache.prefixes = [p if t == BOS_ID else (*p, int(t)) for p, t in zip(cache.prefixes, tokens)]
+        out = np.full((len(tokens), cache.width), -np.inf, np.float32)
+        for row, prefix in enumerate(cache.prefixes):
+            for token, log_prob in self.table.get(prefix, {}).items():
+                out[row, token] = log_prob
+        return out
+
+
+def top_bits(result):
+    return result.ids, result.score.hex(), result.truncated
+
+
+class TestNBest:
+    """``BeamConfig.n_best``: a query keeps its ``n_best`` best results and
+    stops once no live candidate beats the last of them, so its top result
+    is the default search's, bit for bit."""
+
+    @pytest.mark.parametrize("beam_size", [2, 4, 8])
+    def test_one_best_is_the_default_top_result(self, beam_size):
+        cases = []
+        for seed in range(20):
+            model = random_model(seed, d=(8, 16)[seed % 2])
+            if seed % 3 == 0:
+                model.vocab_out.b.data[EOS_ID] -= 1.0  # longer outputs: the pools fill
+            cases.append((model, random_src(model, seed + 70)))
+        # criterion 6's exhaustive toy, on each of its sources
+        toy = random_model(77, vocab_size=4, src_vocab_size=10, max_src_len=1, d=8)
+        cases += [(toy, np.array([src])) for src in range(2, 10)]
+        for model, src in cases:
+            default = beam_search(model, src, BeamConfig(beam_size))
+            best = beam_search(model, src, BeamConfig(beam_size, n_best=1))
+            assert [top_bits(r) for r in best] == [top_bits(default[0])]
+
+    @pytest.mark.parametrize("beam_size", [2, 4, 8])
+    def test_a_later_tie_does_not_replace_the_best(self, beam_size):
+        """The closure ``[]`` and the live ``[3]`` tie at step one, and
+        ``[3]`` closes at no cost: the default search, which goes on, finds
+        the tie and keeps the earlier result first; one best stops at once."""
+        model = ScriptedModel({(): {EOS_ID: -1.0, 3: -1.0}, (3,): {EOS_ID: 0.0}}, vocab_size=4)
+        default = beam_search(model, [2], BeamConfig(beam_size))
+        assert [top_bits(r) for r in default] == [([], (-1.0).hex(), False),
+                                                  ([3], (-1.0).hex(), False)]
+        best = beam_search(model, [2], BeamConfig(beam_size, n_best=1))
+        assert [top_bits(r) for r in best] == [top_bits(default[0])]
+
+    def test_a_chunk_stops_each_query_once_its_best_is_final(self, monkeypatch):
+        """A d=128, 2+2-layer model at beam 4: the same top results (up to
+        batch-shape rounding), from strictly fewer decoder rows."""
+        config = ModelConfig(vocab_size=12, src_vocab_size=20, max_src_len=10, d_model=128,
+                             n_enc_layers=2, n_enc_heads=4, enc_ffn=256, d_dec=128,
+                             n_dec_layers=2, n_dec_heads=4, dec_ffn=256, dropout=0.0)
+        model = PointerGeneratorModel(config, seed=0)
+        rng = np.random.default_rng(0)
+        sources = [rng.integers(2, 20, int(rng.integers(1, 11))) for _ in range(24)]
+        assert len({len(s) for s in sources}) > 1
+        rows = []
+
+        def step(cache, tokens):
+            rows.append(cache.rows)
+            return real_step(cache, tokens)
+
+        real_step = model.step
+        monkeypatch.setattr(model, "step", step)
+        stepped, tops = [], []
+        for n_best in (None, 1):
+            rows.clear()
+            decode = partial(beam_search_batch, config=BeamConfig(4, n_best=n_best))
+            pools = decode_sources(model, sources, decode, 4)
+            tops.append([pool[0] for pool in pools])
+            stepped.append(sum(rows))
+        full, best = tops
+        assert all(len(pool) == 1 for pool in pools)  # the n_best=1 pass
+        assert [(r.ids, r.truncated) for r in best] == [(r.ids, r.truncated) for r in full]
+        for b, f in zip(best, full):
+            assert b.score == pytest.approx(f.score, abs=1e-4)
+        assert stepped[1] < stepped[0]
+
+    @pytest.mark.parametrize("n_best", [0, 4, True, 1.0, "1"])
+    def test_n_best_is_an_int_from_one_to_the_beam_size(self, n_best):
+        with pytest.raises(ValueError, match="n_best"):
+            BeamConfig(beam_size=3, n_best=n_best)
+
+    def test_n_best_defaults_to_the_beam_size(self):
+        assert BeamConfig(3).n_best == 3
+        assert BeamConfig(3, n_best=3).n_best == 3
+
+
 class TestOverfitGreedy:
     def test_greedy_reproduces_training_targets(self, overfit_bundle):
         result, examples = overfit_bundle
