@@ -290,7 +290,11 @@ def _reading(path: Path):
         raise CheckpointError(f"malformed {path}: {type(exc).__name__}: {exc}") from None
 
 
-def load_checkpoint(directory) -> Checkpoint:
+def load_checkpoint(directory, moments: bool = True) -> Checkpoint:
+    """The checkpoint in ``directory``, after every check on the files it
+    reads.  Without ``moments``, ``optstate.bin`` is neither read nor
+    checked, and ``opt_m`` and ``opt_v`` are None: decoding needs only the
+    parameters, resuming training needs the moments too."""
     directory = _recovered(Path(directory))
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
@@ -308,7 +312,7 @@ def load_checkpoint(directory) -> Checkpoint:
             raise CheckpointError(f"manifest.json in {directory} lacks {', '.join(missing)}")
         (params,) = _read_blob(directory / "params.bin", manifest)
         opt_m = opt_v = None
-        if manifest["has_opt_state"]:
+        if moments and manifest["has_opt_state"]:
             opt_m, opt_v = _read_blob(directory / "optstate.bin", manifest, copies=2)
         config = ModelConfig.from_json(manifest["model_config"])
         counters = {key: int(manifest[key]) for key in ("step", "opt_step", "dropout_counter")}

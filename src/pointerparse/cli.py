@@ -239,7 +239,7 @@ def _load_prediction_inputs(path, default_style: Optional[str]):
 
 def cmd_predict(args) -> int:
     beam_config = _beam_config(args)
-    loaded = ckpt.load_checkpoint(ckpt.latest_checkpoint(args.checkpoint))
+    loaded = ckpt.load_checkpoint(ckpt.latest_checkpoint(args.checkpoint), moments=False)
     model = loaded.build_model()
     inputs = _load_prediction_inputs(args.input, args.style)
     best = _predict_batch(model, loaded, [query for query, _ in inputs], beam_config)
@@ -270,7 +270,7 @@ def cmd_predict(args) -> int:
 def cmd_eval(args) -> int:
     beam_config = _beam_config(args)
     checkpoint = ckpt.latest_checkpoint(args.checkpoint)
-    loaded = ckpt.load_checkpoint(checkpoint)
+    loaded = ckpt.load_checkpoint(checkpoint, moments=False)
     model = loaded.build_model()
     examples = read_jsonl(args.input)
     start = time.perf_counter()

@@ -19,11 +19,15 @@ the queries after it move down.
 Corpus callers decode with ``decode_sources``, which alone decides which
 sources can be decoded and pads them in chunks of at most ``DECODE_ROWS``
 decoder rows: a beam of k runs ``DECODE_ROWS // k`` queries at a time, and
-no beam is wider than ``DECODE_ROWS``.
+no beam is wider than ``DECODE_ROWS``.  Two or more chunks on two or more
+usable CPUs, in a process that runs no other thread, are decoded in forked
+worker processes (``decode_workers``), with the same bits as in-process.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -85,16 +89,80 @@ def decode_sources(model: PointerGeneratorModel, sources: Sequence[Sequence[int]
     holds more than ``DECODE_ROWS`` decoder cache rows.  A source is
     decodable when it has at least one token and at most the model's
     ``max_src_len``; each other source gets ``None`` in its place.
+
+    Every chunk is padded here.  With ``decode_workers`` above one (and no
+    other thread running in this process), the chunks are decoded in that
+    many forked worker processes, which inherit the model, ``decode`` and
+    the padded chunks, so only chunk indices and results are pickled; this
+    process waits.  An exception raised in a chunk is raised here, and no
+    worker outlives the call.  Chunk composition is the same either way, so
+    the results are bit-identical.
     """
     _check_beam_size(beam_size)
     results: list = [None] * len(sources)
     usable = [i for i, ids in enumerate(sources) if 0 < len(ids) <= model.config.max_src_len]
     size = DECODE_ROWS // beam_size
-    for lo in range(0, len(usable), size):
-        chunk = usable[lo : lo + size]
-        for i, result in zip(chunk, decode(model, *pad_sources([sources[i] for i in chunk]))):
+    chunks = [usable[lo : lo + size] for lo in range(0, len(usable), size)]
+    batches = [pad_sources([sources[i] for i in chunk]) for chunk in chunks]
+    # A fork copies no thread but the caller's, and with them any lock another
+    # thread holds; so a process that runs other threads does not fork.
+    fork = hasattr(os, "fork") and threading.active_count() == 1
+    workers = decode_workers(len(chunks), usable_cpus(), fork)
+    for chunk, outs in zip(chunks, _decode_chunks(model, decode, batches, workers)):
+        for i, result in zip(chunk, outs):
             results[i] = result
     return results
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on (Linux); 1 where the OS does not say."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def decode_workers(chunks: int, cpus: int, fork: bool) -> int:
+    """How many processes decode ``chunks`` padded chunks on ``cpus`` usable
+    CPUs: 1 (this process) for one chunk, one CPU or no ``fork``; otherwise
+    one worker per chunk up to one per CPU."""
+    if chunks < 2 or cpus < 2 or not fork:
+        return 1
+    return min(chunks, cpus)
+
+
+# (model, decode, batches) of the chunks this thread decodes: per thread, so
+# concurrent in-process calls do not see each other's chunks.
+_job = threading.local()
+
+
+def _hold(*job) -> None:
+    _job.held = job
+
+
+def _decode_chunk(index: int):
+    model, decode, batches = _job.held
+    return decode(model, *batches[index])
+
+
+def _decode_chunks(model, decode: Callable, batches: list, workers: int) -> list:
+    """``decode``'s result on each padded chunk, in chunk order; in this
+    process, or in ``workers`` forked ones that run the same ``_hold`` and
+    ``_decode_chunk``."""
+    if workers == 1:
+        _hold(model, decode, batches)
+        try:
+            return [_decode_chunk(index) for index in range(len(batches))]
+        finally:
+            _hold()
+    # Imported here, so a process that never decodes in parallel never
+    # loads them.
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    pool = ProcessPoolExecutor(workers, get_context("fork"), initializer=_hold,
+                               initargs=(model, decode, batches))
+    try:
+        return list(pool.map(_decode_chunk, range(len(batches))))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def rank(grid: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -285,7 +285,7 @@ def train_loop(
     best_dev_em: Optional[float] = None
     warning = None
     if resume_from is not None:
-        loaded = ckpt.load_checkpoint(resume_from)
+        loaded = ckpt.load_checkpoint(resume_from, moments=True)
         differs = [name for name, ours in (("symtab", symtab), ("source_vocab", source_vocab),
                                            ("model_config", model_config))
                    if ours != getattr(loaded, name)]

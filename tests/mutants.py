@@ -95,6 +95,13 @@ MUTANTS = (
            "once no live candidate beats it",
            (f"{_DEC}::TestNBest::test_a_later_tie_does_not_replace_the_best",
             f"{_DEC}::TestNBest::test_one_best_is_the_default_top_result")),
+    Mutant("chunks_in_completion_order", "decoding.py",
+           "        return list(pool.map(_decode_chunk, range(len(batches))))\n",
+           "        from concurrent.futures import as_completed\n"
+           "        futures = [pool.submit(_decode_chunk, index) for index in range(len(batches))]\n"
+           "        return [future.result() for future in as_completed(futures)]\n",
+           "the workers' results go back in chunk order, whichever chunk finishes first",
+           (f"{_DEC}::TestParallelChunks::test_results_are_bit_equal_to_each_chunk_decoded_in_process",)),
     Mutant("encode_inside_the_search", "decoding.py",
            "    while live.size:\n",
            "    while live.size:\n        model.encode(src_ids, src_mask)\n",

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import shutil
 from collections import Counter
 
@@ -502,6 +503,15 @@ def test_a_fresh_train_into_a_directory_holding_a_run_exits_2_and_leaves_it(tmp_
     assert {p: p.read_bytes() if p.is_file() else None for p in ckpt.rglob("*")} == before
 
 
+def no_child_process() -> bool:
+    """This process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
 @pytest.fixture(scope="module")
 def pipeline_dir(tmp_path_factory):
     """generate -> train (tiny) once; shared by eval/predict tests."""
@@ -579,6 +589,31 @@ class TestPipeline:
         assert failure["error"] == "CheckpointError"
         assert "format 2" in failure["message"]
         assert not list((tmp_path / "resumed").glob("step_*"))
+
+    def test_eval_and_predict_read_no_optimizer_moments(self, pipeline_dir, tmp_path, capsys):
+        """Decoding needs only the parameters, so ``eval`` and ``predict``
+        run on a checkpoint whose ``optstate.bin`` is corrupt, while resuming
+        from it is still refused."""
+        broken = tmp_path / "ckpt"
+        shutil.copytree(pipeline_dir / "ckpt" / "best", broken)
+        raw = bytearray((broken / "optstate.bin").read_bytes())
+        raw[len(raw) // 2] ^= 0x01
+        (broken / "optstate.bin").write_bytes(bytes(raw))
+        dev = str(pipeline_dir / "corpus" / "dev.jsonl")
+        assert main(["eval", "--checkpoint", str(broken), "--input", dev,
+                     "--report-dir", str(tmp_path / "report")]) == EXIT_OK
+        assert main(["predict", "--checkpoint", str(broken), "--input", dev,
+                     "--out", str(tmp_path / "out.jsonl")]) == EXIT_OK
+        capsys.readouterr()
+        code = main(["train", "--corpus", str(pipeline_dir / "corpus"),
+                     "--checkpoint", str(tmp_path / "resumed"),
+                     "--config", str(pipeline_dir / "config.json"),
+                     "--resume", str(broken), "--quiet"])
+        _, err = capsys.readouterr()
+        assert code == EXIT_DATA
+        failure = json.loads(err)
+        assert failure["error"] == "CheckpointError"
+        assert "optstate.bin does not match the sha256" in failure["message"]
 
     MALFORMED = {
         "unknown_config_key": ("manifest.json", lambda m: m | {
@@ -880,6 +915,31 @@ class TestPipeline:
         loaded = load_checkpoint(checkpoint)
         exact_match_rate(loaded.build_model(), examples, loaded.symtab, loaded.source_vocab)
         assert chunks == plans[1]
+
+    def test_no_child_outlives_eval_or_predict(self, pipeline_dir, tmp_path, monkeypatch, capsys):
+        """Under a budget of 8 rows, beam 4 decodes 11 queries in 6 chunks,
+        in worker processes where the host has 2 CPUs.  None is left once
+        ``eval`` or ``predict`` returns, nor after a chunk fails in one."""
+        examples = read_jsonl(pipeline_dir / "corpus" / "train.jsonl")[:11]
+        write_jsonl(tmp_path / "eleven.jsonl", examples)
+        monkeypatch.setattr(decoding, "DECODE_ROWS", 8)
+        common = ["--checkpoint", str(pipeline_dir / "ckpt" / "best"),
+                  "--input", str(tmp_path / "eleven.jsonl"), "--beam", "4"]
+        assert main(["eval", *common, "--report-dir", str(tmp_path / "report")]) == EXIT_OK
+        assert no_child_process()
+        assert main(["predict", *common, "--out", str(tmp_path / "out.jsonl")]) == EXIT_OK
+        assert no_child_process()
+
+        def failing(*args, **kwargs):
+            raise RuntimeError(f"decoding failed in process {os.getpid()}")
+
+        monkeypatch.setattr(cli, "beam_search_batch", failing)
+        capsys.readouterr()
+        assert main(["eval", *common, "--report-dir", str(tmp_path / "failed")]) == cli.EXIT_RUNTIME
+        failure = json.loads(capsys.readouterr().err)
+        assert failure["error"] == "RuntimeError"
+        assert failure["message"].startswith("decoding failed in process ")
+        assert no_child_process()
 
     def test_empty_query_is_a_miss_in_eval_as_in_dev_tracking(self, pipeline_dir, tmp_path):
         """``eval --beam 1`` and ``exact_match_rate`` decode the same chunks,

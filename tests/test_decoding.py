@@ -1,9 +1,14 @@
+import multiprocessing
+import os
+import re
+import threading
 from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from pointerparse import decoding
 from pointerparse.decoding import (
     DECODE_ROWS,
     BeamConfig,
@@ -11,11 +16,13 @@ from pointerparse.decoding import (
     beam_search,
     beam_search_batch,
     decode_sources,
+    decode_workers,
     greedy,
     greedy_batch,
     pad_sources,
     rank,
     target_cap,
+    usable_cpus,
 )
 from pointerparse.model import EmptySource, ModelConfig, PointerGeneratorModel
 from pointerparse.vocab import BOS_ID, EOS_ID, PAD_ID
@@ -422,25 +429,29 @@ class TestBatchedBeamSearch:
         sources.append([4] * 9)
         expected = [ids if 0 < len(ids) <= 7 else None for ids in sources]
         assert DECODE_ROWS == 256 and expected.count(None) == 5
-        shapes = []
+        called = []
 
         def decode(decode_model, src_ids, src_mask):
             assert decode_model is model
-            shapes.append(src_ids.shape)
+            called.append(src_ids.shape)
             assert (src_ids[~src_mask] == 0).all()
-            return [row[row_mask].tolist() for row, row_mask in zip(src_ids, src_mask)]
+            # Each result carries its chunk's shape and its row in the chunk,
+            # so the chunks are seen in a worker process too.
+            return [(row[row_mask].tolist(), src_ids.shape, b)
+                    for b, (row, row_mask) in enumerate(zip(src_ids, src_mask))]
 
         for beam_size, plan in [(1, [(256, 7)] * 2 + [(3, 4)]),
                                 (4, [(64, 7)] * 8 + [(3, 4)]),
                                 (8, [(32, 7)] * 16 + [(3, 4)])]:
-            shapes.clear()
-            assert decode_sources(model, sources, decode, beam_size) == expected
+            decoded = decode_sources(model, sources, decode, beam_size)
+            assert [None if r is None else r[0] for r in decoded] == expected
+            shapes = [shape for _, shape, b in filter(None, decoded) if b == 0]
             assert shapes == plan, beam_size
-        shapes.clear()
+        called.clear()
         for beam_size in (0, DECODE_ROWS + 1):
             with pytest.raises(ValueError, match="beam_size"):
                 decode_sources(model, sources[:4], decode, beam_size)
-        assert shapes == []
+        assert called == []  # one chunk would be decoded in this process
 
     @pytest.mark.parametrize("beam_size", [1, 4, 8])
     def test_decode_sources_holds_at_most_decode_rows_rows(self, beam_size, monkeypatch):
@@ -453,13 +464,18 @@ class TestBatchedBeamSearch:
             rows.append(max(cache.rows, cache.self_kv[0].shape[0]))
             return real_step(self, cache, tokens)
 
+        def decode(model, src_ids, src_mask):
+            rows.clear()
+            pools = beam_search_batch(model, src_ids, src_mask, BeamConfig(beam_size))
+            # The chunk's peak goes back with its results, from a worker too.
+            return [(pool, max(rows)) for pool in pools]
+
         real_step = PointerGeneratorModel.step
         monkeypatch.setattr(PointerGeneratorModel, "step", step)
         sources = [random_src(model, seed) for seed in range(300)]
-        pools = decode_sources(model, sources, partial(beam_search_batch,
-                                                       config=BeamConfig(beam_size)), beam_size)
-        assert all(pool is not None and 0 < len(pool) <= beam_size for pool in pools)
-        assert max(rows) == DECODE_ROWS
+        decoded = decode_sources(model, sources, decode, beam_size)
+        assert all(r is not None and 0 < len(r[0]) <= beam_size for r in decoded)
+        assert max(peak for _, peak in decoded) == DECODE_ROWS
 
     def test_empty_source_is_a_typed_error(self):
         model = random_model(0)
@@ -607,6 +623,131 @@ class TestNBest:
     def test_n_best_defaults_to_the_beam_size(self):
         assert BeamConfig(3).n_best == 3
         assert BeamConfig(3, n_best=3).n_best == 3
+
+
+needs_workers = pytest.mark.skipif(decode_workers(2, usable_cpus(), hasattr(os, "fork")) < 2,
+                                   reason="parallel decoding needs fork and 2 usable CPUs")
+
+
+def slow_first_chunk():
+    """A model that never emits EOS, so each query runs to its 2n + 16 cap,
+    and 44 decodable sources whose first chunk is by far the slowest: the
+    workers finish later chunks before it.  Two empty sources and one past
+    ``max_src_len`` are not decodable; ``[11, 11]`` marks one chunk."""
+    model = random_model(5, max_src_len=40)
+    model.vocab_out.b.data[EOS_ID] = -1e4
+    rng = np.random.default_rng(5)
+    sources = [rng.integers(2, 11, n).tolist() for n in [40, 40] + [1, 2, 3] * 14]
+    sources[9:9] = [[]]
+    sources[20:20] = [[3] * 41]
+    sources[30] = [11, 11]
+    sources.append([])
+    return model, sources
+
+
+def decoded_bits(pool):
+    return None if pool is None else [top_bits(r) for r in pool]
+
+
+class TestParallelChunks:
+    """Under a budget of 8 decoder rows, ``decode_sources`` forms 6 chunks
+    at beam 1 and 22 at beam 4, and decodes them in worker processes."""
+
+    def test_worker_count_rule(self):
+        """One process for one chunk, one usable CPU or no fork; otherwise
+        one worker per chunk, up to one per CPU.  No process is started."""
+        assert decode_workers(1, 2, True) == 1
+        assert decode_workers(0, 2, True) == 1
+        assert decode_workers(5, 1, True) == 1
+        assert decode_workers(5, 4, False) == 1
+        assert decode_workers(2, 2, True) == 2
+        assert decode_workers(3, 8, True) == 3
+        assert decode_workers(157, 2, True) == 2
+        assert 1 <= usable_cpus() <= os.cpu_count()
+
+    @pytest.mark.parametrize("beam_size", [1, 4])
+    def test_results_come_back_in_input_order(self, beam_size, monkeypatch):
+        """Each decodable source gets its own row back, in its place, and
+        the empty and over-long sources get None."""
+        monkeypatch.setattr(decoding, "DECODE_ROWS", 8)
+        model, sources = slow_first_chunk()
+
+        def decode(model, src_ids, src_mask):
+            beam_search_batch(model, src_ids, src_mask, BeamConfig(beam_size))
+            return [row[row_mask].tolist() for row, row_mask in zip(src_ids, src_mask)]
+
+        expected = [ids if 0 < len(ids) <= 40 else None for ids in sources]
+        assert expected.count(None) == 3
+        assert decode_sources(model, sources, decode, beam_size) == expected
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("beam_size", [1, 4])
+    def test_results_are_bit_equal_to_each_chunk_decoded_in_process(self, beam_size,
+                                                                    monkeypatch):
+        monkeypatch.setattr(decoding, "DECODE_ROWS", 8)
+        model, sources = slow_first_chunk()
+        config = BeamConfig(beam_size)
+        usable = [i for i, ids in enumerate(sources) if 0 < len(ids) <= 40]
+        expected = [None] * len(sources)
+        for lo in range(0, len(usable), 8 // beam_size):
+            chunk = usable[lo : lo + 8 // beam_size]
+            pools = beam_search_batch(model, *pad_sources([sources[i] for i in chunk]), config)
+            for i, pool in zip(chunk, pools):
+                expected[i] = pool
+        pools = decode_sources(model, sources, partial(beam_search_batch, config=config),
+                               beam_size)
+        assert [decoded_bits(pool) for pool in pools] == [decoded_bits(p) for p in expected]
+        assert all(r.truncated for pool in filter(None, pools) for r in pool)
+
+    @needs_workers
+    @pytest.mark.parametrize("beam_size", [1, 4])
+    def test_chunks_are_decoded_in_two_workers_and_not_here(self, beam_size, monkeypatch):
+        monkeypatch.setattr(decoding, "DECODE_ROWS", 8)
+        model, sources = slow_first_chunk()
+
+        def decode(model, src_ids, src_mask):
+            pools = beam_search_batch(model, src_ids, src_mask, BeamConfig(beam_size))
+            return [os.getpid()] * len(pools)
+
+        for _ in range(2):  # a pool leaves no thread behind that would keep the next from forking
+            pids = set(filter(None, decode_sources(model, sources, decode, beam_size)))
+            assert len(pids) >= 2 and os.getpid() not in pids
+            assert multiprocessing.active_children() == []
+
+    def test_a_process_running_another_thread_decodes_in_process(self, monkeypatch):
+        """Forking a process that runs other threads could copy a lock one of
+        them holds, so the chunks are decoded here then."""
+        monkeypatch.setattr(decoding, "DECODE_ROWS", 8)
+        model, sources = slow_first_chunk()
+        release = threading.Event()
+        waiting = threading.Thread(target=release.wait, args=(60,))
+        waiting.start()
+        try:
+            pids = decode_sources(model, sources, lambda model, src_ids, src_mask:
+                                  [os.getpid()] * len(src_ids), 1)
+        finally:
+            release.set()
+            waiting.join(60)
+        assert not waiting.is_alive()
+        assert set(filter(None, pids)) == {os.getpid()}
+        assert multiprocessing.active_children() == []
+
+    @needs_workers
+    def test_an_exception_in_a_workers_chunk_reaches_the_caller(self, monkeypatch):
+        """The type and message of an exception raised while a worker
+        decodes one chunk, after which no worker is left."""
+        monkeypatch.setattr(decoding, "DECODE_ROWS", 8)
+        model, sources = slow_first_chunk()
+
+        def decode(model, src_ids, src_mask):
+            if any(row[row_mask].tolist() == [11, 11] for row, row_mask in zip(src_ids, src_mask)):
+                raise LookupError(f"the marked chunk failed in process {os.getpid()}")
+            return greedy_batch(model, src_ids, src_mask)
+
+        with pytest.raises(LookupError, match=r"^the marked chunk failed in process \d+$") as info:
+            decode_sources(model, sources, decode, 1)
+        assert int(re.search(r"\d+$", str(info.value))[0]) != os.getpid()
+        assert multiprocessing.active_children() == []
 
 
 class TestOverfitGreedy:
